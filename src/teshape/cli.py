@@ -78,40 +78,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_shape_check(args: argparse.Namespace) -> int:
+    # per family: the box-bound options it requires and the check they feed
+    boxes = {
+        "quad": (("b_max", "m_max"), check_quadratic_set),
+        "pwl": (("beta_max", "phi_max"), check_pwl_set),
+    }
     try:
-        if args.family == "quad":
-            if args.b_max is None or args.m_max is None:
-                raise ValidationError(["--b-max and --m-max required for quad"])
-            verdict = check_quadratic_set(
-                ShapingQuery(
-                    threshold=args.lambda_dagger,
-                    n=args.n,
-                    capacity=args.capacity,
-                    b_max=args.b_max,
-                    m_max=args.m_max,
-                )
-            )
-        elif args.family == "pwl":
-            if args.beta_max is None or args.phi_max is None:
-                raise ValidationError(["--beta-max and --phi-max required for pwl"])
-            verdict = check_pwl_set(
-                ShapingQuery(
-                    threshold=args.lambda_dagger,
-                    n=args.n,
-                    capacity=args.capacity,
-                    beta_max=args.beta_max,
-                    phi_max=args.phi_max,
-                )
+        if args.family in boxes:
+            fields, check = boxes[args.family]
+            bounds = {field: getattr(args, field) for field in fields}
+            if None in bounds.values():
+                options = " and ".join("--" + field.replace("_", "-") for field in fields)
+                raise ValidationError([f"{options} required for {args.family}"])
+            verdict = check(
+                ShapingQuery(threshold=args.lambda_dagger, n=args.n, capacity=args.capacity, **bounds)
             )
         else:  # homog
             if args.b is None or args.m is None:
                 raise ValidationError(["--b and --m required for homog"])
-            verdict = check_homogeneous(
-                Quadratic(b=args.b, m=args.m),
-                n=args.n,
-                capacity=args.capacity,
-                threshold=args.lambda_dagger,
-            )
+            theta = Quadratic(b=args.b, m=args.m)
+            verdict = check_homogeneous(theta, args.n, args.capacity, args.lambda_dagger)
     except ValidationError as exc:
         return _fail(EXIT_VALIDATION, f"validation error: {exc}")
     print(f"admissible={str(verdict.admissible).lower()}")
@@ -139,6 +125,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        if args.step < 1:
+            raise ValidationError([f"--step must be a positive integer, got {args.step}"])
         instance = load_instance(args.instance)
         values = [float(v) for v in range(args.start, args.stop + 1, args.step)]
         rows = run_satiation_sweep(instance, agent=args.agent, values=values)

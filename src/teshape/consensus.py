@@ -24,6 +24,7 @@ from .model import (
     Family,
     MarketInstance,
     ModelKind,
+    PreferenceColumns,
     Quadratic,
     ValidationError,
     validate_instance,
@@ -191,8 +192,8 @@ def run_aggregator(
         report.raise_if_invalid()
 
     log = [
-        BroadcastEvent(phase="collect", agent=i, payload={"a": instance.production[i]})
-        for i in range(instance.n)
+        BroadcastEvent(phase="collect", agent=i, payload={"a": a})
+        for i, a in enumerate(instance.production.tolist())
     ]
     result = solve(instance, cfg)
     for i in range(instance.n):
@@ -244,7 +245,7 @@ class DistributedRun:
 def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
     """Synchronous flooding of (theta, a); estimates are means over known sets."""
     n = instance.n
-    a = np.asarray(instance.production, dtype=float)
+    a = instance.production
     target = instance.capacity / n
     known = [{i} for i in range(n)]
     adj = graph.neighbors()
@@ -268,7 +269,7 @@ def _average(
 ) -> ConsensusTrace:
     """Iterated Metropolis averaging on the production values."""
     w = graph.mixing_matrix()
-    z = np.asarray(instance.production, dtype=float)
+    z = instance.production
     target = instance.capacity / instance.n
     history = [z]
     for _ in range(rounds):
@@ -331,23 +332,22 @@ def run_distributed(
     trace = _average(plain, graph, rounds, tol)
     w = graph.mixing_matrix()
     if homogenize:
-        b = np.array([p.b for p in plain.preferences], dtype=float)
-        m = np.array([p.m for p in plain.preferences], dtype=float)
+        b, m = plain.preferences.columns
         for _ in range(trace.rounds):
             b = w @ b
             m = w @ m
 
+    n = instance.n
     results = []
-    for i in range(instance.n):
-        capacity_i = float(trace.estimates[-1, i]) * instance.n
-        production_i = tuple([capacity_i / instance.n] * instance.n)
+    for i in range(n):
+        capacity_i = float(trace.estimates[-1, i]) * n
         prefs_i = (
-            tuple([Quadratic(b=float(b[i]), m=float(m[i]))] * instance.n)
+            PreferenceColumns(Quadratic, np.full(n, b[i]), np.full(n, m[i]))
             if homogenize
             else plain.preferences
         )
         local = MarketInstance(
-            production=production_i, preferences=prefs_i, model=ModelKind.MTES
+            production=np.full(n, capacity_i / n), preferences=prefs_i, model=ModelKind.MTES
         )
         results.append(solve(local, cfg))
     return DistributedRun(results=tuple(results), trace=trace, rounds_used=trace.rounds)

@@ -14,7 +14,9 @@ independent, order-insensitive and reproducible bit-for-bit.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,6 +27,7 @@ from . import __version__
 from .model import (
     MarketInstance,
     PiecewiseLinear,
+    PreferenceColumns,
     Quadratic,
     ShapingQuery,
     ValidationError,
@@ -152,6 +155,25 @@ def sample_pwl_params(
 # ---------------------------------------------------------------------------
 
 
+def _spec_int(value, field: str) -> int:
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValidationError([f"{field} must be an integer, got {value!r}"])
+    return int(value)
+
+
+def _spec_number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError([f"{field} must be a number, got {value!r}"])
+    return float(value)
+
+
+def _spec_list(value, field: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValidationError([f"{field} must be a non-empty list"])
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sampling plan: K trials per cell, cells over thresholds or scales."""
@@ -168,13 +190,8 @@ class ExperimentSpec:
             raise ValidationError([f"family must be 'quadratic' or 'pwl', got {self.family!r}"])
         if self.n < 1 or self.trials < 1:
             raise ValidationError(["n >= 1 and trials >= 1 required"])
-        thresholds = (
-            self.lambda_dagger
-            if isinstance(self.lambda_dagger, tuple)
-            else (self.lambda_dagger,)
-        )
-        if any(not t > 0 for t in thresholds):
-            raise ValidationError(["lambda_dagger must be positive"])
+        if any(not 0 < t < math.inf for t in self.thresholds):
+            raise ValidationError(["lambda_dagger must be positive and finite"])
         if not 0 <= self.seed < 2**64:
             raise ValidationError(["seed must be a non-negative 64-bit integer"])
         if self.scale_list is not None:
@@ -185,18 +202,24 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(data: dict) -> ExperimentSpec:
+        """Strict parse: integral numbers only (no booleans), numeric lambda_dagger."""
+        if not isinstance(data, dict):
+            raise ValidationError(["spec must be a JSON object"])
         unknown = set(data) - {"family", "n", "trials", "lambda_dagger", "seed", "scale_list"}
         if unknown:
             raise ValidationError([f"unknown spec fields {sorted(unknown)}"])
-        lam = data["lambda_dagger"]
-        scale = data.get("scale_list")
+        lam, scale = data["lambda_dagger"], data.get("scale_list")
+        if isinstance(lam, list):
+            lam = tuple(_spec_number(v, "lambda_dagger") for v in _spec_list(lam, "lambda_dagger"))
+        if scale is not None:
+            scale = tuple(_spec_int(v, "scale_list") for v in _spec_list(scale, "scale_list"))
         return ExperimentSpec(
             family=data["family"],
-            n=int(data["n"]),
-            trials=int(data["trials"]),
-            lambda_dagger=tuple(float(v) for v in lam) if isinstance(lam, list) else float(lam),
-            seed=int(data["seed"]),
-            scale_list=tuple(int(v) for v in scale) if scale is not None else None,
+            n=_spec_int(data["n"], "n"),
+            trials=_spec_int(data["trials"], "trials"),
+            lambda_dagger=lam if isinstance(lam, tuple) else _spec_number(lam, "lambda_dagger"),
+            seed=_spec_int(data["seed"], "seed"),
+            scale_list=scale,
         )
 
     @staticmethod
@@ -217,17 +240,17 @@ class ExperimentSpec:
             out["scale_list"] = list(self.scale_list)
         return out
 
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        lam = self.lambda_dagger
+        return lam if isinstance(lam, tuple) else (lam,)
+
     def cells(self) -> list[tuple[str, int, float]]:
         """(cell_key, n, lambda_dagger) triples, one per batch of trials."""
         if self.scale_list is not None:
             lam = float(self.lambda_dagger)  # type: ignore[arg-type]
             return [(f"n={n}", n, lam) for n in self.scale_list]
-        thresholds = (
-            self.lambda_dagger
-            if isinstance(self.lambda_dagger, tuple)
-            else (self.lambda_dagger,)
-        )
-        return [(f"lambda_dagger={lam:g}", self.n, float(lam)) for lam in thresholds]
+        return [(f"lambda_dagger={lam:g}", self.n, float(lam)) for lam in self.thresholds]
 
 
 @dataclass(frozen=True)
@@ -257,17 +280,8 @@ class MonteCarloResult:
             writer.writerow(["cell_key", "median", "q25", "q75", "wlo", "whi", "n_outliers"])
             for cell in self.cells:
                 s = cell.stats
-                writer.writerow(
-                    [
-                        cell.key,
-                        repr(s.median),
-                        repr(s.q25),
-                        repr(s.q75),
-                        repr(s.whisker_low),
-                        repr(s.whisker_high),
-                        len(s.outliers),
-                    ]
-                )
+                summary = (s.median, s.q25, s.q75, s.whisker_low, s.whisker_high)
+                writer.writerow([cell.key, *map(repr, summary), len(s.outliers)])
         with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8") as fh:
             json.dump(
                 {
@@ -290,33 +304,18 @@ def _run_trial(
     a = sample_production(n, rng)
     capacity = float(np.sum(a))
     if spec.family == "quadratic":
-        b, m = sample_quadratic_params(n, capacity, lam_dagger, rng)
-        verdict = check_quadratic_set(
-            ShapingQuery(
-                threshold=lam_dagger, n=n, capacity=capacity, b_max=float(b[0]), m_max=float(m[0])
-            )
-        )
-        if not verdict.admissible:
-            raise RuntimeError(f"sampled batch not admissible (cell {cell_index}, trial {trial})")
-        instance = MarketInstance(
-            production=tuple(a.tolist()),
-            preferences=tuple(map(Quadratic, b.tolist(), m.tolist())),
-        )
-        return solve_mtes_quadratic(instance, cfg).lambda_star
-    beta, phi = sample_pwl_params(n, capacity, lam_dagger, rng)
-    verdict = check_pwl_set(
-        ShapingQuery(
-            threshold=lam_dagger, n=n, capacity=capacity,
-            beta_max=float(beta[0]), phi_max=float(phi[0]),
-        )
-    )
-    if not verdict.admissible:
+        first, second = sample_quadratic_params(n, capacity, lam_dagger, rng)
+        kind, check, solver = Quadratic, check_quadratic_set, solve_mtes_quadratic
+        bounds = ("b_max", "m_max")
+    else:
+        first, second = sample_pwl_params(n, capacity, lam_dagger, rng)
+        kind, check, solver = PiecewiseLinear, check_pwl_set, solve_mtes_pwl
+        bounds = ("beta_max", "phi_max")
+    corner = dict(zip(bounds, (float(first[0]), float(second[0]))))
+    if not check(ShapingQuery(threshold=lam_dagger, n=n, capacity=capacity, **corner)).admissible:
         raise RuntimeError(f"sampled batch not admissible (cell {cell_index}, trial {trial})")
-    instance = MarketInstance(
-        production=tuple(a.tolist()),
-        preferences=tuple(map(PiecewiseLinear, beta.tolist(), phi.tolist())),
-    )
-    return solve_mtes_pwl(instance, cfg).lambda_star
+    instance = MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))
+    return solver(instance, cfg).lambda_star
 
 
 def run_monte_carlo(
@@ -331,29 +330,13 @@ def run_monte_carlo(
     output never depends on scheduling.
     """
     cells = []
-    for cell_index, (key, n, lam_dagger) in enumerate(spec.cells()):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                prices = list(
-                    pool.map(
-                        lambda t: _run_trial(spec, cell_index, t, n, lam_dagger, cfg),
-                        range(spec.trials),
-                    )
-                )
-        else:
-            prices = [
-                _run_trial(spec, cell_index, t, n, lam_dagger, cfg)
-                for t in range(spec.trials)
-            ]
-        cells.append(
-            CellResult(
-                key=key,
-                n=n,
-                lambda_dagger=lam_dagger,
-                stats=box_stats(prices),
-                prices=tuple(prices),
-            )
-        )
+    # one pool for all cells; with one thread the trials run inline
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        trial_map = pool.map if threads > 1 else map
+        for cell_index, (key, n, lam_dagger) in enumerate(spec.cells()):
+            run = functools.partial(_run_trial, spec, cell_index, n=n, lam_dagger=lam_dagger, cfg=cfg)
+            prices = list(trial_map(run, range(spec.trials)))
+            cells.append(CellResult(key, n, lam_dagger, stats=box_stats(prices), prices=tuple(prices)))
     result = MonteCarloResult(spec=spec, cells=tuple(cells))
     if out_dir is not None:
         result.write(out_dir)
@@ -391,15 +374,14 @@ def run_satiation_sweep(
     if not values:
         raise ValidationError(["sweep requires at least one value"])
     idx = agent % base.n
+    b, m = base.preferences.columns
     rows = []
     for value in values:
-        prefs = list(base.preferences)
-        prefs[idx] = replace(prefs[idx], m=float(value))
-        swept = replace(base, preferences=tuple(prefs))
+        m_swept = m.copy()
+        m_swept[idx] = float(value)
+        swept = replace(base, preferences=PreferenceColumns(Quadratic, b, m_swept))
         result = solve_mtes_quadratic(swept, cfg)
-        rows.append(
-            SweepRow(value=float(value), lambda_star=result.lambda_star, x_agent=result.x_star[idx])
-        )
+        rows.append(SweepRow(float(value), result.lambda_star, result.x_star[idx]))
     return rows
 
 

@@ -9,16 +9,24 @@ consumption preference. Three preference families are supported:
   saturation load ``phi`` (kW), flat beyond it.
 * ``Custom(value_fn, deriv_fn)`` -- caller-supplied strictly concave utility
   with its analytic derivative. Never differentiated numerically for solving.
+
+Instances are array-backed: ``production`` is a read-only float64 array and
+an all-Quadratic or all-PiecewiseLinear preference list is held as a
+read-only column pair (``PreferenceColumns``). Only instances mixing families
+or holding Custom agents keep a tuple of per-agent objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Union
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -84,18 +92,107 @@ class Family(Enum):
     MIXED = "mixed"  # mixed families and/or Custom agents: generic solver only
 
 
-@dataclass(frozen=True)
+# file label and parameter names of the families that are held as columns
+_COLUMN_KINDS = {Quadratic: ("quadratic", "b", "m"), PiecewiseLinear: ("pwl", "beta", "phi")}
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``, never aliasing the caller's data."""
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, bit-identical to the builtin ``sum`` of the
+    same floats (``np.sum`` is pairwise and rounds differently)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+class PreferenceColumns(Sequence):
+    """Homogeneous preferences as a read-only column pair.
+
+    ``columns`` is ``(b, m)`` for ``kind=Quadratic`` and ``(beta, phi)`` for
+    ``kind=PiecewiseLinear``, each a read-only float64 array (copied from the
+    arguments). As a sequence it reads like the per-agent tuple it replaces:
+    ``[i]`` and iteration yield ``kind`` objects, slices yield tuples of them.
+    """
+
+    __slots__ = ("kind", "columns")
+
+    def __init__(self, kind: type, first, second) -> None:
+        if kind not in _COLUMN_KINDS:
+            raise TypeError(f"no column layout for {getattr(kind, '__name__', kind)!r}")
+        self.kind = kind
+        self.columns = (_frozen(first), _frozen(second))
+        if self.columns[0].ndim != 1 or self.columns[0].shape != self.columns[1].shape:
+            raise ValueError("preference columns must be one-dimensional and of equal length")
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return map(self.kind, *(c.tolist() for c in self.columns))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.kind, *(c[i].tolist() for c in self.columns)))
+        return self.kind(*(float(c[i]) for c in self.columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PreferenceColumns):
+            return self.kind is other.kind and all(map(np.array_equal, self.columns, other.columns))
+        if isinstance(other, Sequence):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __reduce__(self):  # rebuild through __init__, so copies stay read-only
+        return PreferenceColumns, (self.kind, *self.columns)
+
+
+def _as_preferences(preferences) -> PreferenceColumns | tuple:
+    """Columns for a homogeneous Quadratic/PWL list, else a tuple of objects."""
+    if isinstance(preferences, PreferenceColumns):
+        return preferences
+    preferences = tuple(preferences)
+    for kind, (_, first, second) in _COLUMN_KINDS.items():
+        if all(isinstance(p, kind) for p in preferences):
+            pairs = [(getattr(p, first), getattr(p, second)) for p in preferences]
+            return PreferenceColumns(kind, *np.array(pairs, dtype=np.float64).reshape(-1, 2).T)
+    return preferences
+
+
+@dataclass(frozen=True, eq=False)
 class MarketInstance:
     """Immutable market instance: production profile plus one preference per agent.
 
-    Individual productions may be zero; only the total capacity must be
-    positive. Construction performs no validation so that report-style
+    ``production`` becomes a read-only float64 copy; homogeneous Quadratic or
+    PiecewiseLinear preferences become ``PreferenceColumns``, anything else a
+    tuple. Individual productions may be zero; only the total capacity must
+    be positive. Construction performs no validation so that report-style
     checking (``validate_instance``) can inspect bad values.
     """
 
-    production: tuple[float, ...]
-    preferences: tuple[UtilityParams, ...]
+    production: np.ndarray
+    preferences: PreferenceColumns | tuple[UtilityParams, ...]
     model: ModelKind = ModelKind.MTES
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "production", _frozen(self.production))
+        object.__setattr__(self, "preferences", _as_preferences(self.preferences))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MarketInstance):
+            return NotImplemented
+        same_production = np.array_equal(self.production, other.production)
+        return same_production and self.model is other.model and self.preferences == other.preferences
+
+    __hash__ = None
+
+    def __reduce__(self):  # rebuild through __init__, so copies stay read-only
+        return MarketInstance, (self.production, self.preferences, self.model)
 
     @property
     def n(self) -> int:
@@ -104,14 +201,12 @@ class MarketInstance:
     @cached_property
     def capacity(self) -> float:
         """Total network production C = sum of all a_i."""
-        return float(sum(self.production))
+        return _sequential_sum(self.production)
 
-    @cached_property
+    @property
     def family(self) -> Family:
-        if all(isinstance(p, Quadratic) for p in self.preferences):
-            return Family.QUADRATIC
-        if all(isinstance(p, PiecewiseLinear) for p in self.preferences):
-            return Family.PWL
+        if isinstance(self.preferences, PreferenceColumns):
+            return Family.QUADRATIC if self.preferences.kind is Quadratic else Family.PWL
         return Family.MIXED
 
 
@@ -151,40 +246,43 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     concavity (on a sampled grid) for Custom preferences.
     """
     violations: list[str] = []
-    n = len(instance.production)
+    a, preferences = instance.production, instance.preferences
+    n = len(a)
     if n < 1:
         violations.append("n >= 1 required (empty agent list)")
-    if len(instance.preferences) != n:
-        violations.append(
-            f"length mismatch: {n} productions vs {len(instance.preferences)} preferences"
-        )
-    for i, a in enumerate(instance.production):
-        if not math.isfinite(a):
-            violations.append(f"agent {i}: a must be finite")
-        elif a < 0:
-            violations.append(f"agent {i}: a must be non-negative")
-    capacity = sum(a for a in instance.production if math.isfinite(a))
+    if len(preferences) != n:
+        violations.append(f"length mismatch: {n} productions vs {len(preferences)} preferences")
+    finite = np.isfinite(a)
+    for i in np.flatnonzero(~finite | (a < 0)).tolist():
+        violations.append(f"agent {i}: a must be " + ("non-negative" if finite[i] else "finite"))
+    capacity = _sequential_sum(a[finite])
     if n >= 1 and not capacity > 0:
         violations.append("C > 0 required (total production must be positive)")
 
-    for i, pref in enumerate(instance.preferences):
-        if isinstance(pref, Quadratic):
-            if not (math.isfinite(pref.b) and pref.b > 0):
-                violations.append(f"agent {i}: b must be positive")
-            if not (math.isfinite(pref.m) and pref.m > 0):
-                violations.append(f"agent {i}: m must be positive")
-        elif isinstance(pref, PiecewiseLinear):
-            if not (math.isfinite(pref.beta) and pref.beta > 0):
-                violations.append(f"agent {i}: beta must be positive")
-            if not (math.isfinite(pref.phi) and pref.phi > 0):
-                violations.append(f"agent {i}: phi must be positive")
-        elif isinstance(pref, Custom):
-            violations.extend(
-                _check_custom_concavity(pref, capacity if capacity > 0 else 1.0, f"agent {i}")
-            )
-        else:
-            violations.append(f"agent {i}: unknown preference type {type(pref).__name__}")
-
+    if isinstance(preferences, PreferenceColumns):
+        fields = _COLUMN_KINDS[preferences.kind][1:]
+        bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
+        for i in np.flatnonzero(bad[0] | bad[1]).tolist():
+            bad_fields = [field for field, mask in zip(fields, bad) if mask[i]]
+            violations.extend(f"agent {i}: {field} must be positive" for field in bad_fields)
+    else:
+        for i, pref in enumerate(preferences):  # per agent: mixed families or Custom agents
+            if isinstance(pref, Quadratic):
+                if not (math.isfinite(pref.b) and pref.b > 0):
+                    violations.append(f"agent {i}: b must be positive")
+                if not (math.isfinite(pref.m) and pref.m > 0):
+                    violations.append(f"agent {i}: m must be positive")
+            elif isinstance(pref, PiecewiseLinear):
+                if not (math.isfinite(pref.beta) and pref.beta > 0):
+                    violations.append(f"agent {i}: beta must be positive")
+                if not (math.isfinite(pref.phi) and pref.phi > 0):
+                    violations.append(f"agent {i}: phi must be positive")
+            elif isinstance(pref, Custom):
+                violations.extend(
+                    _check_custom_concavity(pref, capacity if capacity > 0 else 1.0, f"agent {i}")
+                )
+            else:
+                violations.append(f"agent {i}: unknown preference type {type(pref).__name__}")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -290,29 +388,33 @@ def _number(d: dict, field: str, agent: int) -> float:
     return float(value)
 
 
-def _utility_from_dict(d: dict, agent: int) -> UtilityParams:
+# file label -> (per-agent type, parameter names) of the families held as columns
+_FILE_KINDS = {label: (kind, first, second) for kind, (label, first, second) in _COLUMN_KINDS.items()}
+
+
+def _utility_from_dict(d: dict, agent: int) -> tuple[type, float, float]:
+    """(kind, first parameter, second parameter) of one agent's utility object."""
     if not isinstance(d, dict):
         raise ValidationError([f"agent {agent}: utility must be an object"])
-    kind = d.get("kind")
-    if kind == "quadratic":
-        expected = {"kind", "b", "m"}
-    elif kind == "pwl":
-        expected = {"kind", "beta", "phi"}
-    else:
-        raise ValidationError([f"agent {agent}: unknown utility kind {kind!r}"])
-    unknown = set(d) - expected
-    if unknown:
-        raise ValidationError([f"agent {agent}: unknown utility fields {sorted(unknown)}"])
-    missing = expected - set(d)
-    if missing:
-        raise ValidationError([f"agent {agent}: missing utility fields {sorted(missing)}"])
-    if kind == "quadratic":
-        return Quadratic(b=_number(d, "b", agent), m=_number(d, "m", agent))
-    return PiecewiseLinear(beta=_number(d, "beta", agent), phi=_number(d, "phi", agent))
+    label = d.get("kind")
+    if not isinstance(label, str) or label not in _FILE_KINDS:
+        raise ValidationError([f"agent {agent}: unknown utility kind {label!r}"])
+    kind, first, second = _FILE_KINDS[label]
+    expected = {"kind", first, second}
+    if d.keys() != expected:
+        unknown = set(d) - expected
+        if unknown:
+            raise ValidationError([f"agent {agent}: unknown utility fields {sorted(unknown)}"])
+        raise ValidationError([f"agent {agent}: missing utility fields {sorted(expected - set(d))}"])
+    return kind, _number(d, first, agent), _number(d, second, agent)
 
 
 def instance_from_dict(data: dict) -> MarketInstance:
-    """Build and validate a MarketInstance from parsed JSON data."""
+    """Build and validate a MarketInstance from parsed JSON data.
+
+    A single-family agent list goes straight into columns; a list mixing
+    quadratic and pwl agents becomes per-agent objects.
+    """
     if not isinstance(data, dict):
         raise ValidationError(["top-level value must be an object"])
     unknown = set(data) - {"model", "agents"}
@@ -327,38 +429,43 @@ def instance_from_dict(data: dict) -> MarketInstance:
     if not isinstance(agents, list):
         raise ValidationError(["'agents' must be a list"])
 
-    production: list[float] = []
-    preferences: list[UtilityParams] = []
+    rows = []  # (a, kind, first parameter, second parameter) per agent
     for i, entry in enumerate(agents):
         if not isinstance(entry, dict):
             raise ValidationError([f"agent {i}: must be an object"])
-        unknown = set(entry) - {"a", "utility"}
-        if unknown:
-            raise ValidationError([f"agent {i}: unknown fields {sorted(unknown)}"])
-        if "a" not in entry or "utility" not in entry:
+        if entry.keys() != {"a", "utility"}:
+            unknown = set(entry) - {"a", "utility"}
+            if unknown:
+                raise ValidationError([f"agent {i}: unknown fields {sorted(unknown)}"])
             raise ValidationError([f"agent {i}: requires fields 'a' and 'utility'"])
-        if not isinstance(entry["a"], (int, float)) or isinstance(entry["a"], bool):
-            raise ValidationError([f"agent {i}: 'a' must be a number"])
-        production.append(float(entry["a"]))
-        preferences.append(_utility_from_dict(entry["utility"], i))
-
-    instance = MarketInstance(
-        production=tuple(production), preferences=tuple(preferences), model=model
-    )
+        rows.append((_number(entry, "a", i), *_utility_from_dict(entry["utility"], i)))
+    production, kinds, firsts, seconds = zip(*rows) if rows else ((),) * 4
+    if len(set(kinds)) > 1:
+        preferences = tuple(map(lambda kind, p, q: kind(p, q), kinds, firsts, seconds))
+    else:
+        preferences = PreferenceColumns(kinds[0] if kinds else Quadratic, firsts, seconds)
+    instance = MarketInstance(production=production, preferences=preferences, model=model)
     validate_instance(instance).raise_if_invalid()
     return instance
 
 
+def _utility_to_dict(pref: UtilityParams) -> dict:
+    kind = next((k for k in _COLUMN_KINDS if isinstance(pref, k)), None)
+    if kind is None:
+        raise ValidationError(["Custom preferences have no file representation"])
+    label, first, second = _COLUMN_KINDS[kind]
+    return {"kind": label, first: float(getattr(pref, first)), second: float(getattr(pref, second))}
+
+
 def instance_to_dict(instance: MarketInstance) -> dict:
-    agents = []
-    for a, pref in zip(instance.production, instance.preferences):
-        if isinstance(pref, Quadratic):
-            utility = {"kind": "quadratic", "b": float(pref.b), "m": float(pref.m)}
-        elif isinstance(pref, PiecewiseLinear):
-            utility = {"kind": "pwl", "beta": float(pref.beta), "phi": float(pref.phi)}
-        else:
-            raise ValidationError(["Custom preferences have no file representation"])
-        agents.append({"a": float(a), "utility": utility})
+    preferences = instance.preferences
+    if isinstance(preferences, PreferenceColumns):
+        label, first, second = _COLUMN_KINDS[preferences.kind]
+        pairs = zip(*(c.tolist() for c in preferences.columns))
+        utilities = [{"kind": label, first: p, second: q} for p, q in pairs]
+    else:
+        utilities = [_utility_to_dict(p) for p in preferences]
+    agents = [{"a": a, "utility": u} for a, u in zip(instance.production.tolist(), utilities)]
     return {"model": instance.model.value, "agents": agents}
 
 

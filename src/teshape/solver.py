@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,9 +107,6 @@ class ResponseInterval:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def distance(self, x: float) -> float:
-        return max(self.lo - x, x - self.hi, 0.0)
-
 
 def pwl_best_response(beta: float, phi: float, lam: float) -> ResponseInterval:
     """Optimal-consumption correspondence of a piece-wise linear agent.
@@ -172,11 +170,8 @@ class AggregateDemand:
     scale: float
 
     def __post_init__(self) -> None:
-        for p in self.preferences:
-            if isinstance(p, PiecewiseLinear):
-                raise ValidationError(
-                    ["aggregate demand is defined for differentiable preferences only"]
-                )
+        if any(isinstance(p, PiecewiseLinear) for p in self.preferences):
+            raise ValidationError(["aggregate demand is defined for differentiable preferences only"])
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -194,34 +189,44 @@ class AggregateDemand:
 # ---------------------------------------------------------------------------
 
 
-def _require(instance: MarketInstance, family: Family | None) -> None:
+def _require(instance: MarketInstance, family: Family) -> None:
     validate_instance(instance).raise_if_invalid()
-    if family is not None and instance.family is not family:
+    if instance.family is not family:
         raise ValidationError(
             [f"solver requires a homogeneous {family.value} instance, got {instance.family.value}"]
         )
 
 
-def _quadratic_arrays(instance: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
-    n = instance.n
-    b = np.fromiter((p.b for p in instance.preferences), dtype=float, count=n)
-    m = np.fromiter((p.m for p in instance.preferences), dtype=float, count=n)
-    return b, m
+class _Clearing(NamedTuple):
+    """A plain-market solution before packaging: price, allocation, route."""
+
+    lam: float
+    x: np.ndarray
+    method: SolveMethod
+    degenerate: bool = False
 
 
-def solve_mtes_quadratic(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
+def _result(
+    instance: MarketInstance, cfg: SolverConfig, clearing: _Clearing, e: np.ndarray | None = None
 ) -> EquilibriumResult:
-    """Exact water-filling for all-quadratic instances.
+    """Package a clearing, self-checked on its arrays. ``balance_residual`` is
+    |sum x - C| for the plain market and |sum e| when trades are given."""
+    lam, x = clearing.lam, clearing.x
+    residual = abs(float(np.sum(x)) - instance.capacity) if e is None else abs(float(np.sum(e)))
+    return EquilibriumResult(
+        lambda_star=lam,
+        x_star=tuple(x.tolist()),
+        e_star=None if e is None else tuple(e.tolist()),
+        method=clearing.method,
+        balance_residual=residual,
+        kkt_max_violation=_kkt(instance, lam, x, e, cfg)[-1],
+        degenerate=clearing.degenerate,
+    )
 
-    When total satiation does not exceed capacity every agent stays active and
-    the price (possibly negative) comes from one linear equation. Otherwise
-    the drop-out prices m_i*b_i are sorted and the price is solved on the
-    unique segment where aggregate demand crosses capacity. Equal drop-out
-    prices are grouped exactly, never perturbed.
-    """
+
+def _clear_quadratic(instance: MarketInstance) -> _Clearing:
     _require(instance, Family.QUADRATIC)
-    b, m = _quadratic_arrays(instance)
+    b, m = instance.preferences.columns
     capacity = instance.capacity
     sum_m = float(np.sum(m))
 
@@ -242,30 +247,52 @@ def solve_mtes_quadratic(
         g = int(np.argmax(demand_at_kink <= capacity))  # first kink at/below capacity
         j = starts[g]  # actives on the crossing segment: sorted indices >= j
         lam = (suf_m[j] - capacity) / suf_binv[j]
-
-    x = np.maximum(m - lam / b, 0.0)
-    residual = abs(float(np.sum(x)) - capacity)
-    result = EquilibriumResult(
-        lambda_star=float(lam),
-        x_star=tuple(x.tolist()),
-        e_star=None,
-        method=SolveMethod.CLOSED_FORM_QUADRATIC,
-        balance_residual=residual,
-        kkt_max_violation=math.nan,
-    )
-    return _with_kkt(instance, result, cfg)
+    return _Clearing(float(lam), np.maximum(m - lam / b, 0.0), SolveMethod.CLOSED_FORM_QUADRATIC)
 
 
-def _pwl_arrays(instance: MarketInstance) -> tuple[np.ndarray, np.ndarray]:
+def solve_mtes_quadratic(
+    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
+) -> EquilibriumResult:
+    """Exact water-filling for all-quadratic instances.
+
+    When total satiation does not exceed capacity every agent stays active and
+    the price (possibly negative) comes from one linear equation. Otherwise
+    the drop-out prices m_i*b_i are sorted and the price is solved on the
+    unique segment where aggregate demand crosses capacity. Equal drop-out
+    prices are grouped exactly, never perturbed.
+    """
+    return _result(instance, cfg, _clear_quadratic(instance))
+
+
+def _clear_pwl(instance: MarketInstance) -> _Clearing:
+    _require(instance, Family.PWL)
+    beta, phi = instance.preferences.columns
+    capacity = instance.capacity
     n = instance.n
-    beta = np.fromiter((p.beta for p in instance.preferences), dtype=float, count=n)
-    phi = np.fromiter((p.phi for p in instance.preferences), dtype=float, count=n)
-    return beta, phi
+    sum_phi = float(np.sum(phi))
 
-
-def _pwl_zero_price_allocation(phi: np.ndarray, capacity: float) -> np.ndarray:
-    # Equal split of the surplus keeps every agent at or above saturation.
-    return phi + (capacity - float(np.sum(phi))) / len(phi)
+    if sum_phi <= capacity:
+        # equal split of the surplus keeps every agent at or above saturation
+        x = phi + (capacity - sum_phi) / n
+        return _Clearing(0.0, x, SolveMethod.BREAKPOINT_PWL, degenerate=sum_phi == capacity)
+    order = np.argsort(-beta, kind="stable")
+    beta_s = beta[order]
+    phi_s = phi[order]
+    cum_phi = np.cumsum(phi_s)
+    starts = np.flatnonzero(np.concatenate([[True], beta_s[1:] != beta_s[:-1]]))
+    ends = np.concatenate([starts[1:], [n]])
+    incl = cum_phi[ends - 1]  # saturated demand of tiers at or above each rate
+    excl = np.concatenate([[0.0], incl[:-1]])
+    g = int(np.argmax(incl >= capacity))  # first tier whose inclusive demand covers C
+    remainder = capacity - float(excl[g])
+    tier = slice(starts[g], ends[g])
+    tier_total = float(incl[g] - excl[g])
+    x_s = np.zeros(n)
+    x_s[: starts[g]] = phi_s[: starts[g]]
+    x_s[tier] = phi_s[tier] * (remainder / tier_total)
+    x = np.empty(n)
+    x[order] = x_s
+    return _Clearing(float(beta_s[starts[g]]), x, SolveMethod.BREAKPOINT_PWL)
 
 
 def solve_mtes_pwl(
@@ -280,70 +307,19 @@ def solve_mtes_pwl(
     to saturation loads. The exact-saturation boundary is priced at zero and
     flagged degenerate (the equilibrium price is set-valued there).
     """
-    _require(instance, Family.PWL)
-    beta, phi = _pwl_arrays(instance)
-    capacity = instance.capacity
-    n = instance.n
-    sum_phi = float(np.sum(phi))
-    degenerate = False
-
-    if sum_phi <= capacity:
-        lam = 0.0
-        degenerate = sum_phi == capacity
-        x = _pwl_zero_price_allocation(phi, capacity)
-    else:
-        order = np.argsort(-beta, kind="stable")
-        beta_s = beta[order]
-        phi_s = phi[order]
-        cum_phi = np.cumsum(phi_s)
-        starts = np.flatnonzero(np.concatenate([[True], beta_s[1:] != beta_s[:-1]]))
-        ends = np.concatenate([starts[1:], [n]])
-        incl = cum_phi[ends - 1]  # saturated demand of tiers at or above each rate
-        excl = np.concatenate([[0.0], incl[:-1]])
-        g = int(np.argmax(incl >= capacity))  # first tier whose inclusive demand covers C
-        lam = float(beta_s[starts[g]])
-        remainder = capacity - float(excl[g])
-        tier = slice(starts[g], ends[g])
-        tier_total = float(incl[g] - excl[g])
-        x_s = np.zeros(n)
-        x_s[: starts[g]] = phi_s[: starts[g]]
-        x_s[tier] = phi_s[tier] * (remainder / tier_total)
-        x = np.empty(n)
-        x[order] = x_s
-
-    residual = abs(float(np.sum(x)) - capacity)
-    result = EquilibriumResult(
-        lambda_star=lam,
-        x_star=tuple(x.tolist()),
-        e_star=None,
-        method=SolveMethod.BREAKPOINT_PWL,
-        balance_residual=residual,
-        kkt_max_violation=math.nan,
-        degenerate=degenerate,
-    )
-    return _with_kkt(instance, result, cfg)
+    return _result(instance, cfg, _clear_pwl(instance))
 
 
-def solve_mtes_generic(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
-) -> EquilibriumResult:
-    """Bisection on the aggregate-demand balance for differentiable preferences.
-
-    The initial bracket is [0, max marginal value at zero consumption], where
-    demand is respectively at least the satiation total and exactly zero; if
-    demand at zero price falls short of capacity the lower end expands into
-    negative prices until the balance residual changes sign. Iterates until
-    the bracket is narrower than ``lambda_tol`` and the balance residual is
-    within ``balance_tol``.
-    """
+def _clear_generic(instance: MarketInstance, cfg: SolverConfig) -> _Clearing:
     validate_instance(instance).raise_if_invalid()
-    if any(isinstance(p, PiecewiseLinear) for p in instance.preferences):
+    preferences = tuple(instance.preferences)
+    if any(isinstance(p, PiecewiseLinear) for p in preferences):
         raise ValidationError(
             ["bisection requires differentiable preferences; use the PWL solver instead"]
         )
     capacity = instance.capacity
     balance_tol = cfg.resolved_balance_tol(capacity)
-    demand = AggregateDemand(preferences=instance.preferences, scale=capacity)
+    demand = AggregateDemand(preferences=preferences, scale=capacity)
 
     def gap(lam: float) -> float:
         return demand.total(lam) - capacity
@@ -358,18 +334,14 @@ def solve_mtes_generic(
     lo = 0.0
     if gap(lo) < 0:
         width = max(1.0, abs(hi))
-        found = False
         for _ in range(80):
             lo -= width
             width *= 2.0
             if gap(lo) >= 0:
-                found = True
                 break
-        if not found:
+        else:
             raise BracketFailure("no sign change within the expanding negative bracket")
 
-    lam = 0.5 * (lo + hi)
-    converged = False
     for _ in range(cfg.max_bisection_iters):
         lam = 0.5 * (lo + hi)
         g = gap(lam)
@@ -378,56 +350,51 @@ def solve_mtes_generic(
         else:
             hi = lam
         if hi - lo <= cfg.lambda_tol and abs(g) <= balance_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceFailure(
             f"bisection did not meet tolerances in {cfg.max_bisection_iters} iterations"
         )
-
     x = np.array([demand.agent(i, lam) for i in range(instance.n)])
-    residual = abs(float(np.sum(x)) - capacity)
-    result = EquilibriumResult(
-        lambda_star=float(lam),
-        x_star=tuple(x.tolist()),
-        e_star=None,
-        method=SolveMethod.BISECTION,
-        balance_residual=residual,
-        kkt_max_violation=math.nan,
-    )
-    return _with_kkt(instance, result, cfg)
+    return _Clearing(float(lam), x, SolveMethod.BISECTION)
 
 
-def _solve_plain(
-    instance: MarketInstance, cfg: SolverConfig, method: str
+def solve_mtes_generic(
+    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> EquilibriumResult:
+    """Bisection on the aggregate-demand balance for differentiable preferences.
+
+    The initial bracket is [0, max marginal value at zero consumption], where
+    demand is respectively at least the satiation total and exactly zero; if
+    demand at zero price falls short of capacity the lower end expands into
+    negative prices until the balance residual changes sign. Iterates until
+    the bracket is narrower than ``lambda_tol`` and the balance residual is
+    within ``balance_tol``.
+    """
+    return _result(instance, cfg, _clear_generic(instance, cfg))
+
+
+def _solve_plain(instance: MarketInstance, cfg: SolverConfig, method: str) -> _Clearing:
+    if method not in ("auto", "closed", "bisect"):
+        raise ValidationError([f"unknown method {method!r}"])
     family = instance.family
-    if method == "closed":
-        if family is Family.QUADRATIC:
-            return solve_mtes_quadratic(instance, cfg)
-        if family is Family.PWL:
-            return solve_mtes_pwl(instance, cfg)
-        raise ValidationError(["closed form requires homogeneous family"])
-    if method == "bisect":
-        return solve_mtes_generic(instance, cfg)
-    if method == "auto":
-        if family is Family.QUADRATIC:
-            return solve_mtes_quadratic(instance, cfg)
-        if family is Family.PWL:
-            return solve_mtes_pwl(instance, cfg)
-        return solve_mtes_generic(instance, cfg)
-    raise ValidationError([f"unknown method {method!r}"])
+    if method == "bisect" or (method == "auto" and family is Family.MIXED):
+        return _clear_generic(instance, cfg)
+    if family is Family.QUADRATIC:
+        return _clear_quadratic(instance)
+    if family is Family.PWL:
+        return _clear_pwl(instance)
+    raise ValidationError(["closed form requires homogeneous family"])
 
 
-def _zero_price_satiation(instance: MarketInstance) -> np.ndarray:
+def _zero_price_satiation(instance: MarketInstance, clearing: _Clearing) -> np.ndarray:
     """Per-agent optimal consumption at a zero price (satiation loads)."""
     if instance.family is Family.PWL:
-        _, phi = _pwl_arrays(instance)
-        return _pwl_zero_price_allocation(phi, instance.capacity)
+        return clearing.x  # a PWL market clears at zero price only with everyone satiated
+    if instance.family is Family.QUADRATIC:
+        return instance.preferences.columns[1]  # m - 0/b = m
     capacity = instance.capacity
-    return np.array(
-        [_inverse_marginal(p, 0.0, capacity) for p in instance.preferences], dtype=float
-    )
+    return np.array([_inverse_marginal(p, 0.0, capacity) for p in instance.preferences])
 
 
 def solve_mtes_st(
@@ -444,31 +411,14 @@ def solve_mtes_st(
     if instance.model is not ModelKind.MTES_ST:
         raise ValidationError(["solve_mtes_st requires an MTES-ST instance"])
     plain = replace(instance, model=ModelKind.MTES)
-    base = _solve_plain(plain, cfg, method)
-    a = np.asarray(instance.production, dtype=float)
-    capacity = instance.capacity
-
-    if base.lambda_star > 0:
-        x = np.asarray(base.x_star)
-        e = a - x
-        lam = base.lambda_star
-        degenerate = base.degenerate
+    clearing = _solve_plain(plain, cfg, method)
+    if clearing.lam > 0:
+        e = instance.production - clearing.x
     else:
-        x = _zero_price_satiation(plain)
-        surplus_share = (capacity - float(np.sum(x))) / instance.n
-        e = a - x - surplus_share
-        lam = 0.0
-        degenerate = base.degenerate
-    result = EquilibriumResult(
-        lambda_star=float(lam),
-        x_star=tuple(np.asarray(x).tolist()),
-        e_star=tuple(e.tolist()),
-        method=base.method,
-        balance_residual=abs(float(np.sum(e))),
-        kkt_max_violation=math.nan,
-        degenerate=degenerate,
-    )
-    return _with_kkt(instance, result, cfg)
+        x = _zero_price_satiation(plain, clearing)
+        e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
+        clearing = clearing._replace(lam=0.0, x=x)
+    return _result(instance, cfg, clearing, e)
 
 
 def solve(
@@ -477,7 +427,7 @@ def solve(
     """Dispatch to the right solver for the instance's model and family."""
     if instance.model is ModelKind.MTES_ST:
         return solve_mtes_st(instance, cfg, method)
-    return _solve_plain(instance, cfg, method)
+    return _result(instance, cfg, _solve_plain(instance, cfg, method))
 
 
 # ---------------------------------------------------------------------------
@@ -508,21 +458,61 @@ class KktReport:
 def _stationarity_distance(
     pref: UtilityParams, lam: float, x: float, scale: float, zero_price: bool
 ) -> float:
-    """Distance from x to the best-response set at price lam (one agent)."""
-    if isinstance(pref, PiecewiseLinear):
-        eq_tol = 1e-9 * max(1.0, pref.beta)
-        if lam <= eq_tol:
-            return max(pref.phi - x, 0.0)
-        if lam > pref.beta + eq_tol:
-            return abs(x)
-        if lam >= pref.beta - eq_tol:
-            return ResponseInterval(0.0, pref.phi).distance(x)
-        return abs(x - pref.phi)
+    """Distance from x to a differentiable agent's best response at price lam."""
     if zero_price and isinstance(pref, Custom):
         # satiation may sit past the inversion cap; measure in gradient units
         d = pref.deriv(x)
         return abs(d) if x > 0 else max(0.0, -d)
     return abs(x - _inverse_marginal(pref, lam, scale))
+
+
+def _kkt(
+    instance: MarketInstance, lam: float, x: np.ndarray, e: np.ndarray | None, cfg: SolverConfig
+) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """(stationarity, feasibility, balance, price, max) violations, on arrays.
+
+    One vectorized path per homogeneous family; mixed instances (Custom or
+    quadratic agents, no PWL) go agent by agent.
+    """
+    is_st = instance.model is ModelKind.MTES_ST
+    zero_price = is_st and lam <= cfg.lambda_tol
+    family = instance.family
+    if family is Family.QUADRATIC:
+        b, m = instance.preferences.columns
+        stationarity = np.abs(x - (m if zero_price else np.maximum(m - lam / b, 0.0)))
+    elif family is Family.PWL:
+        beta, phi = instance.preferences.columns
+        eq_tol = 1e-9 * np.maximum(1.0, beta)
+        # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]
+        stationarity = np.select(
+            [lam <= eq_tol, lam > beta + eq_tol, lam >= beta - eq_tol],
+            [np.maximum(phi - x, 0.0), np.abs(x), np.maximum(np.maximum(-x, x - phi), 0.0)],
+            np.abs(x - phi),
+        )
+    else:  # per agent: the quadratic and Custom agents of a mixed instance
+        stationarity = np.array([
+            _stationarity_distance(p, lam, xi, instance.capacity, zero_price)
+            for p, xi in zip(instance.preferences, x.tolist())
+        ])
+
+    feasibility = np.maximum(-x, 0.0)
+    price_violation = 0.0
+    if is_st:
+        if e is None:
+            balance_violation = math.inf
+        else:
+            balance_violation = abs(float(np.sum(e)))
+            slack = x + e - instance.production
+            # positive price forces the trading constraint active
+            trade_cap = np.abs(slack) if lam > cfg.lambda_tol else np.maximum(slack, 0.0)
+            feasibility = np.maximum(feasibility, trade_cap)
+        price_violation = max(0.0, -lam)
+    else:
+        balance_violation = abs(float(np.sum(x)) - instance.capacity)
+
+    peaks = [float(np.max(v)) if len(x) else 0.0 for v in (stationarity, feasibility)]
+    max_violation = max(*peaks, balance_violation, price_violation)
+    return stationarity, feasibility, balance_violation, price_violation, max_violation
 
 
 def verify_kkt(
@@ -534,79 +524,7 @@ def verify_kkt(
 
     Report-style: never raises on a bad result, just measures violations.
     """
-    capacity = instance.capacity
-    lam = result.lambda_star
     x = np.asarray(result.x_star, dtype=float)
-    n = instance.n
-    is_st = instance.model is ModelKind.MTES_ST
-    zero_price = is_st and lam <= cfg.lambda_tol
-
-    if instance.family is Family.QUADRATIC:
-        b, m = _quadratic_arrays(instance)
-        br = np.maximum(m - lam / b, 0.0) if not zero_price else m
-        stationarity = np.abs(x - br)
-    elif instance.family is Family.PWL and not zero_price:
-        beta, phi = _pwl_arrays(instance)
-        eq_tol = 1e-9 * np.maximum(1.0, beta)
-        zero = lam <= eq_tol
-        above = (~zero) & (lam > beta + eq_tol)
-        at = (~zero) & (~above) & (lam >= beta - eq_tol)
-        stationarity = np.where(
-            zero,
-            np.maximum(phi - x, 0.0),
-            np.where(
-                above,
-                np.abs(x),
-                np.where(
-                    at,
-                    np.maximum(np.maximum(-x, x - phi), 0.0),
-                    np.abs(x - phi),
-                ),
-            ),
-        )
-    else:
-        stationarity = np.array(
-            [
-                _stationarity_distance(p, lam, float(xi), capacity, zero_price)
-                for p, xi in zip(instance.preferences, x)
-            ]
-        )
-
-    feasibility = np.maximum(-x, 0.0)
-    price_violation = 0.0
-    if is_st:
-        e = np.asarray(result.e_star, dtype=float) if result.e_star is not None else None
-        if e is None:
-            balance_violation = math.inf
-        else:
-            a = np.asarray(instance.production, dtype=float)
-            balance_violation = abs(float(np.sum(e)))
-            trade_cap = np.maximum(x + e - a, 0.0)
-            if lam > cfg.lambda_tol:
-                # positive price forces the trading constraint active
-                trade_cap = np.abs(x + e - a)
-            feasibility = np.maximum(feasibility, trade_cap)
-        price_violation = max(0.0, -lam)
-    else:
-        balance_violation = abs(float(np.sum(x)) - capacity)
-
-    max_violation = max(
-        float(np.max(stationarity)) if n else 0.0,
-        float(np.max(feasibility)) if n else 0.0,
-        balance_violation,
-        price_violation,
-    )
-    return KktReport(
-        stationarity=tuple(np.asarray(stationarity).tolist()),
-        feasibility=tuple(feasibility.tolist()),
-        balance_violation=balance_violation,
-        price_violation=price_violation,
-        max_violation=max_violation,
-    )
-
-
-def _with_kkt(
-    instance: MarketInstance, result: EquilibriumResult, cfg: SolverConfig
-) -> EquilibriumResult:
-    report = verify_kkt(instance, result, cfg)
-    return replace(result, kkt_max_violation=report.max_violation)
+    e = None if result.e_star is None else np.asarray(result.e_star, dtype=float)
+    stationarity, feasibility, *violations = _kkt(instance, result.lambda_star, x, e, cfg)
+    return KktReport(tuple(stationarity.tolist()), tuple(feasibility.tolist()), *violations)

@@ -162,6 +162,52 @@ def test_experiment_bad_spec_exits_2(tmp_path, capsys):
     assert "invalid experiment spec" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", "abc"),
+        ("trials", True),
+        ("n", 3.7),
+        ("n", False),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("lambda_dagger", "20"),
+        ("lambda_dagger", [20, None]),
+        ("lambda_dagger", []),
+        ("scale_list", [10, 2.5]),
+        ("scale_list", [True]),
+        ("scale_list", 10),
+    ],
+)
+def test_experiment_malformed_spec_field_exits_2(field, value, tmp_path, capsys):
+    spec = {"family": "quadratic", "n": 10, "trials": 2, "lambda_dagger": 20, "seed": 0, field: value}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid experiment spec") and err.count("\n") == 1
+    assert field in err
+
+
+def test_experiment_integral_float_fields_accepted(tmp_path, capsys):
+    spec = {"family": "pwl", "n": 10.0, "trials": 2.0, "lambda_dagger": 20, "seed": 3.0}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert "trials=2 " in out
+
+
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_sweep_nonpositive_step_exits_2(step, quartet_path, capsys):
+    code, out, err = run_cli(capsys, "sweep", str(quartet_path), "--step", step)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error") and err.count("\n") == 1
+    assert "--step" in err
+
+
 def test_sweep_26_rows(quartet_path, tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "sweep", str(quartet_path), "--out", str(out_path))

@@ -98,7 +98,7 @@ def test_sampled_batches_build_valid_instances():
     for bad in (
         MarketInstance(quad.production, (Quadratic(0.0, m[0]),) + quad.preferences[1:]),
         MarketInstance(pwl.production, (PiecewiseLinear(beta[0], -1.0),) + pwl.preferences[1:]),
-        MarketInstance((-1.0,) + quad.production[1:], quad.preferences),
+        MarketInstance((-1.0, *quad.production[1:]), quad.preferences),
     ):
         assert not validate_instance(bad).ok
 
