@@ -142,7 +142,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"rows={len(rows)}")
     print(f"lambda_star[{first.value:g}]={first.lambda_star:.6g}")
     print(f"lambda_star[{last.value:g}]={last.lambda_star:.6g}")
-    print(f"ratio={last.lambda_star / first.lambda_star:.4g}")
+    # a first market that clears at zero price leaves the ratio undefined
+    ratio = f"{last.lambda_star / first.lambda_star:.4g}" if first.lambda_star != 0 else "undefined"
+    print(f"ratio={ratio}")
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from .model import (
     PreferenceColumns,
     Quadratic,
     ValidationError,
+    read_json,
     validate_instance,
 )
 from .solver import DEFAULT_CONFIG, SolverConfig, solve
@@ -89,13 +90,10 @@ class CommGraph:
 
     @staticmethod
     def load(path: str) -> CommGraph:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    [f"graph parse error at line {exc.lineno}: {exc.msg}"]
-                ) from None
+        try:
+            data = read_json(path)
+        except json.JSONDecodeError as exc:
+            raise ValidationError([f"graph parse error at line {exc.lineno}: {exc.msg}"]) from None
         if not isinstance(data, dict) or set(data) != {"n", "edges"}:
             raise ValidationError(["graph file requires exactly the fields 'n' and 'edges'"])
         return CommGraph.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])

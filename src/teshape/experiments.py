@@ -31,6 +31,7 @@ from .model import (
     Quadratic,
     ShapingQuery,
     ValidationError,
+    read_json,
 )
 from .shaping import check_pwl_set, check_quadratic_set
 from .solver import DEFAULT_CONFIG, SolverConfig, solve_mtes_pwl, solve_mtes_quadratic
@@ -63,7 +64,8 @@ def box_stats(values) -> BoxStats:
     lo_fence = q25 - 1.5 * iqr
     hi_fence = q75 + 1.5 * iqr
     inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
-    assert inside.size > 0
+    if inside.size == 0:  # only non-finite input leaves the fences empty
+        raise EmptyInput("box_stats found no value inside its whiskers; the input is not finite")
     outliers = arr[(arr < lo_fence) | (arr > hi_fence)]
     return BoxStats(
         median=float(median),
@@ -224,8 +226,7 @@ class ExperimentSpec:
 
     @staticmethod
     def load(path: str) -> ExperimentSpec:
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentSpec.from_dict(json.load(fh))
+        return ExperimentSpec.from_dict(read_json(path))
 
     def to_dict(self) -> dict:
         lam = list(self.lambda_dagger) if isinstance(self.lambda_dagger, tuple) else self.lambda_dagger

@@ -469,16 +469,25 @@ def instance_to_dict(instance: MarketInstance) -> dict:
     return {"model": instance.model.value, "agents": agents}
 
 
+def read_json(path: str, **kwargs):
+    """Parse a JSON file read as UTF-8. Bytes that do not decode raise
+    ValidationError; ``json.JSONDecodeError`` is left for the caller to word."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, **kwargs)
+        except UnicodeDecodeError as exc:
+            raise ValidationError([f"not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
+
+
 def load_instance(path: str) -> MarketInstance:
     """Load, parse and validate an instance file.
 
     Raises ValidationError with field context on malformed input.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise ValidationError([f"parse error at line {exc.lineno} col {exc.colno}: {exc.msg}"]) from None
+    try:
+        data = read_json(path, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ValidationError([f"parse error at line {exc.lineno} col {exc.colno}: {exc.msg}"]) from None
     return instance_from_dict(data)
 
 

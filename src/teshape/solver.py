@@ -5,9 +5,9 @@ Three routes to the market-clearing price:
 * exact water-filling over sorted drop-out prices for all-quadratic instances,
 * breakpoint search over sorted marginal rates for all-piecewise-linear
   instances,
-* monotone bisection on the aggregate-demand balance for any mix of strictly
-  concave differentiable preferences (quadratic and custom; PWL is excluded
-  because its utility is not differentiable at the saturation load).
+* safeguarded secant steps on the aggregate-demand balance for any mix of
+  strictly concave differentiable preferences (quadratic and custom; PWL is
+  excluded because its utility is not differentiable at the saturation load).
 
 Trading-model instances reduce to the plain market: when the plain-market
 price is positive the trading equilibrium is identical with e = a - x, and
@@ -18,7 +18,9 @@ allocations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +31,9 @@ from .model import (
     Family,
     MarketInstance,
     ModelKind,
-    PiecewiseLinear,
+    PreferenceColumns,
     Quadratic,
     SolveMethod,
-    UtilityParams,
     ValidationError,
     validate_instance,
 )
@@ -49,7 +50,7 @@ class BracketFailure(SolverError):
 
 
 class ConvergenceFailure(SolverError):
-    """Bisection exhausted its iteration budget before meeting tolerances."""
+    """The root-finder exhausted its iteration budget before meeting tolerances."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class SolverConfig:
     """Numerical tolerances for the solvers.
 
     ``balance_tol`` of None resolves to 1e-9 * max(1, C) per instance.
-    ``lambda_tol`` is the absolute width at which the price bracket stops.
+    ``lambda_tol`` is the absolute width at which the price bracket stops
+    (never below two float spacings of the price).
     """
 
     balance_tol: float | None = None
@@ -128,60 +130,125 @@ def pwl_best_response(beta: float, phi: float, lam: float) -> ResponseInterval:
     return ResponseInterval(0.0, 0.0)
 
 
-def _inverse_marginal(pref: UtilityParams, lam: float, scale: float) -> float:
-    """Consumption at which the marginal value meets ``lam``, clipped at 0.
+def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
+                    xtol: float, ftol: float, max_iter: int, rtol: float = 0.0) -> float:
+    """Root of a decreasing ``f`` with f(lo) >= 0 >= f(hi): the bracket end
+    with the smaller |f| once the bracket is no wider than w = max(xtol,
+    rtol*|hi|, 2 ulp(hi)) and |f| <= ftol at the last point.
 
-    Closed form for quadratic agents; expanding bisection on the derivative
-    for custom agents. If the derivative never falls to ``lam`` within the
-    expansion cap the cap is returned (demand effectively unbounded there).
+    Each step takes the secant through the last two points if it falls inside
+    the bracket, else bisects; a step that fails to halve |f| at the end it
+    replaces is followed by a bisection. Points stay w/2 inside the bracket,
+    so a root that close to an end is straddled by the next point.
     """
-    if isinstance(pref, Quadratic):
-        return max(pref.m - lam / pref.b, 0.0)
-    if not isinstance(pref, Custom):
-        raise ValidationError(["demand inversion requires a differentiable preference"])
-    if pref.deriv(0.0) <= lam:
-        return 0.0
-    hi = max(1.0, scale)
-    for _ in range(80):
-        if pref.deriv(hi) <= lam:
-            break
-        hi *= 2.0
-    else:
-        return hi
-    lo = 0.0
-    while hi - lo > 1e-14 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if pref.deriv(mid) > lam:
-            lo = mid
+    (p, f_p), (q, f_q) = (lo, f_lo), (hi, f_hi)  # the last two points evaluated
+    bisect, width = False, max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
+    for _ in range(max_iter):
+        x = 0.5 * (lo + hi)
+        if not bisect and hi - lo > width and f_p != f_q:
+            secant = q - f_q * (q - p) / (f_q - f_p)
+            if lo < secant < hi:
+                x = min(max(secant, lo + 0.5 * width), hi - 0.5 * width)
+        fx = f(x)
+        bisect = not bisect and abs(fx) > 0.5 * abs(f_lo if fx > 0 else f_hi)
+        if fx > 0:
+            lo, f_lo = x, fx
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = x, fx
+        (p, f_p), (q, f_q) = (q, f_q), (x, fx)
+        width = max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
+        if hi - lo <= width and abs(fx) <= ftol:
+            return lo if abs(f_lo) < abs(f_hi) else hi
+    raise ConvergenceFailure(f"root-finder did not meet tolerances in {max_iter} iterations")
 
 
-@dataclass(frozen=True)
+def _inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: float | None = None
+                      ) -> float:
+    """Consumption at which a Custom derivative meets ``lam``, clipped at 0, to
+    a bracket width of 1e-14 relative. A warm bracket [lo, hi] with
+    hi <= max(1, scale) is used if deriv(lo) > lam >= deriv(hi); otherwise the
+    bracket is [0, cap], the cap doubling from max(1, scale). If the derivative
+    stays above ``lam`` for 80 doublings the cap is returned (demand
+    effectively unbounded).
+    """
+    f_lo = deriv(lo) - lam
+    warm = hi is not None and lo < hi <= max(1.0, scale) and f_lo > 0
+    f_hi = deriv(hi) - lam if warm else math.nan
+    if not f_hi <= 0:  # no warm bracket, or it failed its check
+        f_lo = deriv(0.0) - lam if lo else f_lo
+        if f_lo <= 0:
+            return 0.0
+        lo, hi = 0.0, max(1.0, scale)
+        for _ in range(80):
+            f_hi = deriv(hi) - lam
+            if f_hi <= 0:
+                break
+            hi *= 2.0
+        else:
+            return hi
+    return _bracketed_root(lambda x: deriv(x) - lam, lo, hi, f_lo, f_hi, 1e-14, math.inf, 200, 1e-14)
+
+
 class AggregateDemand:
-    """Price-to-demand maps for differentiable preferences.
-
-    ``breakpoints[i]`` is the price at which agent i's demand reaches zero,
-    i.e. its marginal value at zero consumption.
+    """Price-to-demand map of quadratic and Custom preferences, split once:
+    quadratic agents into ``(b, m)`` arrays (a quadratic column pair as is),
+    Custom agents into derivatives inverted one by one. Each evaluated price
+    is remembered with its Custom consumptions, which fall as the price rises,
+    so the nearest remembered prices on either side warm-start an inversion.
+    Not thread-safe. ``breakpoints[i]`` is agent i's marginal value at 0.
     """
 
-    preferences: tuple[UtilityParams, ...]
-    scale: float
-
-    def __post_init__(self) -> None:
-        if any(isinstance(p, PiecewiseLinear) for p in self.preferences):
-            raise ValidationError(["aggregate demand is defined for differentiable preferences only"])
+    def __init__(self, preferences, scale: float) -> None:
+        self.n, self.scale = len(preferences), scale
+        self.quadratic, self.custom, self.derivs = slice(None), [], []  # index or mask
+        if isinstance(preferences, PreferenceColumns) and preferences.kind is Quadratic:
+            self.b, self.m = preferences.columns
+        else:
+            b, m, is_quadratic = [], [], []
+            for p in preferences:
+                is_quadratic.append(isinstance(p, Quadratic))
+                if is_quadratic[-1]:
+                    b.append(p.b)
+                    m.append(p.m)
+                elif isinstance(p, Custom):
+                    self.derivs.append(p.deriv_fn)
+                else:
+                    raise ValidationError(
+                        ["bisection requires differentiable preferences; use the PWL solver instead"]
+                    )
+            self.quadratic = np.array(is_quadratic, dtype=bool)
+            self.custom = ~self.quadratic
+            self.b, self.m = np.array(b, dtype=float), np.array(m, dtype=float)
+        self._prices: list[float] = []  # remembered prices, ascending
+        self._consumptions: list[list[float]] = []  # the Custom consumptions at each
 
     @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(p.deriv(0.0) for p in self.preferences)
+    def breakpoints(self) -> np.ndarray:
+        points = np.empty(self.n)
+        points[self.quadratic] = self.b * self.m
+        points[self.custom] = [deriv(0.0) for deriv in self.derivs]
+        return points
 
-    def agent(self, i: int, lam: float) -> float:
-        return _inverse_marginal(self.preferences[i], lam, self.scale)
+    def allocation(self, lam: float) -> np.ndarray:
+        """Every agent's demand at price ``lam``."""
+        quadratic = np.maximum(self.m - lam / self.b, 0.0)
+        if not self.derivs:
+            return quadratic
+        prices, k = self._prices, bisect_left(self._prices, lam)
+        if k == len(prices) or prices[k] != lam:
+            floors = self._consumptions[k] if k < len(prices) else repeat(0.0)
+            ceilings = self._consumptions[k - 1] if k else repeat(None)
+            prices.insert(k, lam)
+            self._consumptions.insert(k, [
+                _inverse_marginal(deriv, lam, self.scale, lo, hi)
+                for deriv, lo, hi in zip(self.derivs, floors, ceilings)
+            ])
+        x = np.empty(self.n)
+        x[self.quadratic], x[self.custom] = quadratic, self._consumptions[k]
+        return x
 
     def total(self, lam: float) -> float:
-        return sum(_inverse_marginal(p, lam, self.scale) for p in self.preferences)
+        return float(np.sum(self.allocation(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,64 +379,47 @@ def solve_mtes_pwl(
 
 def _clear_generic(instance: MarketInstance, cfg: SolverConfig) -> _Clearing:
     validate_instance(instance).raise_if_invalid()
-    preferences = tuple(instance.preferences)
-    if any(isinstance(p, PiecewiseLinear) for p in preferences):
-        raise ValidationError(
-            ["bisection requires differentiable preferences; use the PWL solver instead"]
-        )
     capacity = instance.capacity
-    balance_tol = cfg.resolved_balance_tol(capacity)
-    demand = AggregateDemand(preferences=preferences, scale=capacity)
+    demand = AggregateDemand(instance.preferences, scale=capacity)
 
     def gap(lam: float) -> float:
         return demand.total(lam) - capacity
 
-    hi = max(demand.breakpoints)
-    if hi <= 0:
-        hi = 1.0
-    if gap(hi) > 0:
+    hi = float(np.max(demand.breakpoints))
+    hi = hi if hi > 0 else 1.0
+    f_hi = gap(hi)
+    if f_hi > 0:
         raise BracketFailure(
             "aggregate demand positive at the zero-demand price; derivative not decreasing"
         )
-    lo = 0.0
-    if gap(lo) < 0:
+    lo, f_lo = 0.0, gap(0.0)
+    if f_lo < 0:
         width = max(1.0, abs(hi))
         for _ in range(80):
+            hi, f_hi = lo, f_lo  # the last price tried is short of capacity
             lo -= width
             width *= 2.0
-            if gap(lo) >= 0:
+            f_lo = gap(lo)
+            if f_lo >= 0:
                 break
         else:
             raise BracketFailure("no sign change within the expanding negative bracket")
-
-    for _ in range(cfg.max_bisection_iters):
-        lam = 0.5 * (lo + hi)
-        g = gap(lam)
-        if g > 0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= cfg.lambda_tol and abs(g) <= balance_tol:
-            break
-    else:
-        raise ConvergenceFailure(
-            f"bisection did not meet tolerances in {cfg.max_bisection_iters} iterations"
-        )
-    x = np.array([demand.agent(i, lam) for i in range(instance.n)])
-    return _Clearing(float(lam), x, SolveMethod.BISECTION)
+    lam = _bracketed_root(gap, lo, hi, f_lo, f_hi, cfg.lambda_tol,
+                          cfg.resolved_balance_tol(capacity), cfg.max_bisection_iters)
+    return _Clearing(lam, demand.allocation(lam), SolveMethod.BISECTION)
 
 
 def solve_mtes_generic(
     instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> EquilibriumResult:
-    """Bisection on the aggregate-demand balance for differentiable preferences.
+    """Safeguarded secant steps on the aggregate-demand balance.
 
     The initial bracket is [0, max marginal value at zero consumption], where
     demand is respectively at least the satiation total and exactly zero; if
     demand at zero price falls short of capacity the lower end expands into
-    negative prices until the balance residual changes sign. Iterates until
-    the bracket is narrower than ``lambda_tol`` and the balance residual is
-    within ``balance_tol``.
+    negative prices until the balance residual changes sign. Iterates, at
+    most ``max_bisection_iters`` times, until the bracket is narrower than
+    ``lambda_tol`` and the balance residual is within ``balance_tol``.
     """
     return _result(instance, cfg, _clear_generic(instance, cfg))
 
@@ -385,16 +435,6 @@ def _solve_plain(instance: MarketInstance, cfg: SolverConfig, method: str) -> _C
     if family is Family.PWL:
         return _clear_pwl(instance)
     raise ValidationError(["closed form requires homogeneous family"])
-
-
-def _zero_price_satiation(instance: MarketInstance, clearing: _Clearing) -> np.ndarray:
-    """Per-agent optimal consumption at a zero price (satiation loads)."""
-    if instance.family is Family.PWL:
-        return clearing.x  # a PWL market clears at zero price only with everyone satiated
-    if instance.family is Family.QUADRATIC:
-        return instance.preferences.columns[1]  # m - 0/b = m
-    capacity = instance.capacity
-    return np.array([_inverse_marginal(p, 0.0, capacity) for p in instance.preferences])
 
 
 def solve_mtes_st(
@@ -414,8 +454,10 @@ def solve_mtes_st(
     clearing = _solve_plain(plain, cfg, method)
     if clearing.lam > 0:
         e = instance.production - clearing.x
-    else:
-        x = _zero_price_satiation(plain, clearing)
+    else:  # satiation loads; a PWL market clears at zero price only with everyone satiated
+        x = clearing.x
+        if plain.family is not Family.PWL:
+            x = AggregateDemand(plain.preferences, scale=plain.capacity).allocation(0.0)
         e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
         clearing = clearing._replace(lam=0.0, x=x)
     return _result(instance, cfg, clearing, e)
@@ -455,32 +497,17 @@ class KktReport:
         return self.max_violation <= tol
 
 
-def _stationarity_distance(
-    pref: UtilityParams, lam: float, x: float, scale: float, zero_price: bool
-) -> float:
-    """Distance from x to a differentiable agent's best response at price lam."""
-    if zero_price and isinstance(pref, Custom):
-        # satiation may sit past the inversion cap; measure in gradient units
-        d = pref.deriv(x)
-        return abs(d) if x > 0 else max(0.0, -d)
-    return abs(x - _inverse_marginal(pref, lam, scale))
-
-
 def _kkt(
     instance: MarketInstance, lam: float, x: np.ndarray, e: np.ndarray | None, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """(stationarity, feasibility, balance, price, max) violations, on arrays.
 
-    One vectorized path per homogeneous family; mixed instances (Custom or
-    quadratic agents, no PWL) go agent by agent.
+    Vectorized for PWL and for quadratic agents, which mixed instances share;
+    only the Custom agents of a mixed instance go one by one.
     """
     is_st = instance.model is ModelKind.MTES_ST
     zero_price = is_st and lam <= cfg.lambda_tol
-    family = instance.family
-    if family is Family.QUADRATIC:
-        b, m = instance.preferences.columns
-        stationarity = np.abs(x - (m if zero_price else np.maximum(m - lam / b, 0.0)))
-    elif family is Family.PWL:
+    if instance.family is Family.PWL:
         beta, phi = instance.preferences.columns
         eq_tol = 1e-9 * np.maximum(1.0, beta)
         # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]
@@ -489,11 +516,21 @@ def _kkt(
             [np.maximum(phi - x, 0.0), np.abs(x), np.maximum(np.maximum(-x, x - phi), 0.0)],
             np.abs(x - phi),
         )
-    else:  # per agent: the quadratic and Custom agents of a mixed instance
-        stationarity = np.array([
-            _stationarity_distance(p, lam, xi, instance.capacity, zero_price)
-            for p, xi in zip(instance.preferences, x.tolist())
-        ])
+    else:  # quadratic agents as arrays; each Custom agent inverted cold, independently of the solve
+        demand = AggregateDemand(instance.preferences, instance.capacity)
+        b, m = demand.b, demand.m
+        quadratic = np.abs(x[demand.quadratic] - (m if zero_price else np.maximum(m - lam / b, 0.0)))
+        stationarity = quadratic
+        if demand.derivs:
+            xc = x[demand.custom].tolist()
+            if zero_price:  # satiation may sit past the inversion cap: measure in gradient units
+                ds = [deriv(xi) for deriv, xi in zip(demand.derivs, xc)]
+                custom = [abs(d) if xi > 0 else max(0.0, -d) for d, xi in zip(ds, xc)]
+            else:
+                custom = [abs(xi - _inverse_marginal(deriv, lam, instance.capacity))
+                          for deriv, xi in zip(demand.derivs, xc)]
+            stationarity = np.empty(len(x))
+            stationarity[demand.quadratic], stationarity[demand.custom] = quadratic, custom
 
     feasibility = np.maximum(-x, 0.0)
     price_violation = 0.0

@@ -107,3 +107,37 @@ def box_summary(values: list[float]) -> dict:
         "whisker_high": max(inside),
         "outliers": outliers,
     }
+
+
+def mixed_price_by_bisection(
+    b: list[float], m: list[float], w: list[float], capacity: float
+) -> float:
+    """Root of the demand balance of quadratic agents (b, m) and log agents
+    w*log(1+x) by plain bisection to adjacent floats.
+
+    Quadratic demand is max(m - lam/b, 0) and log demand max(w/lam - 1, 0);
+    log demand grows without bound as lam falls to 0, so with any log agent
+    the price is positive. Without one the lower end expands into negative
+    prices as in ``quadratic_price_by_bisection``.
+    """
+
+    def demand(lam: float) -> float:
+        quad = sum(max(mi - lam / bi, 0.0) for bi, mi in zip(b, m))
+        if not w:
+            return quad
+        return math.inf if lam <= 0 else quad + sum(max(wi / lam - 1.0, 0.0) for wi in w)
+
+    hi = max([mi * bi for bi, mi in zip(b, m)] + list(w))
+    lo = 0.0
+    width = max(1.0, hi)
+    while demand(lo) < capacity:
+        lo -= width
+        width *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if demand(mid) > capacity:
+            lo = mid
+        else:
+            hi = mid

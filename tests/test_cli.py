@@ -208,6 +208,14 @@ def test_sweep_nonpositive_step_exits_2(step, quartet_path, capsys):
     assert "--step" in err
 
 
+def test_sweep_zero_first_price_prints_undefined_ratio(quartet_path, capsys):
+    # with the last agent's m=3 total satiation equals capacity: the price is 0
+    code, out, err = run_cli(capsys, "sweep", str(quartet_path), "--start", "3", "--stop", "5")
+    assert code == 0
+    assert err == ""
+    assert out == "rows=3\nlambda_star[3]=0\nlambda_star[5]=1.76471\nratio=undefined\n"
+
+
 def test_sweep_26_rows(quartet_path, tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "sweep", str(quartet_path), "--out", str(out_path))
@@ -259,3 +267,18 @@ def test_threads_env_override(monkeypatch):
     assert _default_threads() == 3
     monkeypatch.delenv("TE_SHAPE_THREADS")
     assert _default_threads() >= 1
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment", "consensus"])
+def test_undecodable_file_exits_2(command, quartet_path, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"family": "quadratic", "note": "d\u00e9j\u00e0"}'.encode("latin-1"))
+    argv = {
+        "solve": ["solve", str(bad)],
+        "experiment": ["experiment", str(bad), "--out", str(tmp_path / "o")],
+        "consensus": ["consensus", str(quartet_path), "--graph", str(bad)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err and err.count("\n") == 1

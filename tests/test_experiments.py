@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import teshape
 from teshape import (
     EmptyInput,
     ExperimentSpec,
@@ -170,6 +175,25 @@ def test_box_stats_matches_oracle_on_random_data():
 def test_box_stats_empty_input():
     with pytest.raises(EmptyInput):
         box_stats([])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's percentile on inf
+@pytest.mark.parametrize("values", [[math.nan, 1.0, 2.0], [math.nan], [1.0, math.inf]])
+def test_box_stats_non_finite_input_raises_empty_input(values):
+    with pytest.raises(EmptyInput, match="not finite"):
+        box_stats(values)
+
+
+def test_box_stats_non_finite_input_raises_empty_input_under_optimize():
+    # the check must not be an assert, which ``python -O`` strips
+    src = os.path.dirname(os.path.dirname(teshape.__file__))
+    code = (
+        "from teshape.experiments import EmptyInput, box_stats\n"
+        "try:\n    box_stats([float('nan'), 1.0])\nexcept EmptyInput:\n    print('EmptyInput')\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.stdout.strip() == "EmptyInput", done.stderr
 
 
 def test_box_stats_single_value():
