@@ -28,6 +28,7 @@ from .model import (
     Quadratic,
     ValidationError,
     read_json,
+    strict_int,
     validate_instance,
 )
 from .solver import DEFAULT_CONFIG, SolverConfig, solve
@@ -67,14 +68,23 @@ class CommGraph:
     def from_edges(n: int, edges) -> CommGraph:
         if n < 1:
             raise ValidationError(["graph requires n >= 1"])
-        seen: set[tuple[int, int]] = set()
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValidationError([f"edge ({i},{j}) out of range for n={n}"])
-            if i == j:
-                raise ValidationError([f"self-loop ({i},{i}) not allowed"])
-            seen.add((min(i, j), max(i, j)))
-        return CommGraph(n=n, edges=tuple(sorted(seen)))
+        pairs = np.asarray(edges).reshape(-1, 2)
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValidationError([f"edge endpoints must be integers in 0..{n - 1}"])
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        outside = (lo < 0) | (hi >= n)
+        bad = outside | (lo == hi)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, j = pairs[k].tolist()
+            raise ValidationError(
+                [f"edge ({i},{j}) out of range for n={n}" if outside[k] else f"self-loop ({i},{i}) not allowed"]
+            )
+        order = np.lexsort((hi, lo))  # sorted (min, max) pairs, duplicates dropped
+        lo, hi = lo[order], hi[order]
+        first = np.ones(len(lo), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        return CommGraph(n=n, edges=tuple(zip(lo[first].tolist(), hi[first].tolist())))
 
     @staticmethod
     def complete(n: int) -> CommGraph:
@@ -90,13 +100,23 @@ class CommGraph:
 
     @staticmethod
     def load(path: str) -> CommGraph:
+        """Read ``{"n": N, "edges": [[i, j], ...]}``: integral numbers only, no booleans."""
         try:
             data = read_json(path)
         except json.JSONDecodeError as exc:
             raise ValidationError([f"graph parse error at line {exc.lineno}: {exc.msg}"]) from None
         if not isinstance(data, dict) or set(data) != {"n", "edges"}:
             raise ValidationError(["graph file requires exactly the fields 'n' and 'edges'"])
-        return CommGraph.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+        edges = data["edges"]
+        if not isinstance(edges, list):
+            raise ValidationError([f"graph edges must be a list of [i, j] pairs, got {type(edges).__name__}"])
+        if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
+            k, edge = next((k, e) for k, e in enumerate(edges) if not (type(e) is list and len(e) == 2))
+            raise ValidationError([f"graph edge {k} must be an [i, j] pair, got {edge!r}"])
+        ends = [v for edge in edges for v in edge]
+        if not set(map(type, ends)) <= {int}:
+            ends = [strict_int(v, f"graph edge {k // 2} endpoint") for k, v in enumerate(ends)]
+        return CommGraph.from_edges(strict_int(data["n"], "graph n"), np.array(ends))
 
     def neighbors(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -106,49 +126,49 @@ class CommGraph:
         return adj
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.neighbors()
-        seen = {0}
-        stack = [0]
+        adj, seen, stack = self.neighbors(), {0}, [0]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
+            for v in adj[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
         return len(seen) == self.n
 
-    def diameter(self) -> int:
+    def _reach(self):
+        """Yield the boolean n x n array "agent i holds agent j's data" after
+        each synchronous flooding round, from round 0 (the identity) until
+        the first round that adds nobody. Rows are kept as packed bits; a
+        round ORs in each agent's neighbours' rows, one neighbour slot at a time."""
         adj = self.neighbors()
-        diam = 0
-        for src in range(self.n):
-            dist = {src: 0}
-            frontier = [src]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            if len(dist) != self.n:
-                raise DisconnectedGraph("graph is not connected")
-            diam = max(diam, max(dist.values()))
-        return diam
+        width = max(map(len, adj))
+        # slot k of agent u holds its k-th neighbour, or u itself past its degree
+        slots = np.array([nb + [u] * (width - len(nb)) for u, nb in enumerate(adj)], dtype=np.intp)
+        reach = np.packbits(np.eye(self.n, dtype=bool), axis=1)
+        while True:
+            yield np.unpackbits(reach, axis=1, count=self.n).view(bool)
+            grown = reach.copy()
+            for neighbour in slots.T:
+                grown |= reach[neighbour]
+            if np.array_equal(grown, reach):
+                return
+            reach = grown
+
+    def diameter(self) -> int:
+        """Synchronous flooding rounds until every agent holds every agent's data."""
+        for rounds, reach in enumerate(self._reach()):
+            pass
+        if not reach.all():
+            raise DisconnectedGraph("graph is not connected")
+        return rounds
 
     def mixing_matrix(self) -> np.ndarray:
         """Metropolis-Hastings averaging weights: symmetric, doubly stochastic."""
         if not self.is_connected():
             raise DisconnectedGraph("graph is not connected")
-        deg = np.zeros(self.n)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
+        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        deg = np.bincount(np.concatenate([i, j]), minlength=self.n).astype(float)
         w = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
         np.fill_diagonal(w, 1.0 - w.sum(axis=1))
         return w
 
@@ -222,15 +242,13 @@ class ConsensusTrace:
         return float(np.max(self.errors[-1]))
 
     def to_csv(self, path: str) -> None:
-        errors = self.errors
+        rounds = zip(self.estimates.tolist(), self.errors.tolist())
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "agent", "estimate", "error"])
-            for r in range(self.estimates.shape[0]):
-                for i in range(self.estimates.shape[1]):
-                    writer.writerow(
-                        [r, i, repr(float(self.estimates[r, i])), repr(float(errors[r, i]))]
-                    )
+            writer.writerows(
+                [r, i, repr(x), repr(e)] for r, row in enumerate(rounds) for i, (x, e) in enumerate(zip(*row))
+            )
 
 
 @dataclass(frozen=True)
@@ -241,46 +259,36 @@ class DistributedRun:
 
 
 def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
-    """Synchronous flooding of (theta, a); estimates are means over known sets."""
-    n = instance.n
+    """Synchronous flooding of (theta, a); each estimate is the mean of ``a``
+    over the agents whose data it holds, gathered in ascending index order."""
     a = instance.production
-    target = instance.capacity / n
-    known = [{i} for i in range(n)]
-    adj = graph.neighbors()
-    rounds = graph.diameter()
-    estimates = np.empty((rounds + 1, n))
-    estimates[0] = a
-    for r in range(1, rounds + 1):
-        new_known = [set(k) for k in known]
-        for i in range(n):
-            for j in adj[i]:
-                new_known[i] |= known[j]
-        known = new_known
-        estimates[r] = [a[sorted(known[i])].mean() for i in range(n)]
-    if any(len(k) != n for k in known):
-        raise DisconnectedGraph("flooding did not reach every agent")
-    return ConsensusTrace(estimates=estimates, target=target, rounds=rounds)
+    rounds = graph._reach()
+    next(rounds)  # round 0: each agent holds only its own value
+    estimates = np.array([a, *([a[row].mean() for row in reach] for reach in rounds)])
+    return ConsensusTrace(estimates, target=instance.capacity / instance.n, rounds=len(estimates) - 1)
 
 
 def _average(
-    instance: MarketInstance, graph: CommGraph, rounds: int, tol: float | None
-) -> ConsensusTrace:
-    """Iterated Metropolis averaging on the production values."""
-    w = graph.mixing_matrix()
+    instance: MarketInstance, w: np.ndarray, rounds: int, tol: float | None, homogenize: bool
+) -> tuple[ConsensusTrace, np.ndarray | None, np.ndarray | None]:
+    """Iterated Metropolis averaging on the production values and, with
+    ``homogenize``, on the quadratic parameters ``(b, m)`` in the same
+    rounds. Returns the trace and the averaged ``(b, m)``, else ``None``s."""
     z = instance.production
+    b, m = instance.preferences.columns if homogenize else (None, None)
     target = instance.capacity / instance.n
     history = [z]
     for _ in range(rounds):
         z = w @ z
         history.append(z)
+        if homogenize:
+            b, m = w @ b, w @ m
         if tol is not None and float(np.max(np.abs(z - target))) <= tol:
             break
-    trace = ConsensusTrace(
-        estimates=np.array(history), target=target, rounds=len(history) - 1
-    )
+    trace = ConsensusTrace(np.array(history), target=target, rounds=len(history) - 1)
     if tol is not None and trace.final_error > tol:
         raise NotConverged(trace.final_error, trace.rounds, tol)
-    return trace
+    return trace, b, m
 
 
 def run_distributed(
@@ -309,43 +317,28 @@ def run_distributed(
     validate_instance(instance).raise_if_invalid()
     if graph.n != instance.n:
         raise ValidationError([f"graph has {graph.n} nodes, instance has {instance.n}"])
-    if not graph.is_connected():
-        raise DisconnectedGraph("graph is not connected")
+    if mode not in ("flood", "average"):
+        raise ValidationError([f"unknown mode {mode!r}; expected 'flood' or 'average'"])
 
     plain = replace(instance, model=ModelKind.MTES)
     if mode == "flood":
+        if not graph.is_connected():
+            raise DisconnectedGraph("graph is not connected")
         trace = _flood(plain, graph)
         result = solve(instance, cfg)  # identical input at every agent
-        results = tuple([result] * instance.n)
-        return DistributedRun(results=results, trace=trace, rounds_used=trace.rounds)
-
-    if mode != "average":
-        raise ValidationError([f"unknown mode {mode!r}; expected 'flood' or 'average'"])
+        return DistributedRun(results=(result,) * instance.n, trace=trace, rounds_used=trace.rounds)
 
     if homogenize and plain.family is not Family.QUADRATIC:
-        raise ValidationError(
-            ["preference averaging requires quadratic preferences (convex parameter space)"]
-        )
+        raise ValidationError(["preference averaging requires quadratic preferences (convex parameter space)"])
 
-    trace = _average(plain, graph, rounds, tol)
-    w = graph.mixing_matrix()
-    if homogenize:
-        b, m = plain.preferences.columns
-        for _ in range(trace.rounds):
-            b = w @ b
-            m = w @ m
-
+    trace, b, m = _average(plain, graph.mixing_matrix(), rounds, tol, homogenize)  # checks connectivity
     n = instance.n
     results = []
     for i in range(n):
         capacity_i = float(trace.estimates[-1, i]) * n
-        prefs_i = (
-            PreferenceColumns(Quadratic, np.full(n, b[i]), np.full(n, m[i]))
-            if homogenize
-            else plain.preferences
-        )
-        local = MarketInstance(
-            production=np.full(n, capacity_i / n), preferences=prefs_i, model=ModelKind.MTES
-        )
+        prefs_i = plain.preferences
+        if homogenize:
+            prefs_i = PreferenceColumns(Quadratic, np.full(n, b[i]), np.full(n, m[i]))
+        local = MarketInstance(np.full(n, capacity_i / n), prefs_i, model=ModelKind.MTES)
         results.append(solve(local, cfg))
     return DistributedRun(results=tuple(results), trace=trace, rounds_used=trace.rounds)

@@ -32,6 +32,7 @@ from .model import (
     ShapingQuery,
     ValidationError,
     read_json,
+    strict_int,
 )
 from .shaping import check_pwl_set, check_quadratic_set
 from .solver import DEFAULT_CONFIG, SolverConfig, solve_mtes_pwl, solve_mtes_quadratic
@@ -157,13 +158,6 @@ def sample_pwl_params(
 # ---------------------------------------------------------------------------
 
 
-def _spec_int(value, field: str) -> int:
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValidationError([f"{field} must be an integer, got {value!r}"])
-    return int(value)
-
-
 def _spec_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError([f"{field} must be a number, got {value!r}"])
@@ -214,13 +208,13 @@ class ExperimentSpec:
         if isinstance(lam, list):
             lam = tuple(_spec_number(v, "lambda_dagger") for v in _spec_list(lam, "lambda_dagger"))
         if scale is not None:
-            scale = tuple(_spec_int(v, "scale_list") for v in _spec_list(scale, "scale_list"))
+            scale = tuple(strict_int(v, "scale_list") for v in _spec_list(scale, "scale_list"))
         return ExperimentSpec(
             family=data["family"],
-            n=_spec_int(data["n"], "n"),
-            trials=_spec_int(data["trials"], "trials"),
+            n=strict_int(data["n"], "n"),
+            trials=strict_int(data["trials"], "trials"),
             lambda_dagger=lam if isinstance(lam, tuple) else _spec_number(lam, "lambda_dagger"),
-            seed=_spec_int(data["seed"], "seed"),
+            seed=strict_int(data["seed"], "seed"),
             scale_list=scale,
         )
 

@@ -381,6 +381,14 @@ def _reject_constant(token: str) -> float:
     raise ValidationError([f"non-finite number not accepted: {token}"])
 
 
+def strict_int(value, field: str) -> int:
+    """``value`` as an int if it is an integral JSON number; booleans rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValidationError([f"{field} must be an integer, got {value!r}"])
+    return int(value)
+
+
 def _number(d: dict, field: str, agent: int) -> float:
     value = d[field]
     if not isinstance(value, (int, float)) or isinstance(value, bool):

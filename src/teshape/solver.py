@@ -271,6 +271,7 @@ class _Clearing(NamedTuple):
     x: np.ndarray
     method: SolveMethod
     degenerate: bool = False
+    demand: AggregateDemand | None = None  # the generic route's split, reused by the self-check
 
 
 def _result(
@@ -286,7 +287,7 @@ def _result(
         e_star=None if e is None else tuple(e.tolist()),
         method=clearing.method,
         balance_residual=residual,
-        kkt_max_violation=_kkt(instance, lam, x, e, cfg)[-1],
+        kkt_max_violation=_kkt(instance, lam, x, e, cfg, clearing.demand)[-1],
         degenerate=clearing.degenerate,
     )
 
@@ -406,7 +407,7 @@ def _clear_generic(instance: MarketInstance, cfg: SolverConfig) -> _Clearing:
             raise BracketFailure("no sign change within the expanding negative bracket")
     lam = _bracketed_root(gap, lo, hi, f_lo, f_hi, cfg.lambda_tol,
                           cfg.resolved_balance_tol(capacity), cfg.max_bisection_iters)
-    return _Clearing(lam, demand.allocation(lam), SolveMethod.BISECTION)
+    return _Clearing(lam, demand.allocation(lam), SolveMethod.BISECTION, demand=demand)
 
 
 def solve_mtes_generic(
@@ -455,11 +456,12 @@ def solve_mtes_st(
     if clearing.lam > 0:
         e = instance.production - clearing.x
     else:  # satiation loads; a PWL market clears at zero price only with everyone satiated
-        x = clearing.x
+        x, demand = clearing.x, clearing.demand
         if plain.family is not Family.PWL:
-            x = AggregateDemand(plain.preferences, scale=plain.capacity).allocation(0.0)
+            demand = demand or AggregateDemand(plain.preferences, scale=plain.capacity)
+            x = demand.allocation(0.0)
         e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
-        clearing = clearing._replace(lam=0.0, x=x)
+        clearing = clearing._replace(lam=0.0, x=x, demand=demand)
     return _result(instance, cfg, clearing, e)
 
 
@@ -498,12 +500,14 @@ class KktReport:
 
 
 def _kkt(
-    instance: MarketInstance, lam: float, x: np.ndarray, e: np.ndarray | None, cfg: SolverConfig
+    instance: MarketInstance, lam: float, x: np.ndarray, e: np.ndarray | None, cfg: SolverConfig,
+    demand: AggregateDemand | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """(stationarity, feasibility, balance, price, max) violations, on arrays.
 
     Vectorized for PWL and for quadratic agents, which mixed instances share;
-    only the Custom agents of a mixed instance go one by one.
+    only the Custom agents of a mixed instance go one by one. ``demand`` is
+    the solve's split, if it made one; its remembered prices are not used.
     """
     is_st = instance.model is ModelKind.MTES_ST
     zero_price = is_st and lam <= cfg.lambda_tol
@@ -517,7 +521,7 @@ def _kkt(
             np.abs(x - phi),
         )
     else:  # quadratic agents as arrays; each Custom agent inverted cold, independently of the solve
-        demand = AggregateDemand(instance.preferences, instance.capacity)
+        demand = demand or AggregateDemand(instance.preferences, instance.capacity)
         b, m = demand.b, demand.m
         quadratic = np.abs(x[demand.quadratic] - (m if zero_price else np.maximum(m - lam / b, 0.0)))
         stationarity = quadratic

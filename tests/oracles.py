@@ -5,12 +5,15 @@ internals: a plain bisection on the aggregate-demand balance for quadratic
 markets, a feasibility enumeration over the optimality-correspondence cases
 for piece-wise linear markets, and a hand-rolled linear-interpolation
 percentile. Expected values in the tests were produced (or cross-checked)
-with these and then frozen.
+with these and then frozen. ``flood_by_set_union`` keeps the original
+set-based flooding simulation as the bitwise reference for the array one.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def quadratic_price_by_bisection(
@@ -141,3 +144,51 @@ def mixed_price_by_bisection(
             lo = mid
         else:
             hi = mid
+
+
+def bfs_diameter(n: int, edges) -> int | None:
+    """Largest shortest-path distance by a BFS from every node; None when
+    the graph is disconnected."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    diam = 0
+    for src in range(n):
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if len(dist) != n:
+            return None
+        diam = max(diam, max(dist.values()))
+    return diam
+
+
+def flood_by_set_union(a: np.ndarray, edges) -> np.ndarray:
+    """Per-round flooding estimates, shape (diameter + 1, n), of a connected
+    graph: each round every agent unions its neighbours' known sets, and its
+    estimate is the mean of ``a`` over its known set in ascending index order."""
+    n = len(a)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    known = [{i} for i in range(n)]
+    rounds = bfs_diameter(n, edges)
+    estimates = np.empty((rounds + 1, n))
+    estimates[0] = a
+    for r in range(1, rounds + 1):
+        new_known = [set(k) for k in known]
+        for i in range(n):
+            for j in adj[i]:
+                new_known[i] |= known[j]
+        known = new_known
+        estimates[r] = [a[sorted(known[i])].mean() for i in range(n)]
+    return estimates

@@ -260,6 +260,39 @@ def test_consensus_disconnected_graph_fails(quartet_path, tmp_path, capsys):
     assert "not connected" in err
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        '{"n": "abc", "edges": [[0,1],[1,2],[2,3]]}',
+        '{"n": 3.7, "edges": [[0,1],[1,2]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 4, "edges": [[0]]}',
+        '{"n": 4, "edges": [[0,1],[1,2,3]]}',
+        '{"n": 4, "edges": [[0,1],[1,2],[2,3],[0,1.5]]}',
+        '{"n": 4, "edges": [[0,1],[1,2],[2,3],[0,true]]}',
+        '{"n": 4, "edges": [[0,1],[1,2],[2,99999999999999999999]]}',
+        '{"n": 4, "edges": [[0,1],[1,2],[2,9223372036854775813]]}',
+        '{"n": 4, "edges": 5}',
+        '{"n": 4, "edges": [{"i": 0, "j": 1}]}',
+    ],
+)
+def test_consensus_malformed_graph_exits_2(graph, quartet_path, tmp_path, capsys):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(graph)
+    code, out, err = run_cli(capsys, "consensus", str(quartet_path), "--graph", str(graph_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+
+
+def test_consensus_integral_float_graph_accepted(quartet_path, tmp_path, capsys):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text('{"n": 4.0, "edges": [[0,1],[1.0,2],[2,3]]}')
+    code, out, _ = run_cli(capsys, "consensus", str(quartet_path), "--graph", str(graph_path))
+    assert code == 0
+    assert "rounds=3 " in out
+
+
 def test_threads_env_override(monkeypatch):
     from teshape.cli import _default_threads
 

@@ -1,0 +1,67 @@
+"""Flooding against the set-union reference on random graphs.
+
+* estimates equal ``oracles.flood_by_set_union`` bit for bit;
+* the rounds used, and ``CommGraph.diameter``, equal the largest BFS
+  distance;
+* disconnected graphs raise ``DisconnectedGraph`` from ``diameter`` and from
+  ``run_distributed``.
+
+Graphs hold 1..12 nodes, tied degrees included; runs are derandomized.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from teshape import CommGraph, DisconnectedGraph, MarketInstance, PreferenceColumns, Quadratic, run_distributed
+
+from oracles import bfs_diameter, flood_by_set_union
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def graphs(draw):
+    """(production, edges): n = 1..12, edges drawn from all pairs, so the
+    graph may be disconnected; duplicates and both orientations occur."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=3 * n)) if n > 1 else []
+    production = draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    if not sum(production) > 0:
+        production[0] = 1.0
+    return production, edges
+
+
+def _instance(production) -> MarketInstance:
+    n = len(production)
+    return MarketInstance(production, PreferenceColumns(Quadratic, np.ones(n), np.full(n, 5.0)))
+
+
+@SETTINGS
+@given(graphs())
+@example(([3.0], []))  # one agent
+@example(([1.0, 2.0], [(0, 1)]))  # one edge
+@example(([1.0, 2.0], []))  # two isolated agents
+@example(([0.1, 0.2, 0.3, 0.4, 0.5], [(0, k) for k in range(1, 5)]))  # star: tied leaf degrees
+@example(([1.0, 0.0, 2.0, 7.0], [(0, 1), (2, 3)]))  # two components
+@example(([-0.0, 2.0, 1.0], [(0, 1), (1, 2)]))  # a signed zero stays signed in round 0
+def test_flood_matches_set_union_reference(case):
+    production, edges = case
+    graph = CommGraph.from_edges(len(production), edges)
+    diameter = bfs_diameter(graph.n, graph.edges)
+    if diameter is None:
+        with pytest.raises(DisconnectedGraph, match="graph is not connected"):
+            graph.diameter()
+        with pytest.raises(DisconnectedGraph):
+            run_distributed(_instance(production), graph, mode="flood")
+        return
+    assert graph.diameter() == diameter
+    run = run_distributed(_instance(production), graph, mode="flood")
+    assert run.rounds_used == diameter
+    reference = flood_by_set_union(np.asarray(production, dtype=float), graph.edges)
+    assert run.trace.estimates.shape == reference.shape
+    assert run.trace.estimates.tobytes() == reference.tobytes()

@@ -2,7 +2,10 @@
 
 The digests below were produced by the pre-array-core implementation
 (per-agent objects throughout) and pin the exact bytes of the experiment
-artifacts and of a trading-model result document. Any change to sampling,
+artifacts and of a trading-model result document. The consensus digests
+were produced by the set-union flooding and two-loop averaging
+implementation and pin the ``consensus --out`` trace CSVs and the prices of
+a homogenized averaging run. Any change to sampling,
 summation order, solver arithmetic or serialization shows up here. The
 metadata digests also pin ``library_version``; a version bump must
 regenerate them.
@@ -12,9 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from teshape import CommGraph, instance_from_dict, run_distributed
 from teshape.cli import main
 
 QUADRATIC_SPEC = {"family": "quadratic", "n": 50, "trials": 7, "lambda_dagger": [15.0, 25.0], "seed": 11}
@@ -62,3 +67,71 @@ def test_quartet_trading_result_document_byte_identical(quartet_path, tmp_path, 
     assert main(["solve", str(quartet_path), "--model", "mtes_st", "--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out) == QUARTET_ST_RESULT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Consensus traces
+# ---------------------------------------------------------------------------
+
+
+def _consensus_market(n: int) -> dict:
+    """Deterministic quadratic market (no RNG) with uneven productions."""
+    return {
+        "model": "mtes",
+        "agents": [
+            {
+                "a": ((i * 7919) % 101) / 7.0,
+                "utility": {"kind": "quadratic", "b": 1.0 + (i * 31 % 17) / 4.0, "m": 2.0 + (i * 13 % 23) / 3.0},
+            }
+            for i in range(n)
+        ],
+    }
+
+
+def _sparse_edges(n: int, seed: int) -> list[list[int]]:
+    """A seeded random spanning tree plus n // 2 extra edges (duplicates allowed)."""
+    rng = random.Random(seed)
+    edges = [[rng.randrange(i), i] for i in range(1, n)]
+    while len(edges) < n - 1 + n // 2:
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            edges.append([i, j])
+    return edges
+
+
+CONSENSUS_GRAPHS = {
+    "ring": (40, [[i, (i + 1) % 40] for i in range(40)]),
+    "path": (25, [[i, i + 1] for i in range(24)]),
+    "complete": (30, [[i, j] for i in range(30) for j in range(i + 1, 30)]),
+    "sparse": (50, _sparse_edges(50, 2024)),
+}
+
+CONSENSUS_TRACE_DIGESTS = {
+    ("flood", "ring", ()): "7779e6c5cb2ee377e7e6ac2a2d8bf012832d35319ed18c1143ee1129069512d6",
+    ("flood", "path", ()): "847e3ebed35d44443d1e01a65fcc911933ed7605fe7f30f2e9f3444987060ff6",
+    ("flood", "complete", ()): "ea6744c1e7c3e07c6f1df1d621709f1b191d5882cd114e6fbe2f656b2ec8610e",
+    ("flood", "sparse", ()): "f751e4745f4c215c977acff83b9541482b655f192ffbbdf070a56fcaa019765c",
+    ("average", "ring", ("--rounds", "200")): "f62cb9596c5275d8c7159cfc1fb0ee3e6a6d869a2c08dc4a1157a4fccb3dbb20",
+    ("average", "path", ("--rounds", "5000", "--tol", "1e-6")): "1b7f684e0cb5f54338fbd21c5c0474f7f7056df861c4350496409014a4ecbab5",
+}
+
+HOMOGENIZED_PRICES_DIGEST = "522acfcd965872f435006855eb31c7e6618139f0951533bd73c532e0a7c9b8ec"
+
+
+@pytest.mark.parametrize("mode, graph, extra", sorted(CONSENSUS_TRACE_DIGESTS))
+def test_consensus_trace_byte_identical(mode, graph, extra, tmp_path, capsys):
+    n, edges = CONSENSUS_GRAPHS[graph]
+    market, graph_path, out = tmp_path / "market.json", tmp_path / "graph.json", tmp_path / "trace.csv"
+    market.write_text(json.dumps(_consensus_market(n)))
+    graph_path.write_text(json.dumps({"n": n, "edges": edges}))
+    argv = ["consensus", str(market), "--graph", str(graph_path), "--mode", mode, "--out", str(out)]
+    assert main([*argv, *extra]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == CONSENSUS_TRACE_DIGESTS[mode, graph, extra]
+
+
+def test_homogenized_average_prices_byte_identical():
+    instance = instance_from_dict(_consensus_market(12))
+    run = run_distributed(instance, CommGraph.ring(12), rounds=300, mode="average", tol=1e-10, homogenize=True)
+    prices = json.dumps([r.lambda_star.hex() for r in run.results]).encode()
+    assert hashlib.sha256(prices).hexdigest() == HOMOGENIZED_PRICES_DIGEST

@@ -5,7 +5,8 @@
   at parameter scales 1e-3..1e3, with n=1 and with all-Custom markets;
 * Custom agents that are quadratics in disguise against the closed-form
   quadratic solver, negative prices included;
-* a guard on the number of ``deriv_fn`` calls one solve makes.
+* a guard on the number of ``deriv_fn`` calls one solve makes;
+* one ``AggregateDemand`` split per mixed solve, self-check included.
 
 Runs are derandomized so the suite is reproducible.
 """
@@ -15,10 +16,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teshape import Custom, MarketInstance, Quadratic, solve, solve_mtes_generic, solve_mtes_quadratic
+from teshape import Custom, MarketInstance, ModelKind, Quadratic, solve, solve_mtes_generic, solve_mtes_quadratic
+from teshape import solver
 
 from oracles import mixed_price_by_bisection
 
@@ -131,3 +134,28 @@ def test_deriv_calls_stay_below_a_quarter_of_plain_bisection():
     result = solve(MarketInstance(production=production, preferences=preferences))
     assert result.kkt_max_violation <= 1e-9 * max(1.0, float(production.sum()))
     assert calls[0] <= 0.25 * BISECTION_ROUTE_CALLS
+
+
+@pytest.mark.parametrize("model", [ModelKind.MTES, ModelKind.MTES_ST])
+def test_one_preference_split_per_mixed_solve(model, monkeypatch):
+    """The self-check and the trading zero-price branch reuse the solve's
+    AggregateDemand; the markets below clear at a positive plain price
+    (log agents) and at a negative one (a disguised quadratic, so the
+    trading instance takes its zero-price branch)."""
+    builds = [0]
+    original = solver.AggregateDemand.__init__
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver.AggregateDemand, "__init__", counting)
+    markets = [
+        ((3.0, 1.0, 2.0), (Quadratic(1.0, 4.0), log_agent(5.0), Quadratic(2.0, 1.0))),
+        ((9.0, 8.0), (Quadratic(1.0, 2.0), disguised_quadratic(1.5, 3.0))),
+    ]
+    for production, preferences in markets:
+        builds[0] = 0
+        result = solve(MarketInstance(production, preferences, model))
+        assert result.kkt_max_violation <= 1e-9
+        assert builds[0] == 1
