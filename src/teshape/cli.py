@@ -26,8 +26,8 @@ from .model import (
     Quadratic,
     ShapingQuery,
     ValidationError,
-    instance_to_dict,
     load_instance,
+    save_result,
 )
 from .shaping import check_homogeneous, check_pwl_set, check_quadratic_set
 from .solver import SolverError, solve
@@ -66,11 +66,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except SolverError as exc:
         return _fail(EXIT_SOLVER, f"solver failure: {exc}")
     if args.out:
-        # self-describing document: the instance fields extended by the result
-        document = {**instance_to_dict(instance), **result.to_dict()}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
+        save_result(instance, result, args.out)
     print(f"lambda_star={result.lambda_star:.6g}")
     print(f"method={result.method.value}")
     print(f"balance_residual={result.balance_residual:.3e}")

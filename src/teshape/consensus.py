@@ -137,7 +137,8 @@ class CommGraph:
     def _reach(self):
         """Yield the boolean n x n array "agent i holds agent j's data" after
         each synchronous flooding round, from round 0 (the identity) until
-        the first round that adds nobody. Rows are kept as packed bits; a
+        the first round that adds nobody, then raise DisconnectedGraph if
+        some agent still misses some data. Rows are kept as packed bits; a
         round ORs in each agent's neighbours' rows, one neighbour slot at a time."""
         adj = self.neighbors()
         width = max(map(len, adj))
@@ -145,20 +146,21 @@ class CommGraph:
         slots = np.array([nb + [u] * (width - len(nb)) for u, nb in enumerate(adj)], dtype=np.intp)
         reach = np.packbits(np.eye(self.n, dtype=bool), axis=1)
         while True:
-            yield np.unpackbits(reach, axis=1, count=self.n).view(bool)
+            held = np.unpackbits(reach, axis=1, count=self.n).view(bool)
+            yield held
             grown = reach.copy()
             for neighbour in slots.T:
                 grown |= reach[neighbour]
             if np.array_equal(grown, reach):
+                if not held.all():
+                    raise DisconnectedGraph("graph is not connected")
                 return
             reach = grown
 
     def diameter(self) -> int:
         """Synchronous flooding rounds until every agent holds every agent's data."""
-        for rounds, reach in enumerate(self._reach()):
+        for rounds, _ in enumerate(self._reach()):
             pass
-        if not reach.all():
-            raise DisconnectedGraph("graph is not connected")
         return rounds
 
     def mixing_matrix(self) -> np.ndarray:
@@ -322,9 +324,7 @@ def run_distributed(
 
     plain = replace(instance, model=ModelKind.MTES)
     if mode == "flood":
-        if not graph.is_connected():
-            raise DisconnectedGraph("graph is not connected")
-        trace = _flood(plain, graph)
+        trace = _flood(plain, graph)  # checks connectivity
         result = solve(instance, cfg)  # identical input at every agent
         return DistributedRun(results=(result,) * instance.n, trace=trace, rounds_used=trace.rounds)
 

@@ -161,7 +161,10 @@ def sample_pwl_params(
 def _spec_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError([f"{field} must be a number, got {value!r}"])
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValidationError([f"{field} is beyond the float range"]) from None
 
 
 def _spec_list(value, field: str) -> list:

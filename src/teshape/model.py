@@ -24,6 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Union
 
 import numpy as np
@@ -393,7 +394,10 @@ def _number(d: dict, field: str, agent: int) -> float:
     value = d[field]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError([f"agent {agent}: '{field}' must be a number"])
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValidationError([f"agent {agent}: '{field}' is beyond the float range"]) from None
 
 
 # file label -> (per-agent type, parameter names) of the families held as columns
@@ -437,6 +441,44 @@ def instance_from_dict(data: dict) -> MarketInstance:
     if not isinstance(agents, list):
         raise ValidationError(["'agents' must be a list"])
 
+    production, preferences = _gather_agents(agents) or _parse_agents(agents)
+    instance = MarketInstance(production=production, preferences=preferences, model=model)
+    validate_instance(instance).raise_if_invalid()
+    return instance
+
+
+def _gather_agents(agents: list) -> tuple[list, PreferenceColumns] | None:
+    """Production and preference columns of a well-formed single-family agent
+    list, gathered field by field in C-level passes; ``None`` when any entry
+    is not exactly ``{"a": number, "utility": {"kind": label, first: number,
+    second: number}}`` with one file label throughout, so ``_parse_agents``
+    words the error. Numbers must be plain ints or floats (no bools)."""
+    if set(map(type, agents)) != {dict} or set(map(len, agents)) != {2}:
+        return None
+    try:
+        production = [entry["a"] for entry in agents]
+        utilities = [entry["utility"] for entry in agents]
+        if set(map(type, utilities)) != {dict} or set(map(len, utilities)) != {3}:
+            return None
+        labels = {utility["kind"] for utility in utilities}
+        label = labels.pop() if len(labels) == 1 else None
+        if not isinstance(label, str) or label not in _FILE_KINDS:
+            return None
+        kind, first, second = _FILE_KINDS[label]
+        firsts = [utility[first] for utility in utilities]
+        seconds = [utility[second] for utility in utilities]
+        if not set(map(type, production)) | set(map(type, firsts)) | set(map(type, seconds)) <= {int, float}:
+            return None
+        columns = [list(map(float, values)) for values in (production, firsts, seconds)]
+    except (KeyError, TypeError, OverflowError):  # missing key, unhashable kind, huge integer
+        return None
+    return columns[0], PreferenceColumns(kind, columns[1], columns[2])
+
+
+def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns | tuple]:
+    """Production and preferences read one agent at a time, raising
+    ValidationError for the first malformed agent. Mixed families become a
+    tuple of per-agent objects."""
     rows = []  # (a, kind, first parameter, second parameter) per agent
     for i, entry in enumerate(agents):
         if not isinstance(entry, dict):
@@ -449,12 +491,8 @@ def instance_from_dict(data: dict) -> MarketInstance:
         rows.append((_number(entry, "a", i), *_utility_from_dict(entry["utility"], i)))
     production, kinds, firsts, seconds = zip(*rows) if rows else ((),) * 4
     if len(set(kinds)) > 1:
-        preferences = tuple(map(lambda kind, p, q: kind(p, q), kinds, firsts, seconds))
-    else:
-        preferences = PreferenceColumns(kinds[0] if kinds else Quadratic, firsts, seconds)
-    instance = MarketInstance(production=production, preferences=preferences, model=model)
-    validate_instance(instance).raise_if_invalid()
-    return instance
+        return production, tuple(map(lambda kind, p, q: kind(p, q), kinds, firsts, seconds))
+    return production, PreferenceColumns(kinds[0] if kinds else Quadratic, firsts, seconds)
 
 
 def _utility_to_dict(pref: UtilityParams) -> dict:
@@ -500,6 +538,105 @@ def load_instance(path: str) -> MarketInstance:
 
 
 def save_instance(instance: MarketInstance, path: str) -> None:
+    """Write ``instance`` as an instance file; a non-finite value raises
+    ValueError and a Custom preference ValidationError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        _write_document(fh, instance, None, allow_nan=False)
+
+
+def save_result(instance: MarketInstance, result: EquilibriumResult, path: str) -> None:
+    """Write the self-describing solve document: the instance fields extended
+    by the result fields, as ``solve --out`` does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_document(fh, instance, result, allow_nan=True)
+
+
+# The writer streams the exact text of ``json.dump(document, fh, indent=2)``
+# plus a newline, where ``document`` is ``instance_to_dict(instance)``
+# extended by ``result.to_dict()``. Number text comes from the C encoder one
+# block of rows at a time (the same ``float.__repr__``, ``NaN`` and
+# ``Infinity`` text that json.dump writes), so the whole document is never
+# held in memory.
+_BLOCK_ROWS = 2048
+_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _agent_template(label: str, first: str, second: str) -> str:
+    """One agent record at the indent=2 layout, with ``%s`` for its numbers."""
+    return (
+        '    {\n      "a": %s,\n      "utility": {\n'
+        f'        "kind": "{label}",\n        "{first}": %s,\n        "{second}": %s\n'
+        "      }\n    }"
+    )
+
+
+_AGENT_TEMPLATES = {kind: _agent_template(*names) for kind, names in _COLUMN_KINDS.items()}
+
+
+def _numbers_text(values) -> str:
+    """JSON text of the numbers in ``values`` (an array or a tuple of
+    floats), separated by ``", "``."""
+    return json.dumps(values.tolist() if isinstance(values, np.ndarray) else values)[1:-1]
+
+
+def _reject_non_finite(columns: list[list[str]]) -> None:
+    """json.dump's ``allow_nan=False`` error for the first non-finite number,
+    reading the columns row by row as the document does."""
+    if all(_NON_FINITE.keys().isdisjoint(column) for column in columns):
+        return
+    text = next(t for t in chain.from_iterable(zip(*columns)) if t in _NON_FINITE)
+    raise ValueError(f"Out of range float values are not JSON compliant: {_NON_FINITE[text]!r}")
+
+
+def _write_rows(fh, n: int, block_text: Callable[[slice], str]) -> None:
+    """Write a JSON array of ``n`` rows, ``block_text(s)`` giving the text of
+    rows ``s`` joined by ``",\\n"``."""
+    if not n:
+        fh.write("[]")
+        return
+    fh.write("[\n")
+    for start in range(0, n, _BLOCK_ROWS):
+        fh.write(",\n" if start else "")
+        fh.write(block_text(slice(start, start + _BLOCK_ROWS)))
+    fh.write("\n  ]")
+
+
+def _write_vector(fh, values: tuple) -> None:
+    _write_rows(fh, len(values), lambda rows: "    " + _numbers_text(values[rows]).replace(", ", ",\n    "))
+
+
+def _write_document(fh, instance: MarketInstance, result: EquilibriumResult | None, allow_nan: bool) -> None:
+    preferences = instance.preferences
+    if isinstance(preferences, PreferenceColumns):
+        templates = [_AGENT_TEMPLATES[preferences.kind]] * len(preferences)
+        first, second = preferences.columns
+    else:  # per-agent objects: mixed families, or Custom (which has no file form)
+        kinds = [next((k for k in _COLUMN_KINDS if isinstance(p, k)), None) for p in preferences]
+        if None in kinds:
+            raise ValidationError(["Custom preferences have no file representation"])
+        templates = [_AGENT_TEMPLATES[kind] for kind in kinds]
+        names = [_COLUMN_KINDS[kind] for kind in kinds]
+        first = tuple(float(getattr(p, name[1])) for p, name in zip(preferences, names))
+        second = tuple(float(getattr(p, name[2])) for p, name in zip(preferences, names))
+
+    def agent_block(rows: slice) -> str:
+        columns = [_numbers_text(column[rows]).split(", ") for column in (instance.production, first, second)]
+        if not allow_nan:
+            _reject_non_finite(columns)
+        return ",\n".join(map(str.__mod__, templates[rows], zip(*columns)))
+
+    fh.write('{\n  "model": %s,\n  "agents": ' % json.dumps(instance.model.value))
+    _write_rows(fh, min(instance.n, len(templates)), agent_block)
+    if result is not None:
+        fh.write(',\n  "lambda_star": %s,\n  "x_star": ' % json.dumps(result.lambda_star))
+        _write_vector(fh, result.x_star)
+        diagnostics = (result.balance_residual, result.kkt_max_violation, result.degenerate)
+        fh.write(
+            ',\n  "method": %s,\n  "diagnostics": {\n    "balance_residual": %s,\n'
+            '    "kkt_max_violation": %s,\n    "degenerate": %s\n  }'
+            % tuple(map(json.dumps, (result.method.value, *diagnostics)))
+        )
+        if result.e_star is not None:
+            fh.write(',\n  "e_star": ')
+            _write_vector(fh, result.e_star)
+    fh.write("\n}\n")

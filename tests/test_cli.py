@@ -315,3 +315,40 @@ def test_undecodable_file_exits_2(command, quartet_path, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "not UTF-8" in err and err.count("\n") == 1
+
+
+HUGE = "1" + "0" * 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "consensus"])
+@pytest.mark.parametrize(
+    "agents",
+    [
+        # one family: the column gather refuses the list and the per-agent loop words it
+        '[{"a": %s, "utility": {"kind": "quadratic", "b": 1, "m": 2}}]' % HUGE,
+        '[{"a": 1, "utility": {"kind": "quadratic", "b": 1, "m": 2}},'
+        ' {"a": 1, "utility": {"kind": "quadratic", "b": 1, "m": %s}}]' % HUGE,
+        # mixed families go through the per-agent loop directly
+        '[{"a": 1, "utility": {"kind": "quadratic", "b": 1, "m": 2}},'
+        ' {"a": 1, "utility": {"kind": "pwl", "beta": -%s, "phi": 2}}]' % HUGE,
+    ],
+    ids=["a", "m", "mixed-beta"],
+)
+def test_huge_integer_literal_exits_2(command, agents, tmp_path, capsys):
+    market = tmp_path / "market.json"
+    market.write_text('{"model": "mtes", "agents": %s}' % agents)
+    code, out, err = run_cli(capsys, command, str(market))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation error: agent ") and err.count("\n") == 1
+    assert "beyond the float range" in err
+
+
+@pytest.mark.parametrize("lam", [HUGE, "[20, -%s]" % HUGE], ids=["scalar", "list"])
+def test_experiment_huge_lambda_dagger_exits_2(lam, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"family": "quadratic", "n": 10, "trials": 2, "lambda_dagger": %s, "seed": 0}' % lam)
+    code, out, err = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert err == "invalid experiment spec: lambda_dagger is beyond the float range\n"

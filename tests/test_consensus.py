@@ -49,6 +49,17 @@ def test_disconnected_graph_rejected():
         run_distributed(quartet_instance(), graph)
 
 
+def test_flood_builds_neighbour_lists_once(monkeypatch):
+    calls = []
+    original = CommGraph.neighbors
+    monkeypatch.setattr(CommGraph, "neighbors", lambda self: calls.append(1) or original(self))
+    run_distributed(quartet_instance(), CommGraph.path(4))
+    assert len(calls) == 1
+    with pytest.raises(DisconnectedGraph):
+        run_distributed(quartet_instance(), CommGraph.from_edges(4, [(0, 1), (2, 3)]))
+    assert len(calls) == 2
+
+
 def test_graph_validation():
     with pytest.raises(ValidationError, match="self-loop"):
         CommGraph.from_edges(3, [(0, 0)])

@@ -5,7 +5,9 @@ The digests below were produced by the pre-array-core implementation
 artifacts and of a trading-model result document. The consensus digests
 were produced by the set-union flooding and two-loop averaging
 implementation and pin the ``consensus --out`` trace CSVs and the prices of
-a homogenized averaging run. Any change to sampling,
+a homogenized averaging run. The tiered-market and saved-quartet digests
+were produced by the ``json.dump(indent=2)`` writer and pin the streamed
+``solve --out`` and ``save_instance`` documents. Any change to sampling,
 summation order, solver arithmetic or serialization shows up here. The
 metadata digests also pin ``library_version``; a version bump must
 regenerate them.
@@ -19,7 +21,7 @@ import random
 
 import pytest
 
-from teshape import CommGraph, instance_from_dict, run_distributed
+from teshape import CommGraph, instance_from_dict, run_distributed, save_instance
 from teshape.cli import main
 
 QUADRATIC_SPEC = {"family": "quadratic", "n": 50, "trials": 7, "lambda_dagger": [15.0, 25.0], "seed": 11}
@@ -67,6 +69,44 @@ def test_quartet_trading_result_document_byte_identical(quartet_path, tmp_path, 
     assert main(["solve", str(quartet_path), "--model", "mtes_st", "--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out) == QUARTET_ST_RESULT_DIGEST
+
+
+def _tiered_pwl_market(n: int) -> dict:
+    """Deterministic PWL trading market (no RNG): cent-resolution rates on
+    2900 tiers, so many agents share the marginal rate."""
+    return {
+        "model": "mtes_st",
+        "agents": [
+            {
+                "a": ((i * 7919) % 1001) / 100.0,
+                "utility": {"kind": "pwl", "beta": (100 + (i * 37) % 2900) / 100, "phi": (2000 + (i * 53) % 10000) / 1000},
+            }
+            for i in range(n)
+        ],
+    }
+
+
+TIERED_RESULT_DIGESTS = {
+    "mtes_st": "e65093fcdd3f41c9b0981ef55cf5b8e5c1a86dfa497e472271999725e5a5208e",
+    "mtes": "0830d48cebc48dae9b103236ff1a0df4cdceef994ecf5fe98be4688a5691e8cf",
+}
+
+QUARTET_SAVED_DIGEST = "4e808858926f075bc14fe3fb1462de45d251b22fc9f83c136fdf4b4f66801c32"
+
+
+@pytest.mark.parametrize("model", sorted(TIERED_RESULT_DIGESTS))
+def test_tiered_pwl_result_document_byte_identical(model, tmp_path, capsys):
+    market, out = tmp_path / "market.json", tmp_path / "result.json"
+    market.write_text(json.dumps(_tiered_pwl_market(5000)))
+    assert main(["solve", str(market), "--model", model, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == TIERED_RESULT_DIGESTS[model]
+
+
+def test_saved_quartet_byte_identical(quartet, tmp_path):
+    out = tmp_path / "quartet.json"
+    save_instance(quartet, str(out))
+    assert _sha256(out) == QUARTET_SAVED_DIGEST
 
 
 # ---------------------------------------------------------------------------
