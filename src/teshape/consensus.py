@@ -27,11 +27,12 @@ from .model import (
     PreferenceColumns,
     Quadratic,
     ValidationError,
+    atomic_write,
     read_json,
     strict_int,
     validate_instance,
 )
-from .solver import DEFAULT_CONFIG, SolverConfig, solve
+from .solver import DEFAULT_CONFIG, SolverConfig, solve, solve_many
 
 
 class DisconnectedGraph(ValueError):
@@ -241,11 +242,11 @@ class ConsensusTrace:
 
     @property
     def final_error(self) -> float:
-        return float(np.max(self.errors[-1]))
+        return float(np.max(np.abs(self.estimates[-1] - self.target)))
 
     def to_csv(self, path: str) -> None:
         rounds = zip(self.estimates.tolist(), self.errors.tolist())
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "agent", "estimate", "error"])
             writer.writerows(
@@ -266,7 +267,10 @@ def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
     a = instance.production
     rounds = graph._reach()
     next(rounds)  # round 0: each agent holds only its own value
-    estimates = np.array([a, *([a[row].mean() for row in reach] for reach in rounds)])
+    # each mean as a[row].mean() takes it: the pairwise sum over the row, divided by its count
+    means = ([np.add.reduce(a[row]) / k for row, k in zip(reach, np.count_nonzero(reach, axis=1).tolist())]
+             for reach in rounds)
+    estimates = np.array([a, *means])
     return ConsensusTrace(estimates, target=instance.capacity / instance.n, rounds=len(estimates) - 1)
 
 
@@ -314,7 +318,10 @@ def run_distributed(
     (rejected for other families; the parameter space must be convex for the
     mean to stay in-family). In average mode a trading instance is cleared as
     its plain-market counterpart: trade vectors need the true productions,
-    which only flooding replicates at every agent.
+    which only flooding replicates at every agent. With shared quadratic
+    preferences one water-filling sort prices all n local markets; PWL,
+    mixed or Custom preferences and ``homogenize=True``, where every local
+    market has its own preferences, are solved one local market at a time.
     """
     validate_instance(instance).raise_if_invalid()
     if graph.n != instance.n:
@@ -332,13 +339,10 @@ def run_distributed(
         raise ValidationError(["preference averaging requires quadratic preferences (convex parameter space)"])
 
     trace, b, m = _average(plain, graph.mixing_matrix(), rounds, tol, homogenize)  # checks connectivity
-    n = instance.n
-    results = []
-    for i in range(n):
-        capacity_i = float(trace.estimates[-1, i]) * n
-        prefs_i = plain.preferences
+    n, prefs = instance.n, plain.preferences
+    local = []
+    for i, capacity_i in enumerate((trace.estimates[-1] * n).tolist()):
         if homogenize:
-            prefs_i = PreferenceColumns(Quadratic, np.full(n, b[i]), np.full(n, m[i]))
-        local = MarketInstance(np.full(n, capacity_i / n), prefs_i, model=ModelKind.MTES)
-        results.append(solve(local, cfg))
-    return DistributedRun(results=tuple(results), trace=trace, rounds_used=trace.rounds)
+            prefs = PreferenceColumns(Quadratic, np.full(n, b[i]), np.full(n, m[i]))
+        local.append(MarketInstance(np.full(n, capacity_i / n), prefs, model=ModelKind.MTES))
+    return DistributedRun(results=tuple(solve_many(local, cfg)), trace=trace, rounds_used=trace.rounds)

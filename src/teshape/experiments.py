@@ -31,6 +31,7 @@ from .model import (
     Quadratic,
     ShapingQuery,
     ValidationError,
+    atomic_write,
     read_json,
     strict_int,
 )
@@ -267,20 +268,20 @@ class MonteCarloResult:
 
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "results.csv"), newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell_key", "trial", "seed", "lambda_star"])
             for cell in self.cells:
                 for trial, price in enumerate(cell.prices):
                     writer.writerow([cell.key, trial, self.spec.seed, repr(price)])
-        with open(os.path.join(out_dir, "stats.csv"), "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "stats.csv"), newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell_key", "median", "q25", "q75", "wlo", "whi", "n_outliers"])
             for cell in self.cells:
                 s = cell.stats
                 summary = (s.median, s.q25, s.q75, s.whisker_low, s.whisker_high)
                 writer.writerow([cell.key, *map(repr, summary), len(s.outliers)])
-        with open(os.path.join(out_dir, "metadata.json"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "metadata.json")) as fh:
             json.dump(
                 {
                     "spec": self.spec.to_dict(),
@@ -384,7 +385,7 @@ def run_satiation_sweep(
 
 
 def sweep_to_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m_agent", "lambda_star", "x_agent"])
         for row in rows:

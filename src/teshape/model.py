@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -525,6 +527,22 @@ def read_json(path: str, **kwargs):
             raise ValidationError([f"not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
 
 
+@contextmanager
+def atomic_write(path: str, newline: str | None = None):
+    """A UTF-8 text file to write in place of ``path``: a new file beside it
+    that replaces ``path`` when the block ends normally and is removed when
+    it raises, so ``path`` is never left half written."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def load_instance(path: str) -> MarketInstance:
     """Load, parse and validate an instance file.
 
@@ -540,14 +558,14 @@ def load_instance(path: str) -> MarketInstance:
 def save_instance(instance: MarketInstance, path: str) -> None:
     """Write ``instance`` as an instance file; a non-finite value raises
     ValueError and a Custom preference ValidationError."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         _write_document(fh, instance, None, allow_nan=False)
 
 
 def save_result(instance: MarketInstance, result: EquilibriumResult, path: str) -> None:
     """Write the self-describing solve document: the instance fields extended
     by the result fields, as ``solve --out`` does."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         _write_document(fh, instance, result, allow_nan=True)
 
 

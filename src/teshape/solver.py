@@ -292,15 +292,23 @@ def _result(
     )
 
 
-def _clear_quadratic(instance: MarketInstance) -> _Clearing:
-    _require(instance, Family.QUADRATIC)
-    b, m = instance.preferences.columns
-    capacity = instance.capacity
-    sum_m = float(np.sum(m))
+_LEVEL_BLOCK = 256  # capacities compared with the kink demands at a time
 
-    if sum_m <= capacity:
-        lam = (sum_m - capacity) / float(np.sum(1.0 / b))
-    else:
+
+def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
+    """Water-filling clearings of quadratic instances that share one
+    preference object: one stable sort of the drop-out prices serves every
+    capacity. The kink demands need not be monotone as floats, so each
+    capacity is compared with all of them, ``_LEVEL_BLOCK`` capacities at a time."""
+    for instance in instances:
+        _require(instance, Family.QUADRATIC)
+    b, m = instances[0].preferences.columns
+    capacity = np.array([instance.capacity for instance in instances])
+    sum_m = float(np.sum(m))
+    spare = sum_m <= capacity  # every agent stays active: one linear equation
+    lam = (sum_m - capacity) / float(np.sum(1.0 / b)) if spare.any() else np.empty(len(capacity))
+    short = np.flatnonzero(~spare)
+    if len(short):
         drop = m * b
         order = np.argsort(drop, kind="stable")
         drop_s = drop[order]
@@ -312,10 +320,12 @@ def _clear_quadratic(instance: MarketInstance) -> _Clearing:
         starts = np.flatnonzero(np.concatenate([[True], drop_s[1:] != drop_s[:-1]]))
         ends = np.concatenate([starts[1:], [len(drop_s)]])
         demand_at_kink = suf_m[ends] - drop_s[starts] * suf_binv[ends]
-        g = int(np.argmax(demand_at_kink <= capacity))  # first kink at/below capacity
-        j = starts[g]  # actives on the crossing segment: sorted indices >= j
-        lam = (suf_m[j] - capacity) / suf_binv[j]
-    return _Clearing(float(lam), np.maximum(m - lam / b, 0.0), SolveMethod.CLOSED_FORM_QUADRATIC)
+        for block in np.split(short, range(_LEVEL_BLOCK, len(short), _LEVEL_BLOCK)):
+            g = np.argmax(demand_at_kink <= capacity[block, None], axis=1)  # first kink at/below capacity
+            j = starts[g]  # actives on the crossing segment: sorted indices >= j
+            lam[block] = (suf_m[j] - capacity[block]) / suf_binv[j]
+    return [_Clearing(level, np.maximum(m - level / b, 0.0), SolveMethod.CLOSED_FORM_QUADRATIC)
+            for level in lam.tolist()]
 
 
 def solve_mtes_quadratic(
@@ -329,7 +339,7 @@ def solve_mtes_quadratic(
     unique segment where aggregate demand crosses capacity. Equal drop-out
     prices are grouped exactly, never perturbed.
     """
-    return _result(instance, cfg, _clear_quadratic(instance))
+    return _result(instance, cfg, _clear_quadratic(instance)[0])
 
 
 def _clear_pwl(instance: MarketInstance) -> _Clearing:
@@ -432,7 +442,7 @@ def _solve_plain(instance: MarketInstance, cfg: SolverConfig, method: str) -> _C
     if method == "bisect" or (method == "auto" and family is Family.MIXED):
         return _clear_generic(instance, cfg)
     if family is Family.QUADRATIC:
-        return _clear_quadratic(instance)
+        return _clear_quadratic(instance)[0]
     if family is Family.PWL:
         return _clear_pwl(instance)
     raise ValidationError(["closed form requires homogeneous family"])
@@ -472,6 +482,17 @@ def solve(
     if instance.model is ModelKind.MTES_ST:
         return solve_mtes_st(instance, cfg, method)
     return _result(instance, cfg, _solve_plain(instance, cfg, method))
+
+
+def solve_many(instances: list[MarketInstance], cfg: SolverConfig = DEFAULT_CONFIG) -> list[EquilibriumResult]:
+    """``[solve(i, cfg) for i in instances]``, bit for bit. Plain-market
+    quadratic instances that hold one and the same ``PreferenceColumns``, as
+    the local markets of average consensus do, share one water-filling sort."""
+    first = instances[0] if instances else None
+    if first is None or first.family is not Family.QUADRATIC or any(
+            i.preferences is not first.preferences or i.model is not ModelKind.MTES for i in instances):
+        return [solve(i, cfg) for i in instances]
+    return [_result(i, cfg, clearing) for i, clearing in zip(instances, _clear_quadratic(*instances))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ markets, a feasibility enumeration over the optimality-correspondence cases
 for piece-wise linear markets, and a hand-rolled linear-interpolation
 percentile. Expected values in the tests were produced (or cross-checked)
 with these and then frozen. ``flood_by_set_union`` keeps the original
-set-based flooding simulation as the bitwise reference for the array one.
+set-based flooding simulation as the bitwise reference for the array one,
+and ``local_solves`` the per-agent solve loop of average consensus as the
+bitwise reference for its one-sort water-filling.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from teshape import MarketInstance, solve
 
 
 def quadratic_price_by_bisection(
@@ -192,3 +196,11 @@ def flood_by_set_union(a: np.ndarray, edges) -> np.ndarray:
         known = new_known
         estimates[r] = [a[sorted(known[i])].mean() for i in range(n)]
     return estimates
+
+
+def local_solves(estimates, preferences) -> list:
+    """Average consensus's local markets solved one at a time: agent i holds
+    capacity n * estimates[i], spread evenly over n agents with the shared
+    preferences, and solves that plain market on its own."""
+    n = len(estimates)
+    return [solve(MarketInstance(np.full(n, float(e) * n / n), preferences)) for e in estimates]

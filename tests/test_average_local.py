@@ -1,0 +1,127 @@
+"""Average consensus's local solves against the per-agent loop.
+
+With shared quadratic preferences, ``run_distributed(mode="average")``
+prices every agent's local market with one water-filling sort. Its results
+must equal ``oracles.local_solves``, one ``solve`` per agent, bit for bit:
+price, allocation, residual, KKT violation and route, or the same
+``ValidationError`` text when a local market is invalid. Graphs are random
+connected graphs of 1..60 agents; many agents share a drop-out price m*b
+with different m and b, and productions follow the satiation loads so
+local capacities fall on both sides of their sum. Capacities are compared
+with the kink demands five at a time here, so the blocks split. Runs are
+derandomized.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from teshape import (
+    CommGraph,
+    Custom,
+    MarketInstance,
+    PiecewiseLinear,
+    PreferenceColumns,
+    Quadratic,
+    ValidationError,
+    run_distributed,
+    solver,
+)
+
+from oracles import local_solves
+
+DROP_OUTS = (3.0, 6.0, 12.0)  # shared drop-out prices of the tied agents
+
+
+@st.composite
+def markets(draw):
+    """(production, b, m, edges, rounds) of a connected graph: a random
+    spanning tree plus up to n extra edges. Values come from a generator
+    seeded by the draw. An agent is tied with probability 1 - ``spread``:
+    m is a decimal k/10 and b = P/m for a drop-out price P in ``DROP_OUTS``,
+    so tied agents differ in m and 1/b and their sums depend on the order
+    they are added in (m*b is P exactly for most m, an ulp off for the
+    rest). The others draw b and m from a continuous range. About one agent
+    in eight produces nothing."""
+    n, spread = draw(st.integers(1, 60)), draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+    edges += [(i, j) for i, j in rng.integers(n, size=(int(rng.integers(n + 1)), 2)).tolist() if i != j]
+    free = rng.random(n) < spread
+    m = np.where(free, rng.uniform(0.1, 10.0, n), rng.integers(1, 100, n) / 10)
+    b = np.where(free, rng.uniform(0.1, 10.0, n), rng.choice(DROP_OUTS, n) / m)
+    production = m * rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.125)
+    if not production.sum() > 0:
+        production[0] = 1.0
+    return production.tolist(), b.tolist(), m.tolist(), edges, draw(st.integers(0, 30))
+
+
+def _bits(results) -> list:
+    return [
+        (r.lambda_star.hex(), [x.hex() for x in r.x_star], r.balance_residual.hex(), r.kkt_max_violation.hex(),
+         r.method, r.e_star, r.degenerate)
+        for r in results
+    ]
+
+
+def _outcome(solve_all) -> tuple:
+    try:
+        return ("results", _bits(solve_all()))
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(markets())
+@example(([3.0], [1.0], [2.0], [], 0))  # one agent
+@example(([0.0, 2.0, 1.0], [1.0, 2.0, 4.0], [8.0, 4.0, 2.0], [(0, 1), (1, 2)], 0))  # a zero production, all drop-outs tied
+@example(([9.0, 0.0, 0.0, 0.0], [1.0] * 4, [1.0] * 4, [(0, 1), (1, 2), (2, 3)], 1))  # capacity 0 after a round
+def test_batched_average_matches_per_agent_loop(case):
+    production, b, m, edges, rounds = case
+    n = len(production)
+    preferences = PreferenceColumns(Quadratic, b, m)
+    graph = CommGraph.from_edges(n, edges)
+    z, w = np.asarray(production, dtype=float), graph.mixing_matrix()
+    for _ in range(rounds):  # the averaging rounds of run_distributed
+        z = w @ z
+    runs = []
+
+    def batched():
+        runs.append(run_distributed(MarketInstance(production, preferences), graph, rounds, "average"))
+        return runs[0].results
+
+    with mock.patch.object(solver, "_LEVEL_BLOCK", 5):
+        got = _outcome(batched)
+    assert got == _outcome(lambda: local_solves(z, preferences))
+    if runs:
+        assert runs[0].trace.estimates[-1].tobytes() == z.tobytes()
+        assert runs[0].trace.final_error == float(np.max(runs[0].trace.errors[-1]))
+
+
+def test_zero_production_without_rounds_raises_as_the_loop_does():
+    preferences = PreferenceColumns(Quadratic, [1.0, 2.0], [3.0, 4.0])
+    production = np.array([0.0, 5.0])
+    with pytest.raises(ValidationError) as loop:
+        local_solves(production, preferences)
+    assert "C > 0 required" in str(loop.value)
+    with pytest.raises(ValidationError) as batched:
+        run_distributed(MarketInstance(production, preferences), CommGraph.path(2), rounds=0, mode="average")
+    assert str(batched.value) == str(loop.value)
+
+
+def test_other_families_match_per_agent_loop():
+    # PWL and mixed quadratic/Custom local markets stay on one solve per agent
+    log = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
+    for preferences in (
+        [PiecewiseLinear(1.0 + k % 3, 2.0 + k % 4) for k in range(9)],
+        [Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(8)] + [log],
+    ):
+        production = [float(k % 5) for k in range(9)]
+        run = run_distributed(MarketInstance(production, preferences), CommGraph.ring(9), rounds=4, mode="average")
+        expected = local_solves(run.trace.estimates[-1], MarketInstance(production, preferences).preferences)
+        assert _bits(run.results) == _bits(expected)

@@ -286,3 +286,27 @@ def test_save_instance_rejects_custom(tmp_path):
     instance = MarketInstance((1.0, 2.0), (Quadratic(1.0, 2.0), Custom(math.log1p, lambda x: 1 / (1 + x))))
     with pytest.raises(ValidationError, match="no file representation"):
         save_instance(instance, str(tmp_path / "custom.json"))
+
+
+def _nan_at_4000() -> MarketInstance:
+    production = np.ones(5000)
+    production[4000] = math.nan
+    return MarketInstance(production, PreferenceColumns(Quadratic, np.ones(5000), np.full(5000, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "instance, error",
+    [
+        (_nan_at_4000(), ValueError),
+        (MarketInstance((1.0, 2.0), (Quadratic(1.0, 2.0), Custom(math.log1p, lambda x: 1 / (1 + x)))), ValidationError),
+    ],
+    ids=["nan-at-agent-4000", "custom"],
+)
+def test_failed_save_leaves_target_untouched(instance, error, tmp_path):
+    target = tmp_path / "instance.json"
+    save_instance(MarketInstance((1.0, 2.0), (Quadratic(1.0, 2.0), Quadratic(2.0, 3.0))), str(target))
+    before = target.read_bytes()
+    with pytest.raises(error):
+        save_instance(instance, str(target))
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]

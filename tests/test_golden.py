@@ -7,7 +7,10 @@ were produced by the set-union flooding and two-loop averaging
 implementation and pin the ``consensus --out`` trace CSVs and the prices of
 a homogenized averaging run. The tiered-market and saved-quartet digests
 were produced by the ``json.dump(indent=2)`` writer and pin the streamed
-``solve --out`` and ``save_instance`` documents. Any change to sampling,
+``solve --out`` and ``save_instance`` documents. The average-mode result
+digests were produced by one ``solve`` per agent's local market and pin
+every local price, allocation and diagnostic, bit for bit, of the one-sort
+water-filling that replaced it. Any change to sampling,
 summation order, solver arithmetic or serialization shows up here. The
 metadata digests also pin ``library_version``; a version bump must
 regenerate them.
@@ -175,3 +178,61 @@ def test_homogenized_average_prices_byte_identical():
     run = run_distributed(instance, CommGraph.ring(12), rounds=300, mode="average", tol=1e-10, homogenize=True)
     prices = json.dumps([r.lambda_star.hex() for r in run.results]).encode()
     assert hashlib.sha256(prices).hexdigest() == HOMOGENIZED_PRICES_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Average-mode local results
+# ---------------------------------------------------------------------------
+
+
+def _surplus_market(n: int) -> dict:
+    """Quadratic market whose productions total about its satiation loads,
+    so after a few averaging rounds some local capacities exceed the sum of
+    m (negative local prices) and some fall short of it."""
+    market = _consensus_market(n)
+    for i, agent in enumerate(market["agents"]):
+        agent["a"] = agent["utility"]["m"] * (0.25 + (i % 5) / 2.5)
+    return market
+
+
+def _tied_market(n: int) -> dict:
+    """Quadratic market with many tied drop-out prices m*b (3, 6 or 12):
+    tied agents differ in m = k/10 and b = (m*b)/m, so their sums depend on
+    the order they are added in."""
+    agents = []
+    for i in range(n):
+        m = 1 + (i * 37) % 99 / 10
+        agents.append({"a": m * (i % 4) / 2, "utility": {"kind": "quadratic", "b": (3.0, 6.0, 12.0)[i % 3] / m, "m": m}})
+    return {"model": "mtes", "agents": agents}
+
+
+AVERAGE_RUNS = {
+    "ring": (_consensus_market(40), CommGraph.ring(40), {"rounds": 200}),
+    "path": (_consensus_market(25), CommGraph.path(25), {"rounds": 5000, "tol": 1e-6}),
+    "surplus": (_surplus_market(30), CommGraph.ring(30), {"rounds": 3}),
+    "tied": (_tied_market(36), CommGraph.ring(36), {"rounds": 50}),
+}
+
+AVERAGE_RESULT_DIGESTS = {
+    "ring": "39db89efd2a2eead77d97cf5a4f06902994112180e011f41f9cdac7484408914",
+    "path": "da5bbdaa68ecc2cd7e23699d0d2c7e13dc077b2930d178bf5ed6e5d1a8ba9752",
+    "surplus": "402e665f5f9fd67bd9ee0c5d86e3aef3740a02382530e92bfcfd2dec670fbbbf",
+    "tied": "798452ddb3167ec5be631c67b65461be365e899a5466deb85a48c41f816eadfa",
+}
+
+
+def average_results_digest(run) -> str:
+    """sha256 of every local result's price, allocation, diagnostics and route, as bits."""
+    rows = [
+        [r.lambda_star.hex(), [x.hex() for x in r.x_star], r.balance_residual.hex(), r.kkt_max_violation.hex(),
+         r.method.value]
+        for r in run.results
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGE_RUNS))
+def test_average_local_results_bit_identical(name):
+    market, graph, kwargs = AVERAGE_RUNS[name]
+    run = run_distributed(instance_from_dict(market), graph, mode="average", **kwargs)
+    assert average_results_digest(run) == AVERAGE_RESULT_DIGESTS[name]
