@@ -241,6 +241,23 @@ def _check_custom_concavity(pref: Custom, scale: float, label: str) -> list[str]
     return []
 
 
+def production_violations(a: np.ndarray, n_preferences: int) -> tuple[list[str], float]:
+    """``validate_instance``'s production violations and the total of the finite a_i."""
+    violations: list[str] = []
+    n = len(a)
+    if n < 1:
+        violations.append("n >= 1 required (empty agent list)")
+    if n_preferences != n:
+        violations.append(f"length mismatch: {n} productions vs {n_preferences} preferences")
+    finite = np.isfinite(a)
+    for i in np.flatnonzero(~finite | (a < 0)).tolist():
+        violations.append(f"agent {i}: a must be " + ("non-negative" if finite[i] else "finite"))
+    capacity = _sequential_sum(a[finite])
+    if n >= 1 and not capacity > 0:
+        violations.append("C > 0 required (total production must be positive)")
+    return violations, capacity
+
+
 def validate_instance(instance: MarketInstance) -> ValidationReport:
     """Check all instance invariants; returns a report instead of raising.
 
@@ -248,20 +265,8 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     a_i >= 0 and finite, C > 0, positive family parameters, and strict
     concavity (on a sampled grid) for Custom preferences.
     """
-    violations: list[str] = []
-    a, preferences = instance.production, instance.preferences
-    n = len(a)
-    if n < 1:
-        violations.append("n >= 1 required (empty agent list)")
-    if len(preferences) != n:
-        violations.append(f"length mismatch: {n} productions vs {len(preferences)} preferences")
-    finite = np.isfinite(a)
-    for i in np.flatnonzero(~finite | (a < 0)).tolist():
-        violations.append(f"agent {i}: a must be " + ("non-negative" if finite[i] else "finite"))
-    capacity = _sequential_sum(a[finite])
-    if n >= 1 and not capacity > 0:
-        violations.append("C > 0 required (total production must be positive)")
-
+    preferences = instance.preferences
+    violations, capacity = production_violations(instance.production, len(preferences))
     if isinstance(preferences, PreferenceColumns):
         fields = _COLUMN_KINDS[preferences.kind][1:]
         bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]

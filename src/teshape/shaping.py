@@ -68,11 +68,10 @@ def check_quadratic_set(query: ShapingQuery) -> ShapingVerdict:
             worst_case_lambda=0.0,
             binding_condition=BindingCondition.M_BELOW_CAPACITY_SHARE,
         )
-    worst = query.b_max * (n * query.m_max - c) / n
     admissible = query.b_max <= n * query.threshold / (n * query.m_max - c)
     return ShapingVerdict(
         admissible=admissible,
-        worst_case_lambda=worst,
+        worst_case_lambda=chi_theta_quadratic(query.b_max, query.m_max, n, c),
         binding_condition=BindingCondition.B_MAX_BOUND,
     )
 

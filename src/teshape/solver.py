@@ -35,6 +35,7 @@ from .model import (
     Quadratic,
     SolveMethod,
     ValidationError,
+    production_violations,
     validate_instance,
 )
 
@@ -293,15 +294,43 @@ def _result(
 
 
 _LEVEL_BLOCK = 256  # capacities compared with the kink demands at a time
+_SELECT_FLOOR = 64  # candidate count below which selection stops (at least n >> 4)
+
+
+def _active_order(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, capacity: float,
+                  descending: bool = False) -> np.ndarray:
+    """Stable order (by key; descending if asked) of the agents with key at or
+    above a threshold t. Candidate keys are halved at their median u; t moves
+    up to u while D(u) = sum over key >= u of (level - u*slope) exceeds
+    ``capacity`` by 4(n+4)*eps*sum(level), a margin on the rounding of D(u) and
+    of any kink demand or cumulative sum over a key suffix: no tie group below
+    t holds the crossing, and the order is a suffix (prefix) of the full one."""
+    margin = 4.0 * (len(key) + 4) * np.finfo(float).eps * float(np.sum(level))
+    t, cand = -math.inf, key.copy()  # partitioned in place
+    while len(cand) > max(_SELECT_FLOOR, len(key) >> 4):
+        cand.partition(half := len(cand) // 2)
+        u = cand[half]
+        upper = key >= u  # einsum casts it in small buffers, unlike np.dot
+        demand = np.einsum("i,i", level, upper) - (0.0 if slope is None else u * np.einsum("i,i", slope, upper))
+        if demand > capacity + margin:  # the crossing lies above u
+            t, cand = u, cand[half + 1:]
+        else:
+            cand = cand[:half]
+    del cand  # a view that holds the whole copy: released before the sort
+    active = slice(None) if t == -math.inf else np.flatnonzero(key >= t)
+    order = np.argsort(-key[active] if descending else key[active], kind="stable")
+    return order if t == -math.inf else active[order]
 
 
 def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
     """Water-filling clearings of quadratic instances that share one
-    preference object: one stable sort of the drop-out prices serves every
-    capacity. The kink demands need not be monotone as floats, so each
-    capacity is compared with all of them, ``_LEVEL_BLOCK`` capacities at a time."""
-    for instance in instances:
-        _require(instance, Family.QUADRATIC)
+    preference object, validated once: one stable sort of the drop-out prices
+    that can be active serves every capacity. Kink demands need not be monotone
+    as floats, so each capacity meets all of them, ``_LEVEL_BLOCK`` at a time."""
+    _require(instances[0], Family.QUADRATIC)
+    for instance in instances[1:]:  # the shared preferences passed with the first
+        if violations := production_violations(instance.production, len(instance.preferences))[0]:
+            raise ValidationError(violations)
     b, m = instances[0].preferences.columns
     capacity = np.array([instance.capacity for instance in instances])
     sum_m = float(np.sum(m))
@@ -309,11 +338,8 @@ def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
     lam = (sum_m - capacity) / float(np.sum(1.0 / b)) if spare.any() else np.empty(len(capacity))
     short = np.flatnonzero(~spare)
     if len(short):
-        drop = m * b
-        order = np.argsort(drop, kind="stable")
-        drop_s = drop[order]
-        m_s = m[order]
-        binv_s = 1.0 / b[order]
+        order = _active_order(m * b, m, 1.0 / b, float(np.max(capacity[short])))
+        drop_s, m_s, binv_s = m[order] * b[order], m[order], 1.0 / b[order]  # no whole-n array kept
         # suffix sums over the sorted agents: demand of actives {drop > u}
         suf_m = np.concatenate([np.cumsum(m_s[::-1])[::-1], [0.0]])
         suf_binv = np.concatenate([np.cumsum(binv_s[::-1])[::-1], [0.0]])
@@ -334,10 +360,11 @@ def solve_mtes_quadratic(
     """Exact water-filling for all-quadratic instances.
 
     When total satiation does not exceed capacity every agent stays active and
-    the price (possibly negative) comes from one linear equation. Otherwise
-    the drop-out prices m_i*b_i are sorted and the price is solved on the
-    unique segment where aggregate demand crosses capacity. Equal drop-out
-    prices are grouped exactly, never perturbed.
+    the price (possibly negative) comes from one linear equation. Otherwise a
+    selection step keeps the drop-out prices m_i*b_i that can be active, only
+    those are sorted, and the price is solved on the unique segment where
+    aggregate demand crosses capacity. Equal drop-out prices are grouped
+    exactly, never perturbed.
     """
     return _result(instance, cfg, _clear_quadratic(instance)[0])
 
@@ -353,23 +380,20 @@ def _clear_pwl(instance: MarketInstance) -> _Clearing:
         # equal split of the surplus keeps every agent at or above saturation
         x = phi + (capacity - sum_phi) / n
         return _Clearing(0.0, x, SolveMethod.BREAKPOINT_PWL, degenerate=sum_phi == capacity)
-    order = np.argsort(-beta, kind="stable")
-    beta_s = beta[order]
-    phi_s = phi[order]
+    order = _active_order(beta, phi, None, capacity, descending=True)
+    beta_s, phi_s = beta[order], phi[order]
     cum_phi = np.cumsum(phi_s)
     starts = np.flatnonzero(np.concatenate([[True], beta_s[1:] != beta_s[:-1]]))
-    ends = np.concatenate([starts[1:], [n]])
+    ends = np.concatenate([starts[1:], [len(order)]])
     incl = cum_phi[ends - 1]  # saturated demand of tiers at or above each rate
     excl = np.concatenate([[0.0], incl[:-1]])
     g = int(np.argmax(incl >= capacity))  # first tier whose inclusive demand covers C
     remainder = capacity - float(excl[g])
     tier = slice(starts[g], ends[g])
     tier_total = float(incl[g] - excl[g])
-    x_s = np.zeros(n)
-    x_s[: starts[g]] = phi_s[: starts[g]]
-    x_s[tier] = phi_s[tier] * (remainder / tier_total)
-    x = np.empty(n)
-    x[order] = x_s
+    x = np.zeros(n)
+    x[order[: starts[g]]] = phi_s[: starts[g]]
+    x[order[tier]] = phi_s[tier] * (remainder / tier_total)
     return _Clearing(float(beta_s[starts[g]]), x, SolveMethod.BREAKPOINT_PWL)
 
 
@@ -379,7 +403,8 @@ def solve_mtes_pwl(
     """Breakpoint search for all-piecewise-linear instances.
 
     With total saturation below capacity the price is zero and the surplus is
-    split equally. Otherwise agents are scanned by marginal rate, descending;
+    split equally. Otherwise a selection step keeps the agents whose rates can
+    carry capacity, and only those are scanned by marginal rate, descending;
     the price is the first rate at which the saturated demand above it stays
     within capacity, and the marginal tier shares the remainder in proportion
     to saturation loads. The exact-saturation boundary is priced at zero and

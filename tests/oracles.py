@@ -8,7 +8,10 @@ percentile. Expected values in the tests were produced (or cross-checked)
 with these and then frozen. ``flood_by_set_union`` keeps the original
 set-based flooding simulation as the bitwise reference for the array one,
 and ``local_solves`` the per-agent solve loop of average consensus as the
-bitwise reference for its one-sort water-filling.
+bitwise reference for its one-sort water-filling. ``full_sort_quadratic``
+and ``full_sort_pwl`` keep the clearing cores that stable-sorted every
+agent, as the bitwise reference for the ones that sort only the agents a
+selection step leaves.
 """
 
 from __future__ import annotations
@@ -204,3 +207,62 @@ def local_solves(estimates, preferences) -> list:
     preferences, and solves that plain market on its own."""
     n = len(estimates)
     return [solve(MarketInstance(np.full(n, float(e) * n / n), preferences)) for e in estimates]
+
+
+def full_sort_kinks(b: np.ndarray, m: np.ndarray):
+    """(starts, suffix sums of m and 1/b, kink demands) of the stable sort of
+    every drop-out price m*b: the tie groups' first sorted indices and the
+    float demand at each group's drop-out price."""
+    drop = m * b
+    order = np.argsort(drop, kind="stable")
+    drop_s = drop[order]
+    m_s = m[order]
+    binv_s = 1.0 / b[order]
+    suf_m = np.concatenate([np.cumsum(m_s[::-1])[::-1], [0.0]])
+    suf_binv = np.concatenate([np.cumsum(binv_s[::-1])[::-1], [0.0]])
+    starts = np.flatnonzero(np.concatenate([[True], drop_s[1:] != drop_s[:-1]]))
+    ends = np.concatenate([starts[1:], [len(drop_s)]])
+    return starts, suf_m, suf_binv, suf_m[ends] - drop_s[starts] * suf_binv[ends]
+
+
+def full_sort_quadratic(b: np.ndarray, m: np.ndarray, capacity: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(price, allocation) of one quadratic column pair at each capacity:
+    water-filling over the stable sort of every drop-out price, the price
+    solved at the first kink demand at or below the capacity."""
+    sum_m = float(np.sum(m))
+    spare = sum_m <= capacity
+    lam = (sum_m - capacity) / float(np.sum(1.0 / b)) if spare.any() else np.empty(len(capacity))
+    short = np.flatnonzero(~spare)
+    if len(short):
+        starts, suf_m, suf_binv, demand_at_kink = full_sort_kinks(b, m)
+        j = starts[np.argmax(demand_at_kink <= capacity[short, None], axis=1)]
+        lam[short] = (suf_m[j] - capacity[short]) / suf_binv[j]
+    return [(level, np.maximum(m - level / b, 0.0)) for level in lam.tolist()]
+
+
+def full_sort_pwl(beta: np.ndarray, phi: np.ndarray, capacity: float) -> tuple[float, np.ndarray, bool]:
+    """(price, allocation, degenerate) of one PWL column pair: a stable sort
+    of every marginal rate, descending, and the first tier whose saturated
+    demand covers capacity."""
+    n = len(beta)
+    sum_phi = float(np.sum(phi))
+    if sum_phi <= capacity:
+        return 0.0, phi + (capacity - sum_phi) / n, sum_phi == capacity
+    order = np.argsort(-beta, kind="stable")
+    beta_s = beta[order]
+    phi_s = phi[order]
+    cum_phi = np.cumsum(phi_s)
+    starts = np.flatnonzero(np.concatenate([[True], beta_s[1:] != beta_s[:-1]]))
+    ends = np.concatenate([starts[1:], [n]])
+    incl = cum_phi[ends - 1]
+    excl = np.concatenate([[0.0], incl[:-1]])
+    g = int(np.argmax(incl >= capacity))
+    remainder = capacity - float(excl[g])
+    tier = slice(starts[g], ends[g])
+    tier_total = float(incl[g] - excl[g])
+    x_s = np.zeros(n)
+    x_s[: starts[g]] = phi_s[: starts[g]]
+    x_s[tier] = phi_s[tier] * (remainder / tier_total)
+    x = np.empty(n)
+    x[order] = x_s
+    return float(beta_s[starts[g]]), x, False

@@ -30,8 +30,10 @@ from teshape import (
     Quadratic,
     ValidationError,
     run_distributed,
+    solve,
     solver,
 )
+from teshape.solver import solve_many
 
 from oracles import local_solves
 
@@ -125,3 +127,19 @@ def test_other_families_match_per_agent_loop():
         run = run_distributed(MarketInstance(production, preferences), CommGraph.ring(9), rounds=4, mode="average")
         expected = local_solves(run.trace.estimates[-1], MarketInstance(production, preferences).preferences)
         assert _bits(run.results) == _bits(expected)
+
+
+@pytest.mark.parametrize("b, productions", [
+    ([1.0, -2.0, 3.0], [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]),  # an invalid shared preference
+    ([1.0, np.inf, 3.0], [[-1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),  # and an invalid first production
+    ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0], [1.0, np.nan, 0.0], [0.0, 0.0, 0.0]]),  # a later invalid production
+])
+def test_batched_validation_raises_as_the_loop_does(b, productions):
+    # the shared preferences are checked with the first market only, production with every market
+    preferences = PreferenceColumns(Quadratic, b, [2.0, 2.0, 2.0])
+    instances = [MarketInstance(p, preferences) for p in productions]
+    with pytest.raises(ValidationError) as loop:
+        [solve(i) for i in instances]
+    with pytest.raises(ValidationError) as batched:
+        solve_many(instances)
+    assert str(batched.value) == str(loop.value)

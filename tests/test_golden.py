@@ -10,7 +10,9 @@ were produced by the ``json.dump(indent=2)`` writer and pin the streamed
 ``solve --out`` and ``save_instance`` documents. The average-mode result
 digests were produced by one ``solve`` per agent's local market and pin
 every local price, allocation and diagnostic, bit for bit, of the one-sort
-water-filling that replaced it. Any change to sampling,
+water-filling that replaced it. The two 20000-agent ``results.csv``
+digests were produced by the full-sort water-filling and breakpoint search
+and pin the prices of the selection step that replaced the full sort. Any change to sampling,
 summation order, solver arithmetic or serialization shows up here. The
 metadata digests also pin ``library_version``; a version bump must
 regenerate them.
@@ -29,6 +31,8 @@ from teshape.cli import main
 
 QUADRATIC_SPEC = {"family": "quadratic", "n": 50, "trials": 7, "lambda_dagger": [15.0, 25.0], "seed": 11}
 PWL_SPEC = {"family": "pwl", "n": 40, "trials": 6, "lambda_dagger": 24.0, "seed": 7, "scale_list": [10, 60]}
+LARGE_QUADRATIC_SPEC = {"family": "quadratic", "n": 20000, "trials": 3, "lambda_dagger": 20.0, "seed": 23}
+LARGE_PWL_SPEC = {"family": "pwl", "n": 20000, "trials": 3, "lambda_dagger": 24.0, "seed": 29}
 
 EXPERIMENT_DIGESTS = {
     "quadratic": (
@@ -46,6 +50,14 @@ EXPERIMENT_DIGESTS = {
             "stats.csv": "ef1be008624021be9f42b50273dce4e15bd77bb8da38f82921b4629390a9da13",
             "metadata.json": "742684f9fe46879037fa4b6f1a59c2509bad8453cc6e38b26190bab09970b265",
         },
+    ),
+    "quadratic_large": (
+        LARGE_QUADRATIC_SPEC,
+        {"results.csv": "106b40ea2eb34325a7b188c604cc07fbab3e441f3249b55e98dd5564bbff22b8"},
+    ),
+    "pwl_large": (
+        LARGE_PWL_SPEC,
+        {"results.csv": "0d45c657336acdc3e719b98cbd67ab53a700961fad0afe1755592c268ed9001a"},
     ),
 }
 
