@@ -1,14 +1,15 @@
 """Command-line entry point: solve, shape-check, experiment, sweep, consensus.
 
 Exit codes: 0 success (shape-check: admissible), 1 shape-check not
-admissible, 2 validation or usage error, 3 solver failure. Human summaries go
-to stdout, machine-readable artifacts to files, errors to stderr.
+admissible, 2 validation, usage or file error, 3 solver failure, 4 internal
+error (an unexpected exception: a fault in teshape, not a verdict on the
+input). Human summaries go to stdout, machine-readable artifacts to files,
+and each failure to stderr as one line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +22,6 @@ from .experiments import (
     sweep_to_csv,
 )
 from .model import (
-    Custom,
     ModelKind,
     Quadratic,
     ShapingQuery,
@@ -36,11 +36,17 @@ EXIT_OK = 0
 EXIT_NOT_ADMISSIBLE = 1
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+EXIT_INTERNAL = 4
 
-
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+# The CLI's one failure map: (exception classes, exit code, stderr line
+# template). The first row whose classes match the exception wins.
+FAILURES = (
+    (ValidationError, EXIT_VALIDATION, "validation error: {}"),
+    (OSError, EXIT_VALIDATION, "file error: {}"),
+    (SolverError, EXIT_SOLVER, "solver failure: {}"),
+    ((DisconnectedGraph, NotConverged), EXIT_SOLVER, "consensus failure: {}"),
+    (Exception, EXIT_INTERNAL, "internal error: {!r}"),
+)
 
 
 def _default_threads() -> int:
@@ -54,17 +60,10 @@ def _default_threads() -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        instance = load_instance(args.instance)
-        if args.model is not None:
-            instance = replace(instance, model=ModelKind(args.model))
-        result = solve(instance, method=args.method)
-    except ValidationError as exc:
-        return _fail(EXIT_VALIDATION, f"validation error: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_VALIDATION, f"cannot read instance: {exc}")
-    except SolverError as exc:
-        return _fail(EXIT_SOLVER, f"solver failure: {exc}")
+    instance = load_instance(args.instance)
+    if args.model is not None:
+        instance = replace(instance, model=ModelKind(args.model))
+    result = solve(instance, method=args.method)
     if args.out:
         save_result(instance, result, args.out)
     print(f"lambda_star={result.lambda_star:.6g}")
@@ -79,23 +78,17 @@ def _cmd_shape_check(args: argparse.Namespace) -> int:
         "quad": (("b_max", "m_max"), check_quadratic_set),
         "pwl": (("beta_max", "phi_max"), check_pwl_set),
     }
-    try:
-        if args.family in boxes:
-            fields, check = boxes[args.family]
-            bounds = {field: getattr(args, field) for field in fields}
-            if None in bounds.values():
-                options = " and ".join("--" + field.replace("_", "-") for field in fields)
-                raise ValidationError([f"{options} required for {args.family}"])
-            verdict = check(
-                ShapingQuery(threshold=args.lambda_dagger, n=args.n, capacity=args.capacity, **bounds)
-            )
-        else:  # homog
-            if args.b is None or args.m is None:
-                raise ValidationError(["--b and --m required for homog"])
-            theta = Quadratic(b=args.b, m=args.m)
-            verdict = check_homogeneous(theta, args.n, args.capacity, args.lambda_dagger)
-    except ValidationError as exc:
-        return _fail(EXIT_VALIDATION, f"validation error: {exc}")
+    if args.family in boxes:
+        fields, check = boxes[args.family]
+        bounds = {field: getattr(args, field) for field in fields}
+        if None in bounds.values():
+            options = " and ".join("--" + field.replace("_", "-") for field in fields)
+            raise ValidationError([f"{options} required for {args.family}"])
+        verdict = check(ShapingQuery(threshold=args.lambda_dagger, n=args.n, capacity=args.capacity, **bounds))
+    else:  # homog
+        if args.b is None or args.m is None:
+            raise ValidationError(["--b and --m required for homog"])
+        verdict = check_homogeneous(Quadratic(b=args.b, m=args.m), args.n, args.capacity, args.lambda_dagger)
     print(f"admissible={str(verdict.admissible).lower()}")
     print(f"worst_case_lambda={verdict.worst_case_lambda:.6g}")
     print(f"binding_condition={verdict.binding_condition.value}")
@@ -103,15 +96,10 @@ def _cmd_shape_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        spec = ExperimentSpec.load(args.spec)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        result = run_monte_carlo(spec, out_dir=args.out, threads=args.threads)
-    except (ValidationError, OSError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_VALIDATION, f"invalid experiment spec: {exc}")
-    except SolverError as exc:
-        return _fail(EXIT_SOLVER, f"solver failure: {exc}")
+    spec = ExperimentSpec.load(args.spec)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    result = run_monte_carlo(spec, out_dir=args.out, threads=args.threads)
     for cell in result.cells:
         worst = max(cell.prices)
         print(f"{cell.key}: trials={len(cell.prices)} max_lambda_star={worst:.6g}")
@@ -120,18 +108,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        if args.step < 1:
-            raise ValidationError([f"--step must be a positive integer, got {args.step}"])
-        instance = load_instance(args.instance)
-        values = [float(v) for v in range(args.start, args.stop + 1, args.step)]
-        rows = run_satiation_sweep(instance, agent=args.agent, values=values)
-    except ValidationError as exc:
-        return _fail(EXIT_VALIDATION, f"validation error: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_VALIDATION, f"cannot read instance: {exc}")
-    except SolverError as exc:
-        return _fail(EXIT_SOLVER, f"solver failure: {exc}")
+    if args.step < 1:
+        raise ValidationError([f"--step must be a positive integer, got {args.step}"])
+    instance = load_instance(args.instance)
+    values = [float(v) for v in range(args.start, args.stop + 1, args.step)]
+    rows = run_satiation_sweep(instance, agent=args.agent, values=values)
     if args.out:
         sweep_to_csv(rows, args.out)
     first, last = rows[0], rows[-1]
@@ -145,20 +126,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
-    try:
-        instance = load_instance(args.instance)
-        graph = CommGraph.load(args.graph) if args.graph else CommGraph.complete(instance.n)
-        run = run_distributed(
-            instance,
-            graph,
-            rounds=args.rounds,
-            mode=args.mode,
-            tol=args.tol,
-        )
-    except (ValidationError, OSError) as exc:
-        return _fail(EXIT_VALIDATION, f"validation error: {exc}")
-    except (DisconnectedGraph, NotConverged, SolverError) as exc:
-        return _fail(EXIT_SOLVER, f"consensus failure: {exc}")
+    instance = load_instance(args.instance)
+    graph = CommGraph.load(args.graph) if args.graph else CommGraph.complete(instance.n)
+    run = run_distributed(instance, graph, rounds=args.rounds, mode=args.mode, tol=args.tol)
     if args.out:
         run.trace.to_csv(args.out)
     prices = {r.lambda_star for r in run.results}
@@ -233,7 +203,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our validation code
         return int(exc.code) if exc.code is not None else EXIT_VALIDATION
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # noqa: BLE001 - every failure goes through FAILURES
+        code, template = next((code, template) for kinds, code, template in FAILURES if isinstance(exc, kinds))
+        print(template.format(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ bit-identical.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,10 +101,7 @@ class CommGraph:
     @staticmethod
     def load(path: str) -> CommGraph:
         """Read ``{"n": N, "edges": [[i, j], ...]}``: integral numbers only, no booleans."""
-        try:
-            data = read_json(path)
-        except json.JSONDecodeError as exc:
-            raise ValidationError([f"graph parse error at line {exc.lineno}: {exc.msg}"]) from None
+        data = read_json(path)
         if not isinstance(data, dict) or set(data) != {"n", "edges"}:
             raise ValidationError(["graph file requires exactly the fields 'n' and 'edges'"])
         edges = data["edges"]
@@ -322,8 +318,13 @@ def run_distributed(
     preferences one water-filling sort prices all n local markets; PWL,
     mixed or Custom preferences and ``homogenize=True``, where every local
     market has its own preferences, are solved one local market at a time.
+    A negative ``rounds`` or a NaN or negative ``tol`` raises ValidationError.
     """
     validate_instance(instance).raise_if_invalid()
+    if rounds < 0:
+        raise ValidationError([f"rounds must be non-negative, got {rounds}"])
+    if tol is not None and not tol >= 0:
+        raise ValidationError([f"tol must be non-negative, got {tol!r}"])
     if graph.n != instance.n:
         raise ValidationError([f"graph has {graph.n} nodes, instance has {instance.n}"])
     if mode not in ("flood", "average"):

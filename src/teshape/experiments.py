@@ -34,6 +34,7 @@ from .model import (
     atomic_write,
     read_json,
     strict_int,
+    strict_number,
 )
 from .shaping import check_pwl_set, check_quadratic_set
 from .solver import DEFAULT_CONFIG, SolverConfig, solve_mtes_pwl, solve_mtes_quadratic
@@ -159,15 +160,6 @@ def sample_pwl_params(
 # ---------------------------------------------------------------------------
 
 
-def _spec_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError([f"{field} must be a number, got {value!r}"])
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ValidationError([f"{field} is beyond the float range"]) from None
-
-
 def _spec_list(value, field: str) -> list:
     if not isinstance(value, list) or not value:
         raise ValidationError([f"{field} must be a non-empty list"])
@@ -188,8 +180,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.family not in ("quadratic", "pwl"):
             raise ValidationError([f"family must be 'quadratic' or 'pwl', got {self.family!r}"])
-        if self.n < 1 or self.trials < 1:
-            raise ValidationError(["n >= 1 and trials >= 1 required"])
+        if not (0 < self.n < 2**63 and 0 < self.trials < 2**63):  # 2**63: NumPy's index range
+            raise ValidationError(["n and trials must be in 1..2**63-1"])
         if any(not 0 < t < math.inf for t in self.thresholds):
             raise ValidationError(["lambda_dagger must be positive and finite"])
         if not 0 <= self.seed < 2**64:
@@ -197,27 +189,30 @@ class ExperimentSpec:
         if self.scale_list is not None:
             if isinstance(self.lambda_dagger, tuple):
                 raise ValidationError(["scale study requires a single lambda_dagger"])
-            if any(v < 1 for v in self.scale_list):
-                raise ValidationError(["scale_list entries must be >= 1"])
+            if any(not 0 < v < 2**63 for v in self.scale_list):
+                raise ValidationError(["scale_list entries must be in 1..2**63-1"])
 
     @staticmethod
     def from_dict(data: dict) -> ExperimentSpec:
         """Strict parse: integral numbers only (no booleans), numeric lambda_dagger."""
         if not isinstance(data, dict):
             raise ValidationError(["spec must be a JSON object"])
-        unknown = set(data) - {"family", "n", "trials", "lambda_dagger", "seed", "scale_list"}
+        required = {"family", "n", "trials", "lambda_dagger", "seed"}
+        unknown = set(data) - required - {"scale_list"}
         if unknown:
             raise ValidationError([f"unknown spec fields {sorted(unknown)}"])
+        if not required <= set(data):
+            raise ValidationError([f"missing spec fields {sorted(required - set(data))}"])
         lam, scale = data["lambda_dagger"], data.get("scale_list")
         if isinstance(lam, list):
-            lam = tuple(_spec_number(v, "lambda_dagger") for v in _spec_list(lam, "lambda_dagger"))
+            lam = tuple(strict_number(v, "lambda_dagger") for v in _spec_list(lam, "lambda_dagger"))
         if scale is not None:
             scale = tuple(strict_int(v, "scale_list") for v in _spec_list(scale, "scale_list"))
         return ExperimentSpec(
             family=data["family"],
             n=strict_int(data["n"], "n"),
             trials=strict_int(data["trials"], "trials"),
-            lambda_dagger=lam if isinstance(lam, tuple) else _spec_number(lam, "lambda_dagger"),
+            lambda_dagger=lam if isinstance(lam, tuple) else strict_number(lam, "lambda_dagger"),
             seed=strict_int(data["seed"], "seed"),
             scale_list=scale,
         )

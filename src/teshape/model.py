@@ -345,9 +345,8 @@ class BindingCondition(Enum):
 class ShapingQuery:
     """A box of candidate preference parameters tested against a price threshold.
 
-    Exactly one bound family is set: (b_max, m_max) for quadratic boxes,
-    (beta_max, phi_max) for piece-wise linear boxes, or ``theta`` for a
-    homogeneous-preference query.
+    Exactly one bound family is set: (b_max, m_max) for quadratic boxes or
+    (beta_max, phi_max) for piece-wise linear boxes.
     """
 
     threshold: float
@@ -357,7 +356,6 @@ class ShapingQuery:
     m_max: float | None = None
     beta_max: float | None = None
     phi_max: float | None = None
-    theta: UtilityParams | None = None
 
 
 @dataclass(frozen=True)
@@ -397,14 +395,14 @@ def strict_int(value, field: str) -> int:
     return int(value)
 
 
-def _number(d: dict, field: str, agent: int) -> float:
-    value = d[field]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError([f"agent {agent}: '{field}' must be a number"])
+def strict_number(value, field: str) -> float:
+    """``value`` as a float if it is a JSON number; booleans rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError([f"{field} must be a number, got {value!r}"])
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        raise ValidationError([f"agent {agent}: '{field}' is beyond the float range"]) from None
+        raise ValidationError([f"{field} is beyond the float range"]) from None
 
 
 # file label -> (per-agent type, parameter names) of the families held as columns
@@ -425,7 +423,7 @@ def _utility_from_dict(d: dict, agent: int) -> tuple[type, float, float]:
         if unknown:
             raise ValidationError([f"agent {agent}: unknown utility fields {sorted(unknown)}"])
         raise ValidationError([f"agent {agent}: missing utility fields {sorted(expected - set(d))}"])
-    return kind, _number(d, first, agent), _number(d, second, agent)
+    return (kind, *(strict_number(d[name], f"agent {agent}: '{name}'") for name in (first, second)))
 
 
 def instance_from_dict(data: dict) -> MarketInstance:
@@ -495,7 +493,7 @@ def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns | tuple]:
             if unknown:
                 raise ValidationError([f"agent {i}: unknown fields {sorted(unknown)}"])
             raise ValidationError([f"agent {i}: requires fields 'a' and 'utility'"])
-        rows.append((_number(entry, "a", i), *_utility_from_dict(entry["utility"], i)))
+        rows.append((strict_number(entry["a"], f"agent {i}: 'a'"), *_utility_from_dict(entry["utility"], i)))
     production, kinds, firsts, seconds = zip(*rows) if rows else ((),) * 4
     if len(set(kinds)) > 1:
         return production, tuple(map(lambda kind, p, q: kind(p, q), kinds, firsts, seconds))
@@ -523,29 +521,46 @@ def instance_to_dict(instance: MarketInstance) -> dict:
 
 
 def read_json(path: str, **kwargs):
-    """Parse a JSON file read as UTF-8. Bytes that do not decode raise
-    ValidationError; ``json.JSONDecodeError`` is left for the caller to word."""
+    """Parse a JSON file read as UTF-8. Text that is not UTF-8, not JSON or
+    nested too deeply raises ValidationError; the file itself, OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, **kwargs)
         except UnicodeDecodeError as exc:
             raise ValidationError([f"not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
+        except json.JSONDecodeError as exc:
+            raise ValidationError([f"parse error at line {exc.lineno} col {exc.colno}: {exc.msg}"]) from None
+        except RecursionError:
+            raise ValidationError(["parse error: JSON nested too deeply"]) from None
 
 
 @contextmanager
 def atomic_write(path: str, newline: str | None = None):
     """A UTF-8 text file to write in place of ``path``: a new file beside it
     that replaces ``path`` when the block ends normally and is removed when
-    it raises, so ``path`` is never left half written."""
+    it raises, so ``path`` is never left half written. An OSError in
+    creating or renaming the new file names ``path``."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    with _naming(path):
+        fh = open(tmp, "x", encoding="utf-8", newline=newline)
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        with _naming(path):
+            os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextmanager
+def _naming(path: str):
+    """Re-raise an OSError of the block as one about ``path``, so an error
+    about the temporary sibling reads as one about the target."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def load_instance(path: str) -> MarketInstance:
@@ -553,11 +568,7 @@ def load_instance(path: str) -> MarketInstance:
 
     Raises ValidationError with field context on malformed input.
     """
-    try:
-        data = read_json(path, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ValidationError([f"parse error at line {exc.lineno} col {exc.colno}: {exc.msg}"]) from None
-    return instance_from_dict(data)
+    return instance_from_dict(read_json(path, parse_constant=_reject_constant))
 
 
 def save_instance(instance: MarketInstance, path: str) -> None:

@@ -159,7 +159,7 @@ def test_experiment_bad_spec_exits_2(tmp_path, capsys):
     spec_path.write_text('{"family": "cubic", "n": 1, "trials": 1, "lambda_dagger": 1, "seed": 0}')
     code, _, err = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
     assert code == 2
-    assert "invalid experiment spec" in err
+    assert err.startswith("validation error: ") and "family" in err
 
 
 @pytest.mark.parametrize(
@@ -186,7 +186,7 @@ def test_experiment_malformed_spec_field_exits_2(field, value, tmp_path, capsys)
     code, out, err = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
     assert code == 2
     assert out == ""
-    assert err.startswith("invalid experiment spec") and err.count("\n") == 1
+    assert err.startswith("validation error: ") and err.count("\n") == 1
     assert field in err
 
 
@@ -351,4 +351,4 @@ def test_experiment_huge_lambda_dagger_exits_2(lam, tmp_path, capsys):
     code, out, err = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
     assert code == 2
     assert out == ""
-    assert err == "invalid experiment spec: lambda_dagger is beyond the float range\n"
+    assert err == "validation error: lambda_dagger is beyond the float range\n"
