@@ -31,7 +31,7 @@ from .model import (
     strict_int,
     validate_instance,
 )
-from .solver import DEFAULT_CONFIG, SolverConfig, solve, solve_many
+from .solver import solve, solve_many
 
 
 class DisconnectedGraph(ValueError):
@@ -171,13 +171,6 @@ class CommGraph:
         np.fill_diagonal(w, 1.0 - w.sum(axis=1))
         return w
 
-    def contraction_factor(self) -> float:
-        """Spectral radius of the mixing matrix restricted off the consensus
-        direction; strictly below 1 on any connected graph."""
-        w = self.mixing_matrix()
-        deviation = w - np.full_like(w, 1.0 / self.n)
-        return float(np.max(np.abs(np.linalg.eigvalsh(deviation))))
-
 
 @dataclass(frozen=True)
 class BroadcastEvent:
@@ -192,9 +185,7 @@ class AggregatorRun:
     log: tuple[BroadcastEvent, ...]
 
 
-def run_aggregator(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
-) -> AggregatorRun:
+def run_aggregator(instance: MarketInstance) -> AggregatorRun:
     """Centralized clearing: collect, solve once, broadcast to every agent."""
     report = validate_instance(instance)
     if not report.ok:
@@ -212,7 +203,7 @@ def run_aggregator(
         BroadcastEvent(phase="collect", agent=i, payload={"a": a})
         for i, a in enumerate(instance.production.tolist())
     ]
-    result = solve(instance, cfg)
+    result = solve(instance)
     for i in range(instance.n):
         log.append(
             BroadcastEvent(
@@ -300,7 +291,6 @@ def run_distributed(
     mode: str = "flood",
     tol: float | None = None,
     homogenize: bool = False,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> DistributedRun:
     """Agents solve locally after exchanging data over the graph.
 
@@ -333,7 +323,7 @@ def run_distributed(
     plain = replace(instance, model=ModelKind.MTES)
     if mode == "flood":
         trace = _flood(plain, graph)  # checks connectivity
-        result = solve(instance, cfg)  # identical input at every agent
+        result = solve(instance)  # identical input at every agent
         return DistributedRun(results=(result,) * instance.n, trace=trace, rounds_used=trace.rounds)
 
     if homogenize and plain.family is not Family.QUADRATIC:
@@ -346,4 +336,4 @@ def run_distributed(
         if homogenize:
             prefs = PreferenceColumns(Quadratic, np.full(n, b[i]), np.full(n, m[i]))
         local.append(MarketInstance(np.full(n, capacity_i / n), prefs, model=ModelKind.MTES))
-    return DistributedRun(results=tuple(solve_many(local, cfg)), trace=trace, rounds_used=trace.rounds)
+    return DistributedRun(results=tuple(solve_many(local)), trace=trace, rounds_used=trace.rounds)

@@ -37,7 +37,7 @@ from .model import (
     strict_number,
 )
 from .shaping import check_pwl_set, check_quadratic_set
-from .solver import DEFAULT_CONFIG, SolverConfig, solve_mtes_pwl, solve_mtes_quadratic
+from .solver import solve_mtes_pwl, solve_mtes_quadratic
 
 QUARTILE_CONVENTION = "linear interpolation between order statistics"
 
@@ -262,7 +262,7 @@ class MonteCarloResult:
     cells: tuple[CellResult, ...]
 
     def write(self, out_dir: str) -> None:
-        os.makedirs(out_dir, exist_ok=True)
+        """The three artifacts, into the existing directory ``out_dir``."""
         with atomic_write(os.path.join(out_dir, "results.csv"), newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell_key", "trial", "seed", "lambda_star"])
@@ -290,10 +290,7 @@ class MonteCarloResult:
             fh.write("\n")
 
 
-def _run_trial(
-    spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_dagger: float,
-    cfg: SolverConfig,
-) -> float:
+def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_dagger: float) -> float:
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, cell_index, trial)))
     a = sample_production(n, rng)
     capacity = float(np.sum(a))
@@ -309,26 +306,24 @@ def _run_trial(
     if not check(ShapingQuery(threshold=lam_dagger, n=n, capacity=capacity, **corner)).admissible:
         raise RuntimeError(f"sampled batch not admissible (cell {cell_index}, trial {trial})")
     instance = MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))
-    return solver(instance, cfg).lambda_star
+    return solver(instance).lambda_star
 
 
-def run_monte_carlo(
-    spec: ExperimentSpec,
-    out_dir: str | None = None,
-    threads: int = 1,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> MonteCarloResult:
+def run_monte_carlo(spec: ExperimentSpec, out_dir: str | None = None, threads: int = 1) -> MonteCarloResult:
     """K trials per cell: sample, check admissibility, solve, summarize.
 
     Trials may run in parallel; aggregation orders by trial index so the
-    output never depends on scheduling.
+    output never depends on scheduling. ``out_dir`` is created before the
+    first trial, so an unusable one fails before any sampling.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     cells = []
     # one pool for all cells; with one thread the trials run inline
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         trial_map = pool.map if threads > 1 else map
         for cell_index, (key, n, lam_dagger) in enumerate(spec.cells()):
-            run = functools.partial(_run_trial, spec, cell_index, n=n, lam_dagger=lam_dagger, cfg=cfg)
+            run = functools.partial(_run_trial, spec, cell_index, n=n, lam_dagger=lam_dagger)
             prices = list(trial_map(run, range(spec.trials)))
             cells.append(CellResult(key, n, lam_dagger, stats=box_stats(prices), prices=tuple(prices)))
     result = MonteCarloResult(spec=spec, cells=tuple(cells))
@@ -349,16 +344,12 @@ class SweepRow:
     x_agent: float
 
 
-def run_satiation_sweep(
-    base: MarketInstance,
-    agent: int = -1,
-    values=None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> list[SweepRow]:
+def run_satiation_sweep(base: MarketInstance, agent: int = -1, values=None) -> list[SweepRow]:
     """Re-solve a quadratic instance while one agent's satiation load varies.
 
     Defaults sweep the last agent over the integer grid 5..30 (26 points),
-    holding everything else fixed.
+    holding everything else fixed. ``agent`` indexes as a sequence does:
+    -n <= agent < n, else ValidationError.
     """
     if base.family.value != "quadratic":
         raise ValidationError(["satiation sweep requires an all-quadratic instance"])
@@ -367,6 +358,8 @@ def run_satiation_sweep(
     values = list(values)
     if not values:
         raise ValidationError(["sweep requires at least one value"])
+    if not -base.n <= agent < base.n:
+        raise ValidationError([f"agent {agent} out of range for {base.n} agents"])
     idx = agent % base.n
     b, m = base.preferences.columns
     rows = []
@@ -374,7 +367,7 @@ def run_satiation_sweep(
         m_swept = m.copy()
         m_swept[idx] = float(value)
         swept = replace(base, preferences=PreferenceColumns(Quadratic, b, m_swept))
-        result = solve_mtes_quadratic(swept, cfg)
+        result = solve_mtes_quadratic(swept)
         rows.append(SweepRow(float(value), result.lambda_star, result.x_star[idx]))
     return rows
 

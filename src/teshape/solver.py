@@ -54,85 +54,12 @@ class ConvergenceFailure(SolverError):
     """The root-finder exhausted its iteration budget before meeting tolerances."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical tolerances for the solvers.
-
-    ``balance_tol`` of None resolves to 1e-9 * max(1, C) per instance.
-    ``lambda_tol`` is the absolute width at which the price bracket stops
-    (never below two float spacings of the price).
-    """
-
-    balance_tol: float | None = None
-    lambda_tol: float = 1e-10
-    max_bisection_iters: int = 200
-
-    def __post_init__(self) -> None:
-        if self.balance_tol is not None and not self.balance_tol > 0:
-            raise ValueError("balance_tol must be positive")
-        if not self.lambda_tol > 0:
-            raise ValueError("lambda_tol must be positive")
-        if self.max_bisection_iters < 1:
-            raise ValueError("max_bisection_iters must be >= 1")
-
-    def resolved_balance_tol(self, capacity: float) -> float:
-        if self.balance_tol is not None:
-            return self.balance_tol
-        return 1e-9 * max(1.0, capacity)
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-
-# ---------------------------------------------------------------------------
-# Per-agent best responses
-# ---------------------------------------------------------------------------
-
-
-def quadratic_best_response(b: float, m: float, lam: float) -> float:
-    """Payoff-maximizing consumption of a quadratic agent at price ``lam``.
-
-    Equals max(m - lam/b, 0): the unconstrained stationary point, clipped at
-    zero once the price exceeds the agent's maximum marginal value m*b.
-    """
-    if not (b > 0 and m > 0):
-        raise ValidationError(["quadratic_best_response requires b > 0 and m > 0"])
-    return max(m - lam / b, 0.0)
-
-
-@dataclass(frozen=True)
-class ResponseInterval:
-    """Closed interval [lo, hi] of optimal consumptions; hi may be +inf."""
-
-    lo: float
-    hi: float
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-
-def pwl_best_response(beta: float, phi: float, lam: float) -> ResponseInterval:
-    """Optimal-consumption correspondence of a piece-wise linear agent.
-
-    At zero price anything from the saturation load up is optimal; below the
-    marginal rate exactly the saturation load; at the marginal rate the agent
-    is indifferent on [0, phi]; above it the agent drops out.
-    """
-    if not (beta > 0 and phi > 0):
-        raise ValidationError(["pwl_best_response requires beta > 0 and phi > 0"])
-    if lam < 0:
-        raise ValidationError(["pwl_best_response requires lam >= 0"])
-    if lam == 0:
-        return ResponseInterval(phi, math.inf)
-    if lam < beta:
-        return ResponseInterval(phi, phi)
-    if lam == beta:
-        return ResponseInterval(0.0, phi)
-    return ResponseInterval(0.0, 0.0)
+_LAMBDA_TOL = 1e-10  # generic route: price bracket width to stop at (at least 2 ulp); KKT: zero price
+_MAX_ITER = 200  # root-finder iteration cap
 
 
 def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                    xtol: float, ftol: float, max_iter: int, rtol: float = 0.0) -> float:
+                    xtol: float, ftol: float, rtol: float = 0.0) -> float:
     """Root of a decreasing ``f`` with f(lo) >= 0 >= f(hi): the bracket end
     with the smaller |f| once the bracket is no wider than w = max(xtol,
     rtol*|hi|, 2 ulp(hi)) and |f| <= ftol at the last point.
@@ -144,7 +71,7 @@ def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
     """
     (p, f_p), (q, f_q) = (lo, f_lo), (hi, f_hi)  # the last two points evaluated
     bisect, width = False, max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x = 0.5 * (lo + hi)
         if not bisect and hi - lo > width and f_p != f_q:
             secant = q - f_q * (q - p) / (f_q - f_p)
@@ -160,7 +87,7 @@ def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
         width = max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
         if hi - lo <= width and abs(fx) <= ftol:
             return lo if abs(f_lo) < abs(f_hi) else hi
-    raise ConvergenceFailure(f"root-finder did not meet tolerances in {max_iter} iterations")
+    raise ConvergenceFailure(f"root-finder did not meet tolerances in {_MAX_ITER} iterations")
 
 
 def _inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: float | None = None
@@ -187,7 +114,7 @@ def _inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: floa
             hi *= 2.0
         else:
             return hi
-    return _bracketed_root(lambda x: deriv(x) - lam, lo, hi, f_lo, f_hi, 1e-14, math.inf, 200, 1e-14)
+    return _bracketed_root(lambda x: deriv(x) - lam, lo, hi, f_lo, f_hi, 1e-14, math.inf, 1e-14)
 
 
 class AggregateDemand:
@@ -214,9 +141,8 @@ class AggregateDemand:
                 elif isinstance(p, Custom):
                     self.derivs.append(p.deriv_fn)
                 else:
-                    raise ValidationError(
-                        ["bisection requires differentiable preferences; use the PWL solver instead"]
-                    )
+                    raise ValidationError(["bisection requires differentiable preferences; "
+                                           "PWL agents clear only in an all-PWL market"])
             self.quadratic = np.array(is_quadratic, dtype=bool)
             self.custom = ~self.quadratic
             self.b, self.m = np.array(b, dtype=float), np.array(m, dtype=float)
@@ -275,9 +201,7 @@ class _Clearing(NamedTuple):
     demand: AggregateDemand | None = None  # the generic route's split, reused by the self-check
 
 
-def _result(
-    instance: MarketInstance, cfg: SolverConfig, clearing: _Clearing, e: np.ndarray | None = None
-) -> EquilibriumResult:
+def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None = None) -> EquilibriumResult:
     """Package a clearing, self-checked on its arrays. ``balance_residual`` is
     |sum x - C| for the plain market and |sum e| when trades are given."""
     lam, x = clearing.lam, clearing.x
@@ -288,7 +212,7 @@ def _result(
         e_star=None if e is None else tuple(e.tolist()),
         method=clearing.method,
         balance_residual=residual,
-        kkt_max_violation=_kkt(instance, lam, x, e, cfg, clearing.demand)[-1],
+        kkt_max_violation=_kkt(instance, lam, x, e, clearing.demand)[-1],
         degenerate=clearing.degenerate,
     )
 
@@ -322,6 +246,12 @@ def _active_order(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, 
     return order if t == -math.inf else active[order]
 
 
+def _tie_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the runs of equal values in sorted ``keys``."""
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return starts, np.concatenate([starts[1:], [len(keys)]])
+
+
 def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
     """Water-filling clearings of quadratic instances that share one
     preference object, validated once: one stable sort of the drop-out prices
@@ -343,8 +273,7 @@ def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
         # suffix sums over the sorted agents: demand of actives {drop > u}
         suf_m = np.concatenate([np.cumsum(m_s[::-1])[::-1], [0.0]])
         suf_binv = np.concatenate([np.cumsum(binv_s[::-1])[::-1], [0.0]])
-        starts = np.flatnonzero(np.concatenate([[True], drop_s[1:] != drop_s[:-1]]))
-        ends = np.concatenate([starts[1:], [len(drop_s)]])
+        starts, ends = _tie_groups(drop_s)
         demand_at_kink = suf_m[ends] - drop_s[starts] * suf_binv[ends]
         for block in np.split(short, range(_LEVEL_BLOCK, len(short), _LEVEL_BLOCK)):
             g = np.argmax(demand_at_kink <= capacity[block, None], axis=1)  # first kink at/below capacity
@@ -354,9 +283,7 @@ def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
             for level in lam.tolist()]
 
 
-def solve_mtes_quadratic(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
-) -> EquilibriumResult:
+def solve_mtes_quadratic(instance: MarketInstance) -> EquilibriumResult:
     """Exact water-filling for all-quadratic instances.
 
     When total satiation does not exceed capacity every agent stays active and
@@ -366,7 +293,7 @@ def solve_mtes_quadratic(
     aggregate demand crosses capacity. Equal drop-out prices are grouped
     exactly, never perturbed.
     """
-    return _result(instance, cfg, _clear_quadratic(instance)[0])
+    return _result(instance, _clear_quadratic(instance)[0])
 
 
 def _clear_pwl(instance: MarketInstance) -> _Clearing:
@@ -383,8 +310,7 @@ def _clear_pwl(instance: MarketInstance) -> _Clearing:
     order = _active_order(beta, phi, None, capacity, descending=True)
     beta_s, phi_s = beta[order], phi[order]
     cum_phi = np.cumsum(phi_s)
-    starts = np.flatnonzero(np.concatenate([[True], beta_s[1:] != beta_s[:-1]]))
-    ends = np.concatenate([starts[1:], [len(order)]])
+    starts, ends = _tie_groups(beta_s)
     incl = cum_phi[ends - 1]  # saturated demand of tiers at or above each rate
     excl = np.concatenate([[0.0], incl[:-1]])
     g = int(np.argmax(incl >= capacity))  # first tier whose inclusive demand covers C
@@ -397,9 +323,7 @@ def _clear_pwl(instance: MarketInstance) -> _Clearing:
     return _Clearing(float(beta_s[starts[g]]), x, SolveMethod.BREAKPOINT_PWL)
 
 
-def solve_mtes_pwl(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
-) -> EquilibriumResult:
+def solve_mtes_pwl(instance: MarketInstance) -> EquilibriumResult:
     """Breakpoint search for all-piecewise-linear instances.
 
     With total saturation below capacity the price is zero and the surplus is
@@ -410,10 +334,10 @@ def solve_mtes_pwl(
     to saturation loads. The exact-saturation boundary is priced at zero and
     flagged degenerate (the equilibrium price is set-valued there).
     """
-    return _result(instance, cfg, _clear_pwl(instance))
+    return _result(instance, _clear_pwl(instance))
 
 
-def _clear_generic(instance: MarketInstance, cfg: SolverConfig) -> _Clearing:
+def _clear_generic(instance: MarketInstance) -> _Clearing:
     validate_instance(instance).raise_if_invalid()
     capacity = instance.capacity
     demand = AggregateDemand(instance.preferences, scale=capacity)
@@ -440,32 +364,29 @@ def _clear_generic(instance: MarketInstance, cfg: SolverConfig) -> _Clearing:
                 break
         else:
             raise BracketFailure("no sign change within the expanding negative bracket")
-    lam = _bracketed_root(gap, lo, hi, f_lo, f_hi, cfg.lambda_tol,
-                          cfg.resolved_balance_tol(capacity), cfg.max_bisection_iters)
+    lam = _bracketed_root(gap, lo, hi, f_lo, f_hi, _LAMBDA_TOL, 1e-9 * max(1.0, capacity))
     return _Clearing(lam, demand.allocation(lam), SolveMethod.BISECTION, demand=demand)
 
 
-def solve_mtes_generic(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG
-) -> EquilibriumResult:
+def solve_mtes_generic(instance: MarketInstance) -> EquilibriumResult:
     """Safeguarded secant steps on the aggregate-demand balance.
 
     The initial bracket is [0, max marginal value at zero consumption], where
     demand is respectively at least the satiation total and exactly zero; if
     demand at zero price falls short of capacity the lower end expands into
     negative prices until the balance residual changes sign. Iterates, at
-    most ``max_bisection_iters`` times, until the bracket is narrower than
-    ``lambda_tol`` and the balance residual is within ``balance_tol``.
+    most 200 times, until the bracket is narrower than 1e-10 and the balance
+    residual is within 1e-9 * max(1, C).
     """
-    return _result(instance, cfg, _clear_generic(instance, cfg))
+    return _result(instance, _clear_generic(instance))
 
 
-def _solve_plain(instance: MarketInstance, cfg: SolverConfig, method: str) -> _Clearing:
+def _solve_plain(instance: MarketInstance, method: str) -> _Clearing:
     if method not in ("auto", "closed", "bisect"):
         raise ValidationError([f"unknown method {method!r}"])
     family = instance.family
     if method == "bisect" or (method == "auto" and family is Family.MIXED):
-        return _clear_generic(instance, cfg)
+        return _clear_generic(instance)
     if family is Family.QUADRATIC:
         return _clear_quadratic(instance)[0]
     if family is Family.PWL:
@@ -473,9 +394,7 @@ def _solve_plain(instance: MarketInstance, cfg: SolverConfig, method: str) -> _C
     raise ValidationError(["closed form requires homogeneous family"])
 
 
-def solve_mtes_st(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG, method: str = "auto"
-) -> EquilibriumResult:
+def solve_mtes_st(instance: MarketInstance, method: str = "auto") -> EquilibriumResult:
     """Solve a trading-model instance via its plain-market counterpart.
 
     A positive plain-market price carries over unchanged with trades
@@ -487,7 +406,7 @@ def solve_mtes_st(
     if instance.model is not ModelKind.MTES_ST:
         raise ValidationError(["solve_mtes_st requires an MTES-ST instance"])
     plain = replace(instance, model=ModelKind.MTES)
-    clearing = _solve_plain(plain, cfg, method)
+    clearing = _solve_plain(plain, method)
     if clearing.lam > 0:
         e = instance.production - clearing.x
     else:  # satiation loads; a PWL market clears at zero price only with everyone satiated
@@ -497,27 +416,25 @@ def solve_mtes_st(
             x = demand.allocation(0.0)
         e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
         clearing = clearing._replace(lam=0.0, x=x, demand=demand)
-    return _result(instance, cfg, clearing, e)
+    return _result(instance, clearing, e)
 
 
-def solve(
-    instance: MarketInstance, cfg: SolverConfig = DEFAULT_CONFIG, method: str = "auto"
-) -> EquilibriumResult:
+def solve(instance: MarketInstance, method: str = "auto") -> EquilibriumResult:
     """Dispatch to the right solver for the instance's model and family."""
     if instance.model is ModelKind.MTES_ST:
-        return solve_mtes_st(instance, cfg, method)
-    return _result(instance, cfg, _solve_plain(instance, cfg, method))
+        return solve_mtes_st(instance, method)
+    return _result(instance, _solve_plain(instance, method))
 
 
-def solve_many(instances: list[MarketInstance], cfg: SolverConfig = DEFAULT_CONFIG) -> list[EquilibriumResult]:
-    """``[solve(i, cfg) for i in instances]``, bit for bit. Plain-market
+def solve_many(instances: list[MarketInstance]) -> list[EquilibriumResult]:
+    """``[solve(i) for i in instances]``, bit for bit. Plain-market
     quadratic instances that hold one and the same ``PreferenceColumns``, as
     the local markets of average consensus do, share one water-filling sort."""
     first = instances[0] if instances else None
     if first is None or first.family is not Family.QUADRATIC or any(
             i.preferences is not first.preferences or i.model is not ModelKind.MTES for i in instances):
-        return [solve(i, cfg) for i in instances]
-    return [_result(i, cfg, clearing) for i, clearing in zip(instances, _clear_quadratic(*instances))]
+        return [solve(i) for i in instances]
+    return [_result(i, clearing) for i, clearing in zip(instances, _clear_quadratic(*instances))]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +463,7 @@ class KktReport:
 
 
 def _kkt(
-    instance: MarketInstance, lam: float, x: np.ndarray, e: np.ndarray | None, cfg: SolverConfig,
+    instance: MarketInstance, lam: float, x: np.ndarray, e: np.ndarray | None,
     demand: AggregateDemand | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """(stationarity, feasibility, balance, price, max) violations, on arrays.
@@ -556,7 +473,7 @@ def _kkt(
     the solve's split, if it made one; its remembered prices are not used.
     """
     is_st = instance.model is ModelKind.MTES_ST
-    zero_price = is_st and lam <= cfg.lambda_tol
+    zero_price = is_st and lam <= _LAMBDA_TOL
     if instance.family is Family.PWL:
         beta, phi = instance.preferences.columns
         eq_tol = 1e-9 * np.maximum(1.0, beta)
@@ -591,7 +508,7 @@ def _kkt(
             balance_violation = abs(float(np.sum(e)))
             slack = x + e - instance.production
             # positive price forces the trading constraint active
-            trade_cap = np.abs(slack) if lam > cfg.lambda_tol else np.maximum(slack, 0.0)
+            trade_cap = np.abs(slack) if lam > _LAMBDA_TOL else np.maximum(slack, 0.0)
             feasibility = np.maximum(feasibility, trade_cap)
         price_violation = max(0.0, -lam)
     else:
@@ -602,16 +519,12 @@ def _kkt(
     return stationarity, feasibility, balance_violation, price_violation, max_violation
 
 
-def verify_kkt(
-    instance: MarketInstance,
-    result: EquilibriumResult,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> KktReport:
+def verify_kkt(instance: MarketInstance, result: EquilibriumResult) -> KktReport:
     """Check a result against the equilibrium conditions of its instance.
 
     Report-style: never raises on a bad result, just measures violations.
     """
     x = np.asarray(result.x_star, dtype=float)
     e = None if result.e_star is None else np.asarray(result.e_star, dtype=float)
-    stationarity, feasibility, *violations = _kkt(instance, result.lambda_star, x, e, cfg)
+    stationarity, feasibility, *violations = _kkt(instance, result.lambda_star, x, e)
     return KktReport(tuple(stationarity.tolist()), tuple(feasibility.tolist()), *violations)

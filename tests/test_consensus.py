@@ -35,11 +35,6 @@ def test_mixing_matrix_doubly_stochastic():
         assert np.all(w >= -1e-15)
 
 
-def test_contraction_below_one_on_connected_graphs():
-    for graph in (CommGraph.complete(4), CommGraph.ring(9), CommGraph.path(10)):
-        assert graph.contraction_factor() < 1.0
-
-
 def test_disconnected_graph_rejected():
     graph = CommGraph.from_edges(4, [(0, 1), (2, 3)])
     assert not graph.is_connected()

@@ -324,6 +324,13 @@ def test_sweep_requires_quadratic():
         run_satiation_sweep(inst)
 
 
+def test_sweep_agent_indexes_as_a_sequence(quartet):
+    def sweep(agent):
+        return run_satiation_sweep(quartet, agent=agent, values=[5.0, 9.0])
+
+    assert sweep(-4) == sweep(0) != sweep(3) == sweep(-1)
+
+
 def test_sweep_other_parameters_held_fixed(quartet):
     rows = run_satiation_sweep(quartet, values=[5.0])
     base = quartet_instance()

@@ -10,6 +10,7 @@ import json
 import pytest
 
 import teshape.cli
+import teshape.experiments
 from teshape.cli import main
 
 HUGE = "1" + "0" * 400  # an integer literal beyond the float range
@@ -21,6 +22,11 @@ INSTANCE = json.dumps(
 )
 SPEC = json.dumps({"family": "quadratic", "n": 10, "trials": 2, "lambda_dagger": 20, "seed": 0})
 GRAPH = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]})
+# a well-formed file that no solver clears: quadratic and PWL agents mixed
+MIXED = json.dumps({"model": "mtes", "agents": [
+    {"a": 5, "utility": {"kind": "quadratic", "b": 2, "m": 6}},
+    {"a": 3, "utility": {"kind": "pwl", "beta": 4, "phi": 3}},
+]})
 
 
 def _truncations(text: str) -> list[str]:
@@ -142,7 +148,19 @@ def test_missing_input_exits_2(tmp_path, files, capsys):
         _assert_one_line(code, out, err)
 
 
-def test_unusable_out_targets_exit_2(tmp_path, files, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "{instance}", "--agent", "3"], ["sweep", "{instance}", "--agent", "-4"], ["solve", "{mixed}"]],
+    ids=["sweep-agent-n", "sweep-agent-minus-n-1", "solve-mixed-quadratic-pwl"],
+)
+def test_unservable_requests_exit_2(argv, tmp_path, files, capsys):
+    paths = {**files, "mixed": _write(tmp_path / "mixed.json", MIXED)}
+    code, out, err = _run(capsys, [arg.format(**paths) for arg in argv])
+    assert err.startswith("validation error: "), err
+    _assert_one_line(code, out, err)
+
+
+def test_unusable_out_targets_exit_2(tmp_path, files, capsys, monkeypatch):
     (tmp_path / "a_dir").mkdir()
     (tmp_path / "a_file").write_text("kept")
     (tmp_path / "exp" / "results.csv").mkdir(parents=True)
@@ -151,17 +169,19 @@ def test_unusable_out_targets_exit_2(tmp_path, files, capsys):
         "a_dir": str(tmp_path / "a_dir"),
         "under_a_file": str(tmp_path / "a_file" / "x"),
     }
+    not_a_dir = [str(tmp_path / "a_file"), targets["under_a_file"]]  # fail before the first trial
     cases = [
         ([command, files["instance"], "--out", target], target)
         for command in ("solve", "sweep", "consensus")
         for target in targets.values()
-    ] + [
-        (["experiment", files["spec"], "--out", str(tmp_path / "a_file")], str(tmp_path / "a_file")),
-        (["experiment", files["spec"], "--out", targets["under_a_file"]], targets["under_a_file"]),
+    ] + [(["experiment", files["spec"], "--out", target], target) for target in not_a_dir] + [
         (["experiment", files["spec"], "--out", str(tmp_path / "exp")], str(tmp_path / "exp" / "results.csv")),
     ]
     for argv, target in cases:
-        code, out, err = _run(capsys, argv)
+        with monkeypatch.context() as patch:
+            if argv[0] == "experiment" and target in not_a_dir:
+                patch.setattr(teshape.experiments, "_run_trial", lambda *args, **kwargs: pytest.fail("a trial ran"))
+            code, out, err = _run(capsys, argv)
         assert err.startswith("file error: ") and repr(target) in err, (argv, err)
         assert ".tmp" not in err
         _assert_one_line(code, out, err)

@@ -13,7 +13,6 @@ from teshape import (
     PiecewiseLinear,
     Quadratic,
     SolveMethod,
-    SolverConfig,
     ValidationError,
     solve,
     solve_mtes_generic,
@@ -142,7 +141,6 @@ def test_mixed_with_pwl_routes_to_bisection_which_rejects():
 
 
 def test_tight_lambda_tolerance_honored():
-    cfg = SolverConfig(lambda_tol=1e-12)
     inst = quartet_instance()
-    result = solve_mtes_generic(inst, cfg)
+    result = solve_mtes_generic(inst)
     assert abs(result.lambda_star - 30.0 / 17.0) <= 1e-10

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,29 +7,11 @@ from teshape import (
     MarketInstance,
     PiecewiseLinear,
     SolveMethod,
-    ValidationError,
-    pwl_best_response,
     solve_mtes_pwl,
 )
 
 from conftest import random_pwl_instance
 from oracles import pwl_feasible_prices
-
-
-def test_best_response_correspondence_cases():
-    interior = pwl_best_response(4, 3, 2.0)
-    assert (interior.lo, interior.hi) == (3.0, 3.0)
-    at_rate = pwl_best_response(4, 3, 4.0)
-    assert (at_rate.lo, at_rate.hi) == (0.0, 3.0)
-    priced_out = pwl_best_response(4, 3, 5.0)
-    assert (priced_out.lo, priced_out.hi) == (0.0, 0.0)
-    free = pwl_best_response(4, 3, 0.0)
-    assert free.lo == 3.0 and math.isinf(free.hi)
-
-
-def test_best_response_rejects_negative_price():
-    with pytest.raises(ValidationError):
-        pwl_best_response(4, 3, -1.0)
 
 
 def test_two_tier_market():

@@ -8,24 +8,12 @@ from teshape import (
     Quadratic,
     SolveMethod,
     ValidationError,
-    quadratic_best_response,
     solve_mtes_generic,
     solve_mtes_quadratic,
 )
 
 from conftest import QUARTET_B, QUARTET_M, quartet_instance, random_quadratic_instance
 from oracles import quadratic_allocation, quadratic_price_by_bisection
-
-
-def test_best_response_values():
-    assert quadratic_best_response(2, 6, 1.765) == pytest.approx(5.118, abs=1e-3)
-    assert quadratic_best_response(10, 5, 50.0) == 0.0  # priced out past m*b
-    assert quadratic_best_response(3, 6, 0.0) == 6.0  # free energy: satiation
-
-
-def test_best_response_rejects_bad_params():
-    with pytest.raises(ValidationError):
-        quadratic_best_response(0.0, 1.0, 1.0)
 
 
 def test_quartet_golden_values(quartet):
