@@ -34,6 +34,9 @@ from .model import (
 from .solver import solve, solve_many
 
 
+_HISTORY_ROWS = 64  # averaging rounds held before the estimates array first grows
+
+
 class DisconnectedGraph(ValueError):
     pass
 
@@ -173,16 +176,8 @@ class CommGraph:
 
 
 @dataclass(frozen=True)
-class BroadcastEvent:
-    phase: str  # "collect" | "broadcast"
-    agent: int
-    payload: dict
-
-
-@dataclass(frozen=True)
 class AggregatorRun:
     result: EquilibriumResult
-    log: tuple[BroadcastEvent, ...]
 
 
 def run_aggregator(instance: MarketInstance) -> AggregatorRun:
@@ -198,21 +193,7 @@ def run_aggregator(instance: MarketInstance) -> AggregatorRun:
             agent = min(per_agent)
             raise CollectionError(agent, per_agent[agent])
         report.raise_if_invalid()
-
-    log = [
-        BroadcastEvent(phase="collect", agent=i, payload={"a": a})
-        for i, a in enumerate(instance.production.tolist())
-    ]
-    result = solve(instance)
-    for i in range(instance.n):
-        log.append(
-            BroadcastEvent(
-                phase="broadcast",
-                agent=i,
-                payload={"lambda_star": result.lambda_star, "x": result.x_star[i]},
-            )
-        )
-    return AggregatorRun(result=result, log=tuple(log))
+    return AggregatorRun(result=solve(instance))
 
 
 @dataclass(frozen=True)
@@ -250,15 +231,26 @@ class DistributedRun:
 
 def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
     """Synchronous flooding of (theta, a); each estimate is the mean of ``a``
-    over the agents whose data it holds, gathered in ascending index order."""
+    over the agents whose data it holds, gathered in ascending index order.
+    Each round stable-sorts the reach rows by held count, so the values held
+    by the rows of count k form one C-contiguous (rows, k) block, and NumPy
+    sums each row of it pairwise: the bits of ``np.add.reduce(a[row]) / k``."""
     a = instance.production
     rounds = graph._reach()
     next(rounds)  # round 0: each agent holds only its own value
-    # each mean as a[row].mean() takes it: the pairwise sum over the row, divided by its count
-    means = ([np.add.reduce(a[row]) / k for row, k in zip(reach, np.count_nonzero(reach, axis=1).tolist())]
-             for reach in rounds)
-    estimates = np.array([a, *means])
-    return ConsensusTrace(estimates, target=instance.capacity / instance.n, rounds=len(estimates) - 1)
+    estimates = [a]
+    for held in rounds:
+        counts = np.count_nonzero(held, axis=1)
+        order = np.argsort(counts, kind="stable")
+        values = np.broadcast_to(a, held.shape)[held[order]]  # row-major: row by row, agents ascending
+        rows = np.bincount(counts)  # rows[k]: the rows that hold k agents
+        ks = np.flatnonzero(rows)
+        blocks = np.split(values, np.cumsum(ks * rows[ks])[:-1])
+        means = np.empty_like(a)
+        means[order] = np.concatenate([np.add.reduce(v.reshape(-1, k), axis=1) / k
+                                       for v, k in zip(blocks, ks.tolist())])
+        estimates.append(means)
+    return ConsensusTrace(np.array(estimates), target=instance.capacity / instance.n, rounds=len(estimates) - 1)
 
 
 def _average(
@@ -267,18 +259,20 @@ def _average(
     """Iterated Metropolis averaging on the production values and, with
     ``homogenize``, on the quadratic parameters ``(b, m)`` in the same
     rounds. Returns the trace and the averaged ``(b, m)``, else ``None``s."""
-    z = instance.production
     b, m = instance.preferences.columns if homogenize else (None, None)
     target = instance.capacity / instance.n
-    history = [z]
-    for _ in range(rounds):
-        z = w @ z
-        history.append(z)
+    history = np.zeros((min(rounds, _HISTORY_ROWS) + 1, instance.n))  # doubled as needed, up to rounds + 1
+    history[0] = z = instance.production
+    r = 0
+    for r in range(1, rounds + 1):
+        if r == len(history):
+            history = np.concatenate([history, np.zeros((min(r, rounds + 1 - r), instance.n))])
+        z = np.matmul(w, z, out=history[r])
         if homogenize:
             b, m = w @ b, w @ m
         if tol is not None and float(np.max(np.abs(z - target))) <= tol:
             break
-    trace = ConsensusTrace(np.array(history), target=target, rounds=len(history) - 1)
+    trace = ConsensusTrace(history[:r + 1], target=target, rounds=r)
     if tol is not None and trace.final_error > tol:
         raise NotConverged(trace.final_error, trace.rounds, tol)
     return trace, b, m

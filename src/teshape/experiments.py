@@ -14,6 +14,7 @@ independent, order-insensitive and reproducible bit-for-bit.
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import json
 import math
@@ -94,7 +95,10 @@ def sample_production(n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ValidationError(["n >= 1 required"])
     lo, hi = PRODUCTION_RANGE
-    out = np.empty(n)
+    try:
+        out = np.empty(n)
+    except (MemoryError, ValueError):  # more bytes than memory holds, or than an address can count
+        raise ValidationError([f"n={n} is too large to sample"]) from None
     filled = 0
     while filled < n:
         draw = rng.normal(PRODUCTION_MEAN, PRODUCTION_SD, size=n - filled)
@@ -314,10 +318,14 @@ def run_monte_carlo(spec: ExperimentSpec, out_dir: str | None = None, threads: i
 
     Trials may run in parallel; aggregation orders by trial index so the
     output never depends on scheduling. ``out_dir`` is created before the
-    first trial, so an unusable one fails before any sampling.
+    first trial, with its artifact names, so an unusable one fails before any
+    sampling.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        for name in ("results.csv", "stats.csv", "metadata.json"):
+            if os.path.isdir(path := os.path.join(out_dir, name)):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     cells = []
     # one pool for all cells; with one thread the trials run inline
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:

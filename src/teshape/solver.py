@@ -192,29 +192,30 @@ def _require(instance: MarketInstance, family: Family) -> None:
 
 
 class _Clearing(NamedTuple):
-    """A plain-market solution before packaging: price, allocation, route."""
+    """A plain-market solution before packaging: price, allocation, route.
+    A stack of markets has one price per market and one allocation row each."""
 
-    lam: float
+    lam: float | np.ndarray
     x: np.ndarray
     method: SolveMethod
     degenerate: bool = False
     demand: AggregateDemand | None = None  # the generic route's split, reused by the self-check
 
 
-def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None = None) -> EquilibriumResult:
-    """Package a clearing, self-checked on its arrays. ``balance_residual`` is
-    |sum x - C| for the plain market and |sum e| when trades are given."""
-    lam, x = clearing.lam, clearing.x
-    residual = abs(float(np.sum(x)) - instance.capacity) if e is None else abs(float(np.sum(e)))
-    return EquilibriumResult(
-        lambda_star=lam,
-        x_star=tuple(x.tolist()),
-        e_star=None if e is None else tuple(e.tolist()),
-        method=clearing.method,
-        balance_residual=residual,
-        kkt_max_violation=_kkt(instance, lam, x, e, clearing.demand)[-1],
-        degenerate=clearing.degenerate,
-    )
+def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None = None,
+            capacity: np.ndarray | None = None) -> list[EquilibriumResult]:
+    """Package a clearing, or a stack of markets that differ from ``instance``
+    only in ``capacity``, self-checked in one pass over the stacked arrays.
+    ``balance_residual`` is |sum x - C| for the plain market and |sum e| when
+    trades are given: the KKT balance violation."""
+    lam = np.reshape(clearing.lam, (-1, 1))
+    x = np.reshape(clearing.x, (len(lam), -1))
+    e = None if e is None else np.reshape(e, x.shape)
+    _, _, residuals, _, violations = _kkt(instance, lam, x, e, clearing.demand, capacity)
+    trades = repeat(None) if e is None else (tuple(row.tolist()) for row in e)
+    return [EquilibriumResult(level, tuple(row.tolist()), trade, clearing.method, residual, violation,
+                              clearing.degenerate)
+            for level, row, trade, residual, violation in zip(lam[:, 0].tolist(), x, trades, residuals, violations)]
 
 
 _LEVEL_BLOCK = 256  # capacities compared with the kink demands at a time
@@ -252,8 +253,8 @@ def _tie_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.concatenate([starts[1:], [len(keys)]])
 
 
-def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
-    """Water-filling clearings of quadratic instances that share one
+def _clear_quadratic(*instances: MarketInstance) -> _Clearing:
+    """The stacked water-filling clearing of quadratic instances that share one
     preference object, validated once: one stable sort of the drop-out prices
     that can be active serves every capacity. Kink demands need not be monotone
     as floats, so each capacity meets all of them, ``_LEVEL_BLOCK`` at a time."""
@@ -279,8 +280,7 @@ def _clear_quadratic(*instances: MarketInstance) -> list[_Clearing]:
             g = np.argmax(demand_at_kink <= capacity[block, None], axis=1)  # first kink at/below capacity
             j = starts[g]  # actives on the crossing segment: sorted indices >= j
             lam[block] = (suf_m[j] - capacity[block]) / suf_binv[j]
-    return [_Clearing(level, np.maximum(m - level / b, 0.0), SolveMethod.CLOSED_FORM_QUADRATIC)
-            for level in lam.tolist()]
+    return _Clearing(lam, np.maximum(m - lam[:, None] / b, 0.0), SolveMethod.CLOSED_FORM_QUADRATIC)
 
 
 def solve_mtes_quadratic(instance: MarketInstance) -> EquilibriumResult:
@@ -293,7 +293,7 @@ def solve_mtes_quadratic(instance: MarketInstance) -> EquilibriumResult:
     aggregate demand crosses capacity. Equal drop-out prices are grouped
     exactly, never perturbed.
     """
-    return _result(instance, _clear_quadratic(instance)[0])
+    return _result(instance, _clear_quadratic(instance))[0]
 
 
 def _clear_pwl(instance: MarketInstance) -> _Clearing:
@@ -334,7 +334,7 @@ def solve_mtes_pwl(instance: MarketInstance) -> EquilibriumResult:
     to saturation loads. The exact-saturation boundary is priced at zero and
     flagged degenerate (the equilibrium price is set-valued there).
     """
-    return _result(instance, _clear_pwl(instance))
+    return _result(instance, _clear_pwl(instance))[0]
 
 
 def _clear_generic(instance: MarketInstance) -> _Clearing:
@@ -378,7 +378,7 @@ def solve_mtes_generic(instance: MarketInstance) -> EquilibriumResult:
     most 200 times, until the bracket is narrower than 1e-10 and the balance
     residual is within 1e-9 * max(1, C).
     """
-    return _result(instance, _clear_generic(instance))
+    return _result(instance, _clear_generic(instance))[0]
 
 
 def _solve_plain(instance: MarketInstance, method: str) -> _Clearing:
@@ -388,7 +388,7 @@ def _solve_plain(instance: MarketInstance, method: str) -> _Clearing:
     if method == "bisect" or (method == "auto" and family is Family.MIXED):
         return _clear_generic(instance)
     if family is Family.QUADRATIC:
-        return _clear_quadratic(instance)[0]
+        return _clear_quadratic(instance)  # a one-row stack
     if family is Family.PWL:
         return _clear_pwl(instance)
     raise ValidationError(["closed form requires homogeneous family"])
@@ -416,25 +416,26 @@ def solve_mtes_st(instance: MarketInstance, method: str = "auto") -> Equilibrium
             x = demand.allocation(0.0)
         e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
         clearing = clearing._replace(lam=0.0, x=x, demand=demand)
-    return _result(instance, clearing, e)
+    return _result(instance, clearing, e)[0]
 
 
 def solve(instance: MarketInstance, method: str = "auto") -> EquilibriumResult:
     """Dispatch to the right solver for the instance's model and family."""
     if instance.model is ModelKind.MTES_ST:
         return solve_mtes_st(instance, method)
-    return _result(instance, _solve_plain(instance, method))
+    return _result(instance, _solve_plain(instance, method))[0]
 
 
 def solve_many(instances: list[MarketInstance]) -> list[EquilibriumResult]:
     """``[solve(i) for i in instances]``, bit for bit. Plain-market
     quadratic instances that hold one and the same ``PreferenceColumns``, as
-    the local markets of average consensus do, share one water-filling sort."""
+    the local markets of average consensus do, share one water-filling sort
+    and are packaged and self-checked as one stack."""
     first = instances[0] if instances else None
     if first is None or first.family is not Family.QUADRATIC or any(
             i.preferences is not first.preferences or i.model is not ModelKind.MTES for i in instances):
         return [solve(i) for i in instances]
-    return [_result(i, clearing) for i, clearing in zip(instances, _clear_quadratic(*instances))]
+    return _result(first, _clear_quadratic(*instances), capacity=np.array([i.capacity for i in instances]))
 
 
 # ---------------------------------------------------------------------------
@@ -463,17 +464,19 @@ class KktReport:
 
 
 def _kkt(
-    instance: MarketInstance, lam: float, x: np.ndarray, e: np.ndarray | None,
-    demand: AggregateDemand | None = None,
-) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """(stationarity, feasibility, balance, price, max) violations, on arrays.
+    instance: MarketInstance, lam: np.ndarray, x: np.ndarray, e: np.ndarray | None,
+    demand: AggregateDemand | None = None, capacity: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[float], float, list[float]]:
+    """(stationarity, feasibility, balance, price, max) violations of the
+    markets stacked as rows of ``x`` at the prices in the column ``lam``, which
+    differ from ``instance`` only in ``capacity``; a trading market is one row.
 
     Vectorized for PWL and for quadratic agents, which mixed instances share;
     only the Custom agents of a mixed instance go one by one. ``demand`` is
     the solve's split, if it made one; its remembered prices are not used.
     """
     is_st = instance.model is ModelKind.MTES_ST
-    zero_price = is_st and lam <= _LAMBDA_TOL
+    zero_price = is_st and lam.item() <= _LAMBDA_TOL
     if instance.family is Family.PWL:
         beta, phi = instance.preferences.columns
         eq_tol = 1e-9 * np.maximum(1.0, beta)
@@ -486,36 +489,36 @@ def _kkt(
     else:  # quadratic agents as arrays; each Custom agent inverted cold, independently of the solve
         demand = demand or AggregateDemand(instance.preferences, instance.capacity)
         b, m = demand.b, demand.m
-        quadratic = np.abs(x[demand.quadratic] - (m if zero_price else np.maximum(m - lam / b, 0.0)))
+        quadratic = np.abs(x[:, demand.quadratic] - (m if zero_price else np.maximum(m - lam / b, 0.0)))
         stationarity = quadratic
         if demand.derivs:
-            xc = x[demand.custom].tolist()
+            xc = x[0, demand.custom].tolist()
             if zero_price:  # satiation may sit past the inversion cap: measure in gradient units
                 ds = [deriv(xi) for deriv, xi in zip(demand.derivs, xc)]
                 custom = [abs(d) if xi > 0 else max(0.0, -d) for d, xi in zip(ds, xc)]
             else:
-                custom = [abs(xi - _inverse_marginal(deriv, lam, instance.capacity))
+                custom = [abs(xi - _inverse_marginal(deriv, lam.item(), instance.capacity))
                           for deriv, xi in zip(demand.derivs, xc)]
-            stationarity = np.empty(len(x))
-            stationarity[demand.quadratic], stationarity[demand.custom] = quadratic, custom
+            stationarity = np.empty(x.shape)
+            stationarity[:, demand.quadratic], stationarity[:, demand.custom] = quadratic, custom
 
     feasibility = np.maximum(-x, 0.0)
     price_violation = 0.0
     if is_st:
         if e is None:
-            balance_violation = math.inf
+            balance_violation = [math.inf]
         else:
-            balance_violation = abs(float(np.sum(e)))
+            balance_violation = np.abs(np.sum(e, axis=1)).tolist()
             slack = x + e - instance.production
             # positive price forces the trading constraint active
-            trade_cap = np.abs(slack) if lam > _LAMBDA_TOL else np.maximum(slack, 0.0)
+            trade_cap = np.abs(slack) if lam.item() > _LAMBDA_TOL else np.maximum(slack, 0.0)
             feasibility = np.maximum(feasibility, trade_cap)
-        price_violation = max(0.0, -lam)
+        price_violation = max(0.0, -lam.item())
     else:
-        balance_violation = abs(float(np.sum(x)) - instance.capacity)
+        balance_violation = np.abs(np.sum(x, axis=1) - (instance.capacity if capacity is None else capacity)).tolist()
 
-    peaks = [float(np.max(v)) if len(x) else 0.0 for v in (stationarity, feasibility)]
-    max_violation = max(*peaks, balance_violation, price_violation)
+    peaks = [np.max(v, axis=1).tolist() if x.shape[1] else [0.0] * len(x) for v in (stationarity, feasibility)]
+    max_violation = [max(*row, price_violation) for row in zip(*peaks, balance_violation)]
     return stationarity, feasibility, balance_violation, price_violation, max_violation
 
 
@@ -524,7 +527,7 @@ def verify_kkt(instance: MarketInstance, result: EquilibriumResult) -> KktReport
 
     Report-style: never raises on a bad result, just measures violations.
     """
-    x = np.asarray(result.x_star, dtype=float)
-    e = None if result.e_star is None else np.asarray(result.e_star, dtype=float)
-    stationarity, feasibility, *violations = _kkt(instance, result.lambda_star, x, e)
-    return KktReport(tuple(stationarity.tolist()), tuple(feasibility.tolist()), *violations)
+    x = np.asarray(result.x_star, dtype=float)[None]
+    e = None if result.e_star is None else np.asarray(result.e_star, dtype=float)[None]
+    stationarity, feasibility, balance, price, peak = _kkt(instance, np.array([[result.lambda_star]]), x, e)
+    return KktReport(tuple(stationarity[0].tolist()), tuple(feasibility[0].tolist()), balance[0], price, peak[0])

@@ -9,7 +9,9 @@ connected graphs of 1..60 agents; many agents share a drop-out price m*b
 with different m and b, and productions follow the satiation loads so
 local capacities fall on both sides of their sum. Capacities are compared
 with the kink demands five at a time here, so the blocks split. Runs are
-derandomized.
+derandomized. The averaging trace itself must equal the rounds collected in
+a list and stacked by ``np.array``, with a ``tol`` early stop and with more
+rounds than the estimates array first holds.
 """
 
 from __future__ import annotations
@@ -143,3 +145,25 @@ def test_batched_validation_raises_as_the_loop_does(b, productions):
     with pytest.raises(ValidationError) as batched:
         solve_many(instances)
     assert str(batched.value) == str(loop.value)
+
+
+def _listed_rounds(production: np.ndarray, w: np.ndarray, rounds: int, tol: float | None) -> np.ndarray:
+    z, history, target = production, [production], sum(production.tolist()) / len(production)  # C/n
+    for _ in range(rounds):
+        z = w @ z
+        history.append(z)
+        if tol is not None and float(np.max(np.abs(z - target))) <= tol:
+            break
+    return np.array(history)
+
+
+@pytest.mark.parametrize("rounds, tol", [(5000, 1e-3), (150, None)], ids=["tol-early-stop", "past-first-growth"])
+def test_average_trace_matches_listed_rounds(rounds, tol):
+    graph = CommGraph.ring(24)
+    production = np.random.default_rng(1).uniform(0.0, 10.0, graph.n)
+    preferences = PreferenceColumns(Quadratic, np.ones(graph.n), np.full(graph.n, 5.0))
+    run = run_distributed(MarketInstance(production, preferences), graph, rounds, "average", tol=tol)
+    expected = _listed_rounds(production, graph.mixing_matrix(), rounds, tol)
+    assert 100 < run.rounds_used == len(expected) - 1 < 2000
+    assert run.trace.estimates.shape == expected.shape
+    assert run.trace.estimates.tobytes() == expected.tobytes()

@@ -81,6 +81,8 @@ BAD_SPECS = [
     _spec(lambda_dagger=HUGE),
     _spec(scale_list="[%s]" % HUGE),
     _spec(lambda_dagger="1e400"),
+    _spec(n=str(2**56)),  # 2**59 bytes: beyond any 64-bit user address space, so malloc fails at once
+    _spec(n=str(2**62)),  # 2**65 bytes: NumPy refuses the size before it calls malloc
 ]
 
 BAD_GRAPHS = [
@@ -179,7 +181,7 @@ def test_unusable_out_targets_exit_2(tmp_path, files, capsys, monkeypatch):
     ]
     for argv, target in cases:
         with monkeypatch.context() as patch:
-            if argv[0] == "experiment" and target in not_a_dir:
+            if argv[0] == "experiment":  # every experiment target fails before the first trial
                 patch.setattr(teshape.experiments, "_run_trial", lambda *args, **kwargs: pytest.fail("a trial ran"))
             code, out, err = _run(capsys, argv)
         assert err.startswith("file error: ") and repr(target) in err, (argv, err)

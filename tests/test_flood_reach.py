@@ -7,6 +7,9 @@
   ``run_distributed``.
 
 Graphs hold 1..12 nodes, tied degrees included; runs are derandomized.
+Fixed larger graphs add rows longer than NumPy's 128-element pairwise
+block (a ring) and rounds whose agents hold many different counts (a path,
+a star and a random tree), with productions spanning six decades.
 """
 
 from __future__ import annotations
@@ -63,5 +66,30 @@ def test_flood_matches_set_union_reference(case):
     run = run_distributed(_instance(production), graph, mode="flood")
     assert run.rounds_used == diameter
     reference = flood_by_set_union(np.asarray(production, dtype=float), graph.edges)
+    assert run.trace.estimates.shape == reference.shape
+    assert run.trace.estimates.tobytes() == reference.tobytes()
+
+
+def _tree(n: int, seed: int) -> list[tuple[int, int]]:
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(i)), i) for i in range(1, n)]  # node i hangs off an earlier node
+
+
+LARGE_GRAPHS = {  # name: (n, edges)
+    "ring-260": (260, [(i, (i + 1) % 260) for i in range(260)]),
+    "path-150": (150, [(i, i + 1) for i in range(149)]),
+    "star-140": (140, [(0, k) for k in range(1, 140)]),
+    "tree-150": (150, _tree(150, 7)),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_GRAPHS)
+def test_flood_matches_set_union_reference_on_large_graphs(name):
+    n, edges = LARGE_GRAPHS[name]
+    graph = CommGraph.from_edges(n, edges)
+    production = 10.0 ** np.random.default_rng(n).uniform(-3.0, 3.0, n)
+    run = run_distributed(_instance(production), graph, mode="flood")
+    assert run.rounds_used == bfs_diameter(n, graph.edges)
+    reference = flood_by_set_union(production, graph.edges)
     assert run.trace.estimates.shape == reference.shape
     assert run.trace.estimates.tobytes() == reference.tobytes()

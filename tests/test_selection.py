@@ -117,7 +117,7 @@ def test_selected_water_filling_matches_full_sort(call):
         got = solver._clear_quadratic(*(_capacity_instance(c, preferences) for c in capacity.tolist()))
         active = solver._active_order(m * b, m, 1.0 / b, float(np.max(short))) if len(short) else None
     expected = full_sort_quadratic(b, m, capacity)
-    assert [(r.lam.hex(), r.x.tobytes(), r.degenerate) for r in got] == [
+    assert [(lam.hex(), x.tobytes(), got.degenerate) for lam, x in zip(got.lam.tolist(), got.x)] == [
         (lam.hex(), x.tobytes(), False) for lam, x in expected
     ]
     if active is not None:  # every tie group left out has a float kink demand above every short capacity
