@@ -10,6 +10,7 @@ and each failure to stderr as one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -142,6 +143,8 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def threads(text: str) -> int:  # argparse converts the string default at parse time: the env is read then
+        return int(text) if text else _default_threads()
     parser = argparse.ArgumentParser(
         prog="teshape",
         description="Equilibrium pricing, social shaping and experiments for transactive energy markets",
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("spec")
     p_exp.add_argument("--seed", type=int, default=None, help="override the seed in the experiment file")
     p_exp.add_argument("--out", required=True, help="output directory for CSV/JSON artifacts")
-    p_exp.add_argument("--threads", type=int, default=_default_threads())
+    p_exp.add_argument("--threads", type=threads, default="")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_sweep = sub.add_parser("sweep", help="sweep one agent's satiation load")
@@ -196,10 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser for every main() call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our validation code
         return int(exc.code) if exc.code is not None else EXIT_VALIDATION

@@ -56,74 +56,86 @@ class ConvergenceFailure(SolverError):
 
 _LAMBDA_TOL = 1e-10  # generic route: price bracket width to stop at (at least 2 ulp); KKT: zero price
 _MAX_ITER = 200  # root-finder iteration cap
+_KKT_TOL = 1e-8  # self-check: largest KKT violation a result may carry, times max(1, C)
 
 
-def _bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                    xtol: float, ftol: float, rtol: float = 0.0) -> float:
-    """Root of a decreasing ``f`` with f(lo) >= 0 >= f(hi): the bracket end
-    with the smaller |f| once the bracket is no wider than w = max(xtol,
-    rtol*|hi|, 2 ulp(hi)) and |f| <= ftol at the last point.
-
-    Each step takes the secant through the last two points if it falls inside
-    the bracket, else bisects; a step that fails to halve |f| at the end it
-    replaces is followed by a bisection. Points stay w/2 inside the bracket,
-    so a root that close to an end is straddled by the next point.
+def _roots(f, lo, hi, f_lo, f_hi, xtol: float, ftol: float, rtol: float = 0.0) -> np.ndarray:
+    """Roots of decreasing f_i with f_i(lo_i) >= 0 >= f_i(hi_i), stepped in
+    lockstep; ``f(x, i)`` evaluates f_i at x for the open brackets i. Root i
+    is the end with the smaller |f_i| once the bracket is no wider than
+    w = max(xtol, rtol*|hi|, 2 ulp(hi)) and |f_i| <= ftol at its last point;
+    then the bracket is dropped. A step takes the secant through a bracket's
+    last two points if inside it, else bisects; a step that fails to halve |f|
+    at the end it replaces is followed by a bisection. Points stay w/2 inside,
+    so a root that close to an end is straddled. Nothing is written in place.
     """
-    (p, f_p), (q, f_q) = (lo, f_lo), (hi, f_hi)  # the last two points evaluated
-    bisect, width = False, max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
+    lo, hi, f_lo, f_hi = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    p, f_p, q, f_q = lo, f_lo, hi, f_hi  # the last two points evaluated
+    roots, open_, bisect = np.empty(len(lo)), np.arange(len(lo)), np.zeros(len(lo), dtype=bool)
+    width = np.maximum(np.maximum(xtol, rtol * np.abs(hi)), 2.0 * np.spacing(np.abs(hi)))
     for _ in range(_MAX_ITER):
-        x = 0.5 * (lo + hi)
-        if not bisect and hi - lo > width and f_p != f_q:
+        if not len(open_):
+            return roots
+        with np.errstate(all="ignore"):  # masked below where f_p == f_q or f is infinite
             secant = q - f_q * (q - p) / (f_q - f_p)
-            if lo < secant < hi:
-                x = min(max(secant, lo + 0.5 * width), hi - 0.5 * width)
-        fx = f(x)
-        bisect = not bisect and abs(fx) > 0.5 * abs(f_lo if fx > 0 else f_hi)
-        if fx > 0:
-            lo, f_lo = x, fx
-        else:
-            hi, f_hi = x, fx
-        (p, f_p), (q, f_q) = (q, f_q), (x, fx)
-        width = max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
-        if hi - lo <= width and abs(fx) <= ftol:
-            return lo if abs(f_lo) < abs(f_hi) else hi
-    raise ConvergenceFailure(f"root-finder did not meet tolerances in {_MAX_ITER} iterations")
+        inside = ~bisect & (hi - lo > width) & (f_p != f_q) & (lo < secant) & (secant < hi)
+        x = np.where(inside, np.minimum(np.maximum(secant, lo + 0.5 * width), hi - 0.5 * width), 0.5 * (lo + hi))
+        fx = f(x, open_)
+        above = fx > 0
+        bisect = ~bisect & (np.abs(fx) > 0.5 * np.abs(np.where(above, f_lo, f_hi)))
+        lo, f_lo, hi, f_hi = np.where(above, x, lo), np.where(above, fx, f_lo), np.where(above, hi, x), np.where(above, f_hi, fx)
+        p, f_p, q, f_q = q, f_q, x, fx
+        width = np.maximum(np.maximum(xtol, rtol * np.abs(hi)), 2.0 * np.spacing(np.abs(hi)))
+        if (done := (hi - lo <= width) & (np.abs(fx) <= ftol)).any():
+            roots[open_[done]] = np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)[done]
+            open_, lo, hi, f_lo, f_hi, p, f_p, q, f_q, bisect, width = (
+                v[~done] for v in (open_, lo, hi, f_lo, f_hi, p, f_p, q, f_q, bisect, width))
+    if len(open_):
+        raise ConvergenceFailure(f"root-finder did not meet tolerances in {_MAX_ITER} iterations")
+    return roots
 
 
-def _inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: float | None = None
-                      ) -> float:
-    """Consumption at which a Custom derivative meets ``lam``, clipped at 0, to
-    a bracket width of 1e-14 relative. A warm bracket [lo, hi] with
-    hi <= max(1, scale) is used if deriv(lo) > lam >= deriv(hi); otherwise the
-    bracket is [0, cap], the cap doubling from max(1, scale). If the derivative
-    stays above ``lam`` for 80 doublings the cap is returned (demand
-    effectively unbounded).
+def _inverse_marginals(derivs: list, lam: float, cap: float, lo=None, hi=None) -> np.ndarray:
+    """Consumptions at which Custom derivatives meet ``lam``, clipped at 0, to a
+    bracket width of 1e-14 relative, inverted in lockstep. Agent i keeps the
+    warm bracket [lo_i, hi_i] if lo_i < hi_i <= cap and deriv(lo_i) > lam >=
+    deriv(hi_i), else takes [0, h], h the first of cap, 2cap, 4cap, ... with
+    deriv(h) <= lam. Still above lam at cap*2**79, the last doubling: ``inf``.
     """
-    f_lo = deriv(lo) - lam
-    warm = hi is not None and lo < hi <= max(1.0, scale) and f_lo > 0
-    f_hi = deriv(hi) - lam if warm else math.nan
-    if not f_hi <= 0:  # no warm bracket, or it failed its check
-        f_lo = deriv(0.0) - lam if lo else f_lo
-        if f_lo <= 0:
-            return 0.0
-        lo, hi = 0.0, max(1.0, scale)
-        for _ in range(80):
-            f_hi = deriv(hi) - lam
-            if f_hi <= 0:
-                break
-            hi *= 2.0
-        else:
-            return hi
-    return _bracketed_root(lambda x: deriv(x) - lam, lo, hi, f_lo, f_hi, 1e-14, math.inf, 1e-14)
+    def f(x, i):
+        return np.array([derivs[k](v) for k, v in zip(i.tolist(), x.tolist())], dtype=float) - lam
+    every = np.arange(len(derivs))
+    lo = np.zeros(len(derivs)) if lo is None else np.array(lo, dtype=float)  # copies, written below
+    hi = np.full(len(derivs), math.nan) if hi is None else np.array(hi, dtype=float)
+    f_lo, f_hi = f(lo, every), np.full(len(derivs), math.nan)
+    warm = (lo < hi) & (hi <= cap) & (f_lo > 0)
+    f_hi[warm] = f(hi[warm], every[warm])
+    cold = ~(f_hi <= 0)  # no warm bracket, or it failed its check
+    again = cold & (lo != 0)
+    f_lo[again] = f(np.zeros(np.count_nonzero(again)), every[again])
+    cold &= ~(f_lo <= 0)  # the rest of the cold agents demand 0
+    lo[cold], hi[cold] = 0.0, cap
+    f_hi[cold] = f(hi[cold], every[cold])
+    x, far = np.zeros(len(derivs)), every[cold & ~(f_hi <= 0)]
+    unbounded = ~(f(np.full(len(far), cap * 2.0**79), far) <= 0)
+    x[far[unbounded]], grow = math.inf, far[~unbounded]
+    while len(grow):  # double up to the first cap point at or below lam, found by the probe
+        hi[grow] *= 2.0
+        f_hi[grow] = f(hi[grow], grow)
+        grow = grow[~(f_hi[grow] <= 0)]
+    rest = np.flatnonzero(f_hi <= 0)
+    x[rest] = _roots(lambda z, i: f(z, rest[i]), lo[rest], hi[rest], f_lo[rest], f_hi[rest], 1e-14, math.inf, 1e-14)
+    return x
 
 
 class AggregateDemand:
     """Price-to-demand map of quadratic and Custom preferences, split once:
     quadratic agents into ``(b, m)`` arrays (a quadratic column pair as is),
-    Custom agents into derivatives inverted one by one. Each evaluated price
-    is remembered with its Custom consumptions, which fall as the price rises,
-    so the nearest remembered prices on either side warm-start an inversion.
-    Not thread-safe. ``breakpoints[i]`` is agent i's marginal value at 0.
+    Custom agents into derivatives inverted together, unbounded demand as inf.
+    Each evaluated price is remembered with its Custom consumptions, which fall
+    as the price rises, so the nearest remembered prices on either side
+    warm-start the inversions. Not thread-safe. ``breakpoints[i]`` is agent
+    i's marginal value at 0.
     """
 
     def __init__(self, preferences, scale: float) -> None:
@@ -147,7 +159,7 @@ class AggregateDemand:
             self.custom = ~self.quadratic
             self.b, self.m = np.array(b, dtype=float), np.array(m, dtype=float)
         self._prices: list[float] = []  # remembered prices, ascending
-        self._consumptions: list[list[float]] = []  # the Custom consumptions at each
+        self._consumptions: list[np.ndarray] = []  # the Custom consumptions at each
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -163,13 +175,10 @@ class AggregateDemand:
             return quadratic
         prices, k = self._prices, bisect_left(self._prices, lam)
         if k == len(prices) or prices[k] != lam:
-            floors = self._consumptions[k] if k < len(prices) else repeat(0.0)
-            ceilings = self._consumptions[k - 1] if k else repeat(None)
+            floors = self._consumptions[k] if k < len(prices) else None
+            ceilings = self._consumptions[k - 1] if k else None
             prices.insert(k, lam)
-            self._consumptions.insert(k, [
-                _inverse_marginal(deriv, lam, self.scale, lo, hi)
-                for deriv, lo, hi in zip(self.derivs, floors, ceilings)
-            ])
+            self._consumptions.insert(k, _inverse_marginals(self.derivs, lam, max(1.0, self.scale), floors, ceilings))
         x = np.empty(self.n)
         x[self.quadratic], x[self.custom] = quadratic, self._consumptions[k]
         return x
@@ -207,11 +216,16 @@ def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None 
     """Package a clearing, or a stack of markets that differ from ``instance``
     only in ``capacity``, self-checked in one pass over the stacked arrays.
     ``balance_residual`` is |sum x - C| for the plain market and |sum e| when
-    trades are given: the KKT balance violation."""
+    trades are given: the KKT balance violation. A market whose largest KKT
+    violation exceeds 1e-8 * max(1, C) raises ``SolverError``."""
     lam = np.reshape(clearing.lam, (-1, 1))
     x = np.reshape(clearing.x, (len(lam), -1))
     e = None if e is None else np.reshape(e, x.shape)
     _, _, residuals, _, violations = _kkt(instance, lam, x, e, clearing.demand, capacity)
+    limits = _KKT_TOL * np.maximum(1.0, instance.capacity if capacity is None else capacity)
+    if (bad := ~(np.array(violations) <= limits)).any():
+        i = int(np.argmax(bad))
+        raise SolverError(f"KKT violation {violations[i]:.3e} > {_KKT_TOL:g} * max(1, C) at price {lam[i, 0].item()!r}")
     trades = repeat(None) if e is None else (tuple(row.tolist()) for row in e)
     return [EquilibriumResult(level, tuple(row.tolist()), trade, clearing.method, residual, violation,
                               clearing.degenerate)
@@ -349,9 +363,7 @@ def _clear_generic(instance: MarketInstance) -> _Clearing:
     hi = hi if hi > 0 else 1.0
     f_hi = gap(hi)
     if f_hi > 0:
-        raise BracketFailure(
-            "aggregate demand positive at the zero-demand price; derivative not decreasing"
-        )
+        raise BracketFailure("aggregate demand positive at the zero-demand price; derivative not decreasing")
     lo, f_lo = 0.0, gap(0.0)
     if f_lo < 0:
         width = max(1.0, abs(hi))
@@ -364,19 +376,23 @@ def _clear_generic(instance: MarketInstance) -> _Clearing:
                 break
         else:
             raise BracketFailure("no sign change within the expanding negative bracket")
-    lam = _bracketed_root(gap, lo, hi, f_lo, f_hi, _LAMBDA_TOL, 1e-9 * max(1.0, capacity))
-    return _Clearing(lam, demand.allocation(lam), SolveMethod.BISECTION, demand=demand)
+    lam = _roots(lambda x, _: np.array([gap(x.item())]), [lo], [hi], [f_lo], [f_hi],
+                 _LAMBDA_TOL, 1e-9 * max(1.0, capacity)).item()
+    if not np.all(finite := np.isfinite(x := demand.allocation(lam))):
+        raise SolverError(f"agent {np.argmin(finite)}: demand not finite at the clearing price {lam!r}")
+    return _Clearing(lam, x, SolveMethod.BISECTION, demand=demand)
 
 
 def solve_mtes_generic(instance: MarketInstance) -> EquilibriumResult:
     """Safeguarded secant steps on the aggregate-demand balance.
 
     The initial bracket is [0, max marginal value at zero consumption], where
-    demand is respectively at least the satiation total and exactly zero; if
-    demand at zero price falls short of capacity the lower end expands into
-    negative prices until the balance residual changes sign. Iterates, at
-    most 200 times, until the bracket is narrower than 1e-10 and the balance
-    residual is within 1e-9 * max(1, C).
+    demand is respectively at least the satiation total (``inf`` if a Custom
+    derivative stays above 0) and exactly zero; if demand at zero price falls
+    short of capacity the lower end expands into negative prices until the
+    balance residual changes sign. Iterates, at most 200 times, until the
+    bracket is narrower than 1e-10 and the balance residual is within 1e-9 *
+    max(1, C), all Custom agents inverted in lockstep at each price.
     """
     return _result(instance, _clear_generic(instance))[0]
 
@@ -471,9 +487,9 @@ def _kkt(
     markets stacked as rows of ``x`` at the prices in the column ``lam``, which
     differ from ``instance`` only in ``capacity``; a trading market is one row.
 
-    Vectorized for PWL and for quadratic agents, which mixed instances share;
-    only the Custom agents of a mixed instance go one by one. ``demand`` is
-    the solve's split, if it made one; its remembered prices are not used.
+    Vectorized for PWL and quadratic agents, which mixed instances share; a
+    mixed instance's Custom agents are inverted cold, in lockstep. ``demand``
+    is the solve's split, if it made one; its remembered prices are not used.
     """
     is_st = instance.model is ModelKind.MTES_ST
     zero_price = is_st and lam.item() <= _LAMBDA_TOL
@@ -486,7 +502,7 @@ def _kkt(
             [np.maximum(phi - x, 0.0), np.abs(x), np.maximum(np.maximum(-x, x - phi), 0.0)],
             np.abs(x - phi),
         )
-    else:  # quadratic agents as arrays; each Custom agent inverted cold, independently of the solve
+    else:  # quadratic agents as arrays; the Custom agents inverted cold together, independently of the solve
         demand = demand or AggregateDemand(instance.preferences, instance.capacity)
         b, m = demand.b, demand.m
         quadratic = np.abs(x[:, demand.quadratic] - (m if zero_price else np.maximum(m - lam / b, 0.0)))
@@ -497,8 +513,7 @@ def _kkt(
                 ds = [deriv(xi) for deriv, xi in zip(demand.derivs, xc)]
                 custom = [abs(d) if xi > 0 else max(0.0, -d) for d, xi in zip(ds, xc)]
             else:
-                custom = [abs(xi - _inverse_marginal(deriv, lam.item(), instance.capacity))
-                          for deriv, xi in zip(demand.derivs, xc)]
+                custom = np.abs(x[0, demand.custom] - _inverse_marginals(demand.derivs, lam.item(), max(1.0, instance.capacity)))
             stationarity = np.empty(x.shape)
             stationarity[:, demand.quadratic], stationarity[:, demand.custom] = quadratic, custom
 

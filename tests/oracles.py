@@ -11,12 +11,17 @@ and ``local_solves`` the per-agent solve loop of average consensus as the
 bitwise reference for its one-sort water-filling. ``full_sort_quadratic``
 and ``full_sort_pwl`` keep the clearing cores that stable-sorted every
 agent, as the bitwise reference for the ones that sort only the agents a
-selection step leaves.
+selection step leaves. ``bracketed_root``, ``inverse_marginal`` and
+``ScalarCustomDemand`` keep the scalar root-finder, the one-agent-at-a-time
+Custom inversion and its warm-started memory as the bitwise reference for
+the lockstep array ones.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import repeat
 
 import numpy as np
 
@@ -266,3 +271,78 @@ def full_sort_pwl(beta: np.ndarray, phi: np.ndarray, capacity: float) -> tuple[f
     x = np.empty(n)
     x[order] = x_s
     return float(beta_s[starts[g]]), x, False
+
+
+def bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
+                   xtol: float, ftol: float, rtol: float = 0.0) -> float:
+    """Root of a decreasing ``f`` with f(lo) >= 0 >= f(hi), one bracket at a
+    time: the bracket end with the smaller |f| once the bracket is no wider
+    than w = max(xtol, rtol*|hi|, 2 ulp(hi)) and |f| <= ftol at the last
+    point. Secant steps inside the bracket, else bisection; a step that fails
+    to halve |f| at the end it replaces is followed by a bisection; points
+    stay w/2 inside the bracket. At most 200 steps."""
+    (p, f_p), (q, f_q) = (lo, f_lo), (hi, f_hi)
+    bisect, width = False, max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
+    for _ in range(200):
+        x = 0.5 * (lo + hi)
+        if not bisect and hi - lo > width and f_p != f_q:
+            secant = q - f_q * (q - p) / (f_q - f_p)
+            if lo < secant < hi:
+                x = min(max(secant, lo + 0.5 * width), hi - 0.5 * width)
+        fx = f(x)
+        bisect = not bisect and abs(fx) > 0.5 * abs(f_lo if fx > 0 else f_hi)
+        if fx > 0:
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+        (p, f_p), (q, f_q) = (q, f_q), (x, fx)
+        width = max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
+        if hi - lo <= width and abs(fx) <= ftol:
+            return lo if abs(f_lo) < abs(f_hi) else hi
+    raise RuntimeError("root-finder did not meet tolerances in 200 iterations")
+
+
+def inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: float | None = None) -> float:
+    """Consumption at which one Custom derivative meets ``lam``, clipped at 0,
+    to a bracket width of 1e-14 relative. A warm bracket [lo, hi] with
+    hi <= max(1, scale) is used if deriv(lo) > lam >= deriv(hi); otherwise the
+    bracket is [0, cap], the cap doubling from max(1, scale). A derivative
+    still above ``lam`` after 80 doublings returns the cap, max(1, scale) *
+    2**80, where the lockstep inversion returns ``inf``."""
+    f_lo = deriv(lo) - lam
+    warm = hi is not None and lo < hi <= max(1.0, scale) and f_lo > 0
+    f_hi = deriv(hi) - lam if warm else math.nan
+    if not f_hi <= 0:
+        f_lo = deriv(0.0) - lam if lo else f_lo
+        if f_lo <= 0:
+            return 0.0
+        lo, hi = 0.0, max(1.0, scale)
+        for _ in range(80):
+            f_hi = deriv(hi) - lam
+            if f_hi <= 0:
+                break
+            hi *= 2.0
+        else:
+            return hi
+    return bracketed_root(lambda x: deriv(x) - lam, lo, hi, f_lo, f_hi, 1e-14, math.inf, 1e-14)
+
+
+class ScalarCustomDemand:
+    """Custom consumptions at each price, one ``inverse_marginal`` per agent;
+    every price is remembered, and the consumptions at the nearest remembered
+    prices above and below bound each agent's warm bracket."""
+
+    def __init__(self, derivs, scale: float) -> None:
+        self.derivs, self.scale = list(derivs), scale
+        self.prices: list[float] = []
+        self.consumptions: list[list[float]] = []
+
+    def at(self, lam: float) -> list[float]:
+        k = bisect_left(self.prices, lam)
+        if k == len(self.prices) or self.prices[k] != lam:
+            floors = self.consumptions[k] if k < len(self.prices) else repeat(0.0)
+            ceilings = self.consumptions[k - 1] if k else repeat(None)
+            self.prices.insert(k, lam)
+            self.consumptions.insert(k, [inverse_marginal(deriv, lam, self.scale, lo, hi)
+                                         for deriv, lo, hi in zip(self.derivs, floors, ceilings)])
+        return self.consumptions[k]

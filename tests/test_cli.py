@@ -302,6 +302,26 @@ def test_threads_env_override(monkeypatch):
     assert _default_threads() >= 1
 
 
+def test_threads_default_read_at_each_parse(monkeypatch, tmp_path, capsys):
+    """The parser is built once; TE_SHAPE_THREADS set after the first call
+    still sets the default, and --threads still overrides it."""
+    from types import SimpleNamespace
+
+    from teshape import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda spec, out_dir, threads: seen.append(threads)
+                        or SimpleNamespace(cells=[]))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"family": "quadratic", "n": 3, "trials": 1, "lambda_dagger": 20, "seed": 0}')
+    argv = ["experiment", str(spec_path), "--out", str(tmp_path / "out")]
+    for env, extra in (("3", []), ("5", []), ("5", ["--threads", "2"])):
+        monkeypatch.setenv("TE_SHAPE_THREADS", env)
+        assert run_cli(capsys, *argv, *extra)[0] == 0
+    assert seen == [3, 5, 2]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("command", ["solve", "experiment", "consensus"])
 def test_undecodable_file_exits_2(command, quartet_path, tmp_path, capsys):
     bad = tmp_path / "latin1.json"

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from teshape import (
+    Custom,
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
+    Quadratic,
+    SolverError,
     solve,
     solve_mtes_pwl,
     solve_mtes_quadratic,
     verify_kkt,
 )
+from teshape import solver
 
 from conftest import random_pwl_instance, random_quadratic_instance
 
@@ -90,3 +95,26 @@ def test_negative_price_flagged_for_trading_model(quartet):
     bad = replace(result, lambda_star=-1.0)
     report = verify_kkt(st_inst, bad)
     assert report.price_violation == 1.0
+
+
+def test_result_gate_raises_on_planted_clearings(quartet):
+    """A clearing nudged off the equilibrium by 1e-6 relative passes no
+    packaging: closed-form, a stack of markets and the generic route."""
+    clearing = solver._clear_quadratic(quartet)
+    assert solver._result(quartet, clearing)[0].kkt_max_violation <= 1e-12
+    with pytest.raises(SolverError, match="KKT violation"):
+        solver._result(quartet, clearing._replace(x=clearing.x * (1.0 + 1e-6)))
+
+    stack = [replace(quartet, production=tuple(a * s for a in quartet.production)) for s in (0.5, 1.0, 2.0)]
+    capacity = np.array([i.capacity for i in stack])
+    clearing = solver._clear_quadratic(*stack)
+    assert len(solver._result(quartet, clearing, capacity=capacity)) == 3
+    x = clearing.x.copy()
+    x[2] *= 1.0 + 1e-6
+    with pytest.raises(SolverError, match=re.escape(f"at price {clearing.lam[2].item()!r}")):
+        solver._result(quartet, clearing._replace(x=x), capacity=capacity)
+
+    mixed = MarketInstance((3.0, 1.0), (Quadratic(1.0, 4.0), Custom(lambda x: 5.0 * np.log1p(x), lambda x: 5.0 / (1.0 + x))))
+    clearing = solver._clear_generic(mixed)
+    with pytest.raises(SolverError, match="KKT violation"):
+        solver._result(mixed, clearing._replace(lam=clearing.lam * (1.0 + 1e-6)))

@@ -5,7 +5,10 @@
   at parameter scales 1e-3..1e3, with n=1 and with all-Custom markets;
 * Custom agents that are quadratics in disguise against the closed-form
   quadratic solver, negative prices included;
-* a guard on the number of ``deriv_fn`` calls one solve makes;
+* a guard on the number of ``deriv_fn`` calls one solve makes, and on the
+  calls at the zero price, where log demand is unbounded;
+* unbounded demand reported as ``inf``, including below the positive
+  infimum of a derivative, and a non-finite clearing allocation refused;
 * one ``AggregateDemand`` split per mixed solve, self-check included.
 
 Runs are derandomized so the suite is reproducible.
@@ -116,7 +119,9 @@ def test_disguised_quadratics_match_closed_form(agents, surplus):
 BISECTION_ROUTE_CALLS = 480_479
 
 
-def test_deriv_calls_stay_below_a_quarter_of_plain_bisection():
+def test_deriv_calls_stay_below_a_quarter_of_plain_bisection(monkeypatch):
+    """At the zero price each log agent costs at most three calls: its
+    derivative at 0, at the first cap point and at the last one."""
     rng = np.random.default_rng(400)
     n = 400
     b, m, w = rng.uniform(0.5, 2.0, n), rng.uniform(5.0, 15.0, n), rng.uniform(2.0, 20.0, n)
@@ -130,10 +135,60 @@ def test_deriv_calls_stay_below_a_quarter_of_plain_bisection():
 
         return Custom(lambda x: wi * math.log1p(x), deriv)
 
+    at_zero = []
+    original = solver.AggregateDemand.allocation
+
+    def allocation(self, lam):
+        before = calls[0]
+        x = original(self, lam)
+        if lam == 0.0:
+            at_zero.append(calls[0] - before)
+        return x
+
+    monkeypatch.setattr(solver.AggregateDemand, "allocation", allocation)
     preferences = [counting(w[i]) if i % 2 else Quadratic(b[i], m[i]) for i in range(n)]
     result = solve(MarketInstance(production=production, preferences=preferences))
     assert result.kkt_max_violation <= 1e-9 * max(1.0, float(production.sum()))
     assert calls[0] <= 0.25 * BISECTION_ROUTE_CALLS
+    assert len(at_zero) == 1 and at_zero[0] <= 3 * (n // 2)
+
+
+# the price the scalar inversion, which returned 2**80 * max(1, C) for an
+# unbounded demand, gave the market below
+INFIMUM_MARKET_PRICE = 1.0504793115119164
+
+
+def test_unbounded_demand_below_a_positive_infimum_clears():
+    """1 + 5/(1+x) stays above 1, so the agent's demand is unbounded at every
+    price up to 1; bisection probes 0.75 on the way to the price."""
+    floor = Custom(lambda x: x + 5.0 * math.log1p(x), lambda x: 1.0 + 5.0 / (1.0 + x))
+    instance = MarketInstance((60.0, 40.0), (floor, Quadratic(1.0, 3.0)))
+    assert solve(instance).lambda_star.hex() == INFIMUM_MARKET_PRICE.hex()
+    demand = solver.AggregateDemand(instance.preferences, instance.capacity)
+    assert demand.allocation(0.75).tolist() == [math.inf, 2.25]
+
+
+def test_log_demand_at_zero_price_is_inf():
+    demand = solver.AggregateDemand((log_agent(2.0), Quadratic(1.0, 2.0)), scale=10.0)
+    assert demand.total(0.0) == math.inf
+    assert demand.allocation(0.0).tolist() == [math.inf, 2.0]
+
+
+def test_non_finite_allocation_at_the_price_raises(monkeypatch):
+    """The allocation at the price found is checked: an agent whose demand
+    there is not finite fails the solve, named with the price."""
+    original = solver.AggregateDemand.allocation
+
+    def allocation(self, lam):
+        again = lam in self._prices  # the clearing price is read from memory
+        x = original(self, lam)
+        if again:
+            x[1] = math.inf
+        return x
+
+    monkeypatch.setattr(solver.AggregateDemand, "allocation", allocation)
+    with pytest.raises(solver.SolverError, match="agent 1: demand not finite at the clearing price"):
+        solve(MarketInstance((3.0, 1.0), (Quadratic(1.0, 4.0), log_agent(5.0))))
 
 
 @pytest.mark.parametrize("model", [ModelKind.MTES, ModelKind.MTES_ST])
