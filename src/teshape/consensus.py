@@ -183,16 +183,11 @@ class AggregatorRun:
 def run_aggregator(instance: MarketInstance) -> AggregatorRun:
     """Centralized clearing: collect, solve once, broadcast to every agent."""
     report = validate_instance(instance)
-    if not report.ok:
-        per_agent: dict[int, list[str]] = {}
-        for v in report.violations:
-            if v.startswith("agent "):
-                idx = int(v.split()[1].rstrip(":"))
-                per_agent.setdefault(idx, []).append(v.split(": ", 1)[1])
-        if per_agent:
-            agent = min(per_agent)
-            raise CollectionError(agent, per_agent[agent])
-        report.raise_if_invalid()
+    if bad := [i for i in report.agents if i is not None]:
+        agent = min(bad)
+        reasons = [v.removeprefix(f"agent {agent}: ") for i, v in zip(report.agents, report.violations) if i == agent]
+        raise CollectionError(agent, reasons)
+    report.raise_if_invalid()
     return AggregatorRun(result=solve(instance))
 
 

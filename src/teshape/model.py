@@ -11,9 +11,10 @@ consumption preference. Three preference families are supported:
   with its analytic derivative. Never differentiated numerically for solving.
 
 Instances are array-backed: ``production`` is a read-only float64 array and
-an all-Quadratic or all-PiecewiseLinear preference list is held as a
-read-only column pair (``PreferenceColumns``). Only instances mixing families
-or holding Custom agents keep a tuple of per-agent objects.
+the preferences are ``PreferenceColumns``, one layout for every instance: a
+read-only column pair of Quadratic or PiecewiseLinear parameters, a read-only
+kind code per agent, and the objects of the agents outside those families
+(Custom, or anything validation reports as unknown) in agent order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -95,13 +97,16 @@ class Family(Enum):
     MIXED = "mixed"  # mixed families and/or Custom agents: generic solver only
 
 
-# file label and parameter names of the families that are held as columns
+# file label and parameter names of the families that are held as columns; a
+# family's kind code is its place here, and _OTHER codes every other agent
 _COLUMN_KINDS = {Quadratic: ("quadratic", "b", "m"), PiecewiseLinear: ("pwl", "beta", "phi")}
+_KINDS = tuple(_COLUMN_KINDS)
+_OTHER = len(_KINDS)
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``, never aliasing the caller's data."""
-    arr = np.array(values, dtype=np.float64)
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``values``, never aliasing the caller's data."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -113,78 +118,102 @@ def _sequential_sum(values: np.ndarray) -> float:
 
 
 class PreferenceColumns(Sequence):
-    """Homogeneous preferences as a read-only column pair.
-
-    ``columns`` is ``(b, m)`` for ``kind=Quadratic`` and ``(beta, phi)`` for
-    ``kind=PiecewiseLinear``, each a read-only float64 array (copied from the
-    arguments). As a sequence it reads like the per-agent tuple it replaces:
-    ``[i]`` and iteration yield ``kind`` objects, slices yield tuples of them.
+    """Every agent's preference as read-only columns: a kind code per agent
+    (``codes``: 0 Quadratic, 1 PiecewiseLinear, 2 any other object), the
+    parameter pair of each column agent (``columns``: ``(b, m)`` or
+    ``(beta, phi)``, NaN in the other agents' rows) and the other agents'
+    objects in agent order (``others``). ``kind`` is the class every agent
+    shares, else None. ``PreferenceColumns(kind, first, second)`` holds one
+    family; given ``codes``, ``kind`` may be None and is read from them.
+    Arrays are copies. As a sequence it reads like a per-agent tuple: ``[i]``
+    and iteration yield the agents' objects, slices tuples of them.
     """
 
-    __slots__ = ("kind", "columns")
+    __slots__ = ("kind", "columns", "codes", "others")
 
-    def __init__(self, kind: type, first, second) -> None:
-        if kind not in _COLUMN_KINDS:
+    def __init__(self, kind: type | None, first, second, codes=None, others=()) -> None:
+        if kind not in _COLUMN_KINDS and (kind is not None or codes is None):
             raise TypeError(f"no column layout for {getattr(kind, '__name__', kind)!r}")
-        self.kind = kind
         self.columns = (_frozen(first), _frozen(second))
-        if self.columns[0].ndim != 1 or self.columns[0].shape != self.columns[1].shape:
-            raise ValueError("preference columns must be one-dimensional and of equal length")
+        self.codes = _frozen(np.full(self.columns[0].shape, _KINDS.index(kind), np.int8) if codes is None else codes, np.int8)
+        self.others = tuple(others)
+        if self.codes.ndim != 1 or not self.codes.shape == self.columns[0].shape == self.columns[1].shape:
+            raise ValueError("preference columns and codes must be one-dimensional and of equal length")
+        counts = [np.count_nonzero(self.codes == code) for code in range(_OTHER + 1)]
+        self.kind = kind or next((k for k, count in zip(_KINDS, counts) if count == len(self)), None)
+        if sum(counts) != len(self) or counts[_OTHER] != len(self.others) or (
+                self.kind and counts[_KINDS.index(self.kind)] != len(self)):
+            raise ValueError("kind codes must agree with the kind and the other agents")
+
+    @classmethod
+    def of(cls, preferences) -> PreferenceColumns:
+        """``preferences``, a sequence of preference objects, as columns (the
+        same object if it already is): each object's type is classified once,
+        a subclass as its family, then each family's parameters gathered at once."""
+        if isinstance(preferences, PreferenceColumns):
+            return preferences
+        objects = np.fromiter(preferences, dtype=object)
+        types = list(map(type, objects))
+        code_of = {t: next((code for code, kind in enumerate(_KINDS) if issubclass(t, kind)), _OTHER) for t in set(types)}
+        codes = np.fromiter(map(code_of.__getitem__, types), dtype=np.int8, count=len(types))
+        columns = np.full((2, len(codes)), math.nan)
+        for code, (_, *names) in enumerate(_COLUMN_KINDS.values()):
+            if (rows := codes == code).any():
+                for column, name in zip(columns, names):
+                    column[rows] = np.array(list(map(attrgetter(name), objects[rows])), dtype=np.float64)
+        return cls(None, *columns, codes, objects[codes == _OTHER])
+
+    def mask(self, kind: type | None) -> np.ndarray:
+        """Which agents are of column family ``kind``, or other agents for None."""
+        return self.codes == (_OTHER if kind is None else _KINDS.index(kind))
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return len(self.codes)
 
     def __iter__(self):
-        return map(self.kind, *(c.tolist() for c in self.columns))
+        return iter(self[:])
+
+    def __reversed__(self):
+        return iter(self[::-1])
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.kind, *(c[i].tolist() for c in self.columns)))
-        return self.kind(*(float(c[i]) for c in self.columns))
+        rows = np.arange(len(self))[i] if isinstance(i, slice) else [range(len(self))[i]]
+        slots = (np.cumsum(self.mask(None)) - 1)[rows].tolist() if self.others else repeat(0)
+        objects = [self.others[slot] if code == _OTHER else _KINDS[code](p, q)
+                   for code, slot, p, q in zip(self.codes[rows].tolist(), slots, *(c[rows].tolist() for c in self.columns))]
+        return tuple(objects) if isinstance(i, slice) else objects[0]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PreferenceColumns):
-            return self.kind is other.kind and all(map(np.array_equal, self.columns, other.columns))
-        if isinstance(other, Sequence):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        other, held = PreferenceColumns.of(other), ~self.mask(None)
+        return (self.kind is other.kind and np.array_equal(self.codes, other.codes) and self.others == other.others
+                and all(np.array_equal(c[held], d[held]) for c, d in zip(self.columns, other.columns)))
 
     __hash__ = None
 
     def __reduce__(self):  # rebuild through __init__, so copies stay read-only
-        return PreferenceColumns, (self.kind, *self.columns)
-
-
-def _as_preferences(preferences) -> PreferenceColumns | tuple:
-    """Columns for a homogeneous Quadratic/PWL list, else a tuple of objects."""
-    if isinstance(preferences, PreferenceColumns):
-        return preferences
-    preferences = tuple(preferences)
-    for kind, (_, first, second) in _COLUMN_KINDS.items():
-        if all(isinstance(p, kind) for p in preferences):
-            pairs = [(getattr(p, first), getattr(p, second)) for p in preferences]
-            return PreferenceColumns(kind, *np.array(pairs, dtype=np.float64).reshape(-1, 2).T)
-    return preferences
+        return PreferenceColumns, (self.kind, *self.columns, self.codes, self.others)
 
 
 @dataclass(frozen=True, eq=False)
 class MarketInstance:
     """Immutable market instance: production profile plus one preference per agent.
 
-    ``production`` becomes a read-only float64 copy; homogeneous Quadratic or
-    PiecewiseLinear preferences become ``PreferenceColumns``, anything else a
-    tuple. Individual productions may be zero; only the total capacity must
-    be positive. Construction performs no validation so that report-style
-    checking (``validate_instance``) can inspect bad values.
+    ``production`` becomes a read-only float64 copy and a sequence of
+    preference objects becomes ``PreferenceColumns``, whatever their
+    families. Individual productions may be zero; only the total capacity
+    must be positive. Construction performs no validation so that
+    report-style checking (``validate_instance``) can inspect bad values.
     """
 
     production: np.ndarray
-    preferences: PreferenceColumns | tuple[UtilityParams, ...]
+    preferences: PreferenceColumns
     model: ModelKind = ModelKind.MTES
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "production", _frozen(self.production))
-        object.__setattr__(self, "preferences", _as_preferences(self.preferences))
+        object.__setattr__(self, "preferences", PreferenceColumns.of(self.preferences))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarketInstance):
@@ -208,15 +237,23 @@ class MarketInstance:
 
     @property
     def family(self) -> Family:
-        if isinstance(self.preferences, PreferenceColumns):
-            return Family.QUADRATIC if self.preferences.kind is Quadratic else Family.PWL
-        return Family.MIXED
+        return {Quadratic: Family.QUADRATIC, PiecewiseLinear: Family.PWL}.get(self.preferences.kind, Family.MIXED)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Violations in report order; ``agents[k]`` is the agent that
+    ``violations[k]`` names, or None for one about the whole instance."""
+
     ok: bool
     violations: tuple[str, ...]
+    agents: tuple[int | None, ...]
+
+    @classmethod
+    def of(cls, issues: list[tuple[int | None, str]]) -> ValidationReport:
+        """The report of ``(agent or None, reason)`` pairs."""
+        violations = tuple(reason if i is None else f"agent {i}: {reason}" for i, reason in issues)
+        return cls(not issues, violations, tuple(i for i, _ in issues))
 
     def raise_if_invalid(self) -> None:
         if not self.ok:
@@ -227,35 +264,39 @@ class ValidationReport:
 _CONCAVITY_GRID_POINTS = 17
 
 
-def _check_custom_concavity(pref: Custom, scale: float, label: str) -> list[str]:
-    """Sample deriv_fn on [0, 2*scale] and flag any non-decreasing step."""
+def _other_violation(pref, scale: float) -> str | None:
+    """Why an agent outside the column families is invalid, if it is: not a
+    Custom, or a deriv_fn that fails or is not strictly decreasing on
+    [0, 2*max(1, scale)]."""
+    if not isinstance(pref, Custom):
+        return f"unknown preference type {type(pref).__name__}"
     hi = 2.0 * max(1.0, scale)
     xs = [hi * k / (_CONCAVITY_GRID_POINTS - 1) for k in range(_CONCAVITY_GRID_POINTS)]
     try:
         ds = [float(pref.deriv_fn(x)) for x in xs]
     except Exception as exc:  # noqa: BLE001 - report, don't crash
-        return [f"{label}: deriv_fn evaluation failed ({exc})"]
-    for prev, cur in zip(ds, ds[1:]):
-        if not cur < prev:
-            return [f"{label}: deriv_fn not strictly decreasing (utility must be strictly concave)"]
-    return []
+        return f"deriv_fn evaluation failed ({exc})"
+    if not all(cur < prev for prev, cur in zip(ds, ds[1:])):
+        return "deriv_fn not strictly decreasing (utility must be strictly concave)"
+    return None
 
 
-def production_violations(a: np.ndarray, n_preferences: int) -> tuple[list[str], float]:
-    """``validate_instance``'s production violations and the total of the finite a_i."""
-    violations: list[str] = []
+def production_violations(a: np.ndarray, n_preferences: int) -> tuple[list[tuple[int | None, str]], float]:
+    """``validate_instance``'s production issues, ``(agent or None, reason)``
+    pairs, and the total of the finite a_i."""
+    issues: list[tuple[int | None, str]] = []
     n = len(a)
     if n < 1:
-        violations.append("n >= 1 required (empty agent list)")
+        issues.append((None, "n >= 1 required (empty agent list)"))
     if n_preferences != n:
-        violations.append(f"length mismatch: {n} productions vs {n_preferences} preferences")
+        issues.append((None, f"length mismatch: {n} productions vs {n_preferences} preferences"))
     finite = np.isfinite(a)
     for i in np.flatnonzero(~finite | (a < 0)).tolist():
-        violations.append(f"agent {i}: a must be " + ("non-negative" if finite[i] else "finite"))
+        issues.append((i, "a must be " + ("non-negative" if finite[i] else "finite")))
     capacity = _sequential_sum(a[finite])
     if n >= 1 and not capacity > 0:
-        violations.append("C > 0 required (total production must be positive)")
-    return violations, capacity
+        issues.append((None, "C > 0 required (total production must be positive)"))
+    return issues, capacity
 
 
 def validate_instance(instance: MarketInstance) -> ValidationReport:
@@ -266,32 +307,18 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     concavity (on a sampled grid) for Custom preferences.
     """
     preferences = instance.preferences
-    violations, capacity = production_violations(instance.production, len(preferences))
-    if isinstance(preferences, PreferenceColumns):
-        fields = _COLUMN_KINDS[preferences.kind][1:]
-        bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
-        for i in np.flatnonzero(bad[0] | bad[1]).tolist():
-            bad_fields = [field for field, mask in zip(fields, bad) if mask[i]]
-            violations.extend(f"agent {i}: {field} must be positive" for field in bad_fields)
-    else:
-        for i, pref in enumerate(preferences):  # per agent: mixed families or Custom agents
-            if isinstance(pref, Quadratic):
-                if not (math.isfinite(pref.b) and pref.b > 0):
-                    violations.append(f"agent {i}: b must be positive")
-                if not (math.isfinite(pref.m) and pref.m > 0):
-                    violations.append(f"agent {i}: m must be positive")
-            elif isinstance(pref, PiecewiseLinear):
-                if not (math.isfinite(pref.beta) and pref.beta > 0):
-                    violations.append(f"agent {i}: beta must be positive")
-                if not (math.isfinite(pref.phi) and pref.phi > 0):
-                    violations.append(f"agent {i}: phi must be positive")
-            elif isinstance(pref, Custom):
-                violations.extend(
-                    _check_custom_concavity(pref, capacity if capacity > 0 else 1.0, f"agent {i}")
-                )
-            else:
-                violations.append(f"agent {i}: unknown preference type {type(pref).__name__}")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    issues, capacity = production_violations(instance.production, len(preferences))
+    bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]  # the other agents' NaN rows too
+    rows = np.flatnonzero(bad[0] | bad[1])
+    others = iter(preferences.others)
+    for i, code in zip(rows.tolist(), preferences.codes[rows].tolist()):
+        if code == _OTHER:
+            if reason := _other_violation(next(others), capacity if capacity > 0 else 1.0):
+                issues.append((i, reason))
+        else:
+            fields = _COLUMN_KINDS[_KINDS[code]][1:]
+            issues.extend((i, f"{field} must be positive") for field, mask in zip(fields, bad) if mask[i])
+    return ValidationReport.of(issues)
 
 
 class SolveMethod(Enum):
@@ -429,8 +456,8 @@ def _utility_from_dict(d: dict, agent: int) -> tuple[type, float, float]:
 def instance_from_dict(data: dict) -> MarketInstance:
     """Build and validate a MarketInstance from parsed JSON data.
 
-    A single-family agent list goes straight into columns; a list mixing
-    quadratic and pwl agents becomes per-agent objects.
+    A well-formed single-family agent list is gathered into columns field by
+    field; any other list is read one agent at a time.
     """
     if not isinstance(data, dict):
         raise ValidationError(["top-level value must be an object"])
@@ -480,10 +507,9 @@ def _gather_agents(agents: list) -> tuple[list, PreferenceColumns] | None:
     return columns[0], PreferenceColumns(kind, columns[1], columns[2])
 
 
-def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns | tuple]:
-    """Production and preferences read one agent at a time, raising
-    ValidationError for the first malformed agent. Mixed families become a
-    tuple of per-agent objects."""
+def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns]:
+    """Production and preference columns read one agent at a time, raising
+    ValidationError for the first malformed agent."""
     rows = []  # (a, kind, first parameter, second parameter) per agent
     for i, entry in enumerate(agents):
         if not isinstance(entry, dict):
@@ -495,27 +521,21 @@ def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns | tuple]:
             raise ValidationError([f"agent {i}: requires fields 'a' and 'utility'"])
         rows.append((strict_number(entry["a"], f"agent {i}: 'a'"), *_utility_from_dict(entry["utility"], i)))
     production, kinds, firsts, seconds = zip(*rows) if rows else ((),) * 4
-    if len(set(kinds)) > 1:
-        return production, tuple(map(lambda kind, p, q: kind(p, q), kinds, firsts, seconds))
-    return production, PreferenceColumns(kinds[0] if kinds else Quadratic, firsts, seconds)
+    return production, PreferenceColumns(None, firsts, seconds, list(map(_KINDS.index, kinds)))
 
 
-def _utility_to_dict(pref: UtilityParams) -> dict:
-    kind = next((k for k in _COLUMN_KINDS if isinstance(pref, k)), None)
-    if kind is None:
+def _per_agent(preferences: PreferenceColumns, table: tuple) -> list:
+    """``table[code]`` for each agent's kind code. An agent outside the column
+    families has no file form and raises ValidationError."""
+    if preferences.others:
         raise ValidationError(["Custom preferences have no file representation"])
-    label, first, second = _COLUMN_KINDS[kind]
-    return {"kind": label, first: float(getattr(pref, first)), second: float(getattr(pref, second))}
+    return list(map(table.__getitem__, preferences.codes.tolist()))
 
 
 def instance_to_dict(instance: MarketInstance) -> dict:
     preferences = instance.preferences
-    if isinstance(preferences, PreferenceColumns):
-        label, first, second = _COLUMN_KINDS[preferences.kind]
-        pairs = zip(*(c.tolist() for c in preferences.columns))
-        utilities = [{"kind": label, first: p, second: q} for p, q in pairs]
-    else:
-        utilities = [_utility_to_dict(p) for p in preferences]
+    rows = zip(_per_agent(preferences, tuple(_COLUMN_KINDS.values())), *(c.tolist() for c in preferences.columns))
+    utilities = [{"kind": label, first: p, second: q} for (label, first, second), p, q in rows]
     agents = [{"a": a, "utility": u} for a, u in zip(instance.production.tolist(), utilities)]
     return {"model": instance.model.value, "agents": agents}
 
@@ -604,7 +624,7 @@ def _agent_template(label: str, first: str, second: str) -> str:
     )
 
 
-_AGENT_TEMPLATES = {kind: _agent_template(*names) for kind, names in _COLUMN_KINDS.items()}
+_AGENT_TEMPLATES = tuple(_agent_template(*names) for names in _COLUMN_KINDS.values())  # by kind code
 
 
 def _numbers_text(values) -> str:
@@ -640,18 +660,8 @@ def _write_vector(fh, values: tuple) -> None:
 
 
 def _write_document(fh, instance: MarketInstance, result: EquilibriumResult | None, allow_nan: bool) -> None:
-    preferences = instance.preferences
-    if isinstance(preferences, PreferenceColumns):
-        templates = [_AGENT_TEMPLATES[preferences.kind]] * len(preferences)
-        first, second = preferences.columns
-    else:  # per-agent objects: mixed families, or Custom (which has no file form)
-        kinds = [next((k for k in _COLUMN_KINDS if isinstance(p, k)), None) for p in preferences]
-        if None in kinds:
-            raise ValidationError(["Custom preferences have no file representation"])
-        templates = [_AGENT_TEMPLATES[kind] for kind in kinds]
-        names = [_COLUMN_KINDS[kind] for kind in kinds]
-        first = tuple(float(getattr(p, name[1])) for p, name in zip(preferences, names))
-        second = tuple(float(getattr(p, name[2])) for p, name in zip(preferences, names))
+    templates = _per_agent(instance.preferences, _AGENT_TEMPLATES)
+    first, second = instance.preferences.columns
 
     def agent_block(rows: slice) -> str:
         columns = [_numbers_text(column[rows]).split(", ") for column in (instance.production, first, second)]

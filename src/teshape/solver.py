@@ -31,10 +31,12 @@ from .model import (
     Family,
     MarketInstance,
     ModelKind,
+    PiecewiseLinear,
     PreferenceColumns,
     Quadratic,
     SolveMethod,
     ValidationError,
+    ValidationReport,
     production_violations,
     validate_instance,
 )
@@ -129,35 +131,26 @@ def _inverse_marginals(derivs: list, lam: float, cap: float, lo=None, hi=None) -
 
 
 class AggregateDemand:
-    """Price-to-demand map of quadratic and Custom preferences, split once:
-    quadratic agents into ``(b, m)`` arrays (a quadratic column pair as is),
-    Custom agents into derivatives inverted together, unbounded demand as inf.
-    Each evaluated price is remembered with its Custom consumptions, which fall
-    as the price rises, so the nearest remembered prices on either side
-    warm-start the inversions. Not thread-safe. ``breakpoints[i]`` is agent
-    i's marginal value at 0.
+    """Price-to-demand map of quadratic and Custom preferences, split once by
+    masks on the kind codes: the quadratic agents' ``(b, m)`` rows (a slice
+    when every agent is quadratic), the Custom agents' derivatives inverted
+    together, unbounded demand as inf. Each evaluated price is remembered
+    with its Custom consumptions, which fall as the price rises, so the
+    nearest remembered prices on either side warm-start the inversions. Not
+    thread-safe. ``breakpoints[i]`` is agent i's marginal value at 0.
     """
 
     def __init__(self, preferences, scale: float) -> None:
+        preferences = PreferenceColumns.of(preferences)
         self.n, self.scale = len(preferences), scale
-        self.quadratic, self.custom, self.derivs = slice(None), [], []  # index or mask
-        if isinstance(preferences, PreferenceColumns) and preferences.kind is Quadratic:
-            self.b, self.m = preferences.columns
-        else:
-            b, m, is_quadratic = [], [], []
-            for p in preferences:
-                is_quadratic.append(isinstance(p, Quadratic))
-                if is_quadratic[-1]:
-                    b.append(p.b)
-                    m.append(p.m)
-                elif isinstance(p, Custom):
-                    self.derivs.append(p.deriv_fn)
-                else:
-                    raise ValidationError(["bisection requires differentiable preferences; "
-                                           "PWL agents clear only in an all-PWL market"])
-            self.quadratic = np.array(is_quadratic, dtype=bool)
-            self.custom = ~self.quadratic
-            self.b, self.m = np.array(b, dtype=float), np.array(m, dtype=float)
+        if preferences.mask(PiecewiseLinear).any() or not all(isinstance(p, Custom) for p in preferences.others):
+            raise ValidationError(["bisection requires differentiable preferences; "
+                                   "PWL agents clear only in an all-PWL market"])
+        # every agent quadratic: the columns as they are, not copied
+        self.quadratic = slice(None) if preferences.kind is Quadratic else preferences.mask(Quadratic)
+        self.custom = preferences.mask(None)
+        self.b, self.m = (c[self.quadratic] for c in preferences.columns)
+        self.derivs = [p.deriv_fn for p in preferences.others]
         self._prices: list[float] = []  # remembered prices, ascending
         self._consumptions: list[np.ndarray] = []  # the Custom consumptions at each
 
@@ -274,8 +267,7 @@ def _clear_quadratic(*instances: MarketInstance) -> _Clearing:
     as floats, so each capacity meets all of them, ``_LEVEL_BLOCK`` at a time."""
     _require(instances[0], Family.QUADRATIC)
     for instance in instances[1:]:  # the shared preferences passed with the first
-        if violations := production_violations(instance.production, len(instance.preferences))[0]:
-            raise ValidationError(violations)
+        ValidationReport.of(production_violations(instance.production, len(instance.preferences))[0]).raise_if_invalid()
     b, m = instances[0].preferences.columns
     capacity = np.array([instance.capacity for instance in instances])
     sum_m = float(np.sum(m))

@@ -1,12 +1,14 @@
 """Property suites for the array-backed market core.
 
 * vectorized ``validate_instance`` against a per-agent reference loop kept
-  here, on instances with NaN, infinite, zero and negative entries;
+  here, on instances with NaN, infinite, zero and negative entries, and with
+  Custom agents (concave, convex, failing) and unknown objects among them;
 * ``run_aggregator`` naming the lowest bad agent;
 * the closed-form solvers against the independent oracles in ``oracles.py``
   at parameter scales 1e-6..1e6, with n=1, tied breakpoints and the
   ``sum(m) == C`` knife edge;
-* the JSON round trip and equality of array-backed instances.
+* the JSON round trip and equality of array-backed instances, and copies and
+  indexing of a mixed layout.
 
 Runs are derandomized so the suite is reproducible; parameters for the
 solver suites are small-mantissa dyadic numbers, so every sum the oracles
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from teshape import (
     CollectionError,
+    Custom,
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
@@ -59,6 +62,43 @@ edgy = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=True, allow_i
 KIND_NAMES = {Quadratic: ("b", "m"), PiecewiseLinear: ("beta", "phi")}
 
 
+def log_value(x: float) -> float:
+    return math.log1p(x)
+
+
+def log_deriv(x: float) -> float:
+    return 1.0 / (1.0 + x)
+
+
+def square(x: float) -> float:
+    return 0.5 * x * x
+
+
+def identity(x: float) -> float:
+    return x
+
+
+def no_deriv(x: float) -> float:
+    raise ArithmeticError(f"no derivative at {x!r}")
+
+
+# agents outside the column families: concave, convex, failing, unknown
+OTHER_AGENTS = [Custom(log_value, log_deriv), Custom(square, identity), Custom(log_value, no_deriv), object()]
+
+
+def reference_custom_reason(pref: Custom, capacity: float) -> str | None:
+    """The concavity spot check: deriv_fn on 17 evenly spaced points of
+    [0, 2 * max(1, C)] (C taken as 1 unless positive) must strictly fall."""
+    hi = 2.0 * max(1.0, capacity if capacity > 0 else 1.0)
+    try:
+        ds = [float(pref.deriv_fn(hi * k / 16)) for k in range(17)]
+    except Exception as exc:  # noqa: BLE001 - the message is what is compared
+        return f"deriv_fn evaluation failed ({exc})"
+    if any(not ds[k + 1] < ds[k] for k in range(16)):
+        return "deriv_fn not strictly decreasing (utility must be strictly concave)"
+    return None
+
+
 def reference_violations(production, preferences) -> list[str]:
     """The invariants checked one agent at a time, in report order."""
     out = []
@@ -76,23 +116,33 @@ def reference_violations(production, preferences) -> list[str]:
     if n >= 1 and not capacity > 0:
         out.append("C > 0 required (total production must be positive)")
     for i, pref in enumerate(preferences):
-        for name in KIND_NAMES[type(pref)]:
-            value = getattr(pref, name)
-            if not (math.isfinite(value) and value > 0):
-                out.append(f"agent {i}: {name} must be positive")
+        if type(pref) in KIND_NAMES:
+            for name in KIND_NAMES[type(pref)]:
+                value = getattr(pref, name)
+                if not (math.isfinite(value) and value > 0):
+                    out.append(f"agent {i}: {name} must be positive")
+        elif isinstance(pref, Custom):
+            if reason := reference_custom_reason(pref, capacity):
+                out.append(f"agent {i}: {reason}")
+        else:
+            out.append(f"agent {i}: unknown preference type {type(pref).__name__}")
     return out
 
 
 @st.composite
 def edgy_markets(draw):
-    """(production, preferences) with bad entries; families may mix and the
-    preference count may differ from the agent count."""
+    """(production, preferences) with bad entries; families may mix, Custom
+    agents and unknown objects (kind None) may appear, and the preference
+    count may differ from the agent count."""
     production = draw(st.lists(edgy, max_size=8))
     n_prefs = draw(st.sampled_from([len(production), len(production), max(0, len(production) - 1), len(production) + 1]))
-    kinds = st.sampled_from([Quadratic, PiecewiseLinear])
+    kinds = st.sampled_from([Quadratic, PiecewiseLinear, None])
     if draw(st.booleans()):
-        kinds = st.just(draw(kinds))  # homogeneous: the column path
-    preferences = [draw(kinds)(draw(edgy), draw(edgy)) for _ in range(n_prefs)]
+        kinds = st.just(draw(kinds))  # one kind throughout
+    preferences = []
+    for _ in range(n_prefs):
+        kind = draw(kinds)
+        preferences.append(draw(st.sampled_from(OTHER_AGENTS)) if kind is None else kind(draw(edgy), draw(edgy)))
     return production, preferences
 
 
@@ -107,6 +157,21 @@ def test_vectorized_validation_matches_per_agent_reference(market):
     expected = reference_violations(production, preferences)
     assert list(report.violations) == expected
     assert report.ok is (not expected)
+
+
+def test_validation_reports_every_kind_in_agent_order():
+    preferences = [Quadratic(-1.0, 2.0), *OTHER_AGENTS, PiecewiseLinear(1.0, math.nan)]
+    report = validate_instance(MarketInstance(production=[1.0, math.nan, 2.0, 1.0, 0.0, 3.0], preferences=preferences))
+    assert report.violations == (
+        "agent 1: a must be finite",
+        "agent 0: b must be positive",
+        "agent 2: deriv_fn not strictly decreasing (utility must be strictly concave)",
+        "agent 3: deriv_fn evaluation failed (no derivative at 0.0)",
+        "agent 4: unknown preference type object",
+        "agent 5: phi must be positive",
+    )
+    assert report.agents == (1, 0, 2, 3, 4, 5)
+    assert list(report.violations) == reference_violations([1.0, math.nan, 2.0, 1.0, 0.0, 3.0], preferences)
 
 
 @SETTINGS
@@ -216,7 +281,8 @@ def valid_instances(draw):
 @given(valid_instances())
 def test_json_round_trip_and_equality(instance):
     homogeneous = len({type(p) for p in instance.preferences}) == 1
-    assert isinstance(instance.preferences, PreferenceColumns if homogeneous else tuple)
+    assert isinstance(instance.preferences, PreferenceColumns)
+    assert (instance.preferences.kind is None) is not homogeneous
     again = instance_from_dict(json.loads(json.dumps(instance_to_dict(instance))))
     assert again == instance
     assert again.family is instance.family
@@ -246,3 +312,44 @@ def test_columns_are_read_only_copies():
                 arr[0] = 0.0
     assert instance.preferences[-1] == Quadratic(4.0, 2.0)
     assert instance.preferences[1:] == (Quadratic(2.0, 2.0), Quadratic(4.0, 2.0))
+
+    # a mixed layout: Custom agents kept as objects beside the columns
+    concave, convex = OTHER_AGENTS[:2]
+    objects = (concave, Quadratic(1.0, 2.0), PiecewiseLinear(3.0, 1.5), convex, Quadratic(0.5, 4.0))
+    mixed = MarketInstance(production=[1.0, 2.0, 3.0, 4.0, 5.0], preferences=list(objects))
+    assert mixed.preferences.kind is None and mixed.preferences.codes.tolist() == [2, 0, 1, 2, 0]
+    for copied in (mixed, copy.deepcopy(mixed), pickle.loads(pickle.dumps(mixed))):
+        assert copied == mixed and copied.preferences.others == (concave, convex)
+        for arr in (copied.production, *copied.preferences.columns, copied.preferences.codes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert tuple(copied.preferences) == objects and tuple(reversed(copied.preferences)) == objects[::-1]
+        assert [copied.preferences[i] for i in range(5)] == list(objects)
+        assert copied.preferences[-1] == objects[-1] and copied.preferences[-2] == convex
+        assert copied.preferences[1:4] == objects[1:4] and copied.preferences[::-2] == objects[::-2]
+    assert mixed.preferences[0] is concave and mixed.preferences[3] is convex
+    assert tuple(mixed.preferences)[3] is convex and mixed.preferences[2:][1] is convex
+
+
+def test_codes_set_the_kind_and_must_agree():
+    assert PreferenceColumns(None, [1.0, 2.0], [3.0, 4.0], [1, 1]).kind is PiecewiseLinear
+    assert PreferenceColumns(Quadratic, [1.0], [2.0], [0]) == PreferenceColumns(None, [1.0], [2.0], [0])
+    mixed = PreferenceColumns(None, [1.0, math.nan], [2.0, math.nan], [0, 2], [OTHER_AGENTS[0]])
+    assert mixed.kind is None and mixed.mask(Quadratic).tolist() == [True, False]
+    assert mixed == [Quadratic(1.0, 2.0), OTHER_AGENTS[0]]
+    assert mixed != [Quadratic(1.0, 2.0), OTHER_AGENTS[1]] and mixed != [Quadratic(1.0, 3.0), OTHER_AGENTS[0]]
+    assert MarketInstance([1.0, 1.0], mixed).family.value == "mixed"
+    assert MarketInstance([1.0], [OTHER_AGENTS[0]]).preferences.kind is None  # Custom only
+    for bad_kind in (None, Custom):
+        with pytest.raises(TypeError):
+            PreferenceColumns(bad_kind, [1.0], [2.0])
+    for kind, codes, others in [
+        (None, [0, 0], ()),  # one code short
+        (None, [2], ()),  # another agent without its object
+        (None, [0], [OTHER_AGENTS[0]]),  # an object without its code
+        (None, [3], ()),  # no such kind
+        (Quadratic, [1], ()),  # the kind the codes do not share
+    ]:
+        with pytest.raises(ValueError):
+            PreferenceColumns(kind, [1.0], [2.0], codes, others)
