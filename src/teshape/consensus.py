@@ -4,11 +4,12 @@ Approach 1 runs everything through one aggregator: collect each agent's
 preference and production, solve once, broadcast price and allocations.
 Approach 2 has the agents compute for themselves over a communication graph,
 either by flooding the raw data (exact agreement after diameter-many
-synchronous rounds) or by iterating weighted averaging on the production
+synchronous rounds) or by iterating Metropolis averaging on the production
 values so every agent estimates the network mean and solves locally.
 
 Everything is single-process and synchronous-round, so repeated runs are
-bit-identical.
+bit-identical. Averaging adds each agent's neighbour terms in a fixed
+order, so its bits do not depend on the BLAS kernel either.
 """
 
 from __future__ import annotations
@@ -60,12 +61,24 @@ class CollectionError(ValueError):
         super().__init__(f"agent {agent}: " + "; ".join(reasons))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Undirected communication graph over the n agents."""
+    """Undirected communication graph over the n agents: ``edges`` is a
+    read-only ``(m, 2)`` intp array of sorted ``(lo, hi)`` pairs in ascending
+    order, each edge once. Graphs compare by value and are unhashable."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CommGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    __hash__ = None
+
+    def __reduce__(self):  # rebuild through from_edges, so copies stay read-only
+        return CommGraph.from_edges, (self.n, self.edges)
 
     @staticmethod
     def from_edges(n: int, edges) -> CommGraph:
@@ -87,11 +100,13 @@ class CommGraph:
         lo, hi = lo[order], hi[order]
         first = np.ones(len(lo), dtype=bool)
         first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        return CommGraph(n=n, edges=tuple(zip(lo[first].tolist(), hi[first].tolist())))
+        edges = np.column_stack([lo[first], hi[first]]).astype(np.intp, copy=False)
+        edges.setflags(write=False)
+        return CommGraph(n, edges)
 
     @staticmethod
     def complete(n: int) -> CommGraph:
-        return CommGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return CommGraph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
     @staticmethod
     def ring(n: int) -> CommGraph:
@@ -118,21 +133,20 @@ class CommGraph:
             ends = [strict_int(v, f"graph edge {k // 2} endpoint") for k, v in enumerate(ends)]
         return CommGraph.from_edges(strict_int(data["n"], "graph n"), np.array(ends))
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, degrees): ``slots[k, u]`` is agent u's k-th neighbour in
+        ascending order, or u itself past its degree."""
+        lo, hi = self.edges.T
+        agent, neighbour = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.lexsort((neighbour, agent))
+        agent, neighbour = agent[order], neighbour[order]
+        degrees = np.bincount(agent, minlength=self.n)
+        slots = np.tile(np.arange(self.n), (int(degrees.max()), 1))
+        slots[np.arange(len(agent)) - (np.cumsum(degrees) - degrees)[agent], agent] = neighbour
+        return slots, degrees
 
     def is_connected(self) -> bool:
-        adj, seen, stack = self.neighbors(), {0}, [0]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        return _connected(self._slots()[0])
 
     def _reach(self):
         """Yield the boolean n x n array "agent i holds agent j's data" after
@@ -140,16 +154,13 @@ class CommGraph:
         the first round that adds nobody, then raise DisconnectedGraph if
         some agent still misses some data. Rows are kept as packed bits; a
         round ORs in each agent's neighbours' rows, one neighbour slot at a time."""
-        adj = self.neighbors()
-        width = max(map(len, adj))
-        # slot k of agent u holds its k-th neighbour, or u itself past its degree
-        slots = np.array([nb + [u] * (width - len(nb)) for u, nb in enumerate(adj)], dtype=np.intp)
+        slots, _ = self._slots()
         reach = np.packbits(np.eye(self.n, dtype=bool), axis=1)
         while True:
             held = np.unpackbits(reach, axis=1, count=self.n).view(bool)
             yield held
             grown = reach.copy()
-            for neighbour in slots.T:
+            for neighbour in slots:
                 grown |= reach[neighbour]
             if np.array_equal(grown, reach):
                 if not held.all():
@@ -163,16 +174,33 @@ class CommGraph:
             pass
         return rounds
 
-    def mixing_matrix(self) -> np.ndarray:
-        """Metropolis-Hastings averaging weights: symmetric, doubly stochastic."""
-        if not self.is_connected():
+    def mixing_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Metropolis-Hastings weights per neighbour slot, ``(w_self, slots,
+        w_slot)``: ``w_slot[k, u]`` is 1 / (1 + max(deg u, deg v)) for agent
+        u's k-th neighbour v = ``slots[k, u]``, 0 past u's degree, and
+        ``w_self[u]`` 1 minus u's weights added in slot order. Symmetric per
+        edge, rows sum to 1. Raises DisconnectedGraph."""
+        slots, degrees = self._slots()
+        if not _connected(slots):
             raise DisconnectedGraph("graph is not connected")
-        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
-        deg = np.bincount(np.concatenate([i, j]), minlength=self.n).astype(float)
-        w = np.zeros((self.n, self.n))
-        w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-        return w
+        w_slot = np.where(slots != np.arange(self.n), 1.0 / (1.0 + np.maximum(degrees[slots], degrees)), 0.0)
+        return 1.0 - sum(w_slot, np.zeros(self.n)), slots, w_slot
+
+
+def _connected(slots: np.ndarray) -> bool:
+    """Min-label hooking with pointer jumping: every label is the root of its
+    agent's tree; each root takes the least root next to any of its tree's
+    agents, then labels follow labels to their roots. Once no root moves,
+    the trees are the components: connected iff every label is 0."""
+    label = np.arange(slots.shape[1])
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, label, label[slots].min(axis=0, initial=len(label)))
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return not label.any()
+        label = hooked
 
 
 @dataclass(frozen=True)
@@ -249,28 +277,32 @@ def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
 
 
 def _average(
-    instance: MarketInstance, w: np.ndarray, rounds: int, tol: float | None, homogenize: bool
-) -> tuple[ConsensusTrace, np.ndarray | None, np.ndarray | None]:
-    """Iterated Metropolis averaging on the production values and, with
-    ``homogenize``, on the quadratic parameters ``(b, m)`` in the same
-    rounds. Returns the trace and the averaged ``(b, m)``, else ``None``s."""
-    b, m = instance.preferences.columns if homogenize else (None, None)
+    instance: MarketInstance, graph: CommGraph, rounds: int, tol: float | None, homogenize: bool
+) -> tuple[ConsensusTrace, np.ndarray]:
+    """Metropolis averaging of the production values z and, with
+    ``homogenize``, the quadratic ``(b, m)``: a round is ``w_self * z`` plus
+    ``w_slot[k] * z[slots[k]]`` for each slot k in ascending order. Padding
+    slots add ``0 * z[u]``, which changes no bit, signed zeros included.
+    Returns the trace and the last round's rows ``(z, b, m)`` or ``(z,)``."""
+    w_self, slots, w_slot = graph.mixing_weights()  # raises DisconnectedGraph
+    state = np.stack([instance.production, *(instance.preferences.columns if homogenize else ())])
     target = instance.capacity / instance.n
     history = np.zeros((min(rounds, _HISTORY_ROWS) + 1, instance.n))  # doubled as needed, up to rounds + 1
-    history[0] = z = instance.production
+    history[0] = instance.production
     r = 0
     for r in range(1, rounds + 1):
         if r == len(history):
             history = np.concatenate([history, np.zeros((min(r, rounds + 1 - r), instance.n))])
-        z = np.matmul(w, z, out=history[r])
-        if homogenize:
-            b, m = w @ b, w @ m
-        if tol is not None and float(np.max(np.abs(z - target))) <= tol:
+        mixed = w_self * state
+        for neighbour, w in zip(slots, w_slot):
+            mixed += w * state[:, neighbour]
+        history[r], state = mixed[0], mixed
+        if tol is not None and float(np.max(np.abs(state[0] - target))) <= tol:
             break
     trace = ConsensusTrace(history[:r + 1], target=target, rounds=r)
     if tol is not None and trace.final_error > tol:
         raise NotConverged(trace.final_error, trace.rounds, tol)
-    return trace, b, m
+    return trace, state
 
 
 def run_distributed(
@@ -285,7 +317,8 @@ def run_distributed(
 
     ``mode="flood"`` floods raw data for ``diameter`` rounds and each agent
     solves the identical instance (trading model included), so all results
-    agree bit-for-bit. ``mode="average"`` iterates weighted averaging on the
+    agree bit-for-bit. ``mode="average"`` iterates Metropolis averaging
+    over each agent's neighbour slots (``CommGraph.mixing_weights``) on the
     production values (at most ``rounds`` rounds, early stop at ``tol``);
     each agent then solves with its own capacity estimate, production spread
     uniformly. Preferences are still flooded in average mode, except with
@@ -318,11 +351,11 @@ def run_distributed(
     if homogenize and plain.family is not Family.QUADRATIC:
         raise ValidationError(["preference averaging requires quadratic preferences (convex parameter space)"])
 
-    trace, b, m = _average(plain, graph.mixing_matrix(), rounds, tol, homogenize)  # checks connectivity
+    trace, state = _average(plain, graph, rounds, tol, homogenize)  # checks connectivity
     n, prefs = instance.n, plain.preferences
     local = []
     for i, capacity_i in enumerate((trace.estimates[-1] * n).tolist()):
         if homogenize:
-            prefs = PreferenceColumns(Quadratic, np.full(n, b[i]), np.full(n, m[i]))
+            prefs = PreferenceColumns(Quadratic, np.full(n, state[1, i]), np.full(n, state[2, i]))
         local.append(MarketInstance(np.full(n, capacity_i / n), prefs, model=ModelKind.MTES))
     return DistributedRun(results=tuple(solve_many(local)), trace=trace, rounds_used=trace.rounds)

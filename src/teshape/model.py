@@ -129,7 +129,7 @@ class PreferenceColumns(Sequence):
     and iteration yield the agents' objects, slices tuples of them.
     """
 
-    __slots__ = ("kind", "columns", "codes", "others")
+    __slots__ = ("kind", "columns", "codes", "others", "_other_slots")
 
     def __init__(self, kind: type | None, first, second, codes=None, others=()) -> None:
         if kind not in _COLUMN_KINDS and (kind is not None or codes is None):
@@ -144,6 +144,7 @@ class PreferenceColumns(Sequence):
         if sum(counts) != len(self) or counts[_OTHER] != len(self.others) or (
                 self.kind and counts[_KINDS.index(self.kind)] != len(self)):
             raise ValueError("kind codes must agree with the kind and the other agents")
+        self._other_slots = np.cumsum(self.mask(None)) - 1 if self.others else None  # agent -> index in others
 
     @classmethod
     def of(cls, preferences) -> PreferenceColumns:
@@ -178,7 +179,7 @@ class PreferenceColumns(Sequence):
 
     def __getitem__(self, i):
         rows = np.arange(len(self))[i] if isinstance(i, slice) else [range(len(self))[i]]
-        slots = (np.cumsum(self.mask(None)) - 1)[rows].tolist() if self.others else repeat(0)
+        slots = self._other_slots[rows].tolist() if self.others else repeat(0)
         objects = [self.others[slot] if code == _OTHER else _KINDS[code](p, q)
                    for code, slot, p, q in zip(self.codes[rows].tolist(), slots, *(c[rows].tolist() for c in self.columns))]
         return tuple(objects) if isinstance(i, slice) else objects[0]

@@ -7,11 +7,12 @@ for piece-wise linear markets, and a hand-rolled linear-interpolation
 percentile. Expected values in the tests were produced (or cross-checked)
 with these and then frozen. ``flood_by_set_union`` keeps the original
 set-based flooding simulation as the bitwise reference for the array one,
-and ``local_solves`` the per-agent solve loop of average consensus as the
-bitwise reference for its one-sort water-filling. ``full_sort_quadratic``
-and ``full_sort_pwl`` keep the clearing cores that stable-sorted every
-agent, as the bitwise reference for the ones that sort only the agents a
-selection step leaves. ``bracketed_root``, ``inverse_marginal`` and
+``metropolis_rounds`` the per-agent averaging loop as the bitwise reference
+for the slot-table rounds, and ``local_solves`` the per-agent solve loop of
+average consensus as the bitwise reference for its one-sort water-filling.
+``full_sort_quadratic`` and ``full_sort_pwl`` keep the clearing cores that
+stable-sorted every agent, as the bitwise reference for the ones that sort
+only the agents a selection step leaves. ``bracketed_root``, ``inverse_marginal`` and
 ``ScalarCustomDemand`` keep the scalar root-finder, the one-agent-at-a-time
 Custom inversion and its warm-started memory as the bitwise reference for
 the lockstep array ones.
@@ -204,6 +205,46 @@ def flood_by_set_union(a: np.ndarray, edges) -> np.ndarray:
         known = new_known
         estimates[r] = [a[sorted(known[i])].mean() for i in range(n)]
     return estimates
+
+
+def metropolis_rounds(a, edges, rounds: int, tol: float | None = None) -> np.ndarray:
+    """Per-round Metropolis averaging estimates, shape (rounds used + 1, n),
+    one agent at a time in Python floats. The weights come from the edge
+    list alone: 1 / (1 + max(deg u, deg v)) per neighbour pair, and 1 minus
+    an agent's neighbour weights added in ascending neighbour order for
+    itself. A round gives agent u ``w_uu * z[u]`` plus ``w_uv * z[v]`` over
+    its neighbours v in ascending order. With ``tol`` the rounds stop at the
+    first whose largest distance to the left-to-right mean is at most tol."""
+    z = [float(v) for v in a]
+    n = len(z)
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        sets[int(i)].add(int(j))
+        sets[int(j)].add(int(i))
+    neighbours = [sorted(s) for s in sets]
+    weights = [[1.0 / (1 + max(len(neighbours[u]), len(neighbours[v]))) for v in neighbours[u]] for u in range(n)]
+    own = []
+    for row in weights:
+        total = 0.0
+        for w in row:
+            total += w
+        own.append(1.0 - total)
+    total = 0.0
+    for v in z:
+        total += v
+    target, history = total / n, [z]
+    for _ in range(rounds):
+        nxt = []
+        for u in range(n):
+            x = own[u] * z[u]
+            for v, w in zip(neighbours[u], weights[u]):
+                x += w * z[v]
+            nxt.append(x)
+        z = nxt
+        history.append(z)
+        if tol is not None and max(abs(x - target) for x in z) <= tol:
+            break
+    return np.array(history)
 
 
 def local_solves(estimates, preferences) -> list:

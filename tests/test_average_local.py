@@ -9,13 +9,17 @@ connected graphs of 1..60 agents; many agents share a drop-out price m*b
 with different m and b, and productions follow the satiation loads so
 local capacities fall on both sides of their sum. Capacities are compared
 with the kink demands five at a time here, so the blocks split. Runs are
-derandomized. The averaging trace itself must equal the rounds collected in
-a list and stacked by ``np.array``, with a ``tol`` early stop and with more
-rounds than the estimates array first holds.
+derandomized. The averaging trace itself must equal
+``oracles.metropolis_rounds``, the per-agent loop, bit for bit, signed
+zeros included, with a ``tol`` early stop and with more rounds than the
+estimates array first holds. Against exact ``Fraction`` iteration of the
+same float weights, round r of the trace is within
+r * (d_max + 2) * eps/2 * max|z0|.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -37,7 +41,7 @@ from teshape import (
 )
 from teshape.solver import solve_many
 
-from oracles import local_solves
+from oracles import local_solves, metropolis_rounds
 
 DROP_OUTS = (3.0, 6.0, 12.0)  # shared drop-out prices of the tied agents
 
@@ -85,14 +89,14 @@ def _outcome(solve_all) -> tuple:
 @example(([3.0], [1.0], [2.0], [], 0))  # one agent
 @example(([0.0, 2.0, 1.0], [1.0, 2.0, 4.0], [8.0, 4.0, 2.0], [(0, 1), (1, 2)], 0))  # a zero production, all drop-outs tied
 @example(([9.0, 0.0, 0.0, 0.0], [1.0] * 4, [1.0] * 4, [(0, 1), (1, 2), (2, 3)], 1))  # capacity 0 after a round
+@example(([4.0, -0.0, -0.0, 0.0, -0.0], [1.0] * 5, [2.0] * 5, [(1, 2), (1, 3), (1, 4), (0, 4)], 3))  # signed zeros, padding slots
 def test_batched_average_matches_per_agent_loop(case):
     production, b, m, edges, rounds = case
     n = len(production)
     preferences = PreferenceColumns(Quadratic, b, m)
     graph = CommGraph.from_edges(n, edges)
-    z, w = np.asarray(production, dtype=float), graph.mixing_matrix()
-    for _ in range(rounds):  # the averaging rounds of run_distributed
-        z = w @ z
+    expected = metropolis_rounds(production, edges, rounds)  # the averaging rounds of run_distributed
+    z = expected[-1]
     runs = []
 
     def batched():
@@ -103,7 +107,7 @@ def test_batched_average_matches_per_agent_loop(case):
         got = _outcome(batched)
     assert got == _outcome(lambda: local_solves(z, preferences))
     if runs:
-        assert runs[0].trace.estimates[-1].tobytes() == z.tobytes()
+        assert runs[0].trace.estimates.tobytes() == expected.tobytes()
         assert runs[0].trace.final_error == float(np.max(runs[0].trace.errors[-1]))
 
 
@@ -147,23 +151,46 @@ def test_batched_validation_raises_as_the_loop_does(b, productions):
     assert str(batched.value) == str(loop.value)
 
 
-def _listed_rounds(production: np.ndarray, w: np.ndarray, rounds: int, tol: float | None) -> np.ndarray:
-    z, history, target = production, [production], sum(production.tolist()) / len(production)  # C/n
-    for _ in range(rounds):
-        z = w @ z
-        history.append(z)
-        if tol is not None and float(np.max(np.abs(z - target))) <= tol:
-            break
-    return np.array(history)
-
-
 @pytest.mark.parametrize("rounds, tol", [(5000, 1e-3), (150, None)], ids=["tol-early-stop", "past-first-growth"])
 def test_average_trace_matches_listed_rounds(rounds, tol):
     graph = CommGraph.ring(24)
     production = np.random.default_rng(1).uniform(0.0, 10.0, graph.n)
     preferences = PreferenceColumns(Quadratic, np.ones(graph.n), np.full(graph.n, 5.0))
     run = run_distributed(MarketInstance(production, preferences), graph, rounds, "average", tol=tol)
-    expected = _listed_rounds(production, graph.mixing_matrix(), rounds, tol)
+    expected = metropolis_rounds(production, graph.edges, rounds, tol)
     assert 100 < run.rounds_used == len(expected) - 1 < 2000
     assert run.trace.estimates.shape == expected.shape
     assert run.trace.estimates.tobytes() == expected.tobytes()
+
+
+@st.composite
+def connected_graphs(draw):
+    """(production, edges, rounds): a random spanning tree of 1..12 agents
+    plus up to 2n extra edges, productions spanning six decades, 0..20 rounds."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges += draw(st.lists(pairs, max_size=2 * n))
+    production = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return production, edges, draw(st.integers(0, 20))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_graphs())
+@example(([1e3] + [1e-3] * 11, [(0, k) for k in range(1, 12)], 20))  # a star: the widest slot table
+def test_average_rounds_within_rounding_bound_of_exact_iteration(case):
+    production, edges, rounds = case
+    n = len(production)
+    graph = CommGraph.from_edges(n, edges)
+    w_self, slots, w_slot = graph.mixing_weights()
+    preferences = PreferenceColumns(Quadratic, np.ones(n), np.full(n, 5.0))
+    trace = run_distributed(MarketInstance(production, preferences), graph, rounds, "average").trace
+    own, neighbours = [Fraction(w) for w in w_self.tolist()], slots.T.tolist()
+    weights = [[Fraction(w) for w in row] for row in w_slot.T.tolist()]
+    z = [Fraction(x) for x in production]
+    unit = Fraction(np.finfo(float).eps) / 2 * max(z)
+    for r, row in enumerate(trace.estimates[1:].tolist(), start=1):
+        z = [own[u] * z[u] + sum(w * z[v] for v, w in zip(neighbours[u], weights[u])) for u in range(n)]
+        bound = r * (len(slots) + 2) * unit
+        assert all(abs(Fraction(x) - exact) <= bound for x, exact in zip(row, z))

@@ -26,33 +26,42 @@ from conftest import quartet_instance
 # ---------------------------------------------------------------------------
 
 
-def test_mixing_matrix_doubly_stochastic():
-    for graph in (CommGraph.complete(5), CommGraph.ring(6), CommGraph.path(7)):
-        w = graph.mixing_matrix()
-        assert np.allclose(w, w.T)
-        assert np.allclose(w.sum(axis=0), 1.0)
-        assert np.allclose(w.sum(axis=1), 1.0)
-        assert np.all(w >= -1e-15)
+def test_mixing_weights_doubly_stochastic():
+    star = CommGraph.from_edges(6, [(0, k) for k in range(1, 6)])
+    for graph in (CommGraph.complete(5), CommGraph.ring(6), CommGraph.path(7), star):
+        w_self, slots, w_slot = graph.mixing_weights()
+        agents = np.broadcast_to(np.arange(graph.n), slots.shape)
+        real = slots != agents  # a padding slot holds the agent itself, a real one never does
+        weight = dict(zip(zip(agents[real].tolist(), slots[real].tolist()), w_slot[real].tolist()))
+        pairs = graph.edges.tolist()
+        assert sorted(weight) == sorted({(i, j) for i, j in pairs} | {(j, i) for i, j in pairs})
+        assert all(weight[v, u] == w for (u, v), w in weight.items())  # symmetric per edge
+        assert np.all(w_slot[~real] == 0.0)
+        assert np.all(w_self >= 0.0) and np.all(w_slot >= 0.0)
+        assert np.all(np.abs(w_self + w_slot.sum(axis=0) - 1.0) <= 1e-15)
 
 
 def test_disconnected_graph_rejected():
     graph = CommGraph.from_edges(4, [(0, 1), (2, 3)])
     assert not graph.is_connected()
     with pytest.raises(DisconnectedGraph):
-        graph.mixing_matrix()
+        graph.mixing_weights()
     with pytest.raises(DisconnectedGraph):
         run_distributed(quartet_instance(), graph)
 
 
-def test_flood_builds_neighbour_lists_once(monkeypatch):
+def test_slot_table_built_once_per_run(monkeypatch):
     calls = []
-    original = CommGraph.neighbors
-    monkeypatch.setattr(CommGraph, "neighbors", lambda self: calls.append(1) or original(self))
-    run_distributed(quartet_instance(), CommGraph.path(4))
-    assert len(calls) == 1
-    with pytest.raises(DisconnectedGraph):
-        run_distributed(quartet_instance(), CommGraph.from_edges(4, [(0, 1), (2, 3)]))
-    assert len(calls) == 2
+    original = CommGraph._slots
+    monkeypatch.setattr(CommGraph, "_slots", lambda self: calls.append(1) or original(self))
+    disconnected = CommGraph.from_edges(4, [(0, 1), (2, 3)])
+    for mode in ("flood", "average"):
+        run_distributed(quartet_instance(), CommGraph.path(4), rounds=3, mode=mode)
+        assert len(calls) == 1
+        with pytest.raises(DisconnectedGraph):
+            run_distributed(quartet_instance(), disconnected, rounds=3, mode=mode)
+        assert len(calls) == 2
+        calls.clear()
 
 
 def test_graph_validation():

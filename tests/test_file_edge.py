@@ -109,11 +109,8 @@ def agent_lists(draw):
 def _signature(instance: MarketInstance) -> tuple:
     """Everything that tells two instances apart, down to the sign of zero."""
     prefs = instance.preferences
-    if isinstance(prefs, PreferenceColumns):
-        described = (prefs.kind.__name__, *(c.tobytes() for c in prefs.columns))
-    else:
-        described = tuple(repr(p) for p in prefs)
-    return instance.model, instance.production.tobytes(), type(prefs).__name__, described
+    described = (prefs.codes.tobytes(), *(c.tobytes() for c in prefs.columns), repr(prefs.others))
+    return instance.model, instance.production.tobytes(), described
 
 
 def _outcome(data: dict) -> tuple:
@@ -231,7 +228,10 @@ def test_negative_price_document_matches_json_dump(tmp_path):
 
 @st.composite
 def saved_instances(draw):
-    """Column or mixed-tuple instances, some with non-finite values planted."""
+    """Instances given one family's columns or a list of quadratic and PWL
+    objects, which the instance holds in the same column layout (kind codes
+    per agent, NaN in the other family's rows), some with non-finite values
+    planted."""
     as_columns = draw(st.booleans())
     n = draw(sizes if as_columns else st.integers(1, 12))
     columns = [_column(draw, n) for _ in range(3)]

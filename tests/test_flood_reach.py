@@ -4,7 +4,10 @@
 * the rounds used, and ``CommGraph.diameter``, equal the largest BFS
   distance;
 * disconnected graphs raise ``DisconnectedGraph`` from ``diameter`` and from
-  ``run_distributed``.
+  ``run_distributed``;
+* ``CommGraph.edges`` is the read-only array of a set of sorted pairs, and
+  ``is_connected`` and ``mixing_weights`` agree with the BFS on
+  connectivity; graphs compare by value, are unhashable and pickle.
 
 Graphs hold 1..12 nodes, tied degrees included; runs are derandomized.
 Fixed larger graphs add rows longer than NumPy's 128-element pairwise
@@ -13,6 +16,8 @@ a star and a random tree), with productions spanning six decades.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +73,32 @@ def test_flood_matches_set_union_reference(case):
     reference = flood_by_set_union(np.asarray(production, dtype=float), graph.edges)
     assert run.trace.estimates.shape == reference.shape
     assert run.trace.estimates.tobytes() == reference.tobytes()
+
+
+@SETTINGS
+@given(graphs())
+@example(([1.0, 2.0, 3.0], [(2, 0), (0, 2), (1, 0), (0, 1), (2, 0)]))  # duplicates in both orientations
+def test_graph_arrays_match_set_of_pairs(case):
+    production, edges = case
+    n = len(production)
+    graph = CommGraph.from_edges(n, edges)
+    expected = sorted({(min(i, j), max(i, j)) for i, j in edges})
+    assert graph.edges.dtype == np.intp and graph.edges.shape == (len(expected), 2)
+    assert graph.edges.tolist() == [list(pair) for pair in expected]
+    with pytest.raises(ValueError):
+        graph.edges[:1] = 0
+    connected = bfs_diameter(n, edges) is not None
+    assert graph.is_connected() is connected
+    if connected:
+        graph.mixing_weights()
+    else:
+        with pytest.raises(DisconnectedGraph, match="graph is not connected"):
+            graph.mixing_weights()
+    assert graph == CommGraph.from_edges(n, expected[::-1]) and graph != CommGraph.from_edges(n + 1, edges)
+    with pytest.raises(TypeError):
+        hash(graph)
+    copy = pickle.loads(pickle.dumps(graph))
+    assert copy == graph and not copy.edges.flags.writeable
 
 
 def _tree(n: int, seed: int) -> list[tuple[int, int]]:
