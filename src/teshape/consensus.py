@@ -8,8 +8,8 @@ synchronous rounds) or by iterating Metropolis averaging on the production
 values so every agent estimates the network mean and solves locally.
 
 Everything is single-process and synchronous-round, so repeated runs are
-bit-identical. Averaging adds each agent's neighbour terms in a fixed
-order, so its bits do not depend on the BLAS kernel either.
+bit-identical. Averaging sums each agent's neighbour terms in a fixed
+order without BLAS, so its bits do not depend on the BLAS kernel either.
 """
 
 from __future__ import annotations
@@ -63,22 +63,16 @@ class CollectionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Undirected communication graph over the n agents: ``edges`` is a
-    read-only ``(m, 2)`` intp array of sorted ``(lo, hi)`` pairs in ascending
-    order, each edge once. Graphs compare by value and are unhashable."""
+    """Undirected graph over the n agents: ``edges`` is a read-only ``(m, 2)`` intp
+    array of sorted ``(lo, hi)`` pairs, each edge once. Compares by value, unhashable."""
 
     n: int
     edges: np.ndarray
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CommGraph):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.edges, other.edges)
+        return isinstance(other, CommGraph) and self.n == other.n and np.array_equal(self.edges, other.edges)
 
     __hash__ = None
-
-    def __reduce__(self):  # rebuild through from_edges, so copies stay read-only
-        return CommGraph.from_edges, (self.n, self.edges)
 
     @staticmethod
     def from_edges(n: int, edges) -> CommGraph:
@@ -133,35 +127,30 @@ class CommGraph:
             ends = [strict_int(v, f"graph edge {k // 2} endpoint") for k, v in enumerate(ends)]
         return CommGraph.from_edges(strict_int(data["n"], "graph n"), np.array(ends))
 
-    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, degrees): ``slots[k, u]`` is agent u's k-th neighbour in
-        ascending order, or u itself past its degree."""
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, cols, degrees): agent u's segment ``cols[starts[u]:starts[u] + degrees[u] + 1]``
+        holds u itself, then u's neighbours in ascending order."""
         lo, hi = self.edges.T
-        agent, neighbour = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        order = np.lexsort((neighbour, agent))
-        agent, neighbour = agent[order], neighbour[order]
-        degrees = np.bincount(agent, minlength=self.n)
-        slots = np.tile(np.arange(self.n), (int(degrees.max()), 1))
-        slots[np.arange(len(agent)) - (np.cumsum(degrees) - degrees)[agent], agent] = neighbour
-        return slots, degrees
+        own = np.arange(self.n)  # a stable sort by agent: itself, then smaller neighbours, then larger
+        cols = np.concatenate([own, lo, hi])[np.argsort(np.concatenate([own, hi, lo]), kind="stable")]
+        degrees = np.bincount(self.edges.ravel(), minlength=self.n)
+        return np.cumsum(degrees + 1) - (degrees + 1), cols, degrees
 
     def is_connected(self) -> bool:
-        return _connected(self._slots()[0])
+        return _connected(*self._adjacency()[:2])
 
     def _reach(self):
         """Yield the boolean n x n array "agent i holds agent j's data" after
         each synchronous flooding round, from round 0 (the identity) until
         the first round that adds nobody, then raise DisconnectedGraph if
-        some agent still misses some data. Rows are kept as packed bits; a
-        round ORs in each agent's neighbours' rows, one neighbour slot at a time."""
-        slots, _ = self._slots()
-        reach = np.packbits(np.eye(self.n, dtype=bool), axis=1)
+        some agent still misses some data. Rows are packed bits in 64-bit words,
+        word-major; a round ORs together the rows of each ``_adjacency`` segment."""
+        starts, cols, _ = self._adjacency()
+        reach = np.packbits(np.eye(self.n, -(-self.n // 64) * 64, dtype=bool), axis=1).view(np.uint64).T
         while True:
-            held = np.unpackbits(reach, axis=1, count=self.n).view(bool)
+            held = np.unpackbits(np.ascontiguousarray(reach.T).view(np.uint8), axis=1, count=self.n).view(bool)
             yield held
-            grown = reach.copy()
-            for neighbour in slots:
-                grown |= reach[neighbour]
+            grown = np.bitwise_or.reduceat(np.take(reach, cols, axis=1), starts, axis=1)
             if np.array_equal(grown, reach):
                 if not held.all():
                     raise DisconnectedGraph("graph is not connected")
@@ -175,27 +164,25 @@ class CommGraph:
         return rounds
 
     def mixing_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Metropolis-Hastings weights per neighbour slot, ``(w_self, slots,
-        w_slot)``: ``w_slot[k, u]`` is 1 / (1 + max(deg u, deg v)) for agent
-        u's k-th neighbour v = ``slots[k, u]``, 0 past u's degree, and
-        ``w_self[u]`` 1 minus u's weights added in slot order. Symmetric per
-        edge, rows sum to 1. Raises DisconnectedGraph."""
-        slots, degrees = self._slots()
-        if not _connected(slots):
+        """Metropolis-Hastings weights ``(starts, cols, w)`` on the ``_adjacency`` segments:
+        1 / (1 + max(deg u, deg v)) for u's neighbour v, and for u itself 1 minus
+        their ``np.add.reduceat``. Symmetric, segments sum to 1. Raises DisconnectedGraph."""
+        starts, cols, degrees = self._adjacency()
+        if not _connected(starts, cols):
             raise DisconnectedGraph("graph is not connected")
-        w_slot = np.where(slots != np.arange(self.n), 1.0 / (1.0 + np.maximum(degrees[slots], degrees)), 0.0)
-        return 1.0 - sum(w_slot, np.zeros(self.n)), slots, w_slot
+        w = 1.0 / (1.0 + np.maximum(np.repeat(degrees, degrees + 1), degrees[cols]))
+        w[starts] = 0.0
+        w[starts] = 1.0 - np.add.reduceat(w, starts)
+        return starts, cols, w
 
 
-def _connected(slots: np.ndarray) -> bool:
-    """Min-label hooking with pointer jumping: every label is the root of its
-    agent's tree; each root takes the least root next to any of its tree's
-    agents, then labels follow labels to their roots. Once no root moves,
-    the trees are the components: connected iff every label is 0."""
-    label = np.arange(slots.shape[1])
+def _connected(starts: np.ndarray, cols: np.ndarray) -> bool:
+    """Min-label hooking with pointer jumping over the ``_adjacency`` segments:
+    once no root moves, the trees are the components; connected iff all labels are 0."""
+    label = np.arange(len(starts))
     while True:
         hooked = label.copy()
-        np.minimum.at(hooked, label, label[slots].min(axis=0, initial=len(label)))
+        np.minimum.at(hooked, label, np.minimum.reduceat(label[cols], starts))
         while not np.array_equal(jumped := hooked[hooked], hooked):
             hooked = jumped
         if np.array_equal(hooked, label):
@@ -279,13 +266,12 @@ def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
 def _average(
     instance: MarketInstance, graph: CommGraph, rounds: int, tol: float | None, homogenize: bool
 ) -> tuple[ConsensusTrace, np.ndarray]:
-    """Metropolis averaging of the production values z and, with
-    ``homogenize``, the quadratic ``(b, m)``: a round is ``w_self * z`` plus
-    ``w_slot[k] * z[slots[k]]`` for each slot k in ascending order. Padding
-    slots add ``0 * z[u]``, which changes no bit, signed zeros included.
-    Returns the trace and the last round's rows ``(z, b, m)`` or ``(z,)``."""
-    w_self, slots, w_slot = graph.mixing_weights()  # raises DisconnectedGraph
-    state = np.stack([instance.production, *(instance.preferences.columns if homogenize else ())])
+    """Metropolis averaging of the production values z and, with ``homogenize``,
+    the quadratic ``(b, m)``: a round is ``np.add.reduceat(w * z[cols], starts)``,
+    u's own term plus NumPy's pairwise sum of its neighbours' terms in ascending
+    order. Returns the trace and the last round's rows ``(z, b, m)`` or ``(z,)``."""
+    starts, cols, w = graph.mixing_weights()  # raises DisconnectedGraph
+    state = [instance.production, *(instance.preferences.columns if homogenize else ())]
     target = instance.capacity / instance.n
     history = np.zeros((min(rounds, _HISTORY_ROWS) + 1, instance.n))  # doubled as needed, up to rounds + 1
     history[0] = instance.production
@@ -293,16 +279,14 @@ def _average(
     for r in range(1, rounds + 1):
         if r == len(history):
             history = np.concatenate([history, np.zeros((min(r, rounds + 1 - r), instance.n))])
-        mixed = w_self * state
-        for neighbour, w in zip(slots, w_slot):
-            mixed += w * state[:, neighbour]
-        history[r], state = mixed[0], mixed
+        state = [np.add.reduceat(w * z[cols], starts) for z in state]
+        history[r] = state[0]
         if tol is not None and float(np.max(np.abs(state[0] - target))) <= tol:
             break
     trace = ConsensusTrace(history[:r + 1], target=target, rounds=r)
     if tol is not None and trace.final_error > tol:
         raise NotConverged(trace.final_error, trace.rounds, tol)
-    return trace, state
+    return trace, np.array(state)
 
 
 def run_distributed(
@@ -318,7 +302,7 @@ def run_distributed(
     ``mode="flood"`` floods raw data for ``diameter`` rounds and each agent
     solves the identical instance (trading model included), so all results
     agree bit-for-bit. ``mode="average"`` iterates Metropolis averaging
-    over each agent's neighbour slots (``CommGraph.mixing_weights``) on the
+    over each agent's neighbour list (``CommGraph.mixing_weights``) on the
     production values (at most ``rounds`` rounds, early stop at ``tol``);
     each agent then solves with its own capacity estimate, production spread
     uniformly. Preferences are still flooded in average mode, except with

@@ -8,7 +8,7 @@ percentile. Expected values in the tests were produced (or cross-checked)
 with these and then frozen. ``flood_by_set_union`` keeps the original
 set-based flooding simulation as the bitwise reference for the array one,
 ``metropolis_rounds`` the per-agent averaging loop as the bitwise reference
-for the slot-table rounds, and ``local_solves`` the per-agent solve loop of
+for the segmented-sum rounds, and ``local_solves`` the per-agent solve loop of
 average consensus as the bitwise reference for its one-sort water-filling.
 ``full_sort_quadratic`` and ``full_sort_pwl`` keep the clearing cores that
 stable-sorted every agent, as the bitwise reference for the ones that sort
@@ -207,14 +207,41 @@ def flood_by_set_union(a: np.ndarray, edges) -> np.ndarray:
     return estimates
 
 
+def pairwise_sum(terms: list[float]) -> float:
+    """NumPy's pairwise summation of float64, as ``np.add.reduce`` and
+    ``np.add.reduceat`` apply it after a segment's first element: below 8
+    terms a running sum from -0.0; up to 128, eight interleaved partial sums
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    terms past the last multiple of 8 in order; above 128, the sums of two
+    halves split at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        total = -0.0
+        for x in terms:
+            total += x
+        return total
+    if n <= 128:
+        r = terms[:8]
+        full = n - n % 8
+        for i in range(8, full, 8):
+            r = [a + b for a, b in zip(r, terms[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in terms[full:]:
+            total += x
+        return total
+    half = n // 2 - (n // 2) % 8
+    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+
+
 def metropolis_rounds(a, edges, rounds: int, tol: float | None = None) -> np.ndarray:
     """Per-round Metropolis averaging estimates, shape (rounds used + 1, n),
     one agent at a time in Python floats. The weights come from the edge
     list alone: 1 / (1 + max(deg u, deg v)) per neighbour pair, and 1 minus
-    an agent's neighbour weights added in ascending neighbour order for
-    itself. A round gives agent u ``w_uu * z[u]`` plus ``w_uv * z[v]`` over
-    its neighbours v in ascending order. With ``tol`` the rounds stop at the
-    first whose largest distance to the left-to-right mean is at most tol."""
+    the ``pairwise_sum`` of an agent's neighbour weights, in ascending
+    neighbour order, for itself. A round gives agent u ``w_uu * z[u]`` plus
+    the ``pairwise_sum`` of ``w_uv * z[v]`` over its neighbours v in
+    ascending order. With ``tol`` the rounds stop at the first whose largest
+    distance to the left-to-right mean is at most tol."""
     z = [float(v) for v in a]
     n = len(z)
     sets: list[set[int]] = [set() for _ in range(n)]
@@ -223,24 +250,13 @@ def metropolis_rounds(a, edges, rounds: int, tol: float | None = None) -> np.nda
         sets[int(j)].add(int(i))
     neighbours = [sorted(s) for s in sets]
     weights = [[1.0 / (1 + max(len(neighbours[u]), len(neighbours[v]))) for v in neighbours[u]] for u in range(n)]
-    own = []
-    for row in weights:
-        total = 0.0
-        for w in row:
-            total += w
-        own.append(1.0 - total)
+    own = [1.0 - pairwise_sum(row) for row in weights]
     total = 0.0
     for v in z:
         total += v
     target, history = total / n, [z]
     for _ in range(rounds):
-        nxt = []
-        for u in range(n):
-            x = own[u] * z[u]
-            for v, w in zip(neighbours[u], weights[u]):
-                x += w * z[v]
-            nxt.append(x)
-        z = nxt
+        z = [own[u] * z[u] + pairwise_sum([w * z[v] for v, w in zip(neighbours[u], weights[u])]) for u in range(n)]
         history.append(z)
         if tol is not None and max(abs(x - target) for x in z) <= tol:
             break

@@ -5,7 +5,8 @@ prices every agent's local market with one water-filling sort. Its results
 must equal ``oracles.local_solves``, one ``solve`` per agent, bit for bit:
 price, allocation, residual, KKT violation and route, or the same
 ``ValidationError`` text when a local market is invalid. Graphs are random
-connected graphs of 1..60 agents; many agents share a drop-out price m*b
+connected graphs of 1..60 agents, plus a complete graph and a star whose
+neighbour lists pass NumPy's 128-term pairwise block; many agents share a drop-out price m*b
 with different m and b, and productions follow the satiation loads so
 local capacities fall on both sides of their sum. Capacities are compared
 with the kink demands five at a time here, so the blocks split. Runs are
@@ -89,7 +90,10 @@ def _outcome(solve_all) -> tuple:
 @example(([3.0], [1.0], [2.0], [], 0))  # one agent
 @example(([0.0, 2.0, 1.0], [1.0, 2.0, 4.0], [8.0, 4.0, 2.0], [(0, 1), (1, 2)], 0))  # a zero production, all drop-outs tied
 @example(([9.0, 0.0, 0.0, 0.0], [1.0] * 4, [1.0] * 4, [(0, 1), (1, 2), (2, 3)], 1))  # capacity 0 after a round
-@example(([4.0, -0.0, -0.0, 0.0, -0.0], [1.0] * 5, [2.0] * 5, [(1, 2), (1, 3), (1, 4), (0, 4)], 3))  # signed zeros, padding slots
+@example(([4.0, -0.0, -0.0, 0.0, -0.0], [1.0] * 5, [2.0] * 5, [(1, 2), (1, 3), (1, 4), (0, 4)], 3))  # signed zeros
+@example(([k % 7 + 0.5 for k in range(150)], [1.0] * 150, [2.0] * 150,  # neighbour lists past NumPy's 128-term
+          [(i, j) for i in range(150) for j in range(i + 1, 150)], 3))  # pairwise block: a complete graph
+@example(([k % 5 + 0.5 for k in range(140)], [1.0] * 140, [2.0] * 140, [(0, k) for k in range(1, 140)], 3))  # and a star
 def test_batched_average_matches_per_agent_loop(case):
     production, b, m, edges, rounds = case
     n = len(production)
@@ -178,19 +182,20 @@ def connected_graphs(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(connected_graphs())
-@example(([1e3] + [1e-3] * 11, [(0, k) for k in range(1, 12)], 20))  # a star: the widest slot table
+@example(([1e3] + [1e-3] * 11, [(0, k) for k in range(1, 12)], 20))  # a star: one long neighbour list, pairwise-summed
 def test_average_rounds_within_rounding_bound_of_exact_iteration(case):
     production, edges, rounds = case
     n = len(production)
     graph = CommGraph.from_edges(n, edges)
-    w_self, slots, w_slot = graph.mixing_weights()
+    starts, cols, w = graph.mixing_weights()
     preferences = PreferenceColumns(Quadratic, np.ones(n), np.full(n, 5.0))
     trace = run_distributed(MarketInstance(production, preferences), graph, rounds, "average").trace
-    own, neighbours = [Fraction(w) for w in w_self.tolist()], slots.T.tolist()
-    weights = [[Fraction(w) for w in row] for row in w_slot.T.tolist()]
+    ends = [*starts[1:].tolist(), len(cols)]
+    segments = [list(zip(cols[a:b].tolist(), map(Fraction, w[a:b].tolist()))) for a, b in zip(starts.tolist(), ends)]
+    d_max = max(map(len, segments)) - 1
     z = [Fraction(x) for x in production]
     unit = Fraction(np.finfo(float).eps) / 2 * max(z)
     for r, row in enumerate(trace.estimates[1:].tolist(), start=1):
-        z = [own[u] * z[u] + sum(w * z[v] for v, w in zip(neighbours[u], weights[u])) for u in range(n)]
-        bound = r * (len(slots) + 2) * unit
+        z = [sum(x * z[v] for v, x in segment) for segment in segments]
+        bound = r * (d_max + 2) * unit
         assert all(abs(Fraction(x) - exact) <= bound for x, exact in zip(row, z))

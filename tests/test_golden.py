@@ -13,10 +13,11 @@ every local price, allocation and diagnostic, bit for bit, of the one-sort
 water-filling that replaced it. The two 20000-agent ``results.csv``
 digests were produced by the full-sort water-filling and breakpoint search
 and pin the prices of the selection step that replaced the full sort. The
-two average-mode trace digests, the homogenized-price digest and the four
-average-mode result digests were regenerated when averaging moved from a
-dense matrix product to per-neighbour slots added in ascending order; that
-order fixes their bits on every BLAS kernel. Any change to sampling,
+average-mode path trace and path result digests were regenerated when
+averaging moved from a dense matrix product to a segmented sum over each
+agent's neighbour list (its own term, then NumPy's pairwise sum of its
+neighbours' terms in ascending order); the other average-mode digests kept
+their values. That order fixes their bits on every BLAS kernel. Any change to sampling,
 summation order, solver arithmetic or serialization shows up here. The
 metadata digests also pin ``library_version``; a version bump must
 regenerate them.
@@ -170,11 +171,11 @@ CONSENSUS_TRACE_DIGESTS = {
     ("flood", "path", ()): "847e3ebed35d44443d1e01a65fcc911933ed7605fe7f30f2e9f3444987060ff6",
     ("flood", "complete", ()): "ea6744c1e7c3e07c6f1df1d621709f1b191d5882cd114e6fbe2f656b2ec8610e",
     ("flood", "sparse", ()): "f751e4745f4c215c977acff83b9541482b655f192ffbbdf070a56fcaa019765c",
-    ("average", "ring", ("--rounds", "200")): "6a6438cf599cd357154936144044ba91effcee323a5d3e77a8eebb9f6525c439",
-    ("average", "path", ("--rounds", "5000", "--tol", "1e-6")): "60f49cc3be0c05b02496465a1ef1d45f10fd589a7672e00e5068cefbf442bbc1",
+    ("average", "ring", ("--rounds", "200")): "f62cb9596c5275d8c7159cfc1fb0ee3e6a6d869a2c08dc4a1157a4fccb3dbb20",
+    ("average", "path", ("--rounds", "5000", "--tol", "1e-6")): "747fd26798ef85e6378bad63a4edc055ea18bdea191f21feeb44477d33002b52",
 }
 
-HOMOGENIZED_PRICES_DIGEST = "8e1a4a9b695c632346b7986c29d7360af5f846b38a2e6d670af09721c7223ac6"
+HOMOGENIZED_PRICES_DIGEST = "522acfcd965872f435006855eb31c7e6618139f0951533bd73c532e0a7c9b8ec"
 
 
 @pytest.mark.parametrize("mode, graph, extra", sorted(CONSENSUS_TRACE_DIGESTS))
@@ -230,10 +231,10 @@ AVERAGE_RUNS = {
 }
 
 AVERAGE_RESULT_DIGESTS = {
-    "ring": "b272212724e8bb7dda9abccc0e0185ecc843dd84c055dfcf413359501a8fc0b5",
-    "path": "8c7e814f64b1d02c887a675db5cfbb415aa648492d88828d0d25c9323ec78fc1",
-    "surplus": "7a7c65ad75beb072b5bdbcb75ef1980d5734f5f92620b01e06c5df6ac5c9a2f4",
-    "tied": "b910a68bc47d03c9bd7f3c6c602d4534cc74dc284bf90a591f98b6a96462781c",
+    "ring": "39db89efd2a2eead77d97cf5a4f06902994112180e011f41f9cdac7484408914",
+    "path": "8d47e9d52314ef486dad9561e1192602f8239da13f88dfeba33fa0f8df0ec40e",
+    "surplus": "402e665f5f9fd67bd9ee0c5d86e3aef3740a02382530e92bfcfd2dec670fbbbf",
+    "tied": "798452ddb3167ec5be631c67b65461be365e899a5466deb85a48c41f816eadfa",
 }
 
 
