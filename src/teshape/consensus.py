@@ -52,6 +52,10 @@ class NotConverged(RuntimeError):
         )
 
 
+class EstimateNotPositive(RuntimeError):
+    """An agent's averaged capacity estimate is not positive: its local market has nothing to clear."""
+
+
 class CollectionError(ValueError):
     """A malformed agent submission, identified by agent index."""
 
@@ -104,7 +108,7 @@ class CommGraph:
 
     @staticmethod
     def ring(n: int) -> CommGraph:
-        return CommGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        return CommGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n if n > 1 else 0)])
 
     @staticmethod
     def path(n: int) -> CommGraph:
@@ -138,30 +142,6 @@ class CommGraph:
 
     def is_connected(self) -> bool:
         return _connected(*self._adjacency()[:2])
-
-    def _reach(self):
-        """Yield the boolean n x n array "agent i holds agent j's data" after
-        each synchronous flooding round, from round 0 (the identity) until
-        the first round that adds nobody, then raise DisconnectedGraph if
-        some agent still misses some data. Rows are packed bits in 64-bit words,
-        word-major; a round ORs together the rows of each ``_adjacency`` segment."""
-        starts, cols, _ = self._adjacency()
-        reach = np.packbits(np.eye(self.n, -(-self.n // 64) * 64, dtype=bool), axis=1).view(np.uint64).T
-        while True:
-            held = np.unpackbits(np.ascontiguousarray(reach.T).view(np.uint8), axis=1, count=self.n).view(bool)
-            yield held
-            grown = np.bitwise_or.reduceat(np.take(reach, cols, axis=1), starts, axis=1)
-            if np.array_equal(grown, reach):
-                if not held.all():
-                    raise DisconnectedGraph("graph is not connected")
-                return
-            reach = grown
-
-    def diameter(self) -> int:
-        """Synchronous flooding rounds until every agent holds every agent's data."""
-        for rounds, _ in enumerate(self._reach()):
-            pass
-        return rounds
 
     def mixing_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Metropolis-Hastings weights ``(starts, cols, w)`` on the ``_adjacency`` segments:
@@ -240,16 +220,21 @@ class DistributedRun:
 
 
 def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
-    """Synchronous flooding of (theta, a); each estimate is the mean of ``a``
-    over the agents whose data it holds, gathered in ascending index order.
-    Each round stable-sorts the reach rows by held count, so the values held
-    by the rows of count k form one C-contiguous (rows, k) block, and NumPy
-    sums each row of it pairwise: the bits of ``np.add.reduce(a[row]) / k``."""
-    a = instance.production
-    rounds = graph._reach()
-    next(rounds)  # round 0: each agent holds only its own value
-    estimates = [a]
-    for held in rounds:
+    """Synchronous flooding of (theta, a) until a round adds nobody, then
+    DisconnectedGraph if some agent still misses some data. Who holds whose
+    data is packed bits in 64-bit words, word-major; a round ORs together the
+    rows of each ``_adjacency`` segment. Each estimate is the mean of ``a``
+    over the agents whose data it holds, in ascending index order: agents
+    stable-sorted by held count put the values held at count k in one
+    C-contiguous (agents, k) block, and NumPy sums each row of it pairwise:
+    the bits of ``np.add.reduce(a[row]) / k``."""
+    n, a = instance.n, instance.production
+    starts, cols, _ = graph._adjacency()
+    reach = np.packbits(np.eye(n, -(-n // 64) * 64, dtype=bool), axis=1).view(np.uint64).T
+    held, estimates = np.eye(n, dtype=bool), [a]  # round 0: each agent holds only its own value
+    while not np.array_equal(grown := np.bitwise_or.reduceat(np.take(reach, cols, axis=1), starts, axis=1), reach):
+        reach = grown
+        held = np.unpackbits(np.ascontiguousarray(reach.T).view(np.uint8), axis=1, count=n).view(bool)
         counts = np.count_nonzero(held, axis=1)
         order = np.argsort(counts, kind="stable")
         values = np.broadcast_to(a, held.shape)[held[order]]  # row-major: row by row, agents ascending
@@ -260,7 +245,9 @@ def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
         means[order] = np.concatenate([np.add.reduce(v.reshape(-1, k), axis=1) / k
                                        for v, k in zip(blocks, ks.tolist())])
         estimates.append(means)
-    return ConsensusTrace(np.array(estimates), target=instance.capacity / instance.n, rounds=len(estimates) - 1)
+    if not held.all():
+        raise DisconnectedGraph("graph is not connected")
+    return ConsensusTrace(np.array(estimates), target=instance.capacity / n, rounds=len(estimates) - 1)
 
 
 def _average(
@@ -299,22 +286,23 @@ def run_distributed(
 ) -> DistributedRun:
     """Agents solve locally after exchanging data over the graph.
 
-    ``mode="flood"`` floods raw data for ``diameter`` rounds and each agent
-    solves the identical instance (trading model included), so all results
-    agree bit-for-bit. ``mode="average"`` iterates Metropolis averaging
-    over each agent's neighbour list (``CommGraph.mixing_weights``) on the
-    production values (at most ``rounds`` rounds, early stop at ``tol``);
-    each agent then solves with its own capacity estimate, production spread
-    uniformly. Preferences are still flooded in average mode, except with
+    ``mode="flood"`` floods raw data for as many rounds as the graph's
+    diameter and each agent solves the identical instance (trading model
+    included), so all results agree bit-for-bit. ``mode="average"``
+    iterates Metropolis averaging over each agent's neighbour list
+    (``CommGraph.mixing_weights``) on the production values (at most
+    ``rounds`` rounds, early stop at ``tol``); each agent then solves with
+    its own capacity estimate, production spread uniformly. Preferences are still flooded in average mode, except with
     ``homogenize=True`` where quadratic parameters are averaged as well
     (rejected for other families; the parameter space must be convex for the
     mean to stay in-family). In average mode a trading instance is cleared as
     its plain-market counterpart: trade vectors need the true productions,
-    which only flooding replicates at every agent. With shared quadratic
-    preferences one water-filling sort prices all n local markets; PWL,
-    mixed or Custom preferences and ``homogenize=True``, where every local
-    market has its own preferences, are solved one local market at a time.
-    A negative ``rounds`` or a NaN or negative ``tol`` raises ValidationError.
+    which only flooding replicates at every agent. The local markets differ
+    only in capacity, so they are cleared by ``solve_many`` from the vector
+    of shares; with ``homogenize=True`` every local market has its own
+    preferences and is solved alone. An agent whose capacity estimate is
+    not positive raises EstimateNotPositive. A negative ``rounds`` or a NaN
+    or negative ``tol`` raises ValidationError.
     """
     validate_instance(instance).raise_if_invalid()
     if rounds < 0:
@@ -336,10 +324,15 @@ def run_distributed(
         raise ValidationError(["preference averaging requires quadratic preferences (convex parameter space)"])
 
     trace, state = _average(plain, graph, rounds, tol, homogenize)  # checks connectivity
-    n, prefs = instance.n, plain.preferences
-    local = []
-    for i, capacity_i in enumerate((trace.estimates[-1] * n).tolist()):
-        if homogenize:
-            prefs = PreferenceColumns(Quadratic, np.full(n, state[1, i]), np.full(n, state[2, i]))
-        local.append(MarketInstance(np.full(n, capacity_i / n), prefs, model=ModelKind.MTES))
-    return DistributedRun(results=tuple(solve_many(local)), trace=trace, rounds_used=trace.rounds)
+    n = instance.n
+    shares = trace.estimates[-1] * n / n  # each local market's production per agent
+    if (short := ~(shares > 0)).any():
+        i = int(np.argmax(short))
+        raise EstimateNotPositive(f"agent {i}: capacity estimate {trace.estimates[-1, i] * n:.3e} not positive "
+                                  f"after {trace.rounds} rounds")
+    if homogenize:  # each local market has its own averaged (b, m)
+        results = [solve(MarketInstance(np.full(n, s), PreferenceColumns(Quadratic, np.full(n, b), np.full(n, m))))
+                   for s, b, m in zip(shares.tolist(), state[1].tolist(), state[2].tolist())]
+    else:
+        results = solve_many(plain.preferences, shares)
+    return DistributedRun(results=tuple(results), trace=trace, rounds_used=trace.rounds)

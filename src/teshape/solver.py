@@ -36,8 +36,6 @@ from .model import (
     Quadratic,
     SolveMethod,
     ValidationError,
-    ValidationReport,
-    production_violations,
     validate_instance,
 )
 
@@ -260,16 +258,14 @@ def _tie_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.concatenate([starts[1:], [len(keys)]])
 
 
-def _clear_quadratic(*instances: MarketInstance) -> _Clearing:
-    """The stacked water-filling clearing of quadratic instances that share one
-    preference object, validated once: one stable sort of the drop-out prices
-    that can be active serves every capacity. Kink demands need not be monotone
-    as floats, so each capacity meets all of them, ``_LEVEL_BLOCK`` at a time."""
-    _require(instances[0], Family.QUADRATIC)
-    for instance in instances[1:]:  # the shared preferences passed with the first
-        ValidationReport.of(production_violations(instance.production, len(instance.preferences))[0]).raise_if_invalid()
-    b, m = instances[0].preferences.columns
-    capacity = np.array([instance.capacity for instance in instances])
+def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = None) -> _Clearing:
+    """Water-filling of a quadratic instance, validated, or of the stack of
+    markets that differ from it only in ``capacity``: one stable sort of the
+    drop-out prices that can be active serves every capacity. Kink demands need
+    not be monotone as floats, so each capacity meets all of them, ``_LEVEL_BLOCK`` at a time."""
+    _require(instance, Family.QUADRATIC)
+    b, m = instance.preferences.columns
+    capacity = np.array([instance.capacity]) if capacity is None else capacity
     sum_m = float(np.sum(m))
     spare = sum_m <= capacity  # every agent stays active: one linear equation
     lam = (sum_m - capacity) / float(np.sum(1.0 / b)) if spare.any() else np.empty(len(capacity))
@@ -434,16 +430,24 @@ def solve(instance: MarketInstance, method: str = "auto") -> EquilibriumResult:
     return _result(instance, _solve_plain(instance, method))[0]
 
 
-def solve_many(instances: list[MarketInstance]) -> list[EquilibriumResult]:
-    """``[solve(i) for i in instances]``, bit for bit. Plain-market
-    quadratic instances that hold one and the same ``PreferenceColumns``, as
-    the local markets of average consensus do, share one water-filling sort
-    and are packaged and self-checked as one stack."""
-    first = instances[0] if instances else None
-    if first is None or first.family is not Family.QUADRATIC or any(
-            i.preferences is not first.preferences or i.model is not ModelKind.MTES for i in instances):
-        return [solve(i) for i in instances]
-    return _result(first, _clear_quadratic(*instances), capacity=np.array([i.capacity for i in instances]))
+def solve_many(preferences, shares) -> list[EquilibriumResult]:
+    """``[solve(MarketInstance(np.full(n, s), preferences)) for s in shares]``,
+    bit for bit: average consensus's local markets. Quadratic markets up to the
+    first one that is invalid or whose capacity (n copies of its share summed
+    left to right) overflows clear as one stack: one sort, one self-check. The
+    rest are solved one at a time, the first of them raising as in the loop."""
+    preferences, shares = PreferenceColumns.of(preferences), np.asarray(shares, dtype=float)
+    n, k, results = len(preferences), 0, []
+    if preferences.kind is Quadratic:
+        capacity = shares.copy()
+        with np.errstate(over="ignore"):  # the overflowing market warns when solved alone
+            for _ in range(n - 1):
+                capacity += shares
+        k = int(np.argmin(np.append((capacity > 0) & (capacity < math.inf), False)))
+    if k:
+        first = MarketInstance(np.full(n, shares[0]), preferences)
+        results = _result(first, _clear_quadratic(first, capacity[:k]), capacity=capacity[:k])
+    return results + [solve(MarketInstance(np.full(n, s), preferences)) for s in shares[k:].tolist()]
 
 
 # ---------------------------------------------------------------------------

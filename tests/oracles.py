@@ -8,8 +8,8 @@ percentile. Expected values in the tests were produced (or cross-checked)
 with these and then frozen. ``flood_by_set_union`` keeps the original
 set-based flooding simulation as the bitwise reference for the array one,
 ``metropolis_rounds`` the per-agent averaging loop as the bitwise reference
-for the segmented-sum rounds, and ``local_solves`` the per-agent solve loop of
-average consensus as the bitwise reference for its one-sort water-filling.
+for the segmented-sum rounds, and ``local_solves`` the per-market solve loop
+of average consensus as the bitwise reference for its one-sort water-filling.
 ``full_sort_quadratic`` and ``full_sort_pwl`` keep the clearing cores that
 stable-sorted every agent, as the bitwise reference for the ones that sort
 only the agents a selection step leaves. ``bracketed_root``, ``inverse_marginal`` and
@@ -263,12 +263,12 @@ def metropolis_rounds(a, edges, rounds: int, tol: float | None = None) -> np.nda
     return np.array(history)
 
 
-def local_solves(estimates, preferences) -> list:
-    """Average consensus's local markets solved one at a time: agent i holds
-    capacity n * estimates[i], spread evenly over n agents with the shared
-    preferences, and solves that plain market on its own."""
-    n = len(estimates)
-    return [solve(MarketInstance(np.full(n, float(e) * n / n), preferences)) for e in estimates]
+def local_solves(preferences, shares) -> list:
+    """Markets that differ only in capacity solved one at a time, as
+    ``solve_many`` is defined: market k spreads ``shares[k]`` over each of
+    the n agents with the shared preferences. In average consensus agent i's
+    share is its capacity estimate n * z_i divided by n again."""
+    return [solve(MarketInstance(np.full(len(preferences), s), preferences)) for s in shares]
 
 
 def full_sort_kinks(b: np.ndarray, m: np.ndarray):

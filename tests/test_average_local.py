@@ -1,25 +1,31 @@
-"""Average consensus's local solves against the per-agent loop.
+"""Average consensus's local markets against the per-market loop.
 
-With shared quadratic preferences, ``run_distributed(mode="average")``
-prices every agent's local market with one water-filling sort. Its results
-must equal ``oracles.local_solves``, one ``solve`` per agent, bit for bit:
-price, allocation, residual, KKT violation and route, or the same
-``ValidationError`` text when a local market is invalid. Graphs are random
-connected graphs of 1..60 agents, plus a complete graph and a star whose
-neighbour lists pass NumPy's 128-term pairwise block; many agents share a drop-out price m*b
-with different m and b, and productions follow the satiation loads so
-local capacities fall on both sides of their sum. Capacities are compared
-with the kink demands five at a time here, so the blocks split. Runs are
-derandomized. The averaging trace itself must equal
-``oracles.metropolis_rounds``, the per-agent loop, bit for bit, signed
-zeros included, with a ``tol`` early stop and with more rounds than the
-estimates array first holds. Against exact ``Fraction`` iteration of the
-same float weights, round r of the trace is within
+The local markets differ only in capacity. ``solve_many(preferences,
+shares)`` clears those of shared quadratic preferences with one
+water-filling sort; it must equal ``oracles.local_solves``, one ``solve``
+per market, bit for bit: price, allocation, residual, KKT violation and
+route, or the same exception text from the first market that fails (a
+ValidationError, an overflowing capacity's warning raised as an error or,
+with warnings ignored, its SolverError). PWL and mixed preferences take the
+loop itself. ``run_distributed(mode="average")`` must equal the loop at the
+shares ``n * z / n`` of the last averaging round z, except that an agent
+whose estimate is not positive ends the run with EstimateNotPositive.
+Graphs are random connected graphs of 1..60 agents, plus a complete graph
+and a star whose neighbour lists pass NumPy's 128-term pairwise block; many
+agents share a drop-out price m*b with different m and b, and productions
+follow the satiation loads so local capacities fall on both sides of their
+sum. Capacities are compared with the kink demands five at a time here, so
+the blocks split. Runs are derandomized. The averaging trace itself must
+equal ``oracles.metropolis_rounds``, the per-agent loop, bit for bit,
+signed zeros included, with a ``tol`` early stop and with more rounds than
+the estimates array first holds. Against exact ``Fraction`` iteration of
+the same float weights, round r of the trace is within
 r * (d_max + 2) * eps/2 * max|z0|.
 """
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -31,10 +37,12 @@ from hypothesis import strategies as st
 from teshape import (
     CommGraph,
     Custom,
+    EstimateNotPositive,
     MarketInstance,
     PiecewiseLinear,
     PreferenceColumns,
     Quadratic,
+    SolverError,
     ValidationError,
     run_distributed,
     solve,
@@ -81,8 +89,8 @@ def _bits(results) -> list:
 def _outcome(solve_all) -> tuple:
     try:
         return ("results", _bits(solve_all()))
-    except ValidationError as exc:
-        return ("error", str(exc))
+    except (ValidationError, SolverError, EstimateNotPositive, RuntimeWarning) as exc:  # warnings raised as errors
+        return (type(exc).__name__, str(exc))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -101,6 +109,7 @@ def test_batched_average_matches_per_agent_loop(case):
     graph = CommGraph.from_edges(n, edges)
     expected = metropolis_rounds(production, edges, rounds)  # the averaging rounds of run_distributed
     z = expected[-1]
+    shares = z * n / n
     runs = []
 
     def batched():
@@ -109,21 +118,29 @@ def test_batched_average_matches_per_agent_loop(case):
 
     with mock.patch.object(solver, "_LEVEL_BLOCK", 5):
         got = _outcome(batched)
-    assert got == _outcome(lambda: local_solves(z, preferences))
+    if (shares > 0).all():
+        assert got == _outcome(lambda: local_solves(preferences, shares))
+    else:  # a zero estimate, which the loop would refuse as "C > 0 required", is a consensus failure
+        i = int(np.argmin(shares > 0))
+        assert got == ("EstimateNotPositive",
+                       f"agent {i}: capacity estimate {z[i] * n:.3e} not positive after {rounds} rounds")
     if runs:
         assert runs[0].trace.estimates.tobytes() == expected.tobytes()
         assert runs[0].trace.final_error == float(np.max(runs[0].trace.errors[-1]))
 
 
 def test_zero_production_without_rounds_raises_as_the_loop_does():
+    # solve_many refuses the zero share as the loop does; run_distributed names the agent as a consensus failure
     preferences = PreferenceColumns(Quadratic, [1.0, 2.0], [3.0, 4.0])
     production = np.array([0.0, 5.0])
     with pytest.raises(ValidationError) as loop:
-        local_solves(production, preferences)
+        local_solves(preferences, production)
     assert "C > 0 required" in str(loop.value)
     with pytest.raises(ValidationError) as batched:
-        run_distributed(MarketInstance(production, preferences), CommGraph.path(2), rounds=0, mode="average")
+        solve_many(preferences, production)
     assert str(batched.value) == str(loop.value)
+    with pytest.raises(EstimateNotPositive, match=r"^agent 0: capacity estimate 0\.000e\+00 not positive after 0 rounds$"):
+        run_distributed(MarketInstance(production, preferences), CommGraph.path(2), rounds=0, mode="average")
 
 
 def test_other_families_match_per_agent_loop():
@@ -135,24 +152,75 @@ def test_other_families_match_per_agent_loop():
     ):
         production = [float(k % 5) for k in range(9)]
         run = run_distributed(MarketInstance(production, preferences), CommGraph.ring(9), rounds=4, mode="average")
-        expected = local_solves(run.trace.estimates[-1], MarketInstance(production, preferences).preferences)
+        z = run.trace.estimates[-1]
+        expected = local_solves(MarketInstance(production, preferences).preferences, z * len(z) / len(z))
         assert _bits(run.results) == _bits(expected)
 
 
-@pytest.mark.parametrize("b, productions", [
-    ([1.0, -2.0, 3.0], [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]),  # an invalid shared preference
-    ([1.0, np.inf, 3.0], [[-1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),  # and an invalid first production
-    ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0], [1.0, np.nan, 0.0], [0.0, 0.0, 0.0]]),  # a later invalid production
-])
-def test_batched_validation_raises_as_the_loop_does(b, productions):
-    # the shared preferences are checked with the first market only, production with every market
+@pytest.mark.parametrize("b, shares", [
+    ([1.0, -2.0, 3.0], [2.0, 0.5]),  # an invalid shared preference
+    ([1.0, np.inf, 3.0], [-1.0, 0.0]),  # and an invalid first share
+    ([1.0, 2.0, 3.0], [2.0, np.nan, 0.0]),  # a later invalid share
+], ids=["invalid-preference", "invalid-first-share", "later-invalid-share"])
+def test_batched_validation_raises_as_the_loop_does(b, shares):
+    # the first market the loop refuses is the one solve_many reports
     preferences = PreferenceColumns(Quadratic, b, [2.0, 2.0, 2.0])
-    instances = [MarketInstance(p, preferences) for p in productions]
     with pytest.raises(ValidationError) as loop:
-        [solve(i) for i in instances]
+        local_solves(preferences, shares)
     with pytest.raises(ValidationError) as batched:
-        solve_many(instances)
+        solve_many(preferences, shares)
     assert str(batched.value) == str(loop.value)
+
+
+@st.composite
+def share_calls(draw):
+    """(b, m, shares): the tied and free agents of ``markets``, with up to 90
+    shares that fall on both sides of the satiation total per agent."""
+    _, b, m, _, _ = draw(markets())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shares = rng.uniform(0.0, 2.0, draw(st.integers(0, 90))) * float(np.mean(m))
+    return b, m, shares[shares > 0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(share_calls())
+@example(([1.0, 2.0, 4.0], [8.0, 4.0, 2.0], np.array([1.0, 14.0 / 3.0, 5.0])))  # all drop-outs tied at 8
+def test_solve_many_matches_per_market_loop(call):
+    b, m, shares = call
+    preferences = PreferenceColumns(Quadratic, b, m)
+    with mock.patch.object(solver, "_LEVEL_BLOCK", 5):
+        got = _outcome(lambda: solve_many(preferences, shares))
+    assert got == _outcome(lambda: local_solves(preferences, shares))
+
+
+LOG = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
+
+
+@pytest.mark.parametrize("preferences, shares", [
+    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, 2.0, 0.0, 4.0]),  # a zero share after two
+    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, 1e308, 2.0]),  # a capacity that overflows
+    ([PiecewiseLinear(1.0 + k % 3, 2.0 + k % 4) for k in range(7)], [0.25, 1.5, 3.0, 6.0]),  # the loop path
+    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(5)] + [LOG], [0.25, 1.5, 3.0, 6.0]),
+    ([PiecewiseLinear(1.0, 2.0)] * 3, [1.0, 0.0, 2.0]),
+    ([Quadratic(2.0, 3.0) for _ in range(4)], []),
+], ids=["zero-share", "overflow", "pwl", "mixed", "pwl-zero-share", "no-markets"])
+def test_solve_many_raises_and_routes_as_the_loop_does(preferences, shares):
+    assert _outcome(lambda: solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
+    with warnings.catch_warnings():  # the overflow reaches the self-check
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _outcome(lambda: solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
+
+
+def test_equal_preference_objects_clear_as_one_stack():
+    # equal but distinct objects are one column layout: one market built, no solve per market
+    objects = [Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(8)]
+    shares = np.linspace(0.5, 4.0, 12)
+    expected = _bits(local_solves(PreferenceColumns.of(objects), shares))
+    built = mock.Mock(wraps=MarketInstance)
+    with mock.patch.object(solver, "MarketInstance", built), mock.patch.object(solver, "solve") as loop:
+        got = _bits(solve_many([Quadratic(o.b, o.m) for o in objects], shares))
+    assert got == expected
+    assert built.call_count == 1 and loop.call_count == 0
 
 
 @pytest.mark.parametrize("rounds, tol", [(5000, 1e-3), (150, None)], ids=["tol-early-stop", "past-first-growth"])

@@ -260,6 +260,17 @@ def test_consensus_disconnected_graph_fails(quartet_path, tmp_path, capsys):
     assert "not connected" in err
 
 
+def test_consensus_non_positive_estimate_exits_3(tmp_path, capsys):
+    # a valid market with a zero producer: solvable, but its estimate is 0 until averaging reaches it
+    path = tmp_path / "zero.json"
+    path.write_text('{"agents": [{"a": 0, "utility": {"kind": "quadratic", "b": 1, "m": 3}},'
+                    ' {"a": 5, "utility": {"kind": "quadratic", "b": 2, "m": 4}}]}')
+    assert run_cli(capsys, "solve", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "consensus", str(path), "--mode", "average", "--rounds", "0")
+    assert (code, out) == (3, "")
+    assert err == "consensus failure: agent 0: capacity estimate 0.000e+00 not positive after 0 rounds\n"
+
+
 @pytest.mark.parametrize(
     "graph",
     [

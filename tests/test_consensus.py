@@ -72,12 +72,22 @@ def test_graph_validation():
         CommGraph.from_edges(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("mode", ["flood", "average"])
+def test_one_agent_ring_has_no_edges(mode):
+    ring = CommGraph.ring(1)
+    assert ring == CommGraph.path(1) and ring.edges.shape == (0, 2)
+    inst = MarketInstance((3.0,), (Quadratic(1.0, 2.0),))
+    run = run_distributed(inst, ring, rounds=5, mode=mode)
+    assert run.rounds_used == (0 if mode == "flood" else 5)
+    assert run.results == (solve(inst),) and run.trace.final_error == 0.0
+
+
 def test_graph_file_round_trip(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text('{"n": 4, "edges": [[0,1],[1,2],[2,3],[3,0]]}')
     graph = CommGraph.load(str(path))
     assert graph.n == 4
-    assert graph.diameter() == 2
+    assert graph.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,8 @@ def test_result_gate_raises_on_planted_clearings(quartet):
     with pytest.raises(SolverError, match="KKT violation"):
         solver._result(quartet, clearing._replace(x=clearing.x * (1.0 + 1e-6)))
 
-    stack = [replace(quartet, production=tuple(a * s for a in quartet.production)) for s in (0.5, 1.0, 2.0)]
-    capacity = np.array([i.capacity for i in stack])
-    clearing = solver._clear_quadratic(*stack)
+    capacity = quartet.capacity * np.array([0.5, 1.0, 2.0])
+    clearing = solver._clear_quadratic(quartet, capacity)
     assert len(solver._result(quartet, clearing, capacity=capacity)) == 3
     x = clearing.x.copy()
     x[2] *= 1.0 + 1e-6

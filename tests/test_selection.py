@@ -114,7 +114,7 @@ def test_selected_water_filling_matches_full_sort(call):
     preferences = PreferenceColumns(Quadratic, b, m)
     short = capacity[capacity < float(np.sum(m))]
     with mock.patch.object(solver, "_SELECT_FLOOR", 2):
-        got = solver._clear_quadratic(*(_capacity_instance(c, preferences) for c in capacity.tolist()))
+        got = solver._clear_quadratic(_capacity_instance(1.0, preferences), capacity)  # cleared at each capacity
         active = solver._active_order(m * b, m, 1.0 / b, float(np.max(short))) if len(short) else None
     expected = full_sort_quadratic(b, m, capacity)
     assert [(lam.hex(), x.tobytes(), got.degenerate) for lam, x in zip(got.lam.tolist(), got.x)] == [
