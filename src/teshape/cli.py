@@ -64,7 +64,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     if args.model is not None:
         instance = replace(instance, model=ModelKind(args.model))
-    result = solve(instance, method=args.method)
+    result = solve(instance)
     if args.out:
         save_result(instance, result, args.out)
     print(f"lambda_star={result.lambda_star:.6g}")
@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance")
     p_solve.add_argument("--model", choices=["mtes", "mtes_st"], default=None)
-    p_solve.add_argument("--method", choices=["auto", "closed", "bisect"], default="auto")
     p_solve.add_argument("--out", default=None, help="write result JSON here")
     p_solve.set_defaults(func=_cmd_solve)
 

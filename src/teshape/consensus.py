@@ -21,7 +21,6 @@ import numpy as np
 
 from .model import (
     EquilibriumResult,
-    Family,
     MarketInstance,
     ModelKind,
     PreferenceColumns,
@@ -320,7 +319,7 @@ def run_distributed(
         result = solve(instance)  # identical input at every agent
         return DistributedRun(results=(result,) * instance.n, trace=trace, rounds_used=trace.rounds)
 
-    if homogenize and plain.family is not Family.QUADRATIC:
+    if homogenize and plain.preferences.kind is not Quadratic:
         raise ValidationError(["preference averaging requires quadratic preferences (convex parameter space)"])
 
     trace, state = _average(plain, graph, rounds, tol, homogenize)  # checks connectivity

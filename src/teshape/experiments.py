@@ -195,6 +195,9 @@ class ExperimentSpec:
                 raise ValidationError(["scale study requires a single lambda_dagger"])
             if any(not 0 < v < 2**63 for v in self.scale_list):
                 raise ValidationError(["scale_list entries must be in 1..2**63-1"])
+        keys = [key for key, _, _ in self.cells()]
+        if len(set(keys)) < len(keys):  # the artifacts' rows would not tell the cells apart
+            raise ValidationError([f"two cells share the key {next(k for k in keys if keys.count(k) > 1)!r}"])
 
     @staticmethod
     def from_dict(data: dict) -> ExperimentSpec:
@@ -359,7 +362,7 @@ def run_satiation_sweep(base: MarketInstance, agent: int = -1, values=None) -> l
     holding everything else fixed. ``agent`` indexes as a sequence does:
     -n <= agent < n, else ValidationError.
     """
-    if base.family.value != "quadratic":
+    if base.preferences.kind is not Quadratic:
         raise ValidationError(["satiation sweep requires an all-quadratic instance"])
     if values is None:
         values = [float(v) for v in range(5, 31)]

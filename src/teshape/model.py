@@ -89,14 +89,6 @@ class ModelKind(Enum):
     MTES_ST = "mtes_st"
 
 
-class Family(Enum):
-    """Preference family of a whole instance, for solver dispatch."""
-
-    QUADRATIC = "quadratic"
-    PWL = "pwl"
-    MIXED = "mixed"  # mixed families and/or Custom agents: generic solver only
-
-
 # file label and parameter names of the families that are held as columns; a
 # family's kind code is its place here, and _OTHER codes every other agent
 _COLUMN_KINDS = {Quadratic: ("quadratic", "b", "m"), PiecewiseLinear: ("pwl", "beta", "phi")}
@@ -236,10 +228,6 @@ class MarketInstance:
         """Total network production C = sum of all a_i."""
         return _sequential_sum(self.production)
 
-    @property
-    def family(self) -> Family:
-        return {Quadratic: Family.QUADRATIC, PiecewiseLinear: Family.PWL}.get(self.preferences.kind, Family.MIXED)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -294,9 +282,12 @@ def production_violations(a: np.ndarray, n_preferences: int) -> tuple[list[tuple
     finite = np.isfinite(a)
     for i in np.flatnonzero(~finite | (a < 0)).tolist():
         issues.append((i, "a must be " + ("non-negative" if finite[i] else "finite")))
-    capacity = _sequential_sum(a[finite])
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        capacity = _sequential_sum(a[finite])
     if n >= 1 and not capacity > 0:
         issues.append((None, "C > 0 required (total production must be positive)"))
+    elif capacity == math.inf:
+        issues.append((None, "C must be finite (total production overflows)"))
     return issues, capacity
 
 
@@ -304,7 +295,7 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     """Check all instance invariants; returns a report instead of raising.
 
     Checks: n >= 1, length agreement between production and preferences,
-    a_i >= 0 and finite, C > 0, positive family parameters, and strict
+    a_i >= 0 and finite, C > 0 and finite, positive family parameters, and strict
     concavity (on a sampled grid) for Custom preferences.
     """
     preferences = instance.preferences
@@ -314,7 +305,7 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     others = iter(preferences.others)
     for i, code in zip(rows.tolist(), preferences.codes[rows].tolist()):
         if code == _OTHER:
-            if reason := _other_violation(next(others), capacity if capacity > 0 else 1.0):
+            if reason := _other_violation(next(others), capacity if 0 < capacity < math.inf else 1.0):
                 issues.append((i, reason))
         else:
             fields = _COLUMN_KINDS[_KINDS[code]][1:]

@@ -9,17 +9,19 @@ Three routes to the market-clearing price:
   strictly concave differentiable preferences (quadratic and custom; PWL is
   excluded because its utility is not differentiable at the saturation load).
 
-Trading-model instances reduce to the plain market: when the plain-market
-price is positive the trading equilibrium is identical with e = a - x, and
-when it is non-positive the trading price floors at zero with satiation
-allocations.
+``solve`` takes the route that the preferences pick; ``solve_mtes_quadratic``,
+``solve_mtes_pwl`` and ``solve_mtes_generic`` force one. Every route clears
+both models. Trading-model instances reduce to the plain market: when the
+plain-market price is positive the trading equilibrium is identical with
+e = a - x, and when it is non-positive the trading price floors at zero with
+satiation allocations.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -28,7 +30,6 @@ import numpy as np
 from .model import (
     Custom,
     EquilibriumResult,
-    Family,
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
@@ -183,12 +184,14 @@ class AggregateDemand:
 # ---------------------------------------------------------------------------
 
 
-def _require(instance: MarketInstance, family: Family) -> None:
+_LABELS = {Quadratic: "quadratic", PiecewiseLinear: "pwl"}  # any other kind is mixed
+
+
+def _require(instance: MarketInstance, kind: type) -> None:
     validate_instance(instance).raise_if_invalid()
-    if instance.family is not family:
-        raise ValidationError(
-            [f"solver requires a homogeneous {family.value} instance, got {instance.family.value}"]
-        )
+    if instance.preferences.kind is not kind:
+        got = _LABELS.get(instance.preferences.kind, "mixed")
+        raise ValidationError([f"solver requires a homogeneous {_LABELS[kind]} instance, got {got}"])
 
 
 class _Clearing(NamedTuple):
@@ -221,6 +224,26 @@ def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None 
     return [EquilibriumResult(level, tuple(row.tolist()), trade, clearing.method, residual, violation,
                               clearing.degenerate)
             for level, row, trade, residual, violation in zip(lam[:, 0].tolist(), x, trades, residuals, violations)]
+
+
+def _solve(instance: MarketInstance, clear) -> EquilibriumResult:
+    """The plain-market clearing ``clear(instance)``, self-checked and
+    packaged. A trading instance keeps a positive price with trades e = a - x.
+    Otherwise its price floors at zero: agents consume their satiation loads
+    and the production surplus is returned equally through the trade vector,
+    keeping the total trade at zero and every x + e <= a."""
+    clearing, e = clear(instance), None
+    if instance.model is ModelKind.MTES_ST:
+        if clearing.lam > 0:
+            e = instance.production - clearing.x
+        else:  # satiation loads; a PWL market clears at zero price only with everyone satiated
+            x, demand = clearing.x, clearing.demand
+            if instance.preferences.kind is not PiecewiseLinear:
+                demand = demand or AggregateDemand(instance.preferences, scale=instance.capacity)
+                x = demand.allocation(0.0)
+            e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
+            clearing = clearing._replace(lam=0.0, x=x, demand=demand)
+    return _result(instance, clearing, e)[0]
 
 
 _LEVEL_BLOCK = 256  # capacities compared with the kink demands at a time
@@ -263,7 +286,7 @@ def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = Non
     markets that differ from it only in ``capacity``: one stable sort of the
     drop-out prices that can be active serves every capacity. Kink demands need
     not be monotone as floats, so each capacity meets all of them, ``_LEVEL_BLOCK`` at a time."""
-    _require(instance, Family.QUADRATIC)
+    _require(instance, Quadratic)
     b, m = instance.preferences.columns
     capacity = np.array([instance.capacity]) if capacity is None else capacity
     sum_m = float(np.sum(m))
@@ -295,11 +318,11 @@ def solve_mtes_quadratic(instance: MarketInstance) -> EquilibriumResult:
     aggregate demand crosses capacity. Equal drop-out prices are grouped
     exactly, never perturbed.
     """
-    return _result(instance, _clear_quadratic(instance))[0]
+    return _solve(instance, _clear_quadratic)
 
 
 def _clear_pwl(instance: MarketInstance) -> _Clearing:
-    _require(instance, Family.PWL)
+    _require(instance, PiecewiseLinear)
     beta, phi = instance.preferences.columns
     capacity = instance.capacity
     n = instance.n
@@ -336,7 +359,7 @@ def solve_mtes_pwl(instance: MarketInstance) -> EquilibriumResult:
     to saturation loads. The exact-saturation boundary is priced at zero and
     flagged degenerate (the equilibrium price is set-valued there).
     """
-    return _result(instance, _clear_pwl(instance))[0]
+    return _solve(instance, _clear_pwl)
 
 
 def _clear_generic(instance: MarketInstance) -> _Clearing:
@@ -382,52 +405,22 @@ def solve_mtes_generic(instance: MarketInstance) -> EquilibriumResult:
     bracket is narrower than 1e-10 and the balance residual is within 1e-9 *
     max(1, C), all Custom agents inverted in lockstep at each price.
     """
-    return _result(instance, _clear_generic(instance))[0]
+    return _solve(instance, _clear_generic)
 
 
-def _solve_plain(instance: MarketInstance, method: str) -> _Clearing:
-    if method not in ("auto", "closed", "bisect"):
-        raise ValidationError([f"unknown method {method!r}"])
-    family = instance.family
-    if method == "bisect" or (method == "auto" and family is Family.MIXED):
-        return _clear_generic(instance)
-    if family is Family.QUADRATIC:
-        return _clear_quadratic(instance)  # a one-row stack
-    if family is Family.PWL:
-        return _clear_pwl(instance)
-    raise ValidationError(["closed form requires homogeneous family"])
-
-
-def solve_mtes_st(instance: MarketInstance, method: str = "auto") -> EquilibriumResult:
-    """Solve a trading-model instance via its plain-market counterpart.
-
-    A positive plain-market price carries over unchanged with trades
-    e = a - x. Otherwise the price floors at zero: agents consume their
-    satiation loads and the production surplus is returned equally through
-    the trade vector, keeping the total trade at zero and every x + e <= a.
-    ``balance_residual`` reports |sum of trades| for trading instances.
-    """
+def solve_mtes_st(instance: MarketInstance) -> EquilibriumResult:
+    """``solve`` for a trading-model instance; any other raises ValidationError."""
     if instance.model is not ModelKind.MTES_ST:
         raise ValidationError(["solve_mtes_st requires an MTES-ST instance"])
-    plain = replace(instance, model=ModelKind.MTES)
-    clearing = _solve_plain(plain, method)
-    if clearing.lam > 0:
-        e = instance.production - clearing.x
-    else:  # satiation loads; a PWL market clears at zero price only with everyone satiated
-        x, demand = clearing.x, clearing.demand
-        if plain.family is not Family.PWL:
-            demand = demand or AggregateDemand(plain.preferences, scale=plain.capacity)
-            x = demand.allocation(0.0)
-        e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
-        clearing = clearing._replace(lam=0.0, x=x, demand=demand)
-    return _result(instance, clearing, e)[0]
+    return solve(instance)
 
 
-def solve(instance: MarketInstance, method: str = "auto") -> EquilibriumResult:
-    """Dispatch to the right solver for the instance's model and family."""
-    if instance.model is ModelKind.MTES_ST:
-        return solve_mtes_st(instance, method)
-    return _result(instance, _solve_plain(instance, method))[0]
+def solve(instance: MarketInstance) -> EquilibriumResult:
+    """Clear ``instance``, of either model, by the route its preferences pick:
+    water-filling if every agent is Quadratic, breakpoint search if every
+    agent is PiecewiseLinear, bisection otherwise."""
+    return _solve(instance, {Quadratic: _clear_quadratic, PiecewiseLinear: _clear_pwl}.get(
+        instance.preferences.kind, _clear_generic))
 
 
 def solve_many(preferences, shares) -> list[EquilibriumResult]:
@@ -440,7 +433,7 @@ def solve_many(preferences, shares) -> list[EquilibriumResult]:
     n, k, results = len(preferences), 0, []
     if preferences.kind is Quadratic:
         capacity = shares.copy()
-        with np.errstate(over="ignore"):  # the overflowing market warns when solved alone
+        with np.errstate(over="ignore"):  # the overflowing market raises when solved alone
             for _ in range(n - 1):
                 capacity += shares
         k = int(np.argmin(np.append((capacity > 0) & (capacity < math.inf), False)))
@@ -489,7 +482,7 @@ def _kkt(
     """
     is_st = instance.model is ModelKind.MTES_ST
     zero_price = is_st and lam.item() <= _LAMBDA_TOL
-    if instance.family is Family.PWL:
+    if instance.preferences.kind is PiecewiseLinear:
         beta, phi = instance.preferences.columns
         eq_tol = 1e-9 * np.maximum(1.0, beta)
         # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]
@@ -528,8 +521,8 @@ def _kkt(
     else:
         balance_violation = np.abs(np.sum(x, axis=1) - (instance.capacity if capacity is None else capacity)).tolist()
 
-    peaks = [np.max(v, axis=1).tolist() if x.shape[1] else [0.0] * len(x) for v in (stationarity, feasibility)]
-    max_violation = [max(*row, price_violation) for row in zip(*peaks, balance_violation)]
+    peaks = [np.max(v, axis=1) if x.shape[1] else np.zeros(len(x)) for v in (stationarity, feasibility)]
+    max_violation = np.max([*peaks, balance_violation, np.full(len(x), price_violation)], axis=0).tolist()  # NaN wins
     return stationarity, feasibility, balance_violation, price_violation, max_violation
 
 

@@ -5,9 +5,9 @@ shares)`` clears those of shared quadratic preferences with one
 water-filling sort; it must equal ``oracles.local_solves``, one ``solve``
 per market, bit for bit: price, allocation, residual, KKT violation and
 route, or the same exception text from the first market that fails (a
-ValidationError, an overflowing capacity's warning raised as an error or,
-with warnings ignored, its SolverError). PWL and mixed preferences take the
-loop itself. ``run_distributed(mode="average")`` must equal the loop at the
+ValidationError, also for a capacity that overflows to inf, with warnings
+raised as errors or ignored). PWL and mixed preferences take the loop
+itself. ``run_distributed(mode="average")`` must equal the loop at the
 shares ``n * z / n`` of the last averaging round z, except that an agent
 whose estimate is not positive ends the run with EstimateNotPositive.
 Graphs are random connected graphs of 1..60 agents, plus a complete graph
@@ -206,7 +206,7 @@ LOG = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
 ], ids=["zero-share", "overflow", "pwl", "mixed", "pwl-zero-share", "no-markets"])
 def test_solve_many_raises_and_routes_as_the_loop_does(preferences, shares):
     assert _outcome(lambda: solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
-    with warnings.catch_warnings():  # the overflow reaches the self-check
+    with warnings.catch_warnings():  # no warning decides the outcome
         warnings.simplefilter("ignore", RuntimeWarning)
         assert _outcome(lambda: solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
 

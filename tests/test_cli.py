@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -60,18 +61,12 @@ def test_solve_missing_file_exits_2(tmp_path, capsys):
     assert err
 
 
-def test_solve_closed_method_on_mixed_exits_2(tmp_path, capsys):
-    payload = {
-        "agents": [
-            {"a": 1.0, "utility": {"kind": "quadratic", "b": 1, "m": 2}},
-            {"a": 1.0, "utility": {"kind": "pwl", "beta": 1, "phi": 2}},
-        ]
-    }
-    path = tmp_path / "mixed.json"
-    path.write_text(json.dumps(payload))
-    code, out, err = run_cli(capsys, "solve", str(path), "--method", "closed")
-    assert code == 2
-    assert "closed form requires homogeneous family" in err
+def test_solve_method_option_is_a_usage_error(quartet_path, capsys):
+    # the preferences alone pick the route: there is no option to choose it
+    for method in ("auto", "closed", "bisect"):
+        code, out, err = run_cli(capsys, "solve", str(quartet_path), "--method", method)
+        assert code == 2 and not out
+        assert "unrecognized arguments: --method" in err
 
 
 def test_shape_check_boundary_admissible(capsys):
@@ -269,6 +264,32 @@ def test_consensus_non_positive_estimate_exits_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "consensus", str(path), "--mode", "average", "--rounds", "0")
     assert (code, out) == (3, "")
     assert err == "consensus failure: agent 0: capacity estimate 0.000e+00 not positive after 0 rounds\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "consensus"])
+@pytest.mark.parametrize("utility", ['"kind": "quadratic", "b": 1, "m": 3', '"kind": "pwl", "beta": 1, "phi": 3'],
+                         ids=["quadratic", "pwl"])
+def test_overflowing_capacity_exits_2(command, utility, tmp_path, capsys):
+    # each a is finite, their total is not: rejected before any arithmetic on it
+    path = tmp_path / "overflow.json"
+    path.write_text('{"agents": [{"a": 1e308, "utility": {%s}}, {"a": 1e308, "utility": {%s}}]}' % (utility, utility))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out, caught) == (2, "", [])
+    assert err == "validation error: C must be finite (total production overflows)\n"
+
+
+def test_experiment_colliding_cell_keys_exit_2(tmp_path, capsys):
+    # two cells would write rows under one key: refused before any sampling
+    for extra, key in [({"lambda_dagger": [15.0, 15.000001]}, "lambda_dagger=15"), ({"scale_list": [10, 10]}, "n=10")]:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"family": "quadratic", "n": 10, "trials": 2, "lambda_dagger": 20, "seed": 0,
+                                         **extra}))
+        code, out, err = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"validation error: two cells share the key {key!r}\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

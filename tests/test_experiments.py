@@ -225,6 +225,9 @@ def test_spec_validation():
             family="quadratic", n=10, trials=5, lambda_dagger=(20.0, 22.0), seed=1,
             scale_list=(10, 20),
         )
+    for lambda_dagger, scale_list in [((15.0, 15.000001), None), (15.0, (10, 20, 10))]:
+        with pytest.raises(ValidationError, match="two cells share the key"):
+            ExperimentSpec(family="pwl", n=10, trials=5, lambda_dagger=lambda_dagger, seed=1, scale_list=scale_list)
 
 
 def test_spec_json_round_trip(tmp_path):

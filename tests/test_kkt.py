@@ -8,10 +8,12 @@ import pytest
 
 from teshape import (
     Custom,
+    EquilibriumResult,
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
     Quadratic,
+    SolveMethod,
     SolverError,
     solve,
     solve_mtes_pwl,
@@ -117,3 +119,18 @@ def test_result_gate_raises_on_planted_clearings(quartet):
     clearing = solver._clear_generic(mixed)
     with pytest.raises(SolverError, match="KKT violation"):
         solver._result(mixed, clearing._replace(lam=clearing.lam * (1.0 + 1e-6)))
+
+
+def test_nan_balance_sets_the_peak():
+    """A NaN anywhere in a row of violations is the row's peak, so the gate
+    refuses it: here x = inf at every agent of a market whose total production
+    overflows, a NaN balance behind zero stationarity and feasibility."""
+    inst = MarketInstance((1e308, 1e308), (PiecewiseLinear(1.0, 3.0), PiecewiseLinear(2.0, 4.0)))
+    clearing = solver._Clearing(0.0, np.full(2, np.inf), SolveMethod.BREAKPOINT_PWL)
+    result = EquilibriumResult(0.0, (np.inf, np.inf), None, SolveMethod.BREAKPOINT_PWL, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_kkt(inst, result)
+        assert report.stationarity == report.feasibility == (0.0, 0.0)
+        assert np.isnan(report.balance_violation) and np.isnan(report.max_violation) and not report.ok()
+        with pytest.raises(SolverError, match="KKT violation nan"):
+            solver._result(inst, clearing)

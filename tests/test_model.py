@@ -7,7 +7,6 @@ import pytest
 
 from teshape import (
     Custom,
-    Family,
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
@@ -37,6 +36,14 @@ def test_zero_total_production_rejected():
     report = validate_instance(inst)
     assert not report.ok
     assert any("C > 0" in v for v in report.violations)
+
+
+def test_overflowing_total_production_rejected():
+    # every a_i is finite, but their sum is not: one violation, no overflow warning
+    inst = MarketInstance(production=(1e308, 1e308), preferences=(Quadratic(1, 3), PiecewiseLinear(2, 4)))
+    report = validate_instance(inst)
+    assert report.violations == ("C must be finite (total production overflows)",)
+    assert validate_instance(MarketInstance((1e308, 1e307), (Quadratic(1, 3),) * 2)).ok
 
 
 def test_individual_zero_production_is_legal(quartet):
@@ -75,11 +82,11 @@ def test_custom_concavity_check():
 
 
 def test_family_detection(quartet):
-    assert quartet.family is Family.QUADRATIC
+    assert quartet.preferences.kind is Quadratic
     pwl = MarketInstance((1.0,), (PiecewiseLinear(1, 1),))
-    assert pwl.family is Family.PWL
+    assert pwl.preferences.kind is PiecewiseLinear
     mixed = MarketInstance((1.0, 1.0), (Quadratic(1, 1), PiecewiseLinear(1, 1)))
-    assert mixed.family is Family.MIXED
+    assert mixed.preferences.kind is None
 
 
 def test_capacity_derived(quartet):
@@ -153,7 +160,7 @@ def test_mixed_instance_loads_for_generic_route(tmp_path):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(payload))
     inst = load_instance(str(path))
-    assert inst.family is Family.MIXED
+    assert inst.preferences.kind is None
 
 
 def test_custom_not_serializable():

@@ -285,7 +285,7 @@ def test_json_round_trip_and_equality(instance):
     assert (instance.preferences.kind is None) is not homogeneous
     again = instance_from_dict(json.loads(json.dumps(instance_to_dict(instance))))
     assert again == instance
-    assert again.family is instance.family
+    assert again.preferences.kind is instance.preferences.kind
     # the per-agent objects describe the same instance as the columns
     as_objects = MarketInstance(
         tuple(instance.production.tolist()), tuple(instance.preferences), instance.model
@@ -339,7 +339,7 @@ def test_codes_set_the_kind_and_must_agree():
     assert mixed.kind is None and mixed.mask(Quadratic).tolist() == [True, False]
     assert mixed == [Quadratic(1.0, 2.0), OTHER_AGENTS[0]]
     assert mixed != [Quadratic(1.0, 2.0), OTHER_AGENTS[1]] and mixed != [Quadratic(1.0, 3.0), OTHER_AGENTS[0]]
-    assert MarketInstance([1.0, 1.0], mixed).family.value == "mixed"
+    assert MarketInstance([1.0, 1.0], mixed).preferences.kind is None
     assert MarketInstance([1.0], [OTHER_AGENTS[0]]).preferences.kind is None  # Custom only
     for bad_kind in (None, Custom):
         with pytest.raises(TypeError):

@@ -19,6 +19,7 @@ from teshape import (
     check_quadratic_set,
     chi_theta_quadratic,
     solve,
+    solve_mtes_generic,
     solve_mtes_pwl,
     solve_mtes_quadratic,
 )
@@ -227,7 +228,7 @@ def test_homogeneous_agrees_with_solver():
         inst = MarketInstance(
             production=tuple([capacity / n] * n), preferences=tuple([theta] * n)
         )
-        solved = solve(inst, method="bisect")
+        solved = solve_mtes_generic(inst)
         verdict = check_homogeneous(theta, n, capacity, threshold)
         tol = 1e-7 * max(1.0, abs(solved.lambda_star))
         if verdict.admissible:

@@ -120,13 +120,17 @@ def test_dispatch_uses_bisection_for_mixed(quartet):
     assert result.method is SolveMethod.BISECTION
 
 
-def test_closed_method_rejected_for_mixed():
+def test_closed_routes_reject_mixed():
+    from teshape import solve_mtes_pwl, solve_mtes_quadratic
+
     inst = MarketInstance(
         production=(4.0, 4.0),
         preferences=(Quadratic(2.0, 6.0), log_utility()),
     )
-    with pytest.raises(ValidationError, match="closed form requires homogeneous family"):
-        solve(inst, method="closed")
+    with pytest.raises(ValidationError, match="homogeneous quadratic instance, got mixed"):
+        solve_mtes_quadratic(inst)
+    with pytest.raises(ValidationError, match="homogeneous pwl instance, got mixed"):
+        solve_mtes_pwl(inst)
 
 
 def test_mixed_with_pwl_routes_to_bisection_which_rejects():

@@ -10,6 +10,7 @@ from teshape import (
     Quadratic,
     ValidationError,
     solve,
+    solve_mtes_generic,
     solve_mtes_pwl,
     solve_mtes_quadratic,
     solve_mtes_st,
@@ -137,7 +138,7 @@ def test_bisection_route_for_trading_model(quartet):
     from teshape import verify_kkt
 
     st = as_st(quartet)
-    result = solve_mtes_st(st, method="bisect")
+    result = solve_mtes_generic(st)
     closed = solve_mtes_st(st)
     assert abs(result.lambda_star - closed.lambda_star) <= 1e-8
     assert abs(sum(result.e_star)) <= 1e-9 * max(1.0, quartet.capacity)
@@ -159,3 +160,45 @@ def test_mixed_custom_trading_instance():
     assert result.lambda_star > 0
     assert abs(sum(result.e_star)) <= 1e-9
     assert verify_kkt(inst, result).max_violation <= 1e-6
+
+
+def test_route_functions_clear_trading_instances():
+    # every route clears both models: on a trading instance each forced route
+    # takes the trading reduction too
+    from teshape import verify_kkt
+
+    rng = np.random.default_rng(23)
+    zero_prices = positive_prices = 0
+    for _ in range(60):
+        quad = random_quadratic_instance(rng, n_max=30, model=ModelKind.MTES_ST)
+        pwl = random_pwl_instance(rng, n_max=30, model=ModelKind.MTES_ST)
+        for inst, route in ((quad, solve_mtes_quadratic), (pwl, solve_mtes_pwl)):
+            expected = solve(inst)
+            assert repr(route(inst)) == repr(expected)  # float reprs are exact: bit for bit
+            zero_prices += expected.lambda_star == 0.0
+            positive_prices += expected.lambda_star > 0.0
+        bisected = solve_mtes_generic(quad)
+        tol = 1e-8 * max(1.0, quad.capacity)
+        assert bisected.e_star is not None and bisected.kkt_max_violation <= tol
+        assert verify_kkt(quad, bisected).max_violation <= tol
+    assert zero_prices >= 20 and positive_prices >= 20
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_solve_takes_the_route_its_preferences_pick(model):
+    import math
+
+    from teshape import Custom, SolveMethod
+
+    rng = np.random.default_rng(29)
+    log_pref = Custom(lambda x: math.log(1 + x), lambda x: 1 / (1 + x))
+    for _ in range(20):
+        quad = random_quadratic_instance(rng, n_max=30, model=model)
+        pwl = random_pwl_instance(rng, n_max=30, model=model)
+        mixed = MarketInstance(quad.production, (log_pref, *quad.preferences[1:]), model)
+        for inst, route, method in ((quad, solve_mtes_quadratic, SolveMethod.CLOSED_FORM_QUADRATIC),
+                                    (pwl, solve_mtes_pwl, SolveMethod.BREAKPOINT_PWL),
+                                    (mixed, solve_mtes_generic, SolveMethod.BISECTION)):
+            result = solve(inst)
+            assert result.method is method
+            assert repr(result) == repr(route(inst))
