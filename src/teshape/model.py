@@ -14,7 +14,9 @@ Instances are array-backed: ``production`` is a read-only float64 array and
 the preferences are ``PreferenceColumns``, one layout for every instance: a
 read-only column pair of Quadratic or PiecewiseLinear parameters, a read-only
 kind code per agent, and the objects of the agents outside those families
-(Custom, or anything validation reports as unknown) in agent order.
+(Custom, or anything validation reports as unknown) in agent order. The
+family classes only describe agents: a sequence of them becomes columns, and
+nothing turns columns back into objects.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -49,12 +50,6 @@ class Quadratic:
     b: float
     m: float
 
-    def value(self, x: float) -> float:
-        return -0.5 * self.b * x * x + self.m * self.b * x
-
-    def deriv(self, x: float) -> float:
-        return self.b * (self.m - x)
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -63,9 +58,6 @@ class PiecewiseLinear:
     beta: float
     phi: float
 
-    def value(self, x: float) -> float:
-        return min(self.beta * x, self.phi * self.beta)
-
 
 @dataclass(frozen=True)
 class Custom:
@@ -73,15 +65,6 @@ class Custom:
 
     value_fn: Callable[[float], float]
     deriv_fn: Callable[[float], float]
-
-    def value(self, x: float) -> float:
-        return self.value_fn(x)
-
-    def deriv(self, x: float) -> float:
-        return self.deriv_fn(x)
-
-
-UtilityParams = Union[Quadratic, PiecewiseLinear, Custom]
 
 
 class ModelKind(Enum):
@@ -109,7 +92,7 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-class PreferenceColumns(Sequence):
+class PreferenceColumns:
     """Every agent's preference as read-only columns: a kind code per agent
     (``codes``: 0 Quadratic, 1 PiecewiseLinear, 2 any other object), the
     parameter pair of each column agent (``columns``: ``(b, m)`` or
@@ -117,11 +100,11 @@ class PreferenceColumns(Sequence):
     objects in agent order (``others``). ``kind`` is the class every agent
     shares, else None. ``PreferenceColumns(kind, first, second)`` holds one
     family; given ``codes``, ``kind`` may be None and is read from them.
-    Arrays are copies. As a sequence it reads like a per-agent tuple: ``[i]``
-    and iteration yield the agents' objects, slices tuples of them.
+    Arrays are copies. Agent i's parameters are ``columns[0][i]`` and
+    ``columns[1][i]``; ``mask(kind)`` selects a family's rows.
     """
 
-    __slots__ = ("kind", "columns", "codes", "others", "_other_slots")
+    __slots__ = ("kind", "columns", "codes", "others")
 
     def __init__(self, kind: type | None, first, second, codes=None, others=()) -> None:
         if kind not in _COLUMN_KINDS and (kind is not None or codes is None):
@@ -136,7 +119,6 @@ class PreferenceColumns(Sequence):
         if sum(counts) != len(self) or counts[_OTHER] != len(self.others) or (
                 self.kind and counts[_KINDS.index(self.kind)] != len(self)):
             raise ValueError("kind codes must agree with the kind and the other agents")
-        self._other_slots = np.cumsum(self.mask(None)) - 1 if self.others else None  # agent -> index in others
 
     @classmethod
     def of(cls, preferences) -> PreferenceColumns:
@@ -163,23 +145,10 @@ class PreferenceColumns(Sequence):
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __iter__(self):
-        return iter(self[:])
-
-    def __reversed__(self):
-        return iter(self[::-1])
-
-    def __getitem__(self, i):
-        rows = np.arange(len(self))[i] if isinstance(i, slice) else [range(len(self))[i]]
-        slots = self._other_slots[rows].tolist() if self.others else repeat(0)
-        objects = [self.others[slot] if code == _OTHER else _KINDS[code](p, q)
-                   for code, slot, p, q in zip(self.codes[rows].tolist(), slots, *(c[rows].tolist() for c in self.columns))]
-        return tuple(objects) if isinstance(i, slice) else objects[0]
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, PreferenceColumns):
             return NotImplemented
-        other, held = PreferenceColumns.of(other), ~self.mask(None)
+        held = ~self.mask(None)
         return (self.kind is other.kind and np.array_equal(self.codes, other.codes) and self.others == other.others
                 and all(np.array_equal(c[held], d[held]) for c, d in zip(self.columns, other.columns)))
 
@@ -270,6 +239,12 @@ def _other_violation(pref, scale: float) -> str | None:
     return None
 
 
+def max_capacity(n: int) -> float:
+    """The largest total production C of n agents: n*eps below the float
+    limit, so the sum of the allocations that clear it cannot round past it."""
+    return np.finfo(float).max / (1 + n * np.finfo(float).eps)
+
+
 def production_violations(a: np.ndarray, n_preferences: int) -> tuple[list[tuple[int | None, str]], float]:
     """``validate_instance``'s production issues, ``(agent or None, reason)``
     pairs, and the total of the finite a_i."""
@@ -288,6 +263,8 @@ def production_violations(a: np.ndarray, n_preferences: int) -> tuple[list[tuple
         issues.append((None, "C > 0 required (total production must be positive)"))
     elif capacity == math.inf:
         issues.append((None, "C must be finite (total production overflows)"))
+    elif capacity > max_capacity(n):
+        issues.append((None, "C must lie n*eps below the float limit (the allocations would sum past it)"))
     return issues, capacity
 
 
@@ -300,8 +277,8 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     """
     preferences = instance.preferences
     issues, capacity = production_violations(instance.production, len(preferences))
-    bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]  # the other agents' NaN rows too
-    rows = np.flatnonzero(bad[0] | bad[1])
+    bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
+    rows = np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent, whatever its column rows
     others = iter(preferences.others)
     for i, code in zip(rows.tolist(), preferences.codes[rows].tolist()):
         if code == _OTHER:
@@ -382,13 +359,6 @@ class ShapingVerdict:
     admissible: bool
     worst_case_lambda: float
     binding_condition: BindingCondition
-
-    def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "worst_case_lambda": self.worst_case_lambda,
-            "binding_condition": self.binding_condition.value,
-        }
 
 
 # ---------------------------------------------------------------------------

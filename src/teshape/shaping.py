@@ -11,6 +11,8 @@ conditions state (note the deliberate asymmetry: ``m_max <= C/n`` versus
 
 from __future__ import annotations
 
+import math
+
 from .model import (
     BindingCondition,
     Custom,
@@ -18,7 +20,6 @@ from .model import (
     Quadratic,
     ShapingQuery,
     ShapingVerdict,
-    UtilityParams,
     ValidationError,
 )
 
@@ -28,9 +29,12 @@ class NotDifferentiable(TypeError):
 
 
 def _require_positive(**values: float) -> None:
-    bad = [name for name, v in values.items() if not v > 0]
+    """Each value positive and finite, and an ``n`` below 2**63, NumPy's index
+    range, as ``ExperimentSpec`` requires."""
+    bad = [name for name, v in values.items() if not 0 < v < (2**63 if name == "n" else math.inf)]
     if bad:
-        raise ValidationError([f"{name} must be positive" for name in bad])
+        raise ValidationError([f"{name} must be " + ("in 1..2**63-1" if name == "n" else "positive and finite")
+                               for name in bad])
 
 
 def chi_theta_quadratic(b_max: float, m_max: float, n: int, capacity: float) -> float:
@@ -44,6 +48,16 @@ def chi_theta_quadratic(b_max: float, m_max: float, n: int, capacity: float) -> 
     return max(0.0, b_max * (n * m_max - capacity) / n)
 
 
+def _box(query: ShapingQuery, family: str, *names: str) -> list[float]:
+    """The bounds ``names`` of a ``family`` box query, once they are set and
+    every number of the query is positive and finite."""
+    bounds = [getattr(query, name) for name in names]
+    if None in bounds:
+        raise ValidationError([f"{family} query requires {' and '.join(names)}"])
+    _require_positive(threshold=query.threshold, n=query.n, capacity=query.capacity, **dict(zip(names, bounds)))
+    return bounds
+
+
 def check_quadratic_set(query: ShapingQuery) -> ShapingVerdict:
     """Decide admissibility of a quadratic parameter box.
 
@@ -51,27 +65,17 @@ def check_quadratic_set(query: ShapingQuery) -> ShapingVerdict:
     share, or when the curvature bound stays within
     n * threshold / (n * m_max - C).
     """
-    if query.b_max is None or query.m_max is None:
-        raise ValidationError(["quadratic query requires b_max and m_max"])
-    _require_positive(
-        threshold=query.threshold,
-        n=query.n,
-        capacity=query.capacity,
-        b_max=query.b_max,
-        m_max=query.m_max,
-    )
+    b_max, m_max = _box(query, "quadratic", "b_max", "m_max")
     n, c = query.n, query.capacity
-    share = c / n
-    if query.m_max <= share:
+    if m_max <= c / n:
         return ShapingVerdict(
             admissible=True,
             worst_case_lambda=0.0,
             binding_condition=BindingCondition.M_BELOW_CAPACITY_SHARE,
         )
-    admissible = query.b_max <= n * query.threshold / (n * query.m_max - c)
     return ShapingVerdict(
-        admissible=admissible,
-        worst_case_lambda=chi_theta_quadratic(query.b_max, query.m_max, n, c),
+        admissible=b_max <= n * query.threshold / (n * m_max - c),
+        worst_case_lambda=chi_theta_quadratic(b_max, m_max, n, c),
         binding_condition=BindingCondition.B_MAX_BOUND,
     )
 
@@ -84,31 +88,22 @@ def check_pwl_set(query: ShapingQuery) -> ShapingVerdict:
     rate bounds the price, so the box is admissible iff beta_max stays at or
     below the threshold.
     """
-    if query.beta_max is None or query.phi_max is None:
-        raise ValidationError(["pwl query requires beta_max and phi_max"])
-    _require_positive(
-        threshold=query.threshold,
-        n=query.n,
-        capacity=query.capacity,
-        beta_max=query.beta_max,
-        phi_max=query.phi_max,
-    )
-    share = query.capacity / query.n
-    if query.phi_max < share:
+    beta_max, phi_max = _box(query, "pwl", "beta_max", "phi_max")
+    if phi_max < query.capacity / query.n:
         return ShapingVerdict(
             admissible=True,
             worst_case_lambda=0.0,
             binding_condition=BindingCondition.PHI_BELOW_CAPACITY_SHARE,
         )
     return ShapingVerdict(
-        admissible=query.beta_max <= query.threshold,
-        worst_case_lambda=query.beta_max,
+        admissible=beta_max <= query.threshold,
+        worst_case_lambda=beta_max,
         binding_condition=BindingCondition.BETA_MAX_BOUND,
     )
 
 
 def check_homogeneous(
-    theta: UtilityParams, n: int, capacity: float, threshold: float
+    theta: Quadratic | PiecewiseLinear | Custom, n: int, capacity: float, threshold: float
 ) -> ShapingVerdict:
     """Decide admissibility of one preference shared by all agents.
 
@@ -120,11 +115,14 @@ def check_homogeneous(
     if isinstance(theta, PiecewiseLinear):
         raise NotDifferentiable("homogeneous check requires a differentiable preference")
     if isinstance(theta, Quadratic):
+        _require_positive(b=theta.b, m=theta.m)
         marginal = theta.b * (theta.m - capacity / n)
     elif isinstance(theta, Custom):
-        marginal = float(theta.deriv(capacity / n))
+        marginal = float(theta.deriv_fn(capacity / n))
     else:
         raise ValidationError([f"unknown preference type {type(theta).__name__}"])
+    if math.isnan(marginal):
+        raise ValidationError(["marginal value at the capacity share C/n is NaN"])
     return ShapingVerdict(
         admissible=marginal <= threshold,
         worst_case_lambda=marginal,

@@ -37,6 +37,7 @@ from .model import (
     Quadratic,
     SolveMethod,
     ValidationError,
+    max_capacity,
     validate_instance,
 )
 
@@ -427,8 +428,9 @@ def solve_many(preferences, shares) -> list[EquilibriumResult]:
     """``[solve(MarketInstance(np.full(n, s), preferences)) for s in shares]``,
     bit for bit: average consensus's local markets. Quadratic markets up to the
     first one that is invalid or whose capacity (n copies of its share summed
-    left to right) overflows clear as one stack: one sort, one self-check. The
-    rest are solved one at a time, the first of them raising as in the loop."""
+    left to right) passes ``max_capacity(n)`` clear as one stack: one sort, one
+    self-check. The rest are solved one at a time, the first of them raising as
+    in the loop."""
     preferences, shares = PreferenceColumns.of(preferences), np.asarray(shares, dtype=float)
     n, k, results = len(preferences), 0, []
     if preferences.kind is Quadratic:
@@ -436,7 +438,7 @@ def solve_many(preferences, shares) -> list[EquilibriumResult]:
         with np.errstate(over="ignore"):  # the overflowing market raises when solved alone
             for _ in range(n - 1):
                 capacity += shares
-        k = int(np.argmin(np.append((capacity > 0) & (capacity < math.inf), False)))
+        k = int(np.argmin(np.append((capacity > 0) & (capacity <= max_capacity(n)), False)))
     if k:
         first = MarketInstance(np.full(n, shares[0]), preferences)
         results = _result(first, _clear_quadratic(first, capacity[:k]), capacity=capacity[:k])

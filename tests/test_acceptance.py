@@ -18,6 +18,7 @@ from teshape import (
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
+    PreferenceColumns,
     Quadratic,
     run_aggregator,
     run_distributed,
@@ -129,7 +130,7 @@ def test_criterion_6_price_sign_rules_1000_per_family_and_model():
         for _ in range(1000):
             inst = random_quadratic_instance(rng)
             lam = solve_mtes_quadratic(inst).lambda_star
-            if sum(p.m for p in inst.preferences) <= inst.capacity:
+            if sum(inst.preferences.columns[1].tolist()) <= inst.capacity:
                 assert lam <= 0
                 sides["q_le"] += 1
             else:
@@ -138,13 +139,13 @@ def test_criterion_6_price_sign_rules_1000_per_family_and_model():
         for _ in range(1000):
             inst = random_quadratic_instance(rng, model=ModelKind.MTES_ST)
             lam = solve_mtes_st(inst).lambda_star
-            if sum(p.m for p in inst.preferences) <= inst.capacity:
+            if sum(inst.preferences.columns[1].tolist()) <= inst.capacity:
                 assert lam == 0.0
                 sides["st_le"] += 1
         for _ in range(1000):
             inst = random_pwl_instance(rng)
             lam = solve_mtes_pwl(inst).lambda_star
-            total_phi = sum(p.phi for p in inst.preferences)
+            total_phi = sum(inst.preferences.columns[1].tolist())
             if total_phi < inst.capacity:
                 assert lam == 0.0
                 sides["pwl_lt"] += 1
@@ -235,14 +236,8 @@ def test_criterion_10_kkt_across_solver_suites():
         check(quartet, solve_mtes_generic(quartet))
         st_quartet = replace(quartet, model=ModelKind.MTES_ST)
         check(st_quartet, solve_mtes_st(st_quartet))
-        for row_inst in (
-            replace(
-                quartet,
-                preferences=tuple(
-                    [*quartet.preferences[:3], replace(quartet.preferences[3], m=30.0)]
-                ),
-            ),
-        ):
+        b, m = quartet.preferences.columns
+        for row_inst in (replace(quartet, preferences=PreferenceColumns(Quadratic, b, [*m[:3].tolist(), 30.0])),):
             check(row_inst, solve_mtes_quadratic(row_inst))
         for _ in range(200):
             inst = random_quadratic_instance(rng, n_max=30)

@@ -5,8 +5,8 @@ shares)`` clears those of shared quadratic preferences with one
 water-filling sort; it must equal ``oracles.local_solves``, one ``solve``
 per market, bit for bit: price, allocation, residual, KKT violation and
 route, or the same exception text from the first market that fails (a
-ValidationError, also for a capacity that overflows to inf, with warnings
-raised as errors or ignored). PWL and mixed preferences take the loop
+ValidationError, also for a capacity that overflows to inf or lies within
+n*eps of the float limit, with warnings raised as errors or ignored). PWL and mixed preferences take the loop
 itself. ``run_distributed(mode="average")`` must equal the loop at the
 shares ``n * z / n`` of the last averaging round z, except that an agent
 whose estimate is not positive ends the run with EstimateNotPositive.
@@ -199,11 +199,12 @@ LOG = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
 @pytest.mark.parametrize("preferences, shares", [
     ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, 2.0, 0.0, 4.0]),  # a zero share after two
     ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, 1e308, 2.0]),  # a capacity that overflows
+    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, np.finfo(float).max / 6, 2.0]),  # within n*eps
     ([PiecewiseLinear(1.0 + k % 3, 2.0 + k % 4) for k in range(7)], [0.25, 1.5, 3.0, 6.0]),  # the loop path
     ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(5)] + [LOG], [0.25, 1.5, 3.0, 6.0]),
     ([PiecewiseLinear(1.0, 2.0)] * 3, [1.0, 0.0, 2.0]),
     ([Quadratic(2.0, 3.0) for _ in range(4)], []),
-], ids=["zero-share", "overflow", "pwl", "mixed", "pwl-zero-share", "no-markets"])
+], ids=["zero-share", "overflow", "near-limit", "pwl", "mixed", "pwl-zero-share", "no-markets"])
 def test_solve_many_raises_and_routes_as_the_loop_does(preferences, shares):
     assert _outcome(lambda: solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
     with warnings.catch_warnings():  # no warning decides the outcome

@@ -125,6 +125,34 @@ def test_shape_check_homogeneous(capsys):
     assert "worst_case_lambda=4" in out
 
 
+HOMOG = ["--family", "homog", "--n", "4", "--C", "20", "--lambda-dagger", "10"]
+HUGE_N = str(10**400)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (HOMOG + ["--b", "nan", "--m", "6"], "b must be positive and finite"),
+    (HOMOG + ["--b", "inf", "--m", "5"], "b must be positive and finite"),
+    (HOMOG + ["--b", "-1", "--m", "6"], "b must be positive and finite"),
+    (["--family", "quad", "--n", "4", "--C", "inf", "--lambda-dagger", "10", "--b-max", "1", "--m-max", "6"],
+     "capacity must be positive and finite"),
+    (["--family", "pwl", "--n", "4", "--C", "20", "--lambda-dagger", "inf", "--beta-max", "1", "--phi-max", "6"],
+     "threshold must be positive and finite"),
+    (["--family", "quad", "--n", HUGE_N, "--C", "20", "--lambda-dagger", "10", "--b-max", "1", "--m-max", "6"],
+     "n must be in 1..2**63-1"),
+    (["--family", "pwl", "--n", HUGE_N, "--C", "20", "--lambda-dagger", "10", "--beta-max", "1", "--phi-max", "6"],
+     "n must be in 1..2**63-1"),
+    (["--family", "homog", "--n", HUGE_N, "--C", "20", "--lambda-dagger", "10", "--b", "2", "--m", "6"],
+     "n must be in 1..2**63-1"),
+], ids=["homog-b-nan", "homog-b-inf", "homog-b-negative", "quad-C-inf", "pwl-lambda-inf",
+        "quad-huge-n", "pwl-huge-n", "homog-huge-n"])
+def test_shape_check_rejects_what_validation_rejects(argv, reason, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "shape-check", *argv)
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"validation error: {reason}\n"
+
+
 def test_experiment_artifacts_and_determinism(tmp_path, capsys):
     spec = {
         "family": "quadratic",
@@ -266,18 +294,24 @@ def test_consensus_non_positive_estimate_exits_3(tmp_path, capsys):
     assert err == "consensus failure: agent 0: capacity estimate 0.000e+00 not positive after 0 rounds\n"
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "consensus"])
+@pytest.mark.parametrize("command", [["solve"], ["sweep"], ["consensus"], ["consensus", "--mode", "average"]],
+                         ids=["solve", "sweep", "consensus", "average"])
 @pytest.mark.parametrize("utility", ['"kind": "quadratic", "b": 1, "m": 3', '"kind": "pwl", "beta": 1, "phi": 3'],
                          ids=["quadratic", "pwl"])
 def test_overflowing_capacity_exits_2(command, utility, tmp_path, capsys):
-    # each a is finite, their total is not: rejected before any arithmetic on it
+    # each a is finite, their total is not: rejected before any arithmetic on it; so is a finite total
+    # within n*eps of the float limit, whose allocations may sum past it
     path = tmp_path / "overflow.json"
-    path.write_text('{"agents": [{"a": 1e308, "utility": {%s}}, {"a": 1e308, "utility": {%s}}]}' % (utility, utility))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, command, str(path))
-    assert (code, out, caught) == (2, "", [])
-    assert err == "validation error: C must be finite (total production overflows)\n"
+    for productions, reason in [((1e308, 1e308), "C must be finite (total production overflows)"),
+                                ((1.7976931348623157e308, 0, 0),
+                                 "C must lie n*eps below the float limit (the allocations would sum past it)")]:
+        agents = ", ".join('{"a": %r, "utility": {%s}}' % (a, utility) for a in productions)
+        path.write_text('{"agents": [%s]}' % agents)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *command, str(path))
+        assert (code, out, caught) == (2, "", [])
+        assert err == f"validation error: {reason}\n"
 
 
 def test_experiment_colliding_cell_keys_exit_2(tmp_path, capsys):

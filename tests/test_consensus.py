@@ -200,8 +200,7 @@ def test_homogenized_mode_for_quadratic():
     run = run_distributed(
         inst, CommGraph.complete(n), rounds=400, mode="average", tol=1e-10, homogenize=True
     )
-    b_mean = float(np.mean([p.b for p in inst.preferences]))
-    m_mean = float(np.mean([p.m for p in inst.preferences]))
+    b_mean, m_mean = (float(np.mean(column)) for column in inst.preferences.columns)
     share = inst.capacity / n
     expect = b_mean * (m_mean - share)
     for result in run.results:

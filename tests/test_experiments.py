@@ -81,7 +81,7 @@ def test_quadratic_corner_formula_at_double_share():
 
 
 def test_sampled_batches_build_valid_instances():
-    from teshape import PiecewiseLinear, validate_instance
+    from teshape import PiecewiseLinear, PreferenceColumns, validate_instance
 
     rng = np.random.default_rng(97)
     n, lam_dagger = 30, 20.0
@@ -101,8 +101,8 @@ def test_sampled_batches_build_valid_instances():
     assert validate_instance(pwl).ok
     # any single-field corruption flips the verdict
     for bad in (
-        MarketInstance(quad.production, (Quadratic(0.0, m[0]),) + quad.preferences[1:]),
-        MarketInstance(pwl.production, (PiecewiseLinear(beta[0], -1.0),) + pwl.preferences[1:]),
+        MarketInstance(quad.production, PreferenceColumns(Quadratic, [0.0, *b[1:]], m)),
+        MarketInstance(pwl.production, PreferenceColumns(PiecewiseLinear, beta, [-1.0, *phi[1:]])),
         MarketInstance((-1.0, *quad.production[1:]), quad.preferences),
     ):
         assert not validate_instance(bad).ok

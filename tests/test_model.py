@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from teshape import (
@@ -10,12 +12,14 @@ from teshape import (
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
+    PreferenceColumns,
     Quadratic,
     ValidationError,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     save_instance,
+    solve,
     validate_instance,
 )
 
@@ -44,6 +48,24 @@ def test_overflowing_total_production_rejected():
     report = validate_instance(inst)
     assert report.violations == ("C must be finite (total production overflows)",)
     assert validate_instance(MarketInstance((1e308, 1e307), (Quadratic(1, 3),) * 2)).ok
+
+
+@pytest.mark.parametrize("n", [3, 1000])
+@pytest.mark.parametrize("kind", [Quadratic, PiecewiseLinear])
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_largest_accepted_capacity_clears(n, kind, model):
+    # C up to max/(1 + n*eps) validates and clears without an overflow; the next float up is rejected
+    largest = np.finfo(float).max / (1 + n * np.finfo(float).eps)
+    preferences = PreferenceColumns(kind, np.ones(n), np.full(n, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        instance = MarketInstance(np.r_[largest, np.zeros(n - 1)], preferences, model)
+        assert validate_instance(instance).ok
+        result = solve(instance)
+        assert result.kkt_max_violation <= 1e-8 * instance.capacity
+        beyond = MarketInstance(np.r_[np.nextafter(largest, math.inf), np.zeros(n - 1)], preferences, model)
+        assert validate_instance(beyond).violations == (
+            "C must lie n*eps below the float limit (the allocations would sum past it)",)
 
 
 def test_individual_zero_production_is_legal(quartet):
@@ -104,7 +126,8 @@ def test_load_quartet_file(quartet_path):
     assert inst.n == 4
     assert inst.capacity == 20.0
     assert inst.model is ModelKind.MTES
-    assert inst.preferences[0] == Quadratic(2.0, 6.0)
+    assert inst.preferences.kind is Quadratic
+    assert [column[0] for column in inst.preferences.columns] == [2.0, 6.0]
 
 
 def test_round_trip_is_exact(tmp_path):

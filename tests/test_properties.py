@@ -7,8 +7,9 @@
 * the closed-form solvers against the independent oracles in ``oracles.py``
   at parameter scales 1e-6..1e6, with n=1, tied breakpoints and the
   ``sum(m) == C`` knife edge;
-* the JSON round trip and equality of array-backed instances, and copies and
-  indexing of a mixed layout.
+* the JSON round trip and equality of array-backed instances, copies of a
+  mixed layout, and that the layout is no sequence of preference objects and
+  the array paths build none.
 
 Runs are derandomized so the suite is reproducible; parameters for the
 solver suites are small-mantissa dyadic numbers, so every sum the oracles
@@ -30,7 +31,9 @@ from hypothesis import strategies as st
 
 from teshape import (
     CollectionError,
+    CommGraph,
     Custom,
+    ExperimentSpec,
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
@@ -38,7 +41,13 @@ from teshape import (
     Quadratic,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
     run_aggregator,
+    run_distributed,
+    run_monte_carlo,
+    save_instance,
+    save_result,
+    solve,
     solve_mtes_pwl,
     solve_mtes_quadratic,
     validate_instance,
@@ -280,18 +289,18 @@ def valid_instances(draw):
 @SETTINGS
 @given(valid_instances())
 def test_json_round_trip_and_equality(instance):
-    homogeneous = len({type(p) for p in instance.preferences}) == 1
+    homogeneous = len(set(instance.preferences.codes.tolist())) == 1
     assert isinstance(instance.preferences, PreferenceColumns)
     assert (instance.preferences.kind is None) is not homogeneous
     again = instance_from_dict(json.loads(json.dumps(instance_to_dict(instance))))
     assert again == instance
     assert again.preferences.kind is instance.preferences.kind
     # the per-agent objects describe the same instance as the columns
-    as_objects = MarketInstance(
-        tuple(instance.production.tolist()), tuple(instance.preferences), instance.model
-    )
+    rows = zip(instance.preferences.codes.tolist(), *(column.tolist() for column in instance.preferences.columns))
+    objects = [(Quadratic, PiecewiseLinear)[code](p, q) for code, p, q in rows]
+    as_objects = MarketInstance(tuple(instance.production.tolist()), objects, instance.model)
     assert as_objects == instance
-    assert instance.preferences == tuple(instance.preferences)
+    assert instance.preferences == PreferenceColumns.of(objects)
     other_model = ModelKind.MTES if instance.model is ModelKind.MTES_ST else ModelKind.MTES_ST
     assert replace(instance, model=other_model) != instance
 
@@ -310,8 +319,7 @@ def test_columns_are_read_only_copies():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-    assert instance.preferences[-1] == Quadratic(4.0, 2.0)
-    assert instance.preferences[1:] == (Quadratic(2.0, 2.0), Quadratic(4.0, 2.0))
+    assert [column.tolist() for column in instance.preferences.columns] == [[1.0, 2.0, 4.0], [2.0, 2.0, 2.0]]
 
     # a mixed layout: Custom agents kept as objects beside the columns
     concave, convex = OTHER_AGENTS[:2]
@@ -324,12 +332,8 @@ def test_columns_are_read_only_copies():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-        assert tuple(copied.preferences) == objects and tuple(reversed(copied.preferences)) == objects[::-1]
-        assert [copied.preferences[i] for i in range(5)] == list(objects)
-        assert copied.preferences[-1] == objects[-1] and copied.preferences[-2] == convex
-        assert copied.preferences[1:4] == objects[1:4] and copied.preferences[::-2] == objects[::-2]
-    assert mixed.preferences[0] is concave and mixed.preferences[3] is convex
-    assert tuple(mixed.preferences)[3] is convex and mixed.preferences[2:][1] is convex
+        assert copied.preferences == PreferenceColumns.of(objects)
+    assert mixed.preferences.others[0] is concave and mixed.preferences.others[1] is convex
 
 
 def test_codes_set_the_kind_and_must_agree():
@@ -337,9 +341,13 @@ def test_codes_set_the_kind_and_must_agree():
     assert PreferenceColumns(Quadratic, [1.0], [2.0], [0]) == PreferenceColumns(None, [1.0], [2.0], [0])
     mixed = PreferenceColumns(None, [1.0, math.nan], [2.0, math.nan], [0, 2], [OTHER_AGENTS[0]])
     assert mixed.kind is None and mixed.mask(Quadratic).tolist() == [True, False]
-    assert mixed == [Quadratic(1.0, 2.0), OTHER_AGENTS[0]]
-    assert mixed != [Quadratic(1.0, 2.0), OTHER_AGENTS[1]] and mixed != [Quadratic(1.0, 3.0), OTHER_AGENTS[0]]
+    assert mixed == PreferenceColumns.of([Quadratic(1.0, 2.0), OTHER_AGENTS[0]])
+    assert mixed != PreferenceColumns.of([Quadratic(1.0, 2.0), OTHER_AGENTS[1]])
+    assert mixed != PreferenceColumns.of([Quadratic(1.0, 3.0), OTHER_AGENTS[0]])
     assert MarketInstance([1.0, 1.0], mixed).preferences.kind is None
+    # an other agent is validated as its object even when its column rows hold numbers
+    numbered = PreferenceColumns(None, [1.0, 1.0], [2.0, 2.0], [0, 2], [OTHER_AGENTS[1]])
+    assert validate_instance(MarketInstance([1.0, 1.0], numbered)).agents == (1,)
     assert MarketInstance([1.0], [OTHER_AGENTS[0]]).preferences.kind is None  # Custom only
     for bad_kind in (None, Custom):
         with pytest.raises(TypeError):
@@ -353,3 +361,35 @@ def test_codes_set_the_kind_and_must_agree():
     ]:
         with pytest.raises(ValueError):
             PreferenceColumns(kind, [1.0], [2.0], codes, others)
+
+
+def test_preference_columns_are_no_sequence():
+    objects = (Quadratic(1.0, 2.0), Quadratic(3.0, 4.0))
+    preferences = PreferenceColumns.of(objects)
+    for read in (lambda: preferences[0], lambda: iter(preferences), lambda: reversed(preferences)):
+        with pytest.raises(TypeError):
+            read()
+    assert preferences != objects and len(preferences) == 2
+
+
+def test_array_paths_build_no_preference_objects(tmp_path, monkeypatch):
+    # solving, consensus and Monte Carlo read the columns; none rebuilds per-agent objects
+    rng = np.random.default_rng(5)
+    paths = []
+    for kind, model in zip((Quadratic, PiecewiseLinear), ModelKind):
+        columns = rng.uniform(1.0, 4.0, (2, 6))
+        paths.append(str(tmp_path / f"{kind.__name__}.json"))
+        save_instance(MarketInstance(rng.uniform(1.0, 4.0, 6), PreferenceColumns(kind, *columns), model), paths[-1])
+    built = []
+    for kind in (Quadratic, PiecewiseLinear):
+        counted = lambda self, *args, _init=kind.__init__: built.append(args) or _init(self, *args)  # noqa: E731
+        monkeypatch.setattr(kind, "__init__", counted)
+    for path in paths:
+        instance = load_instance(path)
+        save_result(instance, solve(instance), path + ".out")
+        for mode in ("flood", "average"):
+            run_distributed(instance, CommGraph.ring(instance.n), rounds=20, mode=mode)
+    for family in ("quadratic", "pwl"):
+        run_monte_carlo(ExperimentSpec(family=family, n=50, trials=3, lambda_dagger=20.0, seed=1))
+    Quadratic(1.0, 2.0)  # the counter itself counts
+    assert built == [(1.0, 2.0)]

@@ -264,5 +264,26 @@ def test_nonpositive_inputs_rejected():
         check_pwl_set(pwl_query(1.0, 4, 0.0, 1.0, 1.0))
     with pytest.raises(ValidationError):
         chi_theta_quadratic(0.0, 1.0, 2, 2.0)
+    # numbers must be finite, and n an agent count in 1..2**63-1 (a float conversion of a huge n overflows)
+    for bad in (math.inf, math.nan):
+        for check in (lambda: check_quadratic_set(quad_query(bad, 4, 20.0, 1.0, 6.0)),
+                      lambda: check_pwl_set(pwl_query(20.0, 4, bad, 1.0, 6.0)),
+                      lambda: chi_theta_quadratic(1.0, bad, 4, 20.0),
+                      lambda: check_homogeneous(Quadratic(2.0, 6.0), 4, bad, 10.0),
+                      lambda: check_homogeneous(Quadratic(2.0, 6.0), 4, 20.0, bad)):
+            with pytest.raises(ValidationError, match="must be positive and finite"):
+                check()
+    for n in (10**400, 2**63):
+        for check in (lambda: check_quadratic_set(quad_query(10.0, n, 20.0, 1.0, 6.0)),
+                      lambda: check_pwl_set(pwl_query(10.0, n, 20.0, 1.0, 6.0)),
+                      lambda: check_homogeneous(Quadratic(2.0, 6.0), n, 20.0, 10.0)):
+            with pytest.raises(ValidationError, match=r"n must be in 1\.\.2\*\*63-1"):
+                check()
+    # a homogeneous quadratic needs finite positive b and m, and any marginal value must be a number
+    for b, m in ((math.nan, 6.0), (math.inf, 5.0), (-1.0, 6.0), (2.0, math.inf), (2.0, 0.0)):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            check_homogeneous(Quadratic(b, m), 4, 20.0, 10.0)
+    with pytest.raises(ValidationError, match="NaN"):
+        check_homogeneous(Custom(lambda x: x, lambda x: math.nan), 4, 20.0, 10.0)
     with pytest.raises(ValidationError):
         check_quadratic_set(ShapingQuery(threshold=1.0, n=4, capacity=20.0))

@@ -72,8 +72,7 @@ def test_price_is_drawn_from_the_feasible_set():
     for _ in range(200):
         inst = random_pwl_instance(rng, n_max=8)
         result = solve_mtes_pwl(inst)
-        betas = [p.beta for p in inst.preferences]
-        phis = [p.phi for p in inst.preferences]
+        betas, phis = (column.tolist() for column in inst.preferences.columns)
         feasible = pwl_feasible_prices(betas, phis, inst.capacity)
         assert any(abs(result.lambda_star - lam) <= 1e-12 for lam in feasible)
 
@@ -83,7 +82,7 @@ def test_zero_price_iff_saturation_below_capacity():
     for _ in range(300):
         inst = random_pwl_instance(rng)
         result = solve_mtes_pwl(inst)
-        total_phi = sum(p.phi for p in inst.preferences)
+        total_phi = sum(inst.preferences.columns[1].tolist())
         if total_phi < inst.capacity:
             assert result.lambda_star == 0.0
         elif total_phi > inst.capacity:

@@ -5,6 +5,7 @@ import pytest
 
 from teshape import (
     MarketInstance,
+    PreferenceColumns,
     Quadratic,
     SolveMethod,
     ValidationError,
@@ -100,7 +101,7 @@ def test_sign_of_price_tracks_total_satiation():
     for _ in range(300):
         inst = random_quadratic_instance(rng)
         result = solve_mtes_quadratic(inst)
-        total_m = sum(p.m for p in inst.preferences)
+        total_m = sum(inst.preferences.columns[1].tolist())
         if total_m <= inst.capacity:
             assert result.lambda_star <= 0
         else:
@@ -118,13 +119,11 @@ def test_price_monotone_componentwise():
             continue
         i = int(rng.integers(0, inst.n))
         bump = float(rng.uniform(0.0, 5.0))
-        for field in ("b", "m"):
-            prefs = list(inst.preferences)
-            kwargs = {"b": prefs[i].b, "m": prefs[i].m}
-            kwargs[field] += bump
-            prefs[i] = Quadratic(**kwargs)
+        for field in range(2):  # b, then m
+            columns = [column.copy() for column in inst.preferences.columns]
+            columns[field][i] += bump
             raised = solve_mtes_quadratic(
-                MarketInstance(inst.production, tuple(prefs), inst.model)
+                MarketInstance(inst.production, PreferenceColumns(Quadratic, *columns), inst.model)
             )
             assert raised.lambda_star >= base.lambda_star - 1e-12
         checked += 1

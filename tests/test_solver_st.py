@@ -110,7 +110,7 @@ def test_zero_price_iff_satiation_fits():
     for _ in range(300):
         inst = random_quadratic_instance(rng, model=ModelKind.MTES_ST)
         result = solve_mtes_st(inst)
-        total_m = sum(p.m for p in inst.preferences)
+        total_m = sum(inst.preferences.columns[1].tolist())
         if total_m <= inst.capacity:
             assert result.lambda_star == 0.0
         else:
@@ -122,7 +122,7 @@ def test_pwl_zero_price_iff_saturation_below_capacity():
     for _ in range(300):
         inst = random_pwl_instance(rng, model=ModelKind.MTES_ST)
         result = solve_mtes_st(inst)
-        total_phi = sum(p.phi for p in inst.preferences)
+        total_phi = sum(inst.preferences.columns[1].tolist())
         if total_phi < inst.capacity:
             assert result.lambda_star == 0.0
         elif total_phi > inst.capacity:
@@ -195,7 +195,8 @@ def test_solve_takes_the_route_its_preferences_pick(model):
     for _ in range(20):
         quad = random_quadratic_instance(rng, n_max=30, model=model)
         pwl = random_pwl_instance(rng, n_max=30, model=model)
-        mixed = MarketInstance(quad.production, (log_pref, *quad.preferences[1:]), model)
+        b, m = (column[1:].tolist() for column in quad.preferences.columns)
+        mixed = MarketInstance(quad.production, [log_pref, *map(Quadratic, b, m)], model)
         for inst, route, method in ((quad, solve_mtes_quadratic, SolveMethod.CLOSED_FORM_QUADRATIC),
                                     (pwl, solve_mtes_pwl, SolveMethod.BREAKPOINT_PWL),
                                     (mixed, solve_mtes_generic, SolveMethod.BISECTION)):
