@@ -31,7 +31,7 @@ from .model import (
     strict_int,
     validate_instance,
 )
-from .solver import solve, solve_many
+from .solver import local_capacities, solve, solve_many
 
 
 _HISTORY_ROWS = 64  # averaging rounds held before the estimates array first grows
@@ -53,6 +53,10 @@ class NotConverged(RuntimeError):
 
 class EstimateNotPositive(RuntimeError):
     """An agent's averaged capacity estimate is not positive: its local market has nothing to clear."""
+
+
+class EstimateTooLarge(RuntimeError):
+    """An agent's averaged capacity estimate passes ``max_capacity(n)``: its local market cannot be cleared in floats."""
 
 
 class CollectionError(ValueError):
@@ -299,9 +303,9 @@ def run_distributed(
     which only flooding replicates at every agent. The local markets differ
     only in capacity, so they are cleared by ``solve_many`` from the vector
     of shares; with ``homogenize=True`` every local market has its own
-    preferences and is solved alone. An agent whose capacity estimate is
-    not positive raises EstimateNotPositive. A negative ``rounds`` or a NaN
-    or negative ``tol`` raises ValidationError.
+    preferences and is solved alone. A capacity estimate that is not positive
+    raises EstimateNotPositive, one past ``max_capacity(n)`` EstimateTooLarge.
+    A negative ``rounds`` or a NaN or negative ``tol`` raises ValidationError.
     """
     validate_instance(instance).raise_if_invalid()
     if rounds < 0:
@@ -329,6 +333,11 @@ def run_distributed(
         i = int(np.argmax(short))
         raise EstimateNotPositive(f"agent {i}: capacity estimate {trace.estimates[-1, i] * n:.3e} not positive "
                                   f"after {trace.rounds} rounds")
+    i = int(np.argmax(shares))  # n copies of a share sum the larger, the larger the share
+    capacity, fits = local_capacities(n, shares[i:i + 1])
+    if not fits:
+        raise EstimateTooLarge(f"agent {i}: capacity estimate {capacity.item()!r} past the float limit for {n} agents "
+                               f"after {trace.rounds} rounds")
     if homogenize:  # each local market has its own averaged (b, m)
         results = [solve(MarketInstance(np.full(n, s), PreferenceColumns(Quadratic, np.full(n, b), np.full(n, m))))
                    for s, b, m in zip(shares.tolist(), state[1].tolist(), state[2].tolist())]

@@ -5,7 +5,7 @@ rejected outside [0, 10]; agent-one parameters pin the box corner (the
 curvature bound is backed out of the admissibility boundary for quadratic
 batches, the marginal rate equals the threshold for PWL batches); remaining
 agents draw uniformly from half-open intervals (0, upper] so zero is excluded
-exactly. Every batch is checked for admissibility before it is solved.
+exactly. A batch is checked for admissibility before clearing, its price after.
 
 Per-trial generators derive from (seed, cell, trial) so trials are
 independent, order-insensitive and reproducible bit-for-bit.
@@ -38,7 +38,7 @@ from .model import (
     strict_number,
 )
 from .shaping import check_pwl_set, check_quadratic_set
-from .solver import solve_mtes_pwl, solve_mtes_quadratic
+from .solver import SolverError, solve_mtes_pwl, solve_mtes_quadratic
 
 QUARTILE_CONVENTION = "linear interpolation between order statistics"
 
@@ -108,9 +108,9 @@ def sample_production(n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _half_open_uniform(upper: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    # (0, upper]: map U[0,1) through upper*(1-U) so zero is excluded exactly
-    return upper * (1.0 - rng.random(size))
+def _half_open_uniform(upper: float, out: np.ndarray, rng: np.random.Generator) -> None:
+    # (0, upper]: map U[0,1) through upper*(1-U) so zero is excluded exactly, in place
+    np.multiply(upper, np.subtract(1.0, rng.random(out=out), out=out), out=out)
 
 
 def sample_quadratic_params(
@@ -127,11 +127,9 @@ def sample_quadratic_params(
     while m1 <= share:
         m1 = rng.uniform(share, 100.0 * share)
     b1 = n * lambda_dagger / (n * m1 - capacity)
-    b = np.empty(n)
-    m = np.empty(n)
-    b[0], m[0] = b1, m1
-    b[1:] = _half_open_uniform(b1, n - 1, rng)
-    m[1:] = _half_open_uniform(m1, n - 1, rng)
+    b, m = np.full(n, b1), np.full(n, m1)  # agent one on the corner
+    _half_open_uniform(b1, b[1:], rng)
+    _half_open_uniform(m1, m[1:], rng)
     return b, m
 
 
@@ -151,23 +149,15 @@ def sample_pwl_params(
     while not (lo <= phi1 <= hi):
         phi1 = rng.normal(mu, sd)
     beta1 = lambda_dagger
-    beta = np.empty(n)
-    phi = np.empty(n)
-    beta[0], phi[0] = beta1, phi1
-    beta[1:] = _half_open_uniform(beta1, n - 1, rng)
-    phi[1:] = _half_open_uniform(phi1, n - 1, rng)
+    beta, phi = np.full(n, beta1), np.full(n, phi1)  # agent one on the corner
+    _half_open_uniform(beta1, beta[1:], rng)
+    _half_open_uniform(phi1, phi[1:], rng)
     return beta, phi
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo batches
 # ---------------------------------------------------------------------------
-
-
-def _spec_list(value, field: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ValidationError([f"{field} must be a non-empty list"])
-    return value
 
 
 @dataclass(frozen=True)
@@ -182,6 +172,11 @@ class ExperimentSpec:
     scale_list: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("lambda_dagger", "scale_list"):  # a list, as JSON gives it, held as a tuple
+            if isinstance(value := getattr(self, name), list):
+                object.__setattr__(self, name, value := tuple(value))
+            if value == ():
+                raise ValidationError([f"{name} must be a non-empty list"])
         if self.family not in ("quadratic", "pwl"):
             raise ValidationError([f"family must be 'quadratic' or 'pwl', got {self.family!r}"])
         if not (0 < self.n < 2**63 and 0 < self.trials < 2**63):  # 2**63: NumPy's index range
@@ -212,16 +207,16 @@ class ExperimentSpec:
             raise ValidationError([f"missing spec fields {sorted(required - set(data))}"])
         lam, scale = data["lambda_dagger"], data.get("scale_list")
         if isinstance(lam, list):
-            lam = tuple(strict_number(v, "lambda_dagger") for v in _spec_list(lam, "lambda_dagger"))
-        if scale is not None:
-            scale = tuple(strict_int(v, "scale_list") for v in _spec_list(scale, "scale_list"))
+            lam = [strict_number(v, "lambda_dagger") for v in lam]
+        if scale is not None and not isinstance(scale, list):
+            raise ValidationError(["scale_list must be a non-empty list"])
         return ExperimentSpec(
             family=data["family"],
             n=strict_int(data["n"], "n"),
             trials=strict_int(data["trials"], "trials"),
-            lambda_dagger=lam if isinstance(lam, tuple) else strict_number(lam, "lambda_dagger"),
+            lambda_dagger=lam if isinstance(lam, list) else strict_number(lam, "lambda_dagger"),
             seed=strict_int(data["seed"], "seed"),
-            scale_list=scale,
+            scale_list=None if scale is None else [strict_int(v, "scale_list") for v in scale],
         )
 
     @staticmethod
@@ -298,22 +293,27 @@ class MonteCarloResult:
 
 
 def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_dagger: float) -> float:
+    """The price of one sampled market; above lambda_dagger + tol, SolverError. PWL: tol = 0, the price being 0
+    or a sampled rate, none above beta_1 = lambda_dagger. Quadratic: the price (S_m - C)/S_b is exactly at most the
+    corner's b_1*(m_1 - C/n), lambda_dagger up to the sampler's roundings (its pairwise C's n*eps*C too); with S_b >=
+    1/b_1 (agent one active), sums of n terms erring n*eps: tol = 2(n + 4)*eps*(lambda_dagger + b_1*(sum m + C))."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, cell_index, trial)))
     a = sample_production(n, rng)
-    capacity = float(np.sum(a))
+    capacity = float(np.sum(a))  # pairwise: the sampled bits depend on it
     if spec.family == "quadratic":
         first, second = sample_quadratic_params(n, capacity, lam_dagger, rng)
-        kind, check, solver = Quadratic, check_quadratic_set, solve_mtes_quadratic
-        bounds = ("b_max", "m_max")
+        kind, check, solver, bounds = Quadratic, check_quadratic_set, solve_mtes_quadratic, ("b_max", "m_max")
+        tol = 2 * (n + 4) * np.finfo(float).eps * (lam_dagger + first[0] * (float(np.sum(second)) + capacity))
     else:
         first, second = sample_pwl_params(n, capacity, lam_dagger, rng)
-        kind, check, solver = PiecewiseLinear, check_pwl_set, solve_mtes_pwl
-        bounds = ("beta_max", "phi_max")
+        kind, check, solver, bounds, tol = PiecewiseLinear, check_pwl_set, solve_mtes_pwl, ("beta_max", "phi_max"), 0.0
     corner = dict(zip(bounds, (float(first[0]), float(second[0]))))
     if not check(ShapingQuery(threshold=lam_dagger, n=n, capacity=capacity, **corner)).admissible:
         raise RuntimeError(f"sampled batch not admissible (cell {cell_index}, trial {trial})")
-    instance = MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))
-    return solver(instance).lambda_star
+    lam = solver(MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))).lambda_star
+    if not lam <= lam_dagger + tol:
+        raise SolverError(f"cell {cell_index}, trial {trial}: price {lam!r} above lambda_dagger {lam_dagger!r} + {tol:.3e}")
+    return lam
 
 
 def run_monte_carlo(spec: ExperimentSpec, out_dir: str | None = None, threads: int = 1) -> MonteCarloResult:

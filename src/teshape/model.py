@@ -245,29 +245,6 @@ def max_capacity(n: int) -> float:
     return np.finfo(float).max / (1 + n * np.finfo(float).eps)
 
 
-def production_violations(a: np.ndarray, n_preferences: int) -> tuple[list[tuple[int | None, str]], float]:
-    """``validate_instance``'s production issues, ``(agent or None, reason)``
-    pairs, and the total of the finite a_i."""
-    issues: list[tuple[int | None, str]] = []
-    n = len(a)
-    if n < 1:
-        issues.append((None, "n >= 1 required (empty agent list)"))
-    if n_preferences != n:
-        issues.append((None, f"length mismatch: {n} productions vs {n_preferences} preferences"))
-    finite = np.isfinite(a)
-    for i in np.flatnonzero(~finite | (a < 0)).tolist():
-        issues.append((i, "a must be " + ("non-negative" if finite[i] else "finite")))
-    with np.errstate(over="ignore"):  # an overflowing total is reported below
-        capacity = _sequential_sum(a[finite])
-    if n >= 1 and not capacity > 0:
-        issues.append((None, "C > 0 required (total production must be positive)"))
-    elif capacity == math.inf:
-        issues.append((None, "C must be finite (total production overflows)"))
-    elif capacity > max_capacity(n):
-        issues.append((None, "C must lie n*eps below the float limit (the allocations would sum past it)"))
-    return issues, capacity
-
-
 def validate_instance(instance: MarketInstance) -> ValidationReport:
     """Check all instance invariants; returns a report instead of raising.
 
@@ -275,8 +252,23 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
     a_i >= 0 and finite, C > 0 and finite, positive family parameters, and strict
     concavity (on a sampled grid) for Custom preferences.
     """
-    preferences = instance.preferences
-    issues, capacity = production_violations(instance.production, len(preferences))
+    preferences, a, n = instance.preferences, instance.production, instance.n
+    issues: list[tuple[int | None, str]] = []
+    if n < 1:
+        issues.append((None, "n >= 1 required (empty agent list)"))
+    if len(preferences) != n:
+        issues.append((None, f"length mismatch: {n} productions vs {len(preferences)} preferences"))
+    finite = np.isfinite(a)
+    for i in np.flatnonzero(~finite | (a < 0)).tolist():
+        issues.append((i, "a must be " + ("non-negative" if finite[i] else "finite")))
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        capacity = instance.capacity if finite.all() else _sequential_sum(a[finite])  # the total of the finite a_i
+    if n >= 1 and not capacity > 0:
+        issues.append((None, "C > 0 required (total production must be positive)"))
+    elif capacity == math.inf:
+        issues.append((None, "C must be finite (total production overflows)"))
+    elif capacity > max_capacity(n):
+        issues.append((None, "C must lie n*eps below the float limit (the allocations would sum past it)"))
     bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
     rows = np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent, whatever its column rows
     others = iter(preferences.others)
@@ -302,7 +294,8 @@ class EquilibriumResult:
 
     ``e_star`` is populated for MTES-ST only. ``degenerate`` marks knife-edge
     instances where the equilibrium price is set-valued and a deterministic
-    representative was chosen.
+    representative was chosen. A solver's result builds its allocation and
+    trade tuples from array rows when first read: a price alone costs none.
     """
 
     lambda_star: float
@@ -312,6 +305,18 @@ class EquilibriumResult:
     balance_residual: float
     kkt_max_violation: float
     degenerate: bool = False
+
+    @classmethod
+    def of_rows(cls, x: np.ndarray, e: np.ndarray | None, **fields) -> EquilibriumResult:
+        """The result of ``fields`` whose ``x_star`` and ``e_star`` are the rows ``x`` and ``e``, as read."""
+        vars(result := cls.__new__(cls)).update(fields, _rows={"x_star": x, "e_star": e})
+        return result
+
+    def __getattr__(self, name: str):  # reached only while a row is not yet a tuple
+        if name not in (rows := vars(self).get("_rows", {})):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vars(self)[name] = value = None if rows[name] is None else tuple(rows[name].tolist())
+        return value
 
     def to_dict(self) -> dict:
         out: dict = {

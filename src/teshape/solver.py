@@ -221,10 +221,10 @@ def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None 
     if (bad := ~(np.array(violations) <= limits)).any():
         i = int(np.argmax(bad))
         raise SolverError(f"KKT violation {violations[i]:.3e} > {_KKT_TOL:g} * max(1, C) at price {lam[i, 0].item()!r}")
-    trades = repeat(None) if e is None else (tuple(row.tolist()) for row in e)
-    return [EquilibriumResult(level, tuple(row.tolist()), trade, clearing.method, residual, violation,
-                              clearing.degenerate)
-            for level, row, trade, residual, violation in zip(lam[:, 0].tolist(), x, trades, residuals, violations)]
+    return [EquilibriumResult.of_rows(row, trade, lambda_star=level, method=clearing.method, balance_residual=residual,
+                                      kkt_max_violation=violation, degenerate=clearing.degenerate)
+            for level, row, trade, residual, violation in zip(lam[:, 0].tolist(), x, repeat(None) if e is None else e,
+                                                              residuals, violations)]
 
 
 def _solve(instance: MarketInstance, clear) -> EquilibriumResult:
@@ -424,21 +424,25 @@ def solve(instance: MarketInstance) -> EquilibriumResult:
         instance.preferences.kind, _clear_generic))
 
 
+def local_capacities(n: int, shares: np.ndarray) -> tuple[np.ndarray, int]:
+    """Capacities of n agents each holding one of ``shares``, summed as ``MarketInstance.capacity`` sums them,
+    and how many from the first on lie in (0, max_capacity(n)], where a market may clear."""
+    capacity = np.array(shares, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing capacity lies outside the range
+        for _ in range(n - 1):
+            capacity += shares
+    return capacity, int(np.argmin(np.append((capacity > 0) & (capacity <= max_capacity(n)), False)))
+
+
 def solve_many(preferences, shares) -> list[EquilibriumResult]:
     """``[solve(MarketInstance(np.full(n, s), preferences)) for s in shares]``,
-    bit for bit: average consensus's local markets. Quadratic markets up to the
-    first one that is invalid or whose capacity (n copies of its share summed
-    left to right) passes ``max_capacity(n)`` clear as one stack: one sort, one
-    self-check. The rest are solved one at a time, the first of them raising as
-    in the loop."""
+    bit for bit: average consensus's local markets. Quadratic markets up to the first whose capacity leaves
+    ``local_capacities``' range clear as one stack: one sort, one self-check. The rest are solved one at a
+    time, the first of them raising as in the loop."""
     preferences, shares = PreferenceColumns.of(preferences), np.asarray(shares, dtype=float)
     n, k, results = len(preferences), 0, []
     if preferences.kind is Quadratic:
-        capacity = shares.copy()
-        with np.errstate(over="ignore"):  # the overflowing market raises when solved alone
-            for _ in range(n - 1):
-                capacity += shares
-        k = int(np.argmin(np.append((capacity > 0) & (capacity <= max_capacity(n)), False)))
+        capacity, k = local_capacities(n, shares)
     if k:
         first = MarketInstance(np.full(n, shares[0]), preferences)
         results = _result(first, _clear_quadratic(first, capacity[:k]), capacity=capacity[:k])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 import warnings
 
 import pytest
@@ -292,6 +294,26 @@ def test_consensus_non_positive_estimate_exits_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "consensus", str(path), "--mode", "average", "--rounds", "0")
     assert (code, out) == (3, "")
     assert err == "consensus failure: agent 0: capacity estimate 0.000e+00 not positive after 0 rounds\n"
+
+
+@pytest.mark.parametrize("utility", ['"kind": "quadratic", "b": 1, "m": 3', '"kind": "pwl", "beta": 1, "phi": 3'],
+                         ids=["quadratic", "pwl"])
+def test_consensus_estimate_past_float_limit_exits_3(utility, tmp_path, capsys):
+    # C is the largest 1000 agents may hold, so the file solves; agent 0's averaged
+    # estimate, summed over 1000 agents, rounds past that bound for its local market
+    n = 1000
+    limit = sys.float_info.max / (1 + n * sys.float_info.epsilon)
+    path = tmp_path / "limit.json"
+    path.write_text('{"agents": [%s]}' % ", ".join('{"a": %r, "utility": {%s}}' % (a, utility)
+                                                   for a in [limit] + [0.0] * (n - 1)))
+    assert run_cli(capsys, "solve", str(path))[0] == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "consensus", str(path), "--mode", "average", "--rounds", "50")
+    assert (code, out, caught) == (3, "", [])
+    estimate = re.fullmatch(r"consensus failure: agent 0: capacity estimate (\S+) past the float limit for 1000 agents "
+                            r"after 50 rounds\n", err)
+    assert float(estimate[1]) > limit
 
 
 @pytest.mark.parametrize("command", [["solve"], ["sweep"], ["consensus"], ["consensus", "--mode", "average"]],

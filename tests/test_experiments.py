@@ -230,6 +230,25 @@ def test_spec_validation():
             ExperimentSpec(family="pwl", n=10, trials=5, lambda_dagger=lambda_dagger, seed=1, scale_list=scale_list)
 
 
+def test_spec_given_lists_holds_tuples():
+    # lists, as JSON gives them, are held as tuples: the spec validates, hashes and round-trips
+    spec = ExperimentSpec(family="quadratic", n=10, trials=2, lambda_dagger=[17.5, 22.0], seed=1)
+    assert spec.lambda_dagger == spec.thresholds == (17.5, 22.0)
+    assert spec == ExperimentSpec.from_dict(spec.to_dict()) and hash(spec) == hash(ExperimentSpec.from_dict(spec.to_dict()))
+    scale = ExperimentSpec(family="pwl", n=10, trials=2, lambda_dagger=20.0, seed=1, scale_list=[10, 20])
+    assert scale.scale_list == (10, 20) and [key for key, _, _ in scale.cells()] == ["n=10", "n=20"]
+    with pytest.raises(ValidationError, match="two cells share the key"):
+        ExperimentSpec(family="pwl", n=10, trials=5, lambda_dagger=[15.0, 15.000001], seed=1)
+    # an empty list, which would run no cell, is refused whether given directly or read from JSON
+    for name, fields in [("lambda_dagger", {"lambda_dagger": []}), ("scale_list", {"lambda_dagger": 20.0, "scale_list": []})]:
+        with pytest.raises(ValidationError, match=f"^{name} must be a non-empty list$"):
+            ExperimentSpec(family="pwl", n=10, trials=5, seed=1, **fields)
+        with pytest.raises(ValidationError, match=f"^{name} must be a non-empty list$"):
+            ExperimentSpec.from_dict({"family": "pwl", "n": 10, "trials": 5, "seed": 1, **fields})
+    with pytest.raises(ValidationError, match="^lambda_dagger must be a non-empty list$"):
+        ExperimentSpec(family="pwl", n=10, trials=5, lambda_dagger=(), seed=1)
+
+
 def test_spec_json_round_trip(tmp_path):
     spec = ExperimentSpec(
         family="pwl", n=100, trials=10, lambda_dagger=(20.0, 30.0), seed=99
