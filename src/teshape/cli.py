@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .consensus import CommGraph, DisconnectedGraph, EstimateNotPositive, EstimateTooLarge, NotConverged, run_distributed
+from .consensus import CommGraph, DisconnectedGraph, EstimateOutOfRange, NotConverged, run_distributed
 from .experiments import (
     ExperimentSpec,
     run_monte_carlo,
@@ -45,7 +45,7 @@ FAILURES = (
     (ValidationError, EXIT_VALIDATION, "validation error: {}"),
     (OSError, EXIT_VALIDATION, "file error: {}"),
     (SolverError, EXIT_SOLVER, "solver failure: {}"),
-    ((DisconnectedGraph, NotConverged, EstimateNotPositive, EstimateTooLarge), EXIT_SOLVER, "consensus failure: {}"),
+    ((DisconnectedGraph, NotConverged, EstimateOutOfRange), EXIT_SOLVER, "consensus failure: {}"),
     (Exception, EXIT_INTERNAL, "internal error: {!r}"),
 )
 

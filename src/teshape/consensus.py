@@ -15,14 +15,13 @@ order without BLAS, so its bits do not depend on the BLAS kernel either.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     EquilibriumResult,
     MarketInstance,
-    ModelKind,
     PreferenceColumns,
     Quadratic,
     ValidationError,
@@ -51,12 +50,9 @@ class NotConverged(RuntimeError):
         )
 
 
-class EstimateNotPositive(RuntimeError):
-    """An agent's averaged capacity estimate is not positive: its local market has nothing to clear."""
-
-
-class EstimateTooLarge(RuntimeError):
-    """An agent's averaged capacity estimate passes ``max_capacity(n)``: its local market cannot be cleared in floats."""
+class EstimateOutOfRange(RuntimeError):
+    """An agent's averaged capacity estimate lies outside (0, max_capacity(n)]: its local market
+    has nothing to clear, or cannot be cleared in floats."""
 
 
 class CollectionError(ValueError):
@@ -173,12 +169,7 @@ def _connected(starts: np.ndarray, cols: np.ndarray) -> bool:
         label = hooked
 
 
-@dataclass(frozen=True)
-class AggregatorRun:
-    result: EquilibriumResult
-
-
-def run_aggregator(instance: MarketInstance) -> AggregatorRun:
+def run_aggregator(instance: MarketInstance) -> EquilibriumResult:
     """Centralized clearing: collect, solve once, broadcast to every agent."""
     report = validate_instance(instance)
     if bad := [i for i in report.agents if i is not None]:
@@ -186,7 +177,7 @@ def run_aggregator(instance: MarketInstance) -> AggregatorRun:
         reasons = [v.removeprefix(f"agent {agent}: ") for i, v in zip(report.agents, report.violations) if i == agent]
         raise CollectionError(agent, reasons)
     report.raise_if_invalid()
-    return AggregatorRun(result=solve(instance))
+    return solve(instance)
 
 
 @dataclass(frozen=True)
@@ -300,12 +291,14 @@ def run_distributed(
     (rejected for other families; the parameter space must be convex for the
     mean to stay in-family). In average mode a trading instance is cleared as
     its plain-market counterpart: trade vectors need the true productions,
-    which only flooding replicates at every agent. The local markets differ
-    only in capacity, so they are cleared by ``solve_many`` from the vector
-    of shares; with ``homogenize=True`` every local market has its own
-    preferences and is solved alone. A capacity estimate that is not positive
-    raises EstimateNotPositive, one past ``max_capacity(n)`` EstimateTooLarge.
-    A negative ``rounds`` or a NaN or negative ``tol`` raises ValidationError.
+    which only flooding replicates at every agent. The local capacities are
+    summed once, by ``local_capacities``; the first agent, in index order,
+    whose capacity lies outside (0, max_capacity(n)] raises EstimateOutOfRange.
+    The local markets differ only in capacity, so they are cleared by
+    ``solve_many`` from the vectors of shares and capacities; with
+    ``homogenize=True`` every local market has its own preferences and is
+    solved alone. A negative ``rounds`` or a NaN or negative ``tol`` raises
+    ValidationError.
     """
     validate_instance(instance).raise_if_invalid()
     if rounds < 0:
@@ -317,30 +310,26 @@ def run_distributed(
     if mode not in ("flood", "average"):
         raise ValidationError([f"unknown mode {mode!r}; expected 'flood' or 'average'"])
 
-    plain = replace(instance, model=ModelKind.MTES)
     if mode == "flood":
-        trace = _flood(plain, graph)  # checks connectivity
+        trace = _flood(instance, graph)  # checks connectivity
         result = solve(instance)  # identical input at every agent
         return DistributedRun(results=(result,) * instance.n, trace=trace, rounds_used=trace.rounds)
 
-    if homogenize and plain.preferences.kind is not Quadratic:
+    if homogenize and instance.preferences.kind is not Quadratic:
         raise ValidationError(["preference averaging requires quadratic preferences (convex parameter space)"])
 
-    trace, state = _average(plain, graph, rounds, tol, homogenize)  # checks connectivity
+    trace, state = _average(instance, graph, rounds, tol, homogenize)  # checks connectivity
     n = instance.n
-    shares = trace.estimates[-1] * n / n  # each local market's production per agent
-    if (short := ~(shares > 0)).any():
-        i = int(np.argmax(short))
-        raise EstimateNotPositive(f"agent {i}: capacity estimate {trace.estimates[-1, i] * n:.3e} not positive "
-                                  f"after {trace.rounds} rounds")
-    i = int(np.argmax(shares))  # n copies of a share sum the larger, the larger the share
-    capacity, fits = local_capacities(n, shares[i:i + 1])
-    if not fits:
-        raise EstimateTooLarge(f"agent {i}: capacity estimate {capacity.item()!r} past the float limit for {n} agents "
-                               f"after {trace.rounds} rounds")
+    with np.errstate(over="ignore"):  # an estimate that overflows here has a capacity out of range
+        shares = trace.estimates[-1] * n / n  # each local market's production per agent
+    capacity, k = local_capacities(n, shares)
+    if k < n:
+        reason = (f"{capacity[k].item()!r} past the float limit for {n} agents" if capacity[k] > 0
+                  else f"{trace.estimates[-1, k] * n:.3e} not positive")
+        raise EstimateOutOfRange(f"agent {k}: capacity estimate {reason} after {trace.rounds} rounds")
     if homogenize:  # each local market has its own averaged (b, m)
         results = [solve(MarketInstance(np.full(n, s), PreferenceColumns(Quadratic, np.full(n, b), np.full(n, m))))
                    for s, b, m in zip(shares.tolist(), state[1].tolist(), state[2].tolist())]
     else:
-        results = solve_many(plain.preferences, shares)
+        results = solve_many(instance.preferences, shares, capacity)
     return DistributedRun(results=tuple(results), trace=trace, rounds_used=trace.rounds)

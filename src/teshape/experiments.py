@@ -64,9 +64,10 @@ def box_stats(values) -> BoxStats:
     if arr.size == 0:
         raise EmptyInput("box_stats requires a non-empty list")
     q25, median, q75 = np.percentile(arr, [25.0, 50.0, 75.0])
-    iqr = q75 - q25
-    lo_fence = q25 - 1.5 * iqr
-    hi_fence = q75 + 1.5 * iqr
+    with np.errstate(over="ignore"):  # fences past the float limit are infinite: they exclude nothing
+        iqr = q75 - q25
+        lo_fence = q25 - 1.5 * iqr
+        hi_fence = q75 + 1.5 * iqr
     inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
     if inside.size == 0:  # only non-finite input leaves the fences empty
         raise EmptyInput("box_stats found no value inside its whiskers; the input is not finite")

@@ -56,7 +56,7 @@ class ConvergenceFailure(SolverError):
     """The root-finder exhausted its iteration budget before meeting tolerances."""
 
 
-_LAMBDA_TOL = 1e-10  # generic route: price bracket width to stop at (at least 2 ulp); KKT: zero price
+_LAMBDA_TOL = 1e-10  # generic route: price bracket width to stop at (at least 2 ulp)
 _MAX_ITER = 200  # root-finder iteration cap
 _KKT_TOL = 1e-8  # self-check: largest KKT violation a result may carry, times max(1, C)
 
@@ -434,19 +434,16 @@ def local_capacities(n: int, shares: np.ndarray) -> tuple[np.ndarray, int]:
     return capacity, int(np.argmin(np.append((capacity > 0) & (capacity <= max_capacity(n)), False)))
 
 
-def solve_many(preferences, shares) -> list[EquilibriumResult]:
+def solve_many(preferences, shares, capacity: np.ndarray) -> list[EquilibriumResult]:
     """``[solve(MarketInstance(np.full(n, s), preferences)) for s in shares]``,
-    bit for bit: average consensus's local markets. Quadratic markets up to the first whose capacity leaves
-    ``local_capacities``' range clear as one stack: one sort, one self-check. The rest are solved one at a
-    time, the first of them raising as in the loop."""
-    preferences, shares = PreferenceColumns.of(preferences), np.asarray(shares, dtype=float)
-    n, k, results = len(preferences), 0, []
-    if preferences.kind is Quadratic:
-        capacity, k = local_capacities(n, shares)
-    if k:
-        first = MarketInstance(np.full(n, shares[0]), preferences)
-        results = _result(first, _clear_quadratic(first, capacity[:k]), capacity=capacity[:k])
-    return results + [solve(MarketInstance(np.full(n, s), preferences)) for s in shares[k:].tolist()]
+    bit for bit: average consensus's local markets, whose ``capacity`` is ``local_capacities(n, shares)``, every
+    one in its range. Quadratic markets clear as one stack: one sort, one self-check. Other families are solved one
+    at a time."""
+    preferences = PreferenceColumns.of(preferences)
+    if preferences.kind is not Quadratic or not len(shares):
+        return [solve(MarketInstance(np.full(len(preferences), s), preferences)) for s in shares]
+    first = MarketInstance(np.full(len(preferences), shares[0]), preferences)
+    return _result(first, _clear_quadratic(first, capacity), capacity=capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +484,10 @@ def _kkt(
     is the solve's split, if it made one; its remembered prices are not used.
     """
     is_st = instance.model is ModelKind.MTES_ST
-    zero_price = is_st and lam.item() <= _LAMBDA_TOL
+    zero_price = is_st and lam.item() <= 0  # the routes floor a trading price at exactly 0.0
     if instance.preferences.kind is PiecewiseLinear:
         beta, phi = instance.preferences.columns
-        eq_tol = 1e-9 * np.maximum(1.0, beta)
+        eq_tol = 1e-9 * beta  # relative: a rate of any scale is told apart from the zero price
         # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]
         stationarity = np.select(
             [lam <= eq_tol, lam > beta + eq_tol, lam >= beta - eq_tol],
@@ -521,7 +518,7 @@ def _kkt(
             balance_violation = np.abs(np.sum(e, axis=1)).tolist()
             slack = x + e - instance.production
             # positive price forces the trading constraint active
-            trade_cap = np.abs(slack) if lam.item() > _LAMBDA_TOL else np.maximum(slack, 0.0)
+            trade_cap = np.abs(slack) if lam.item() > 0 else np.maximum(slack, 0.0)
             feasibility = np.maximum(feasibility, trade_cap)
         price_violation = max(0.0, -lam.item())
     else:

@@ -180,7 +180,7 @@ def test_criterion_7_trading_reduction_on_500_positive_price_instances():
 def test_criterion_8_consensus_agreement():
     with criterion(8, "flooding agrees bitwise; averaging tracks the price"):
         quartet = quartet_instance()
-        central = run_aggregator(quartet).result
+        central = run_aggregator(quartet)
         flood = run_distributed(quartet, CommGraph.complete(4), mode="flood")
         for result in flood.results:
             assert result.lambda_star == central.lambda_star

@@ -1,15 +1,17 @@
 """Average consensus's local markets against the per-market loop.
 
 The local markets differ only in capacity. ``solve_many(preferences,
-shares)`` clears those of shared quadratic preferences with one
+shares, capacity)`` clears those of shared quadratic preferences, at the
+capacities ``local_capacities`` sums and finds in range, with one
 water-filling sort; it must equal ``oracles.local_solves``, one ``solve``
 per market, bit for bit: price, allocation, residual, KKT violation and
 route, or the same exception text from the first market that fails (a
-ValidationError, also for a capacity that overflows to inf or lies within
-n*eps of the float limit, with warnings raised as errors or ignored). PWL and mixed preferences take the loop
-itself. ``run_distributed(mode="average")`` must equal the loop at the
-shares ``n * z / n`` of the last averaging round z, except that an agent
-whose estimate is not positive ends the run with EstimateNotPositive.
+ValidationError of the shared preferences). PWL and mixed preferences take
+the loop itself, errors included. ``run_distributed(mode="average")`` must
+equal the loop at the shares ``n * z / n`` of the last averaging round z,
+except that the first agent, in index order, whose capacity is not positive
+or passes ``max_capacity(n)`` (overflowing to inf or not, with warnings
+raised as errors) ends the run with EstimateOutOfRange.
 Graphs are random connected graphs of 1..60 agents, plus a complete graph
 and a star whose neighbour lists pass NumPy's 128-term pairwise block; many
 agents share a drop-out price m*b with different m and b, and productions
@@ -25,7 +27,6 @@ r * (d_max + 2) * eps/2 * max|z0|.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 from teshape import (
     CommGraph,
     Custom,
-    EstimateNotPositive,
+    EstimateOutOfRange,
     MarketInstance,
     PiecewiseLinear,
     PreferenceColumns,
@@ -48,7 +49,7 @@ from teshape import (
     solve,
     solver,
 )
-from teshape.solver import solve_many
+from teshape.solver import local_capacities, solve_many
 
 from oracles import local_solves, metropolis_rounds
 
@@ -89,8 +90,14 @@ def _bits(results) -> list:
 def _outcome(solve_all) -> tuple:
     try:
         return ("results", _bits(solve_all()))
-    except (ValidationError, SolverError, EstimateNotPositive, RuntimeWarning) as exc:  # warnings raised as errors
+    except (ValidationError, SolverError, EstimateOutOfRange, RuntimeWarning) as exc:  # warnings raised as errors
         return (type(exc).__name__, str(exc))
+
+
+def _solve_many(preferences, shares) -> list:
+    """``solve_many`` at the capacities average consensus passes it."""
+    shares = np.asarray(shares, dtype=float)
+    return solve_many(preferences, shares, local_capacities(len(PreferenceColumns.of(preferences)), shares)[0])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -122,7 +129,7 @@ def test_batched_average_matches_per_agent_loop(case):
         assert got == _outcome(lambda: local_solves(preferences, shares))
     else:  # a zero estimate, which the loop would refuse as "C > 0 required", is a consensus failure
         i = int(np.argmin(shares > 0))
-        assert got == ("EstimateNotPositive",
+        assert got == ("EstimateOutOfRange",
                        f"agent {i}: capacity estimate {z[i] * n:.3e} not positive after {rounds} rounds")
     if runs:
         assert runs[0].trace.estimates.tobytes() == expected.tobytes()
@@ -130,16 +137,13 @@ def test_batched_average_matches_per_agent_loop(case):
 
 
 def test_zero_production_without_rounds_raises_as_the_loop_does():
-    # solve_many refuses the zero share as the loop does; run_distributed names the agent as a consensus failure
+    # the loop refuses the zero share; run_distributed names the agent as a consensus failure
     preferences = PreferenceColumns(Quadratic, [1.0, 2.0], [3.0, 4.0])
     production = np.array([0.0, 5.0])
     with pytest.raises(ValidationError) as loop:
         local_solves(preferences, production)
     assert "C > 0 required" in str(loop.value)
-    with pytest.raises(ValidationError) as batched:
-        solve_many(preferences, production)
-    assert str(batched.value) == str(loop.value)
-    with pytest.raises(EstimateNotPositive, match=r"^agent 0: capacity estimate 0\.000e\+00 not positive after 0 rounds$"):
+    with pytest.raises(EstimateOutOfRange, match=r"^agent 0: capacity estimate 0\.000e\+00 not positive after 0 rounds$"):
         run_distributed(MarketInstance(production, preferences), CommGraph.path(2), rounds=0, mode="average")
 
 
@@ -157,19 +161,37 @@ def test_other_families_match_per_agent_loop():
         assert _bits(run.results) == _bits(expected)
 
 
-@pytest.mark.parametrize("b, shares", [
-    ([1.0, -2.0, 3.0], [2.0, 0.5]),  # an invalid shared preference
-    ([1.0, np.inf, 3.0], [-1.0, 0.0]),  # and an invalid first share
-    ([1.0, 2.0, 3.0], [2.0, np.nan, 0.0]),  # a later invalid share
-], ids=["invalid-preference", "invalid-first-share", "later-invalid-share"])
+@pytest.mark.parametrize("b, shares", [([1.0, -2.0, 3.0], [2.0, 0.5])], ids=["invalid-preference"])
 def test_batched_validation_raises_as_the_loop_does(b, shares):
-    # the first market the loop refuses is the one solve_many reports
+    # an invalid shared preference: the first market the loop refuses is the one solve_many reports
     preferences = PreferenceColumns(Quadratic, b, [2.0, 2.0, 2.0])
     with pytest.raises(ValidationError) as loop:
         local_solves(preferences, shares)
     with pytest.raises(ValidationError) as batched:
-        solve_many(preferences, shares)
+        _solve_many(preferences, shares)
     assert str(batched.value) == str(loop.value)
+
+
+BIG = 1e308  # within max_capacity(3); three copies of it overflow
+
+
+@pytest.mark.parametrize("family", [Quadratic, PiecewiseLinear], ids=["quadratic", "pwl"])
+@pytest.mark.parametrize("production, reported", [
+    ([0.0, 5.0, 0.0], "agent 0: capacity estimate 0.000e+00 not positive"),
+    ([2.0, 0.0, 3.0], "agent 1: capacity estimate 0.000e+00 not positive"),
+    ([0.5, 2.0, 0.0, 4.0], "agent 2: capacity estimate 0.000e+00 not positive"),
+    ([0.5, BIG, 2.0], "agent 1: capacity estimate inf past the float limit for 3 agents"),
+    ([0.5, 5.992310449541052e+307, BIG],  # three copies sum to a float past max_capacity(3); agent 2's come later
+     "agent 1: capacity estimate 1.7976931348623155e+308 past the float limit for 3 agents"),
+    ([BIG, 0.0, 0.0], "agent 0: capacity estimate inf past the float limit for 3 agents"),  # first in index order
+], ids=["invalid-first-share", "later-invalid-share", "zero-share", "overflow", "near-limit", "precedence"])
+def test_out_of_range_estimate_is_a_consensus_failure(production, reported, family):
+    # without rounds each estimate is the agent's own production: the first agent whose capacity
+    # lies outside (0, max_capacity(n)] is reported, with warnings raised as errors
+    n = len(production)
+    instance = MarketInstance(production, PreferenceColumns(family, np.ones(n), np.full(n, 2.0)))
+    assert _outcome(lambda: run_distributed(instance, CommGraph.path(n), rounds=0, mode="average")) == (
+        "EstimateOutOfRange", f"{reported} after 0 rounds")
 
 
 @st.composite
@@ -189,7 +211,7 @@ def test_solve_many_matches_per_market_loop(call):
     b, m, shares = call
     preferences = PreferenceColumns(Quadratic, b, m)
     with mock.patch.object(solver, "_LEVEL_BLOCK", 5):
-        got = _outcome(lambda: solve_many(preferences, shares))
+        got = _outcome(lambda: _solve_many(preferences, shares))
     assert got == _outcome(lambda: local_solves(preferences, shares))
 
 
@@ -197,19 +219,13 @@ LOG = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
 
 
 @pytest.mark.parametrize("preferences, shares", [
-    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, 2.0, 0.0, 4.0]),  # a zero share after two
-    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, 1e308, 2.0]),  # a capacity that overflows
-    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(6)], [0.5, np.finfo(float).max / 6, 2.0]),  # within n*eps
     ([PiecewiseLinear(1.0 + k % 3, 2.0 + k % 4) for k in range(7)], [0.25, 1.5, 3.0, 6.0]),  # the loop path
     ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(5)] + [LOG], [0.25, 1.5, 3.0, 6.0]),
     ([PiecewiseLinear(1.0, 2.0)] * 3, [1.0, 0.0, 2.0]),
     ([Quadratic(2.0, 3.0) for _ in range(4)], []),
-], ids=["zero-share", "overflow", "near-limit", "pwl", "mixed", "pwl-zero-share", "no-markets"])
+], ids=["pwl", "mixed", "pwl-zero-share", "no-markets"])
 def test_solve_many_raises_and_routes_as_the_loop_does(preferences, shares):
-    assert _outcome(lambda: solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
-    with warnings.catch_warnings():  # no warning decides the outcome
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert _outcome(lambda: solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
+    assert _outcome(lambda: _solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
 
 
 def test_equal_preference_objects_clear_as_one_stack():
@@ -219,7 +235,7 @@ def test_equal_preference_objects_clear_as_one_stack():
     expected = _bits(local_solves(PreferenceColumns.of(objects), shares))
     built = mock.Mock(wraps=MarketInstance)
     with mock.patch.object(solver, "MarketInstance", built), mock.patch.object(solver, "solve") as loop:
-        got = _bits(solve_many([Quadratic(o.b, o.m) for o in objects], shares))
+        got = _bits(_solve_many([Quadratic(o.b, o.m) for o in objects], shares))
     assert got == expected
     assert built.call_count == 1 and loop.call_count == 0
 

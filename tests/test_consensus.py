@@ -96,14 +96,13 @@ def test_graph_file_round_trip(tmp_path):
 
 
 def test_aggregator_collects_and_broadcasts(quartet):
-    run = run_aggregator(quartet)
-    assert run.result.lambda_star == pytest.approx(1.765, abs=1e-3)
+    result = run_aggregator(quartet)
+    assert result.lambda_star == pytest.approx(1.765, abs=1e-3)
 
 
 def test_aggregator_single_agent():
     inst = MarketInstance((3.0,), (Quadratic(1.0, 2.0),))
-    run = run_aggregator(inst)
-    assert run.result.x_star == (3.0,)  # the one agent consumes all production
+    assert run_aggregator(inst).x_star == (3.0,)  # the one agent consumes all production
 
 
 def test_aggregator_names_bad_agent():
@@ -122,7 +121,7 @@ def test_aggregator_names_bad_agent():
 
 
 def test_flooding_agrees_bitwise_with_aggregator(quartet):
-    central = run_aggregator(quartet).result
+    central = run_aggregator(quartet)
     run = run_distributed(quartet, CommGraph.complete(4), mode="flood")
     assert run.rounds_used == 1  # complete graph floods in one round
     for result in run.results:

@@ -196,6 +196,12 @@ def test_box_stats_non_finite_input_raises_empty_input_under_optimize():
     assert done.stdout.strip() == "EmptyInput", done.stderr
 
 
+def test_box_stats_fences_past_the_float_limit():
+    # q75 + 1.5 * IQR overflows: the fence is inf and excludes nothing, with no warning (raised as errors here)
+    stats = box_stats([0.0, 1.7e308])
+    assert (stats.whisker_low, stats.whisker_high, stats.outliers) == (0.0, 1.7e308, ())
+
+
 def test_box_stats_single_value():
     stats = box_stats([7.0])
     assert (

@@ -12,6 +12,7 @@ from teshape import (
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
+    PreferenceColumns,
     Quadratic,
     SolveMethod,
     SolverError,
@@ -134,3 +135,30 @@ def test_nan_balance_sets_the_peak():
         assert np.isnan(report.balance_violation) and np.isnan(report.max_violation) and not report.ok()
         with pytest.raises(SolverError, match="KKT violation nan"):
             solver._result(inst, clearing)
+
+
+@pytest.mark.parametrize("model", [ModelKind.MTES, ModelKind.MTES_ST])
+def test_tiny_pwl_rates_clear_at_the_rate(model):
+    # a price of 1e-12 is the second agent's rate, not the zero price: the check tells them apart
+    inst = MarketInstance((2.0, 2.0), (PiecewiseLinear(1e-12, 3.0), PiecewiseLinear(2e-12, 3.0)), model)
+    result = solve(inst)
+    assert result.lambda_star == 1e-12
+    assert result.x_star == (1.0, 3.0)
+    assert result.kkt_max_violation == verify_kkt(inst, result).max_violation == 0.0
+
+
+@pytest.mark.parametrize("family", [Quadratic, PiecewiseLinear])
+@pytest.mark.parametrize("scale", [1e-12, 1e-300])
+def test_scaled_trading_markets_clear_as_the_plain_market(family, scale, quartet):
+    # scaling b (or beta) by s scales a positive price by about s; the trading market keeps that price
+    b, m = quartet.preferences.columns
+    scaled = PreferenceColumns(family, b * scale if family is Quadratic else m * scale, m)
+    plain = solve(MarketInstance(quartet.production, scaled))
+    st_inst = MarketInstance(quartet.production, scaled, ModelKind.MTES_ST)
+    trading = solve(st_inst)
+    assert 0.0 < trading.lambda_star == plain.lambda_star <= 1e3 * scale
+    assert trading.x_star == plain.x_star
+    assert trading.kkt_max_violation <= 1e-12
+    e = list(trading.e_star)
+    e[0] -= 0.25  # a positive price, however small, binds x + e <= a
+    assert verify_kkt(st_inst, replace(trading, e_star=tuple(e))).feasibility[0] == pytest.approx(0.25)

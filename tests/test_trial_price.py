@@ -8,6 +8,8 @@
   lambda-dagger, pass for both families;
 * ``_half_open_uniform`` writes the draws of ``upper * (1 - U)`` in place,
   bit for bit;
+* PWL cells whose rates are scaled to a threshold of 1e-12 or 1e-300 clear
+  at or below it, and one near the float limit writes nothing to stderr;
 * an instance's sequential total is summed once, by validation and
   ``capacity`` together.
 """
@@ -134,6 +136,19 @@ def test_corner_trials_pass(family):
         assert np.all(two <= lam)
         if family == "pwl":
             assert np.any(two == lam)
+
+
+@pytest.mark.parametrize("lambda_dagger", [1e-12, 1e-300, 1.7e308])
+def test_pwl_cells_at_extreme_thresholds_pass(lambda_dagger, tmp_path, capsys):
+    # rates scaled to a tiny threshold clear at the rates, not at a zero price; near the float
+    # limit the outlier fences overflow to inf quietly (warnings are raised as errors here)
+    spec = ExperimentSpec("pwl", n=50, trials=20, lambda_dagger=lambda_dagger, seed=3)
+    prices = run_monte_carlo(spec).cells[0].prices
+    assert 0.0 < max(prices) <= lambda_dagger
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"family": "pwl", "n": 50, "trials": 20, "lambda_dagger": lambda_dagger, "seed": 3}))
+    code = main(["experiment", str(spec_path), "--out", str(tmp_path / "out"), "--threads", "1"])
+    assert (code, capsys.readouterr().err) == (0, "")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 99])
