@@ -25,7 +25,6 @@ from .experiments import (
 from .model import (
     ModelKind,
     Quadratic,
-    ShapingQuery,
     ValidationError,
     load_instance,
     save_result,
@@ -74,22 +73,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_shape_check(args: argparse.Namespace) -> int:
-    # per family: the box-bound options it requires and the check they feed
+    # per family: the options it requires and the check they feed, each check ending in (n, C, lambda_dagger)
     boxes = {
         "quad": (("b_max", "m_max"), check_quadratic_set),
         "pwl": (("beta_max", "phi_max"), check_pwl_set),
+        "homog": (("b", "m"), lambda b, m, *market: check_homogeneous(Quadratic(b=b, m=m), *market)),
     }
-    if args.family in boxes:
-        fields, check = boxes[args.family]
-        bounds = {field: getattr(args, field) for field in fields}
-        if None in bounds.values():
-            options = " and ".join("--" + field.replace("_", "-") for field in fields)
-            raise ValidationError([f"{options} required for {args.family}"])
-        verdict = check(ShapingQuery(threshold=args.lambda_dagger, n=args.n, capacity=args.capacity, **bounds))
-    else:  # homog
-        if args.b is None or args.m is None:
-            raise ValidationError(["--b and --m required for homog"])
-        verdict = check_homogeneous(Quadratic(b=args.b, m=args.m), args.n, args.capacity, args.lambda_dagger)
+    fields, check = boxes[args.family]
+    bounds = [getattr(args, field) for field in fields]
+    if None in bounds:
+        options = " and ".join("--" + field.replace("_", "-") for field in fields)
+        raise ValidationError([f"{options} required for {args.family}"])
+    verdict = check(*bounds, args.n, args.capacity, args.lambda_dagger)
     print(f"admissible={str(verdict.admissible).lower()}")
     print(f"worst_case_lambda={verdict.worst_case_lambda:.6g}")
     print(f"binding_condition={verdict.binding_condition.value}")

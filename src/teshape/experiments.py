@@ -30,7 +30,6 @@ from .model import (
     PiecewiseLinear,
     PreferenceColumns,
     Quadratic,
-    ShapingQuery,
     ValidationError,
     atomic_write,
     read_json,
@@ -303,13 +302,12 @@ def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_da
     capacity = float(np.sum(a))  # pairwise: the sampled bits depend on it
     if spec.family == "quadratic":
         first, second = sample_quadratic_params(n, capacity, lam_dagger, rng)
-        kind, check, solver, bounds = Quadratic, check_quadratic_set, solve_mtes_quadratic, ("b_max", "m_max")
+        kind, check, solver = Quadratic, check_quadratic_set, solve_mtes_quadratic
         tol = 2 * (n + 4) * np.finfo(float).eps * (lam_dagger + first[0] * (float(np.sum(second)) + capacity))
     else:
         first, second = sample_pwl_params(n, capacity, lam_dagger, rng)
-        kind, check, solver, bounds, tol = PiecewiseLinear, check_pwl_set, solve_mtes_pwl, ("beta_max", "phi_max"), 0.0
-    corner = dict(zip(bounds, (float(first[0]), float(second[0]))))
-    if not check(ShapingQuery(threshold=lam_dagger, n=n, capacity=capacity, **corner)).admissible:
+        kind, check, solver, tol = PiecewiseLinear, check_pwl_set, solve_mtes_pwl, 0.0
+    if not check(float(first[0]), float(second[0]), n, capacity, lam_dagger).admissible:
         raise RuntimeError(f"sampled batch not admissible (cell {cell_index}, trial {trial})")
     lam = solver(MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))).lambda_star
     if not lam <= lam_dagger + tol:

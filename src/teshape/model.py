@@ -343,23 +343,6 @@ class BindingCondition(Enum):
 
 
 @dataclass(frozen=True)
-class ShapingQuery:
-    """A box of candidate preference parameters tested against a price threshold.
-
-    Exactly one bound family is set: (b_max, m_max) for quadratic boxes or
-    (beta_max, phi_max) for piece-wise linear boxes.
-    """
-
-    threshold: float
-    n: int
-    capacity: float
-    b_max: float | None = None
-    m_max: float | None = None
-    beta_max: float | None = None
-    phi_max: float | None = None
-
-
-@dataclass(frozen=True)
 class ShapingVerdict:
     admissible: bool
     worst_case_lambda: float

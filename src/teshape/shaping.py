@@ -18,7 +18,6 @@ from .model import (
     Custom,
     PiecewiseLinear,
     Quadratic,
-    ShapingQuery,
     ShapingVerdict,
     ValidationError,
 )
@@ -48,55 +47,47 @@ def chi_theta_quadratic(b_max: float, m_max: float, n: int, capacity: float) -> 
     return max(0.0, b_max * (n * m_max - capacity) / n)
 
 
-def _box(query: ShapingQuery, family: str, *names: str) -> list[float]:
-    """The bounds ``names`` of a ``family`` box query, once they are set and
-    every number of the query is positive and finite."""
-    bounds = [getattr(query, name) for name in names]
-    if None in bounds:
-        raise ValidationError([f"{family} query requires {' and '.join(names)}"])
-    _require_positive(threshold=query.threshold, n=query.n, capacity=query.capacity, **dict(zip(names, bounds)))
-    return bounds
-
-
-def check_quadratic_set(query: ShapingQuery) -> ShapingVerdict:
-    """Decide admissibility of a quadratic parameter box.
+def check_quadratic_set(b_max: float, m_max: float, n: int, capacity: float, threshold: float) -> ShapingVerdict:
+    """Decide admissibility of the quadratic box (0, b_max] x (0, m_max].
 
     Admissible when satiation loads cannot exceed the per-agent capacity
     share, or when the curvature bound stays within
-    n * threshold / (n * m_max - C).
+    n * threshold / (n * m_max - C). Where n * m_max - C rounds to zero, the
+    worst case is chi_theta_quadratic's 0.0, so the box is admissible.
     """
-    b_max, m_max = _box(query, "quadratic", "b_max", "m_max")
-    n, c = query.n, query.capacity
-    if m_max <= c / n:
+    _require_positive(threshold=threshold, n=n, capacity=capacity, b_max=b_max, m_max=m_max)
+    if m_max <= capacity / n:
         return ShapingVerdict(
             admissible=True,
             worst_case_lambda=0.0,
             binding_condition=BindingCondition.M_BELOW_CAPACITY_SHARE,
         )
+    excess = n * m_max - capacity
     return ShapingVerdict(
-        admissible=b_max <= n * query.threshold / (n * m_max - c),
-        worst_case_lambda=chi_theta_quadratic(b_max, m_max, n, c),
+        # the division form, as the sampler computes b_1: a boundary draw is admissible
+        admissible=excess == 0 or b_max <= n * threshold / excess,
+        worst_case_lambda=chi_theta_quadratic(b_max, m_max, n, capacity),
         binding_condition=BindingCondition.B_MAX_BOUND,
     )
 
 
-def check_pwl_set(query: ShapingQuery) -> ShapingVerdict:
-    """Decide admissibility of a piece-wise linear parameter box.
+def check_pwl_set(beta_max: float, phi_max: float, n: int, capacity: float, threshold: float) -> ShapingVerdict:
+    """Decide admissibility of the piece-wise linear box (0, beta_max] x (0, phi_max].
 
     With saturation loads strictly below the per-agent capacity share the
     price is zero for every profile. Otherwise at least one agent's marginal
     rate bounds the price, so the box is admissible iff beta_max stays at or
     below the threshold.
     """
-    beta_max, phi_max = _box(query, "pwl", "beta_max", "phi_max")
-    if phi_max < query.capacity / query.n:
+    _require_positive(threshold=threshold, n=n, capacity=capacity, beta_max=beta_max, phi_max=phi_max)
+    if phi_max < capacity / n:
         return ShapingVerdict(
             admissible=True,
             worst_case_lambda=0.0,
             binding_condition=BindingCondition.PHI_BELOW_CAPACITY_SHARE,
         )
     return ShapingVerdict(
-        admissible=beta_max <= query.threshold,
+        admissible=beta_max <= threshold,
         worst_case_lambda=beta_max,
         binding_condition=BindingCondition.BETA_MAX_BOUND,
     )

@@ -459,16 +459,16 @@ class KktReport:
     i's best-response set at the reported price. ``feasibility[i]`` covers
     x_i >= 0 and, for trading instances, x_i + e_i <= a_i. The balance
     violation is |sum x - C| for the plain market and |sum e| for trading.
+    ``ok`` is the solver's own gate: max_violation <= 1e-8 * max(1, C), so a
+    NaN violation is never ok.
     """
 
+    ok: bool
     stationarity: tuple[float, ...]
     feasibility: tuple[float, ...]
     balance_violation: float
     price_violation: float
     max_violation: float
-
-    def ok(self, tol: float = 1e-6) -> bool:
-        return self.max_violation <= tol
 
 
 def _kkt(
@@ -537,4 +537,5 @@ def verify_kkt(instance: MarketInstance, result: EquilibriumResult) -> KktReport
     x = np.asarray(result.x_star, dtype=float)[None]
     e = None if result.e_star is None else np.asarray(result.e_star, dtype=float)[None]
     stationarity, feasibility, balance, price, peak = _kkt(instance, np.array([[result.lambda_star]]), x, e)
-    return KktReport(tuple(stationarity[0].tolist()), tuple(feasibility[0].tolist()), balance[0], price, peak[0])
+    return KktReport(bool(peak[0] <= _KKT_TOL * np.maximum(1.0, instance.capacity)), tuple(stationarity[0].tolist()),
+                     tuple(feasibility[0].tolist()), balance[0], price, peak[0])

@@ -127,6 +127,25 @@ def test_shape_check_homogeneous(capsys):
     assert "worst_case_lambda=4" in out
 
 
+def test_shape_check_knife_edge_box_is_admissible(capsys):
+    # m_max one ulp above C/n rounds n*m_max - C to 0: worst case 0, admissible, not a ZeroDivisionError
+    code, out, err = run_cli(capsys, "shape-check", "--family", "quad", "--n", "3", "--C", "1", "--lambda-dagger", "1",
+                             "--b-max", "1", "--m-max", "0.33333333333333337")
+    assert (code, out, err) == (0, "admissible=true\nworst_case_lambda=0\nbinding_condition=BMaxBound\n", "")
+
+
+@pytest.mark.parametrize("family, given, message", [
+    ("quad", ["--b-max", "1"], "--b-max and --m-max required for quad"),
+    ("pwl", ["--beta-max", "1"], "--beta-max and --phi-max required for pwl"),
+    ("homog", ["--b", "1"], "--b and --m required for homog"),
+    ("homog", ["--b-max", "1", "--m-max", "6"], "--b and --m required for homog"),
+])
+def test_shape_check_missing_bound_exits_2(family, given, message, capsys):
+    argv = ["shape-check", "--family", family, "--n", "4", "--C", "20", "--lambda-dagger", "10", *given]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"validation error: {message}\n")
+
+
 HOMOG = ["--family", "homog", "--n", "4", "--C", "20", "--lambda-dagger", "10"]
 HUGE_N = str(10**400)
 

@@ -15,7 +15,6 @@ from teshape import (
     ExperimentSpec,
     MarketInstance,
     Quadratic,
-    ShapingQuery,
     ValidationError,
     box_stats,
     check_pwl_set,
@@ -66,9 +65,7 @@ def test_quadratic_batch_pins_admissibility_boundary():
     assert np.all(b <= b[0]) and np.all(m <= m[0])
     # the corner curvature satisfies the backed-out boundary formula
     assert b[0] == pytest.approx(n * lam_dagger / (n * m[0] - capacity), rel=1e-12)
-    verdict = check_quadratic_set(
-        ShapingQuery(threshold=lam_dagger, n=n, capacity=capacity, b_max=b[0], m_max=m[0])
-    )
+    verdict = check_quadratic_set(b[0], m[0], n, capacity, lam_dagger)
     assert verdict.admissible
 
 
@@ -118,11 +115,7 @@ def test_pwl_batch_admissible_with_rate_at_threshold():
     share = capacity / n
     assert share <= phi[0] <= 10 * share
     assert np.all(beta > 0) and np.all(phi > 0)
-    verdict = check_pwl_set(
-        ShapingQuery(
-            threshold=lam_dagger, n=n, capacity=capacity, beta_max=beta[0], phi_max=phi[0]
-        )
-    )
+    verdict = check_pwl_set(beta[0], phi[0], n, capacity, lam_dagger)
     assert verdict.admissible
 
 

@@ -16,6 +16,8 @@ from teshape import (
     Quadratic,
     SolveMethod,
     SolverError,
+    sample_production,
+    sample_quadratic_params,
     solve,
     solve_mtes_pwl,
     solve_mtes_quadratic,
@@ -30,7 +32,7 @@ def test_quartet_result_passes(quartet):
     result = solve_mtes_quadratic(quartet)
     report = verify_kkt(quartet, result)
     assert report.max_violation <= 1e-6
-    assert report.ok()
+    assert report.ok
     assert result.kkt_max_violation <= 1e-6
 
 
@@ -42,7 +44,26 @@ def test_perturbed_allocation_reports_balance_gap(quartet):
     report = verify_kkt(quartet, tampered)
     assert report.balance_violation == pytest.approx(0.1, abs=1e-9)
     assert report.stationarity[0] == pytest.approx(0.1, abs=1e-9)
-    assert not report.ok()
+    assert not report.ok
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
+def test_report_ok_is_the_solver_gate(scale):
+    """``ok`` reads max_violation <= 1e-8 * max(1, C), the rule that lets a
+    result out of ``solve``: a sampled market with a and m scaled up carries
+    an absolute violation past 1e-6, and both accept it."""
+    rng = np.random.default_rng(1)
+    a = sample_production(1000, rng)
+    b, m = sample_quadratic_params(1000, float(np.sum(a)), 15.0, rng)
+    inst = MarketInstance(a * scale, PreferenceColumns(Quadratic, b, m * scale))
+    result = solve(inst)
+    report = verify_kkt(inst, result)
+    assert report.ok is True
+    assert report.max_violation == result.kkt_max_violation <= 1e-8 * inst.capacity
+    if scale == 1e9:
+        assert report.max_violation > 1e-6
+    tampered = replace(result, x_star=(result.x_star[0] + 1e-7 * inst.capacity, *result.x_star[1:]))
+    assert verify_kkt(inst, tampered).ok is False
 
 
 def test_marginal_pwl_agents_accepted_anywhere_in_range():
@@ -132,7 +153,7 @@ def test_nan_balance_sets_the_peak():
     with np.errstate(over="ignore", invalid="ignore"):
         report = verify_kkt(inst, result)
         assert report.stationarity == report.feasibility == (0.0, 0.0)
-        assert np.isnan(report.balance_violation) and np.isnan(report.max_violation) and not report.ok()
+        assert np.isnan(report.balance_violation) and np.isnan(report.max_violation) and not report.ok
         with pytest.raises(SolverError, match="KKT violation nan"):
             solver._result(inst, clearing)
 

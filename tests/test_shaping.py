@@ -12,7 +12,6 @@ from teshape import (
     ModelKind,
     PiecewiseLinear,
     Quadratic,
-    ShapingQuery,
     ValidationError,
     check_homogeneous,
     check_pwl_set,
@@ -26,16 +25,6 @@ from teshape import (
 from teshape.shaping import NotDifferentiable
 
 
-def quad_query(threshold, n, capacity, b_max, m_max) -> ShapingQuery:
-    return ShapingQuery(threshold=threshold, n=n, capacity=capacity, b_max=b_max, m_max=m_max)
-
-
-def pwl_query(threshold, n, capacity, beta_max, phi_max) -> ShapingQuery:
-    return ShapingQuery(
-        threshold=threshold, n=n, capacity=capacity, beta_max=beta_max, phi_max=phi_max
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quadratic boxes
 # ---------------------------------------------------------------------------
@@ -45,7 +34,7 @@ def test_quadratic_boundary_is_admissible_with_worst_case_at_threshold():
     n, capacity, threshold = 10_000, 50_000.0, 20.0
     m_max = 2.0 * capacity / n
     b_max = n * threshold / (n * m_max - capacity)
-    verdict = check_quadratic_set(quad_query(threshold, n, capacity, b_max, m_max))
+    verdict = check_quadratic_set(b_max, m_max, n, capacity, threshold)
     assert verdict.admissible
     assert verdict.worst_case_lambda == pytest.approx(threshold, abs=1e-9)
     assert verdict.binding_condition is BindingCondition.B_MAX_BOUND
@@ -53,7 +42,7 @@ def test_quadratic_boundary_is_admissible_with_worst_case_at_threshold():
 
 def test_small_satiation_always_admissible():
     n, capacity = 4, 20.0
-    verdict = check_quadratic_set(quad_query(0.001, n, capacity, 1e9, capacity / n))
+    verdict = check_quadratic_set(1e9, capacity / n, n, capacity, 0.001)
     assert verdict.admissible
     assert verdict.worst_case_lambda == 0.0
     assert verdict.binding_condition is BindingCondition.M_BELOW_CAPACITY_SHARE
@@ -63,7 +52,7 @@ def test_overshooting_curvature_rejected_and_witnessed():
     n, capacity, threshold = 8, 40.0, 10.0
     m_max = 3.0 * capacity / n
     b_max = 1.01 * n * threshold / (n * m_max - capacity)
-    verdict = check_quadratic_set(quad_query(threshold, n, capacity, b_max, m_max))
+    verdict = check_quadratic_set(b_max, m_max, n, capacity, threshold)
     assert not verdict.admissible
     # corner instance attains the worst case above the threshold
     corner = MarketInstance(
@@ -102,7 +91,7 @@ def test_quadratic_soundness_random_profiles():
     n, capacity, threshold = 40, 200.0, 15.0
     m_max = 2.5 * capacity / n
     b_max = n * threshold / (n * m_max - capacity)
-    assert check_quadratic_set(quad_query(threshold, n, capacity, b_max, m_max)).admissible
+    assert check_quadratic_set(b_max, m_max, n, capacity, threshold).admissible
     for _ in range(300):
         b = b_max * (1.0 - rng.random(n))
         m = m_max * (1.0 - rng.random(n))
@@ -121,7 +110,7 @@ def test_quadratic_soundness_random_profiles():
 
 
 def test_pwl_rate_at_threshold_admissible():
-    verdict = check_pwl_set(pwl_query(20.0, 100, 500.0, 20.0, 500.0 / 100))
+    verdict = check_pwl_set(20.0, 500.0 / 100, 100, 500.0, 20.0)
     assert verdict.admissible
     assert verdict.binding_condition is BindingCondition.BETA_MAX_BOUND
     assert verdict.worst_case_lambda == 20.0
@@ -129,7 +118,7 @@ def test_pwl_rate_at_threshold_admissible():
 
 def test_pwl_small_saturation_admissible_for_any_rate():
     n, capacity = 10, 50.0
-    verdict = check_pwl_set(pwl_query(0.5, n, capacity, 1e6, 0.5 * capacity / n))
+    verdict = check_pwl_set(1e6, 0.5 * capacity / n, n, capacity, 0.5)
     assert verdict.admissible
     assert verdict.worst_case_lambda == 0.0
     assert verdict.binding_condition is BindingCondition.PHI_BELOW_CAPACITY_SHARE
@@ -139,7 +128,7 @@ def test_pwl_rate_above_threshold_rejected_and_witnessed():
     n, capacity, threshold = 6, 30.0, 8.0
     beta_max = 1.5 * threshold
     phi_max = 2.0 * capacity / n  # strictly above the share: the corner attains beta_max
-    verdict = check_pwl_set(pwl_query(threshold, n, capacity, beta_max, phi_max))
+    verdict = check_pwl_set(beta_max, phi_max, n, capacity, threshold)
     assert not verdict.admissible
     corner = MarketInstance(
         production=tuple([capacity / n] * n),
@@ -155,7 +144,7 @@ def test_pwl_soundness_random_profiles():
     n, capacity, threshold = 30, 150.0, 12.0
     phi_max = 3.0 * capacity / n
     beta_max = threshold
-    assert check_pwl_set(pwl_query(threshold, n, capacity, beta_max, phi_max)).admissible
+    assert check_pwl_set(beta_max, phi_max, n, capacity, threshold).admissible
     for _ in range(300):
         beta = beta_max * (1.0 - rng.random(n))
         phi = phi_max * (1.0 - rng.random(n))
@@ -175,9 +164,9 @@ def test_strictness_asymmetry_preserved():
     share = capacity / n
     huge = 1e9
     # quadratic branch uses a non-strict comparison at the share
-    assert check_quadratic_set(quad_query(1.0, n, capacity, huge, share)).admissible
+    assert check_quadratic_set(huge, share, n, capacity, 1.0).admissible
     # PWL branch is strict: at the share the rate bound kicks in
-    verdict = check_pwl_set(pwl_query(1.0, n, capacity, huge, share))
+    verdict = check_pwl_set(huge, share, n, capacity, 1.0)
     assert verdict.binding_condition is BindingCondition.BETA_MAX_BOUND
     assert not verdict.admissible
 
@@ -259,23 +248,23 @@ def test_verdicts_survive_trading_model_switch():
 
 def test_nonpositive_inputs_rejected():
     with pytest.raises(ValidationError):
-        check_quadratic_set(quad_query(-1.0, 4, 20.0, 1.0, 1.0))
+        check_quadratic_set(1.0, 1.0, 4, 20.0, -1.0)
     with pytest.raises(ValidationError):
-        check_pwl_set(pwl_query(1.0, 4, 0.0, 1.0, 1.0))
+        check_pwl_set(1.0, 1.0, 4, 0.0, 1.0)
     with pytest.raises(ValidationError):
         chi_theta_quadratic(0.0, 1.0, 2, 2.0)
     # numbers must be finite, and n an agent count in 1..2**63-1 (a float conversion of a huge n overflows)
     for bad in (math.inf, math.nan):
-        for check in (lambda: check_quadratic_set(quad_query(bad, 4, 20.0, 1.0, 6.0)),
-                      lambda: check_pwl_set(pwl_query(20.0, 4, bad, 1.0, 6.0)),
+        for check in (lambda: check_quadratic_set(1.0, 6.0, 4, 20.0, bad),
+                      lambda: check_pwl_set(1.0, 6.0, 4, bad, 20.0),
                       lambda: chi_theta_quadratic(1.0, bad, 4, 20.0),
                       lambda: check_homogeneous(Quadratic(2.0, 6.0), 4, bad, 10.0),
                       lambda: check_homogeneous(Quadratic(2.0, 6.0), 4, 20.0, bad)):
             with pytest.raises(ValidationError, match="must be positive and finite"):
                 check()
     for n in (10**400, 2**63):
-        for check in (lambda: check_quadratic_set(quad_query(10.0, n, 20.0, 1.0, 6.0)),
-                      lambda: check_pwl_set(pwl_query(10.0, n, 20.0, 1.0, 6.0)),
+        for check in (lambda: check_quadratic_set(1.0, 6.0, n, 20.0, 10.0),
+                      lambda: check_pwl_set(1.0, 6.0, n, 20.0, 10.0),
                       lambda: check_homogeneous(Quadratic(2.0, 6.0), n, 20.0, 10.0)):
             with pytest.raises(ValidationError, match=r"n must be in 1\.\.2\*\*63-1"):
                 check()
@@ -285,5 +274,3 @@ def test_nonpositive_inputs_rejected():
             check_homogeneous(Quadratic(b, m), 4, 20.0, 10.0)
     with pytest.raises(ValidationError, match="NaN"):
         check_homogeneous(Custom(lambda x: x, lambda x: math.nan), 4, 20.0, 10.0)
-    with pytest.raises(ValidationError):
-        check_quadratic_set(ShapingQuery(threshold=1.0, n=4, capacity=20.0))
