@@ -102,9 +102,10 @@ def sample_production(n: int, rng: np.random.Generator) -> np.ndarray:
     filled = 0
     while filled < n:
         draw = rng.normal(PRODUCTION_MEAN, PRODUCTION_SD, size=n - filled)
-        keep = draw[(draw >= lo) & (draw <= hi)]
-        out[filled : filled + keep.size] = keep
-        filled += keep.size
+        keep = (draw >= lo) & (draw <= hi)
+        kept = np.count_nonzero(keep)
+        np.compress(keep, draw, out=out[filled : filled + kept])
+        filled += kept
     return out
 
 
@@ -309,7 +310,9 @@ def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_da
         kind, check, solver, tol = PiecewiseLinear, check_pwl_set, solve_mtes_pwl, 0.0
     if not check(float(first[0]), float(second[0]), n, capacity, lam_dagger).admissible:
         raise RuntimeError(f"sampled batch not admissible (cell {cell_index}, trial {trial})")
-    lam = solver(MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))).lambda_star
+    instance = MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))
+    del a, first, second  # the instance holds copies
+    lam = solver(instance).lambda_star
     if not lam <= lam_dagger + tol:
         raise SolverError(f"cell {cell_index}, trial {trial}: price {lam!r} above lambda_dagger {lam_dagger!r} + {tol:.3e}")
     return lam

@@ -77,6 +77,7 @@ class ModelKind(Enum):
 _COLUMN_KINDS = {Quadratic: ("quadratic", "b", "m"), PiecewiseLinear: ("pwl", "beta", "phi")}
 _KINDS = tuple(_COLUMN_KINDS)
 _OTHER = len(_KINDS)
+_SUM_BLOCK = 8192  # values _sequential_sum accumulates at a time
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
@@ -87,9 +88,13 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
 
 
 def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, bit-identical to the builtin ``sum`` of the
-    same floats (``np.sum`` is pairwise and rounds differently)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    """Left-to-right float sum, bit-identical to a Python loop adding the floats
+    (``np.sum`` is pairwise; the builtin ``sum`` compensates from Python 3.12 on),
+    a block at a time, each block led by the total so far (-0.0 + v is v)."""
+    total = -0.0
+    for start in range(0, len(values), _SUM_BLOCK):
+        total = float(np.cumsum(np.concatenate([[total], values[start : start + _SUM_BLOCK]]))[-1])
+    return total if len(values) else 0.0
 
 
 class PreferenceColumns:

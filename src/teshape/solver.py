@@ -272,8 +272,26 @@ def _active_order(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, 
             cand = cand[:half]
     del cand  # a view that holds the whole copy: released before the sort
     active = slice(None) if t == -math.inf else np.flatnonzero(key >= t)
-    order = np.argsort(-key[active] if descending else key[active], kind="stable")
+    order = _stable_argsort(-key[active] if descending else key[active])
     return order if t == -math.inf else active[order]
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` from NumPy's default argsort, SIMD
+    quicksort where the CPU has it, not timsort. If keys tie, their run numbers
+    are sorted again by stable radix sort, 16 bits a pass, packing no two
+    numbers into one. Keys are NaN-free; -0.0 and 0.0 tie."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = ranked[1:] != ranked[:-1]  # False inside a run of equal keys
+    if new.all():
+        return order
+    run = np.empty(len(keys), dtype=np.int64)
+    run[order] = np.concatenate([[0], np.cumsum(new)])
+    order = np.arange(len(keys))
+    for shift in range(0, int(np.count_nonzero(new)).bit_length(), 16):
+        order = order[np.argsort((run[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
 
 
 def _tie_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +324,8 @@ def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = Non
             g = np.argmax(demand_at_kink <= capacity[block, None], axis=1)  # first kink at/below capacity
             j = starts[g]  # actives on the crossing segment: sorted indices >= j
             lam[block] = (suf_m[j] - capacity[block]) / suf_binv[j]
-    return _Clearing(lam, np.maximum(m - lam[:, None] / b, 0.0), SolveMethod.CLOSED_FORM_QUADRATIC)
+    x = np.divide(lam[:, None], b)  # max(m - lam/b, 0), each step in place
+    return _Clearing(lam, np.maximum(np.subtract(m, x, out=x), 0.0, out=x), SolveMethod.CLOSED_FORM_QUADRATIC)
 
 
 def solve_mtes_quadratic(instance: MarketInstance) -> EquilibriumResult:
@@ -497,7 +516,9 @@ def _kkt(
     else:  # quadratic agents as arrays; the Custom agents inverted cold together, independently of the solve
         demand = demand or AggregateDemand(instance.preferences, instance.capacity)
         b, m = demand.b, demand.m
-        quadratic = np.abs(x[:, demand.quadratic] - (m if zero_price else np.maximum(m - lam / b, 0.0)))
+        quadratic = np.divide(lam, b)  # |x - max(m - lam/b, 0)|, |x - m| at the zero price, each step in place
+        np.maximum(np.subtract(m, quadratic, out=quadratic), 0.0, out=quadratic)
+        np.abs(np.subtract(x[:, demand.quadratic], m if zero_price else quadratic, out=quadratic), out=quadratic)
         stationarity = quadratic
         if demand.derivs:
             xc = x[0, demand.custom].tolist()
@@ -509,7 +530,7 @@ def _kkt(
             stationarity = np.empty(x.shape)
             stationarity[:, demand.quadratic], stationarity[:, demand.custom] = quadratic, custom
 
-    feasibility = np.maximum(-x, 0.0)
+    feasibility = np.maximum(negative := np.negative(x), 0.0, out=negative)
     price_violation = 0.0
     if is_st:
         if e is None:
