@@ -15,7 +15,9 @@ order without BLAS, so its bits do not depend on the BLAS kernel either.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -182,19 +184,20 @@ def run_aggregator(instance: MarketInstance) -> EquilibriumResult:
 
 @dataclass(frozen=True)
 class ConsensusTrace:
-    """Per-round per-agent estimates of the network-average production."""
+    """Per-round per-agent estimates of the network-average production, built on first read."""
 
-    estimates: np.ndarray  # shape (rounds + 1, n)
+    replay: Callable[[], np.ndarray] = field(repr=False)  # makes the estimates, shape (rounds + 1, n)
     target: float  # true average C/n
     rounds: int
+    final_error: float  # the last round's largest error, known without the estimates
+
+    @cached_property
+    def estimates(self) -> np.ndarray:
+        return self.replay()
 
     @property
     def errors(self) -> np.ndarray:
         return np.abs(self.estimates - self.target)
-
-    @property
-    def final_error(self) -> float:
-        return float(np.max(np.abs(self.estimates[-1] - self.target)))
 
     def to_csv(self, path: str) -> None:
         rounds = zip(self.estimates.tolist(), self.errors.tolist())
@@ -213,22 +216,22 @@ class DistributedRun:
     rounds_used: int
 
 
-def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
-    """Synchronous flooding of (theta, a) until a round adds nobody, then
-    DisconnectedGraph if some agent still misses some data. Who holds whose
-    data is packed bits in 64-bit words, word-major; a round ORs together the
-    rows of each ``_adjacency`` segment. Each estimate is the mean of ``a``
-    over the agents whose data it holds, in ascending index order: agents
-    stable-sorted by held count put the values held at count k in one
-    C-contiguous (agents, k) block, and NumPy sums each row of it pairwise:
-    the bits of ``np.add.reduce(a[row]) / k``."""
-    n, a = instance.n, instance.production
-    starts, cols, _ = graph._adjacency()
+def _reach_rounds(n: int, starts: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
+    """Who holds whose data after rounds 0, 1, ... until a round adds nobody: packed bits in
+    64-bit words, word-major; a round ORs together the columns of each ``_adjacency`` segment."""
     reach = np.packbits(np.eye(n, -(-n // 64) * 64, dtype=bool), axis=1).view(np.uint64).T
-    held, estimates = np.eye(n, dtype=bool), [a]  # round 0: each agent holds only its own value
+    yield reach
     while not np.array_equal(grown := np.bitwise_or.reduceat(np.take(reach, cols, axis=1), starts, axis=1), reach):
-        reach = grown
-        held = np.unpackbits(np.ascontiguousarray(reach.T).view(np.uint8), axis=1, count=n).view(bool)
+        yield (reach := grown)
+
+
+def _flood_estimates(a: np.ndarray, starts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per round, each agent's mean of ``a`` over the agents whose bits it holds, in index order. Rows sorted
+    by held count k form C-contiguous (rows, k) blocks: ``np.add.reduce(a[row]) / k`` bit for bit."""
+    reaches, estimates = _reach_rounds(len(a), starts, cols), [a]
+    next(reaches)  # round 0: each agent holds only its own value
+    for reach in reaches:
+        held = np.unpackbits(np.ascontiguousarray(reach.T).view(np.uint8), axis=1, count=len(a)).view(bool)
         counts = np.count_nonzero(held, axis=1)
         order = np.argsort(counts, kind="stable")
         values = np.broadcast_to(a, held.shape)[held[order]]  # row-major: row by row, agents ascending
@@ -236,12 +239,24 @@ def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
         ks = np.flatnonzero(rows)
         blocks = np.split(values, np.cumsum(ks * rows[ks])[:-1])
         means = np.empty_like(a)
-        means[order] = np.concatenate([np.add.reduce(v.reshape(-1, k), axis=1) / k
-                                       for v, k in zip(blocks, ks.tolist())])
+        means[order] = np.concatenate([np.add.reduce(v.reshape(-1, k), axis=1) / k for v, k in zip(blocks, ks.tolist())])
         estimates.append(means)
-    if not held.all():
+    return np.array(estimates)
+
+
+def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
+    """Synchronous flooding of (theta, a). Each reach column holds its own agent's bit, so the columns end
+    equal iff every agent holds all n values (else DisconnectedGraph); then every last estimate is, bit
+    for bit, ``np.add.reduce(a) / n``, and ``final_error`` needs no ``_flood_estimates``."""
+    n, a = instance.n, instance.production
+    starts, cols, _ = graph._adjacency()
+    for rounds, reach in enumerate(_reach_rounds(n, starts, cols)):
+        pass
+    if not (reach == reach[:, :1]).all():
         raise DisconnectedGraph("graph is not connected")
-    return ConsensusTrace(np.array(estimates), target=instance.capacity / n, rounds=len(estimates) - 1)
+    target = instance.capacity / n
+    return ConsensusTrace(partial(_flood_estimates, a, starts, cols), target, rounds,
+                          float(abs(np.add.reduce(a) / n - target)))
 
 
 def _average(
@@ -264,7 +279,7 @@ def _average(
         history[r] = state[0]
         if tol is not None and float(np.max(np.abs(state[0] - target))) <= tol:
             break
-    trace = ConsensusTrace(history[:r + 1], target=target, rounds=r)
+    trace = ConsensusTrace(partial(np.asarray, history[:r + 1]), target, r, float(np.max(np.abs(history[r] - target))))
     if tol is not None and trace.final_error > tol:
         raise NotConverged(trace.final_error, trace.rounds, tol)
     return trace, np.array(state)
@@ -280,9 +295,9 @@ def run_distributed(
 ) -> DistributedRun:
     """Agents solve locally after exchanging data over the graph.
 
-    ``mode="flood"`` floods raw data for as many rounds as the graph's
-    diameter and each agent solves the identical instance (trading model
-    included), so all results agree bit-for-bit. ``mode="average"``
+    ``mode="flood"`` floods raw data for as many rounds as the graph's diameter and each agent
+    solves the identical instance (trading model included), so all results agree bit-for-bit;
+    its trace replays the rounds to build the per-round estimates when read. ``mode="average"``
     iterates Metropolis averaging over each agent's neighbour list
     (``CommGraph.mixing_weights``) on the production values (at most
     ``rounds`` rounds, early stop at ``tol``); each agent then solves with

@@ -104,7 +104,7 @@ def sample_production(n: int, rng: np.random.Generator) -> np.ndarray:
         draw = rng.normal(PRODUCTION_MEAN, PRODUCTION_SD, size=n - filled)
         keep = (draw >= lo) & (draw <= hi)
         kept = np.count_nonzero(keep)
-        np.compress(keep, draw, out=out[filled : filled + kept])
+        out[filled : filled + kept] = draw[keep]
         filled += kept
     return out
 

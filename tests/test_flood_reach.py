@@ -2,7 +2,11 @@
 
 * estimates equal ``oracles.flood_by_set_union`` bit for bit;
 * the rounds used equal the largest BFS distance;
-* disconnected graphs raise ``DisconnectedGraph`` from ``run_distributed``;
+* disconnected graphs raise ``DisconnectedGraph`` from ``run_distributed``,
+  and ``teshape consensus`` exits 3 with one stderr line;
+* a run's ``rounds_used`` and ``final_error`` are known before its trace's
+  estimates are built, equal the built trace's bit for bit, and a flood run
+  that reads only them builds no per-round estimates;
 * ``CommGraph.edges`` is the read-only array of a set of sorted pairs, and
   ``is_connected`` and ``mixing_weights`` agree with the BFS on
   connectivity; graphs compare by value, are unhashable and pickle.
@@ -15,7 +19,9 @@ a star and a random tree), with productions spanning six decades.
 
 from __future__ import annotations
 
+import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teshape import CommGraph, DisconnectedGraph, MarketInstance, PreferenceColumns, Quadratic, run_distributed
+from teshape.cli import main
 
 from oracles import bfs_diameter, flood_by_set_union
 
@@ -119,3 +126,67 @@ def test_flood_matches_set_union_reference_on_large_graphs(name):
     reference = flood_by_set_union(production, graph.edges)
     assert run.trace.estimates.shape == reference.shape
     assert run.trace.estimates.tobytes() == reference.tobytes()
+
+
+def _connected_random(n: int, seed: int) -> list[tuple[int, int]]:
+    """A seeded random tree plus n random extra edges, self-loops skipped."""
+    rng = np.random.default_rng(seed)
+    extra = [(int(i), int(j)) for i, j in rng.integers(0, n, (n, 2)) if i != j]
+    return _tree(n, seed) + extra
+
+
+SHAPES = {  # name: n -> edges, each connected
+    "ring": lambda n: [(i, (i + 1) % n) for i in range(n if n > 1 else 0)],
+    "path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "star": lambda n: [(0, k) for k in range(1, n)],
+    "complete": lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    "random": lambda n: _connected_random(n, n),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 63, 64, 65, 129])
+def test_final_error_known_before_estimates(n, shape):
+    # rows of 63..65 and 129 agents straddle a 64-bit reach word and NumPy's 128-element pairwise block
+    graph = CommGraph.from_edges(n, SHAPES[shape](n))
+    production = 10.0 ** np.random.default_rng(n).uniform(-3.0, 3.0, n)
+    run = run_distributed(_instance(production), graph, mode="flood")
+    rounds, final_error = run.rounds_used, run.trace.final_error
+    assert "estimates" not in vars(run.trace)  # nothing above built the per-round estimates
+    estimates = run.trace.estimates
+    assert rounds == run.trace.rounds == len(estimates) - 1 == bfs_diameter(n, graph.edges)
+    assert final_error.hex() == float(np.max(np.abs(estimates[-1] - run.trace.target))).hex()
+    assert estimates.tobytes() == flood_by_set_union(production, graph.edges).tobytes()
+
+
+def test_flood_run_builds_no_trace():
+    n = 1000
+    instance, graph = _instance(np.linspace(1.0, 9.0, n)), CommGraph.ring(n)
+    tracemalloc.start()
+    try:
+        run = run_distributed(instance, graph, mode="flood")
+        assert run.rounds_used == n // 2 and run.trace.final_error < 1e-12
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the 500 rounds' per-agent means alone would take 4 MB
+
+
+DISCONNECTED = {  # name: (n, edges)
+    "isolated agent": (4, [(0, 1), (1, 2)]),
+    "two components": (4, [(0, 1), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", DISCONNECTED)
+def test_disconnected_flood_raises_before_any_trace(name, tmp_path, capsys):
+    n, edges = DISCONNECTED[name]
+    with pytest.raises(DisconnectedGraph, match="graph is not connected"):
+        run_distributed(_instance([1.0, 2.0, 3.0, 4.0]), CommGraph.from_edges(n, edges), mode="flood")
+    market, graph = tmp_path / "market.json", tmp_path / "graph.json"
+    market.write_text(json.dumps({"agents": [{"a": a, "utility": {"kind": "quadratic", "b": 1, "m": 5}}
+                                             for a in (1, 2, 3, 4)]}))
+    graph.write_text(json.dumps({"n": n, "edges": edges}))
+    code = main(["consensus", str(market), "--graph", str(graph), "--mode", "flood"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (3, "", "consensus failure: graph is not connected\n")
