@@ -35,9 +35,6 @@ from .model import (
 from .solver import local_capacities, solve, solve_many
 
 
-_HISTORY_ROWS = 64  # averaging rounds held before the estimates array first grows
-
-
 class DisconnectedGraph(ValueError):
     pass
 
@@ -219,8 +216,9 @@ class DistributedRun:
 def _reach_rounds(n: int, starts: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
     """Who holds whose data after rounds 0, 1, ... until a round adds nobody: packed bits in
     64-bit words, word-major; a round ORs together the columns of each ``_adjacency`` segment."""
-    reach = np.packbits(np.eye(n, -(-n // 64) * 64, dtype=bool), axis=1).view(np.uint64).T
-    yield reach
+    reach, own = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8), np.arange(n)
+    reach[own, own // 8] = 0x80 >> own % 8  # round 0 in np.packbits' layout: agent i's own bit
+    yield (reach := reach.view(np.uint64).T)
     while not np.array_equal(grown := np.bitwise_or.reduceat(np.take(reach, cols, axis=1), starts, axis=1), reach):
         yield (reach := grown)
 
@@ -259,30 +257,33 @@ def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
                           float(abs(np.add.reduce(a) / n - target)))
 
 
+def _metropolis_rounds(z: np.ndarray, starts: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
+    """z, then each Metropolis round: u's own term plus NumPy's pairwise sum of its neighbours' terms, ascending."""
+    while True:
+        yield z
+        z = np.add.reduceat(w * z[cols], starts)
+
+
+def _average_estimates(a: np.ndarray, starts: np.ndarray, cols: np.ndarray, w: np.ndarray, rounds: int) -> np.ndarray:
+    """Rounds 0..``rounds`` of ``_metropolis_rounds`` from ``a``, as rows."""
+    return np.fromiter(_metropolis_rounds(a, starts, cols, w), np.dtype((float, len(a))), rounds + 1)
+
+
 def _average(
     instance: MarketInstance, graph: CommGraph, rounds: int, tol: float | None, homogenize: bool
-) -> tuple[ConsensusTrace, np.ndarray]:
-    """Metropolis averaging of the production values z and, with ``homogenize``,
-    the quadratic ``(b, m)``: a round is ``np.add.reduceat(w * z[cols], starts)``,
-    u's own term plus NumPy's pairwise sum of its neighbours' terms in ascending
-    order. Returns the trace and the last round's rows ``(z, b, m)`` or ``(z,)``."""
+) -> tuple[ConsensusTrace, tuple[np.ndarray, ...]]:
+    """Metropolis averaging of the production values z and, with ``homogenize``, the quadratic ``(b, m)``, one
+    round held; ``tol`` stops it from round 1 on. Returns the trace and the last round ``(z, b, m)`` or ``(z,)``."""
     starts, cols, w = graph.mixing_weights()  # raises DisconnectedGraph
-    state = [instance.production, *(instance.preferences.columns if homogenize else ())]
+    columns = [instance.production, *(instance.preferences.columns if homogenize else ())]
     target = instance.capacity / instance.n
-    history = np.zeros((min(rounds, _HISTORY_ROWS) + 1, instance.n))  # doubled as needed, up to rounds + 1
-    history[0] = instance.production
-    r = 0
-    for r in range(1, rounds + 1):
-        if r == len(history):
-            history = np.concatenate([history, np.zeros((min(r, rounds + 1 - r), instance.n))])
-        state = [np.add.reduceat(w * z[cols], starts) for z in state]
-        history[r] = state[0]
-        if tol is not None and float(np.max(np.abs(state[0] - target))) <= tol:
+    for r, state in zip(range(rounds + 1), zip(*(_metropolis_rounds(z, starts, cols, w) for z in columns))):
+        if r and tol is not None and float(np.max(np.abs(state[0] - target))) <= tol:
             break
-    trace = ConsensusTrace(partial(np.asarray, history[:r + 1]), target, r, float(np.max(np.abs(history[r] - target))))
-    if tol is not None and trace.final_error > tol:
-        raise NotConverged(trace.final_error, trace.rounds, tol)
-    return trace, np.array(state)
+    error = float(np.max(np.abs(state[0] - target)))
+    if tol is not None and error > tol:
+        raise NotConverged(error, r, tol)
+    return ConsensusTrace(partial(_average_estimates, instance.production, starts, cols, w, r), target, r, error), state
 
 
 def run_distributed(
@@ -297,10 +298,10 @@ def run_distributed(
 
     ``mode="flood"`` floods raw data for as many rounds as the graph's diameter and each agent
     solves the identical instance (trading model included), so all results agree bit-for-bit;
-    its trace replays the rounds to build the per-round estimates when read. ``mode="average"``
+    in both modes the trace replays the rounds to build the per-round estimates when read. ``mode="average"``
     iterates Metropolis averaging over each agent's neighbour list
     (``CommGraph.mixing_weights``) on the production values (at most
-    ``rounds`` rounds, early stop at ``tol``); each agent then solves with
+    ``rounds`` rounds, early stop at ``tol`` from round 1 on, one round held); each agent then solves with
     its own capacity estimate, production spread uniformly. Preferences are still flooded in average mode, except with
     ``homogenize=True`` where quadratic parameters are averaged as well
     (rejected for other families; the parameter space must be convex for the
@@ -336,11 +337,11 @@ def run_distributed(
     trace, state = _average(instance, graph, rounds, tol, homogenize)  # checks connectivity
     n = instance.n
     with np.errstate(over="ignore"):  # an estimate that overflows here has a capacity out of range
-        shares = trace.estimates[-1] * n / n  # each local market's production per agent
+        shares = state[0] * n / n  # each local market's production per agent
     capacity, k = local_capacities(n, shares)
     if k < n:
         reason = (f"{capacity[k].item()!r} past the float limit for {n} agents" if capacity[k] > 0
-                  else f"{trace.estimates[-1, k] * n:.3e} not positive")
+                  else f"{state[0][k] * n:.3e} not positive")
         raise EstimateOutOfRange(f"agent {k}: capacity estimate {reason} after {trace.rounds} rounds")
     if homogenize:  # each local market has its own averaged (b, m)
         results = [solve(MarketInstance(np.full(n, s), PreferenceColumns(Quadratic, np.full(n, b), np.full(n, m))))

@@ -253,9 +253,9 @@ def max_capacity(n: int) -> float:
 def validate_instance(instance: MarketInstance) -> ValidationReport:
     """Check all instance invariants; returns a report instead of raising.
 
-    Checks: n >= 1, length agreement between production and preferences,
-    a_i >= 0 and finite, C > 0 and finite, positive family parameters, and strict
-    concavity (on a sampled grid) for Custom preferences.
+    Checks: n >= 1, equal lengths of production and preferences, a_i >= 0 and finite,
+    C > 0 and finite, positive family parameters, the quadratic agents' sum 1/b within
+    max_capacity(n), and strict concavity (on a sampled grid) for Custom preferences.
     """
     preferences, a, n = instance.preferences, instance.production, instance.n
     issues: list[tuple[int | None, str]] = []
@@ -274,6 +274,11 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
         issues.append((None, "C must be finite (total production overflows)"))
     elif capacity > max_capacity(n):
         issues.append((None, "C must lie n*eps below the float limit (the allocations would sum past it)"))
+    if preferences.kind is not PiecewiseLinear:  # sum 1/b <= n/min(b): summed only if min(b) < 2n/max_capacity(n) (2: rounding)
+        b = preferences.columns[0] if preferences.kind is Quadratic else preferences.columns[0][preferences.mask(Quadratic)]
+        with np.errstate(over="ignore"):  # a 1/b past the float limit is inf
+            if len(b) and np.min(b) < 2 * n / max_capacity(n) and not np.sum(1.0 / b[b > 0]) <= max_capacity(n):
+                issues.append((None, "sum of 1/b must lie n*eps below the float limit (the curvatures are too small)"))
     bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
     rows = np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent, whatever its column rows
     others = iter(preferences.others)

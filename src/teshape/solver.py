@@ -247,7 +247,6 @@ def _solve(instance: MarketInstance, clear) -> EquilibriumResult:
     return _result(instance, clearing, e)[0]
 
 
-_LEVEL_BLOCK = 256  # capacities compared with the kink demands at a time
 _SELECT_FLOOR = 64  # candidate count below which selection stops (at least n >> 4)
 
 
@@ -304,7 +303,7 @@ def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = Non
     """Water-filling of a quadratic instance, validated, or of the stack of
     markets that differ from it only in ``capacity``: one stable sort of the
     drop-out prices that can be active serves every capacity. Kink demands need
-    not be monotone as floats, so each capacity meets all of them, ``_LEVEL_BLOCK`` at a time."""
+    not be monotone as floats, so each capacity is sought in their running minimum."""
     _require(instance, Quadratic)
     b, m = instance.preferences.columns
     capacity = np.array([instance.capacity]) if capacity is None else capacity
@@ -319,11 +318,12 @@ def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = Non
         suf_m = np.concatenate([np.cumsum(m_s[::-1])[::-1], [0.0]])
         suf_binv = np.concatenate([np.cumsum(binv_s[::-1])[::-1], [0.0]])
         starts, ends = _tie_groups(drop_s)
-        demand_at_kink = suf_m[ends] - drop_s[starts] * suf_binv[ends]
-        for block in np.split(short, range(_LEVEL_BLOCK, len(short), _LEVEL_BLOCK)):
-            g = np.argmax(demand_at_kink <= capacity[block, None], axis=1)  # first kink at/below capacity
-            j = starts[g]  # actives on the crossing segment: sorted indices >= j
-            lam[block] = (suf_m[j] - capacity[block]) / suf_binv[j]
+        # the first kink whose demand is at or below C is the first where their running minimum is; NaN never is
+        floor = suf_m[ends] - drop_s[starts] * suf_binv[ends]  # each kink's demand, then minus the running minimum
+        floor[np.isnan(floor)] = np.inf
+        np.negative(np.minimum.accumulate(floor, out=floor), out=floor)  # in place: ascending, no more temporaries
+        j = starts[np.searchsorted(floor, -capacity[short]) % len(starts)]  # none at or below: 0, as np.argmax
+        lam[short] = (suf_m[j] - capacity[short]) / suf_binv[j]
     x = np.divide(lam[:, None], b)  # max(m - lam/b, 0), each step in place
     return _Clearing(lam, np.maximum(np.subtract(m, x, out=x), 0.0, out=x), SolveMethod.CLOSED_FORM_QUADRATIC)
 

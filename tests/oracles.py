@@ -184,6 +184,12 @@ def bfs_diameter(n: int, edges) -> int | None:
     return diam
 
 
+def packed_identity(n: int) -> np.ndarray:
+    """Flooding's round 0, each agent holding only its own bit: ``np.packbits``
+    of the n x 64W identity rows, as 64-bit words, word-major."""
+    return np.packbits(np.eye(n, -(-n // 64) * 64, dtype=bool), axis=1).view(np.uint64).T
+
+
 def flood_by_set_union(a: np.ndarray, edges) -> np.ndarray:
     """Per-round flooding estimates, shape (diameter + 1, n), of a connected
     graph: each round every agent unions its neighbours' known sets, and its
@@ -287,6 +293,12 @@ def full_sort_kinks(b: np.ndarray, m: np.ndarray):
     return starts, suf_m, suf_binv, suf_m[ends] - drop_s[starts] * suf_binv[ends]
 
 
+def first_kink_at_or_below(demand_at_kink: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Per capacity, the first tie group whose float kink demand is at or
+    below it, every kink compared (NaN never is); 0 if none is."""
+    return np.argmax(demand_at_kink <= capacity[:, None], axis=1)
+
+
 def full_sort_quadratic(b: np.ndarray, m: np.ndarray, capacity: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """(price, allocation) of one quadratic column pair at each capacity:
     water-filling over the stable sort of every drop-out price, the price
@@ -297,7 +309,7 @@ def full_sort_quadratic(b: np.ndarray, m: np.ndarray, capacity: np.ndarray) -> l
     short = np.flatnonzero(~spare)
     if len(short):
         starts, suf_m, suf_binv, demand_at_kink = full_sort_kinks(b, m)
-        j = starts[np.argmax(demand_at_kink <= capacity[short, None], axis=1)]
+        j = starts[first_kink_at_or_below(demand_at_kink, capacity[short])]
         lam[short] = (suf_m[j] - capacity[short]) / suf_binv[j]
     return [(level, np.maximum(m - level / b, 0.0)) for level in lam.tolist()]
 

@@ -16,13 +16,20 @@ Graphs are random connected graphs of 1..60 agents, plus a complete graph
 and a star whose neighbour lists pass NumPy's 128-term pairwise block; many
 agents share a drop-out price m*b with different m and b, and productions
 follow the satiation loads so local capacities fall on both sides of their
-sum. Capacities are compared with the kink demands five at a time here, so
-the blocks split. Runs are derandomized. The averaging trace itself must
-equal ``oracles.metropolis_rounds``, the per-agent loop, bit for bit,
-signed zeros included, with a ``tol`` early stop and with more rounds than
-the estimates array first holds. Against exact ``Fraction`` iteration of
-the same float weights, round r of the trace is within
+sum. Runs are derandomized. The averaging trace itself must equal
+``oracles.metropolis_rounds``, the per-agent loop, bit for bit, signed zeros
+included, with and without a ``tol`` early stop. Against exact ``Fraction``
+iteration of the same float weights, round r of the trace is within
 r * (d_max + 2) * eps/2 * max|z0|.
+
+Float kink demands need not fall as the drop-out prices rise, and drop-out
+prices or sums of m past the float limit make NaN ones. The water-filling takes each
+capacity's crossing kink from their running minimum; its prices must equal
+``oracles.full_sort_quadratic``'s, whose kink is the old rule
+``oracles.first_kink_at_or_below`` (every kink compared, np.argmax), bit for
+bit: at every kink demand and its 1-ulp neighbours of the tied markets
+above, and on hand-made kinks that rise, tie, hold a NaN first or between
+two finite ones, or lie above the capacity but for a NaN.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from teshape import (
 )
 from teshape.solver import local_capacities, solve_many
 
-from oracles import local_solves, metropolis_rounds
+from oracles import full_sort_kinks, full_sort_quadratic, local_solves, metropolis_rounds
 
 DROP_OUTS = (3.0, 6.0, 12.0)  # shared drop-out prices of the tied agents
 
@@ -123,8 +130,7 @@ def test_batched_average_matches_per_agent_loop(case):
         runs.append(run_distributed(MarketInstance(production, preferences), graph, rounds, "average"))
         return runs[0].results
 
-    with mock.patch.object(solver, "_LEVEL_BLOCK", 5):
-        got = _outcome(batched)
+    got = _outcome(batched)
     if (shares > 0).all():
         assert got == _outcome(lambda: local_solves(preferences, shares))
     else:  # a zero estimate, which the loop would refuse as "C > 0 required", is a consensus failure
@@ -210,9 +216,58 @@ def share_calls(draw):
 def test_solve_many_matches_per_market_loop(call):
     b, m, shares = call
     preferences = PreferenceColumns(Quadratic, b, m)
-    with mock.patch.object(solver, "_LEVEL_BLOCK", 5):
-        got = _outcome(lambda: _solve_many(preferences, shares))
-    assert got == _outcome(lambda: local_solves(preferences, shares))
+    assert _outcome(lambda: _solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
+
+
+@st.composite
+def kink_calls(draw):
+    """(b, m, capacities): the tied and free agents of ``markets``, at most 60,
+    so the selection keeps every agent and the water-filling meets the full
+    sort's kink demands; each positive one below sum(m) and its 1-ulp
+    neighbours, and a random share of sum(m), are capacities."""
+    _, b, m, _, _ = draw(markets())
+    b, m = np.array(b), np.array(m)
+    kinks = full_sort_kinks(b, m)[3]
+    capacity = np.concatenate([kinks, np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf),
+                               [draw(st.floats(0.01, 0.99)) * float(np.sum(m))]])
+    return b, m, capacity[(capacity > 0) & (capacity < float(np.sum(m)))]
+
+
+def _price_bits(b, m, capacity) -> tuple[list, list]:
+    """The water-filling's prices at ``capacity`` and the full sort's, as hex."""
+    b, m, capacity = (np.array(v, dtype=float) for v in (b, m, capacity))
+    with np.errstate(over="ignore", invalid="ignore"):  # drop-out prices and kink demands past the float limit
+        got = solver._clear_quadratic(MarketInstance(np.ones(len(b)), PreferenceColumns(Quadratic, b, m)), capacity)
+        expected = [lam for lam, _ in full_sort_quadratic(b, m, capacity)]
+    return [lam.hex() for lam in got.lam.tolist()], [lam.hex() for lam in expected]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kink_calls())
+def test_crossing_kink_matches_first_at_or_below(call):
+    got, expected = _price_bits(*call)
+    assert got == expected
+
+
+KINKS = {  # name: (b, m, capacities, the full sort's float kink demands)
+    "rising": ([0.6122448979591836, 0.6122448979591836, 0.3125], [4.9, 9.8, 9.6],
+               [4.9, 4.899999999999999, 4.899999999999998, 1.0], [4.899999999999999, 4.9, 0.0]),
+    "tied": ([1.0, 1.0, 2.0, 4.0], [3.0, 8.0, 4.0, 2.0], [8.75, 8.749999999999998, 9.0, 5.0, 16.0], [8.75, 0.0]),
+    "nan-between": ([1.0, 1.4e308, 1.5, 1.5, 1.6e308], [1.0, 1.0, 1e308, 1e308, 1.0],
+                    [0.01, 0.0625, 0.06250000000000022, 0.1, 1.0], [np.inf, np.nan, 0.06250000000000022, 0.0]),
+    "nan-first": ([1.4e308, 1.5, 1.5, 1.6e308], [1.0, 1e308, 1e308, 1.0],
+                  [0.01, 0.0625, 0.06250000000000022, 0.1, 1.0], [np.nan, 0.06250000000000022, 0.0]),
+    "nan-last": ([1e200, 1.0], [1e200, 5e199], [5e199, 1e200, 1.2e200], [1e200, np.nan]),
+}
+
+
+@pytest.mark.parametrize("name", KINKS)
+def test_crossing_kink_matches_first_at_or_below_on_hand_made_kinks(name):
+    b, m, capacity, kinks = KINKS[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(full_sort_kinks(np.array(b), np.array(m))[3], kinks, equal_nan=True)
+    got, expected = _price_bits(b, m, capacity)
+    assert got == expected
 
 
 LOG = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
@@ -240,7 +295,7 @@ def test_equal_preference_objects_clear_as_one_stack():
     assert built.call_count == 1 and loop.call_count == 0
 
 
-@pytest.mark.parametrize("rounds, tol", [(5000, 1e-3), (150, None)], ids=["tol-early-stop", "past-first-growth"])
+@pytest.mark.parametrize("rounds, tol", [(5000, 1e-3), (150, None)], ids=["tol-early-stop", "no-tol"])
 def test_average_trace_matches_listed_rounds(rounds, tol):
     graph = CommGraph.ring(24)
     production = np.random.default_rng(1).uniform(0.0, 10.0, graph.n)

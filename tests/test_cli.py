@@ -355,6 +355,20 @@ def test_overflowing_capacity_exits_2(command, utility, tmp_path, capsys):
         assert err == f"validation error: {reason}\n"
 
 
+@pytest.mark.parametrize("command", [["solve"], ["consensus", "--mode", "average"]], ids=["solve", "average"])
+@pytest.mark.parametrize("b, m", [(1e-308, 1), (5e-324, 3)], ids=["sum-overflows", "reciprocal-overflows"])
+def test_tiny_curvatures_exit_2(command, b, m, tmp_path, capsys):
+    # two agents whose 1/b sum past the float limit, satiated within C = 2 or not: refused
+    # by validation before any arithmetic on them, one stderr line, no warning
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"agents": [{"a": 1, "utility": {"kind": "quadratic", "b": b, "m": m}}] * 2}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out, caught) == (2, "", [])
+    assert err == "validation error: sum of 1/b must lie n*eps below the float limit (the curvatures are too small)\n"
+
+
 def test_experiment_colliding_cell_keys_exit_2(tmp_path, capsys):
     # two cells would write rows under one key: refused before any sampling
     for extra, key in [({"lambda_dagger": [15.0, 15.000001]}, "lambda_dagger=15"), ({"scale_list": [10, 10]}, "n=10")]:

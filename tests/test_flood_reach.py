@@ -4,6 +4,8 @@
 * the rounds used equal the largest BFS distance;
 * disconnected graphs raise ``DisconnectedGraph`` from ``run_distributed``,
   and ``teshape consensus`` exits 3 with one stderr line;
+* round 0's reach table, each agent's own bit written into zeroed words,
+  equals ``oracles.packed_identity``, the packed identity rows;
 * a run's ``rounds_used`` and ``final_error`` are known before its trace's
   estimates are built, equal the built trace's bit for bit, and a flood run
   that reads only them builds no per-round estimates;
@@ -28,10 +30,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teshape import CommGraph, DisconnectedGraph, MarketInstance, PreferenceColumns, Quadratic, run_distributed
+from teshape import CommGraph, DisconnectedGraph, MarketInstance, PreferenceColumns, Quadratic, consensus, run_distributed
 from teshape.cli import main
 
-from oracles import bfs_diameter, flood_by_set_union
+from oracles import bfs_diameter, flood_by_set_union, packed_identity
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -157,6 +159,15 @@ def test_final_error_known_before_estimates(n, shape):
     assert rounds == run.trace.rounds == len(estimates) - 1 == bfs_diameter(n, graph.edges)
     assert final_error.hex() == float(np.max(np.abs(estimates[-1] - run.trace.target))).hex()
     assert estimates.tobytes() == flood_by_set_union(production, graph.edges).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 129])
+def test_round_zero_reach_is_packed_identity(n):
+    # n = 7..9 straddle a byte of the packed row, 63..65 and 129 a 64-bit word
+    reach = next(consensus._reach_rounds(n, *CommGraph.ring(n)._adjacency()[:2]))
+    expected = packed_identity(n)
+    assert (reach.dtype, reach.shape) == (expected.dtype, expected.shape) == (np.uint64, (-(-n // 64), n))
+    assert np.array_equal(reach, expected)
 
 
 def test_flood_run_builds_no_trace():

@@ -22,6 +22,7 @@ from teshape import (
     solve,
     validate_instance,
 )
+from teshape.model import max_capacity
 
 from conftest import quartet_instance
 
@@ -66,6 +67,27 @@ def test_largest_accepted_capacity_clears(n, kind, model):
         beyond = MarketInstance(np.r_[np.nextafter(largest, math.inf), np.zeros(n - 1)], preferences, model)
         assert validate_instance(beyond).violations == (
             "C must lie n*eps below the float limit (the allocations would sum past it)",)
+
+
+TINY_B = "sum of 1/b must lie n*eps below the float limit (the curvatures are too small)"
+LOG = Custom(lambda x: math.log1p(x), lambda x: 1.0 / (1.0 + x))
+
+
+@pytest.mark.parametrize("preferences, reported", [
+    ([Quadratic(1e-308, 1.0)] * 2, True),  # each 1/b is finite, their sum is not
+    ([Quadratic(5e-324, 3.0)] * 2, True),  # 1/b itself overflows
+    ([Quadratic(1e-308, 1.0), LOG, Quadratic(1e-308, 1.0)], True),  # the Custom agent's NaN b is not summed
+    ([Quadratic(2 / max_capacity(2), 1.0)] * 2, True),  # min(b) at n/max_capacity(n): the sum rounds past it
+    ([Quadratic(0.6e-308, 1.0), Quadratic(1.0, 1.0)], False),  # min(b) below n/max_capacity(n), the sum within
+    ([Quadratic(4 / max_capacity(2), 1.0)] * 2, False),  # min(b) at 2n/max_capacity(n): not summed
+    ([PiecewiseLinear(1e-308, 1.0)] * 2, False),  # rates are not curvatures
+], ids=["sum-overflows", "reciprocal-overflows", "mixed", "sum-rounds-past", "sum-within", "not-summed", "pwl"])
+def test_tiny_quadratic_curvatures_rejected(preferences, reported):
+    # sum 1/b past max_capacity(n) would overflow the price equation: one instance-level violation, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_instance(MarketInstance([1.0] * len(preferences), preferences))
+    assert (report.violations, report.agents) == (((TINY_B,), (None,)) if reported else ((), ()))
 
 
 def test_individual_zero_production_is_legal(quartet):
