@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from operator import attrgetter
 from typing import Callable
 
@@ -255,7 +254,7 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
 
     Checks: n >= 1, equal lengths of production and preferences, a_i >= 0 and finite,
     C > 0 and finite, positive family parameters, the quadratic agents' sum 1/b within
-    max_capacity(n), and strict concavity (on a sampled grid) for Custom preferences.
+    max_capacity(n) and finite drop-out prices m*b, and strict concavity (on a sampled grid) for Custom preferences.
     """
     preferences, a, n = instance.preferences, instance.production, instance.n
     issues: list[tuple[int | None, str]] = []
@@ -274,12 +273,15 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
         issues.append((None, "C must be finite (total production overflows)"))
     elif capacity > max_capacity(n):
         issues.append((None, "C must lie n*eps below the float limit (the allocations would sum past it)"))
+    bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
     if preferences.kind is not PiecewiseLinear:  # sum 1/b <= n/min(b): summed only if min(b) < 2n/max_capacity(n) (2: rounding)
-        b = preferences.columns[0] if preferences.kind is Quadratic else preferences.columns[0][preferences.mask(Quadratic)]
-        with np.errstate(over="ignore"):  # a 1/b past the float limit is inf
+        b, m = (c if preferences.kind is Quadratic else c[preferences.mask(Quadratic)] for c in preferences.columns)
+        with np.errstate(over="ignore", invalid="ignore"):  # a 1/b or an m*b past the float limit is inf
             if len(b) and np.min(b) < 2 * n / max_capacity(n) and not np.sum(1.0 / b[b > 0]) <= max_capacity(n):
                 issues.append((None, "sum of 1/b must lie n*eps below the float limit (the curvatures are too small)"))
-    bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
+            if len(b) and not np.isfinite(np.max(m) * np.max(b)):  # the drop-out prices m*b, formed only if one may overflow
+                over = np.isinf(preferences.columns[0] * preferences.columns[1]) & ~(bad[0] | bad[1]) & preferences.mask(Quadratic)
+                issues.extend((i, "m*b must be finite (the drop-out price overflows)") for i in np.flatnonzero(over).tolist())
     rows = np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent, whatever its column rows
     others = iter(preferences.others)
     for i, code in zip(rows.tolist(), preferences.codes[rows].tolist()):
@@ -342,6 +344,11 @@ class EquilibriumResult:
         if self.e_star is not None:
             out["e_star"] = list(self.e_star)
         return out
+
+    def _vectors(self) -> list[np.ndarray]:
+        """``x_star`` and any ``e_star`` as arrays, read from a solver's rows while it holds them."""
+        fields = vars(self).get("_rows") or {"x_star": self.x_star, "e_star": self.e_star}
+        return [np.asarray(v, dtype=np.float64) for v in fields.values() if v is not None]
 
 
 class BindingCondition(Enum):
@@ -484,17 +491,18 @@ def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns]:
     return production, PreferenceColumns(None, firsts, seconds, list(map(_KINDS.index, kinds)))
 
 
-def _per_agent(preferences: PreferenceColumns, table: tuple) -> list:
-    """``table[code]`` for each agent's kind code. An agent outside the column
-    families has no file form and raises ValidationError."""
+def _file_codes(preferences: PreferenceColumns) -> np.ndarray:
+    """The agents' kind codes. An agent outside the column families has no
+    file form and raises ValidationError."""
     if preferences.others:
         raise ValidationError(["Custom preferences have no file representation"])
-    return list(map(table.__getitem__, preferences.codes.tolist()))
+    return preferences.codes
 
 
 def instance_to_dict(instance: MarketInstance) -> dict:
     preferences = instance.preferences
-    rows = zip(_per_agent(preferences, tuple(_COLUMN_KINDS.values())), *(c.tolist() for c in preferences.columns))
+    names = tuple(_COLUMN_KINDS.values())
+    rows = zip(map(names.__getitem__, _file_codes(preferences).tolist()), *(c.tolist() for c in preferences.columns))
     utilities = [{"kind": label, first: p, second: q} for (label, first, second), p, q in rows]
     agents = [{"a": a, "utility": u} for a, u in zip(instance.production.tolist(), utilities)]
     return {"model": instance.model.value, "agents": agents}
@@ -566,81 +574,70 @@ def save_result(instance: MarketInstance, result: EquilibriumResult, path: str) 
 
 
 # The writer streams the exact text of ``json.dump(document, fh, indent=2)``
-# plus a newline, where ``document`` is ``instance_to_dict(instance)``
-# extended by ``result.to_dict()``. Number text comes from the C encoder one
-# block of rows at a time (the same ``float.__repr__``, ``NaN`` and
-# ``Infinity`` text that json.dump writes), so the whole document is never
-# held in memory.
+# plus a newline, where ``document`` is ``instance_to_dict(instance)`` extended
+# by ``result.to_dict()``. Metered data repeats its numbers, so each distinct
+# float64 bit pattern of the agent rows and result vectors is rendered once, by
+# the C encoder (json.dump's ``float.__repr__``, ``NaN`` and ``Infinity`` text),
+# and the rows index that text table a block at a time. The key is the bit
+# pattern, not the value: -0.0 == 0.0 but they print apart, and NaN != NaN but
+# every NaN prints ``NaN``.
 _BLOCK_ROWS = 2048
-_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 
 
-def _agent_template(label: str, first: str, second: str) -> str:
-    """One agent record at the indent=2 layout, with ``%s`` for its numbers."""
-    return (
-        '    {\n      "a": %s,\n      "utility": {\n'
-        f'        "kind": "{label}",\n        "{first}": %s,\n        "{second}": %s\n'
-        "      }\n    }"
-    )
+def _agent_parts(label: str, first: str, second: str) -> list[str]:
+    """One agent record at the indent=2 layout, led by the row separator, as
+    the text around its three numbers."""
+    return [',\n    {\n      "a": ', ',\n      "utility": {\n' f'        "kind": "{label}",\n        "{first}": ',
+            f',\n        "{second}": ', "\n      }\n    }"]
 
 
-_AGENT_TEMPLATES = tuple(_agent_template(*names) for names in _COLUMN_KINDS.values())  # by kind code
+_AGENT_PARTS = np.array([_agent_parts(*names) for names in _COLUMN_KINDS.values()], dtype=object)  # by kind code
+_VECTOR_PARTS = np.array([[",\n    ", ""]], dtype=object)
 
 
-def _numbers_text(values) -> str:
-    """JSON text of the numbers in ``values`` (an array or a tuple of
-    floats), separated by ``", "``."""
-    return json.dumps(values.tolist() if isinstance(values, np.ndarray) else values)[1:-1]
-
-
-def _reject_non_finite(columns: list[list[str]]) -> None:
-    """json.dump's ``allow_nan=False`` error for the first non-finite number,
-    reading the columns row by row as the document does."""
-    if all(_NON_FINITE.keys().isdisjoint(column) for column in columns):
-        return
-    text = next(t for t in chain.from_iterable(zip(*columns)) if t in _NON_FINITE)
-    raise ValueError(f"Out of range float values are not JSON compliant: {_NON_FINITE[text]!r}")
-
-
-def _write_rows(fh, n: int, block_text: Callable[[slice], str]) -> None:
-    """Write a JSON array of ``n`` rows, ``block_text(s)`` giving the text of
-    rows ``s`` joined by ``",\\n"``."""
-    if not n:
-        fh.write("[]")
-        return
-    fh.write("[\n")
+def _write_rows(fh, table: np.ndarray, places: np.ndarray, parts: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Write a JSON array of a row per kind code, its numbers the ``table`` text at
+    the next ``places`` between the row's ``parts[code]``; return the places left."""
+    width, n = parts.shape[1] - 1, len(codes)
+    fh.write("[" if n else "[]")
     for start in range(0, n, _BLOCK_ROWS):
-        fh.write(",\n" if start else "")
-        fh.write(block_text(slice(start, start + _BLOCK_ROWS)))
-    fh.write("\n  ]")
-
-
-def _write_vector(fh, values: tuple) -> None:
-    _write_rows(fh, len(values), lambda rows: "    " + _numbers_text(values[rows]).replace(", ", ",\n    "))
+        block = codes[start : start + _BLOCK_ROWS]
+        pieces = np.empty((len(block), 2 * width + 1), dtype=object)
+        pieces[:, 1::2] = table[places[start * width : (start + len(block)) * width]].reshape(-1, width)
+        pieces[:, ::2] = parts[block]
+        fh.write("".join(pieces.ravel().tolist())[0 if start else 1 :])  # the first row opens with no comma
+    fh.write("\n  ]" if n else "")
+    return places[n * width :]
 
 
 def _write_document(fh, instance: MarketInstance, result: EquilibriumResult | None, allow_nan: bool) -> None:
-    templates = _per_agent(instance.preferences, _AGENT_TEMPLATES)
-    first, second = instance.preferences.columns
-
-    def agent_block(rows: slice) -> str:
-        columns = [_numbers_text(column[rows]).split(", ") for column in (instance.production, first, second)]
-        if not allow_nan:
-            _reject_non_finite(columns)
-        return ",\n".join(map(str.__mod__, templates[rows], zip(*columns)))
+    codes = _file_codes(instance.preferences)[: instance.n]
+    vectors = [] if result is None else result._vectors()
+    agents = np.column_stack([instance.production[: len(codes)], *(c[: len(codes)] for c in instance.preferences.columns)])
+    bits = np.concatenate([agents.ravel(), *vectors]).view(np.int64)
+    distinct, places = np.unique(bits, return_inverse=True)
+    if 2 * len(distinct) > len(bits):  # mostly distinct: every number's text in document order, read in order
+        distinct, places = bits, np.arange(len(bits))
+    del agents, bits  # freed before the text is made
+    values = distinct.view(np.float64)
+    if not allow_nan and not (finite := np.isfinite(values)).all():
+        first = values[places[np.argmin(finite[places])]].item()  # the first non-finite number in the document
+        raise ValueError(f"Out of range float values are not JSON compliant: {first!r}")
+    texts = json.dumps(values.tolist())[1:-1].split(", ")
+    table = np.fromiter(texts, dtype=object, count=len(texts))
 
     fh.write('{\n  "model": %s,\n  "agents": ' % json.dumps(instance.model.value))
-    _write_rows(fh, min(instance.n, len(templates)), agent_block)
+    places = _write_rows(fh, table, places, _AGENT_PARTS, codes)
     if result is not None:
         fh.write(',\n  "lambda_star": %s,\n  "x_star": ' % json.dumps(result.lambda_star))
-        _write_vector(fh, result.x_star)
+        places = _write_rows(fh, table, places, _VECTOR_PARTS, np.zeros(len(vectors[0]), np.int8))
         diagnostics = (result.balance_residual, result.kkt_max_violation, result.degenerate)
         fh.write(
             ',\n  "method": %s,\n  "diagnostics": {\n    "balance_residual": %s,\n'
             '    "kkt_max_violation": %s,\n    "degenerate": %s\n  }'
             % tuple(map(json.dumps, (result.method.value, *diagnostics)))
         )
-        if result.e_star is not None:
+        if len(vectors) > 1:
             fh.write(',\n  "e_star": ')
-            _write_vector(fh, result.e_star)
+            _write_rows(fh, table, places, _VECTOR_PARTS, np.zeros(len(vectors[1]), np.int8))
     fh.write("\n}\n")

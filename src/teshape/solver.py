@@ -507,12 +507,15 @@ def _kkt(
     if instance.preferences.kind is PiecewiseLinear:
         beta, phi = instance.preferences.columns
         eq_tol = 1e-9 * beta  # relative: a rate of any scale is told apart from the zero price
-        # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]
-        stationarity = np.select(
-            [lam <= eq_tol, lam > beta + eq_tol, lam >= beta - eq_tol],
-            [np.maximum(phi - x, 0.0), np.abs(x), np.maximum(np.maximum(-x, x - phi), 0.0)],
-            np.abs(x - phi),
-        )
+        # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]; below it: |x - phi|. The first case
+        # that holds wins, as in np.select: the case at the rate is computed for all, the others copied over it in reverse
+        zero, above, at = lam <= eq_tol, lam > beta + eq_tol, lam >= beta - eq_tol
+        stationarity = np.negative(x)
+        np.maximum(np.maximum(stationarity, slack := np.subtract(x, phi), out=stationarity), 0.0, out=stationarity)
+        np.copyto(stationarity, np.abs(slack, out=slack), where=~at)
+        np.copyto(stationarity, np.abs(x, out=slack), where=above)
+        np.copyto(stationarity, np.maximum(np.subtract(phi, x, out=slack), 0.0, out=slack), where=zero)
+        del slack  # freed before the feasibility array is made
     else:  # quadratic agents as arrays; the Custom agents inverted cold together, independently of the solve
         demand = demand or AggregateDemand(instance.preferences, instance.capacity)
         b, m = demand.b, demand.m

@@ -55,6 +55,7 @@ from teshape import (
     run_distributed,
     solve,
     solver,
+    validate_instance,
 )
 from teshape.solver import local_capacities, solve_many
 
@@ -257,6 +258,7 @@ KINKS = {  # name: (b, m, capacities, the full sort's float kink demands)
                     [0.01, 0.0625, 0.06250000000000022, 0.1, 1.0], [np.inf, np.nan, 0.06250000000000022, 0.0]),
     "nan-first": ([1.4e308, 1.5, 1.5, 1.6e308], [1.0, 1e308, 1e308, 1.0],
                   [0.01, 0.0625, 0.06250000000000022, 0.1, 1.0], [np.nan, 0.06250000000000022, 0.0]),
+    # the last kink is NaN only behind an infinite drop-out price m*b, which validation refuses
     "nan-last": ([1e200, 1.0], [1e200, 5e199], [5e199, 1e200, 1.2e200], [1e200, np.nan]),
 }
 
@@ -266,7 +268,11 @@ def test_crossing_kink_matches_first_at_or_below_on_hand_made_kinks(name):
     b, m, capacity, kinks = KINKS[name]
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(full_sort_kinks(np.array(b), np.array(m))[3], kinks, equal_nan=True)
-    got, expected = _price_bits(b, m, capacity)
+        finite = np.isfinite(np.multiply(b, m)).all()
+    instance = MarketInstance(np.ones(len(b)), PreferenceColumns(Quadratic, b, m))
+    assert validate_instance(instance).ok is bool(finite)
+    with mock.patch.object(solver, "_require"):  # the kink search itself, on every hand-made kink
+        got, expected = _price_bits(b, m, capacity)
     assert got == expected
 
 

@@ -63,6 +63,7 @@ BAD_INSTANCES = [
     _agent(a="-" + HUGE),
     _agent(a="1e400"),
     _agent(a="NaN"),
+    _agent(utility='{"kind": "quadratic", "b": 1e200, "m": 1e200}'),  # the drop-out price m*b overflows
 ]
 
 BAD_SPECS = [

@@ -153,9 +153,29 @@ floats = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_i
 sizes = st.sampled_from([1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 
 
+NON_FINITE = [math.nan, float(np.copysign(math.nan, -1.0)), math.inf, -math.inf]  # NaN with and without its sign bit
+
+
 def _column(draw, n: int) -> np.ndarray:
     """n floats tiled from a small drawn pool, so large n stays cheap to draw."""
     return np.resize(np.array(draw(st.lists(floats, min_size=1, max_size=9))), n)
+
+
+def _signed_zeros(draw, column: np.ndarray) -> np.ndarray:
+    """``column``, maybe with a run of -0.0 and 0.0 in drawn order across the end of the first block of rows:
+    equal values whose text differs."""
+    if draw(st.booleans()):
+        run = column[BLOCK - 3 : BLOCK + 3]
+        run[:] = np.resize(draw(st.lists(st.sampled_from([-0.0, 0.0]), min_size=2, max_size=4)), len(run))
+    return column
+
+
+def _vector(draw, n: int) -> tuple:
+    """A result vector of n floats, with up to two non-finite values planted and maybe a signed-zero run."""
+    column = _column(draw, n)
+    for _ in range(draw(st.integers(0, 2))):
+        column[draw(st.integers(0, n - 1))] = draw(st.sampled_from(NON_FINITE))
+    return tuple(_signed_zeros(draw, column).tolist())
 
 
 @st.composite
@@ -168,10 +188,10 @@ def column_instances(draw):
 
 @st.composite
 def results(draw, n: int):
-    e_star = tuple(_column(draw, n).tolist()) if draw(st.booleans()) else None
+    e_star = _vector(draw, n) if draw(st.booleans()) else None
     return EquilibriumResult(
         lambda_star=draw(st.one_of(floats, st.sampled_from([-25.519, -1.7976931348623157e308]))),
-        x_star=tuple(_column(draw, n).tolist()),
+        x_star=_vector(draw, n),
         e_star=e_star,
         method=draw(st.sampled_from(list(SolveMethod))),
         balance_residual=draw(floats),
@@ -231,12 +251,12 @@ def saved_instances(draw):
     """Instances given one family's columns or a list of quadratic and PWL
     objects, which the instance holds in the same column layout (kind codes
     per agent, NaN in the other family's rows), some with non-finite values
-    planted."""
+    or signed-zero runs planted."""
     as_columns = draw(st.booleans())
     n = draw(sizes if as_columns else st.integers(1, 12))
-    columns = [_column(draw, n) for _ in range(3)]
+    columns = [_signed_zeros(draw, _column(draw, n)) for _ in range(3)]
     for _ in range(draw(st.integers(0, 3))):
-        columns[draw(st.integers(0, 2))][draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        columns[draw(st.integers(0, 2))][draw(st.integers(0, n - 1))] = draw(st.sampled_from(NON_FINITE))
     production, first, second = columns
     kinds = st.sampled_from([Quadratic, PiecewiseLinear])
     if as_columns:
@@ -263,6 +283,9 @@ def _dumped(instance: MarketInstance) -> tuple:
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(saved_instances())
+# -inf in two columns of row 1 after NaN in row 0: the error names NaN, the first in document order, though
+# -inf comes first by column, by bit pattern and by count
+@example(MarketInstance([1.0, -math.inf], PreferenceColumns(Quadratic, [1.0, -math.inf], [math.nan, 2.0])))
 def test_saved_instance_matches_json_dump(tmp_path_factory, instance):
     path = tmp_path_factory.mktemp("inst") / "instance.json"
     assert _saved(instance, path) == _dumped(instance)

@@ -183,3 +183,32 @@ def test_scaled_trading_markets_clear_as_the_plain_market(family, scale, quartet
     e = list(trading.e_star)
     e[0] -= 0.25  # a positive price, however small, binds x + e <= a
     assert verify_kkt(st_inst, replace(trading, e_star=tuple(e))).feasibility[0] == pytest.approx(0.25)
+
+
+def _select_stationarity(lam, beta, phi, x):
+    """The PWL stationarity as np.select wrote it: the first condition that holds picks its case."""
+    eq_tol = 1e-9 * beta
+    return np.select(
+        [lam <= eq_tol, lam > beta + eq_tol, lam >= beta - eq_tol],
+        [np.maximum(phi - x, 0.0), np.abs(x), np.maximum(np.maximum(-x, x - phi), 0.0)],
+        np.abs(x - phi),
+    )
+
+
+def test_pwl_stationarity_matches_select_bit_for_bit():
+    # every agent's rate, the rate +- its tolerance and one float past them, the zero prices and NaN, as
+    # stacked price rows; allocations on both sides of 0 and phi, signed zeros and NaN, NaN rates and loads, and
+    # a negative rate, under which the zero price and the drop-out case both hold
+    beta = np.repeat([2.0, 5.0, 1e-300, np.nan, -2.0, 3.0], 9)
+    phi = np.tile(np.repeat([1.5, 0.0, np.nan], 3), 6)
+    x = np.resize([-1.0, -0.0, 0.0, 0.75, 1.5, 3.0, np.nan, 1.5 - 1e-12, -np.nan], len(beta))
+    edges = [beta, beta + 1e-9 * beta, beta - 1e-9 * beta]
+    prices = np.unique(np.concatenate([*edges, *(np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf))]))
+    lam = np.concatenate([prices, [0.0, -0.0, -1.0, np.nan, np.copysign(np.nan, -1.0)]])[:, None]
+    rows = np.tile(x, (len(lam), 1))
+    inst = MarketInstance(np.ones(len(beta)), PreferenceColumns(PiecewiseLinear, beta, phi))
+    with np.errstate(invalid="ignore"):
+        stationarity = solver._kkt(inst, lam, rows, None, capacity=np.ones(len(lam)))[0]
+        expected = _select_stationarity(lam, beta, phi, rows)
+    assert stationarity.shape == expected.shape == (len(lam), len(beta))
+    assert stationarity.tobytes() == expected.tobytes()

@@ -90,6 +90,19 @@ def test_tiny_quadratic_curvatures_rejected(preferences, reported):
     assert (report.violations, report.agents) == (((TINY_B,), (None,)) if reported else ((), ()))
 
 
+def test_overflowing_drop_out_prices_name_their_agents():
+    # each quadratic agent whose m*b passes the float limit is named, without a warning; large factors whose
+    # product is finite are not, an infinite b is reported as a bad b alone, and PWL and Custom agents are not
+    # multiplied out
+    preferences = [Quadratic(1e200, 1e200), LOG, Quadratic(1e200, 1.0), Quadratic(1.0, 1e200), Quadratic(1e154, 1e154),
+                   Quadratic(math.inf, 1e200), PiecewiseLinear(1e200, 1e200), Quadratic(1e200, 1e200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_instance(MarketInstance([1.0] * len(preferences), preferences))
+    reason = "m*b must be finite (the drop-out price overflows)"
+    assert report.violations == (f"agent 0: {reason}", f"agent 7: {reason}", "agent 5: b must be positive")
+
+
 def test_individual_zero_production_is_legal(quartet):
     # agent 4 produces nothing; only the total must be positive
     assert quartet.production[3] == 0.0
