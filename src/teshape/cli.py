@@ -49,16 +49,6 @@ FAILURES = (
 )
 
 
-def _default_threads() -> int:
-    env = os.environ.get("TE_SHAPE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"ignoring non-integer TE_SHAPE_THREADS={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     if args.model is not None:
@@ -138,8 +128,6 @@ def _cmd_consensus(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def threads(text: str) -> int:  # argparse converts the string default at parse time: the env is read then
-        return int(text) if text else _default_threads()
     parser = argparse.ArgumentParser(
         prog="teshape",
         description="Equilibrium pricing, social shaping and experiments for transactive energy markets",
@@ -169,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("spec")
     p_exp.add_argument("--seed", type=int, default=None, help="override the seed in the experiment file")
     p_exp.add_argument("--out", required=True, help="output directory for CSV/JSON artifacts")
-    p_exp.add_argument("--threads", type=threads, default="")
+    p_exp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_sweep = sub.add_parser("sweep", help="sweep one agent's satiation load")

@@ -210,7 +210,10 @@ class ConsensusTrace:
 class DistributedRun:
     results: tuple[EquilibriumResult, ...]
     trace: ConsensusTrace
-    rounds_used: int
+
+    @property
+    def rounds_used(self) -> int:
+        return self.trace.rounds
 
 
 def _reach_rounds(n: int, starts: np.ndarray, cols: np.ndarray) -> Iterator[np.ndarray]:
@@ -329,7 +332,7 @@ def run_distributed(
     if mode == "flood":
         trace = _flood(instance, graph)  # checks connectivity
         result = solve(instance)  # identical input at every agent
-        return DistributedRun(results=(result,) * instance.n, trace=trace, rounds_used=trace.rounds)
+        return DistributedRun((result,) * instance.n, trace)
 
     if homogenize and instance.preferences.kind is not Quadratic:
         raise ValidationError(["preference averaging requires quadratic preferences (convex parameter space)"])
@@ -348,4 +351,4 @@ def run_distributed(
                    for s, b, m in zip(shares.tolist(), state[1].tolist(), state[2].tolist())]
     else:
         results = solve_many(instance.preferences, shares, capacity)
-    return DistributedRun(results=tuple(results), trace=trace, rounds_used=trace.rounds)
+    return DistributedRun(tuple(results), trace)

@@ -508,12 +508,13 @@ def instance_to_dict(instance: MarketInstance) -> dict:
     return {"model": instance.model.value, "agents": agents}
 
 
-def read_json(path: str, **kwargs):
-    """Parse a JSON file read as UTF-8. Text that is not UTF-8, not JSON or
-    nested too deeply raises ValidationError; the file itself, OSError."""
+def read_json(path: str):
+    """Parse a JSON file read as UTF-8. Text that is not UTF-8, not JSON,
+    nested too deeply or holding a NaN/Infinity literal raises
+    ValidationError; the file itself, OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, **kwargs)
+            return json.load(fh, parse_constant=_reject_constant)
         except UnicodeDecodeError as exc:
             raise ValidationError([f"not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
         except json.JSONDecodeError as exc:
@@ -556,7 +557,7 @@ def load_instance(path: str) -> MarketInstance:
 
     Raises ValidationError with field context on malformed input.
     """
-    return instance_from_dict(read_json(path, parse_constant=_reject_constant))
+    return instance_from_dict(read_json(path))
 
 
 def save_instance(instance: MarketInstance, path: str) -> None:

@@ -37,6 +37,7 @@ from .model import (
     Quadratic,
     SolveMethod,
     ValidationError,
+    _COLUMN_KINDS,
     max_capacity,
     validate_instance,
 )
@@ -185,14 +186,11 @@ class AggregateDemand:
 # ---------------------------------------------------------------------------
 
 
-_LABELS = {Quadratic: "quadratic", PiecewiseLinear: "pwl"}  # any other kind is mixed
-
-
 def _require(instance: MarketInstance, kind: type) -> None:
     validate_instance(instance).raise_if_invalid()
     if instance.preferences.kind is not kind:
-        got = _LABELS.get(instance.preferences.kind, "mixed")
-        raise ValidationError([f"solver requires a homogeneous {_LABELS[kind]} instance, got {got}"])
+        got = _COLUMN_KINDS.get(instance.preferences.kind, ("mixed",))[0]  # any other kind is mixed
+        raise ValidationError([f"solver requires a homogeneous {_COLUMN_KINDS[kind][0]} instance, got {got}"])
 
 
 class _Clearing(NamedTuple):

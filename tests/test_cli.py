@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import warnings
@@ -198,6 +199,18 @@ def test_experiment_artifacts_and_determinism(tmp_path, capsys):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
+def test_experiment_seed_option_overrides_the_file(tmp_path, capsys):
+    spec = {"family": "quadratic", "n": 20, "trials": 3, "lambda_dagger": [20, 25]}
+    for seed in (3, 5):
+        (tmp_path / f"seed{seed}.json").write_text(json.dumps({**spec, "seed": seed}))
+    assert run_cli(capsys, "experiment", str(tmp_path / "seed3.json"), "--seed", "5", "--out", str(tmp_path / "a"))[0] == 0
+    assert run_cli(capsys, "experiment", str(tmp_path / "seed5.json"), "--out", str(tmp_path / "b"))[0] == 0
+    for name in ("results.csv", "stats.csv", "metadata.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    metadata = json.loads((tmp_path / "a" / "metadata.json").read_text())
+    assert metadata["seed"] == metadata["spec"]["seed"] == 5
+
+
 def test_experiment_bad_spec_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"family": "cubic", "n": 1, "trials": 1, "lambda_dagger": 1, "seed": 0}')
@@ -221,6 +234,7 @@ def test_experiment_bad_spec_exits_2(tmp_path, capsys):
         ("scale_list", [10, 2.5]),
         ("scale_list", [True]),
         ("scale_list", 10),
+        ("thresholds", [20]),  # not a spec field
     ],
 )
 def test_experiment_malformed_spec_field_exits_2(field, value, tmp_path, capsys):
@@ -414,18 +428,10 @@ def test_consensus_integral_float_graph_accepted(quartet_path, tmp_path, capsys)
     assert "rounds=3 " in out
 
 
-def test_threads_env_override(monkeypatch):
-    from teshape.cli import _default_threads
-
-    monkeypatch.setenv("TE_SHAPE_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.delenv("TE_SHAPE_THREADS")
-    assert _default_threads() >= 1
-
-
-def test_threads_default_read_at_each_parse(monkeypatch, tmp_path, capsys):
-    """The parser is built once; TE_SHAPE_THREADS set after the first call
-    still sets the default, and --threads still overrides it."""
+def test_threads_come_from_the_command_line(monkeypatch, tmp_path, capsys):
+    """--threads defaults to the CPU count and is the one source of the
+    thread count: the variable that once set it changes and prints nothing.
+    The parser is built once per process."""
     from types import SimpleNamespace
 
     from teshape import cli
@@ -436,10 +442,11 @@ def test_threads_default_read_at_each_parse(monkeypatch, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text('{"family": "quadratic", "n": 3, "trials": 1, "lambda_dagger": 20, "seed": 0}')
     argv = ["experiment", str(spec_path), "--out", str(tmp_path / "out")]
-    for env, extra in (("3", []), ("5", []), ("5", ["--threads", "2"])):
-        monkeypatch.setenv("TE_SHAPE_THREADS", env)
-        assert run_cli(capsys, *argv, *extra)[0] == 0
-    assert seen == [3, 5, 2]
+    assert run_cli(capsys, *argv) == (0, f"artifacts written to {tmp_path / 'out'}\n", "")
+    monkeypatch.setenv("TE_SHAPE_THREADS", "3")
+    for extra in ([], ["--threads", "2"]):
+        assert run_cli(capsys, *argv, *extra)[::2] == (0, "")
+    assert seen == [os.cpu_count() or 1] * 2 + [2]
     assert cli._parser() is cli._parser()
 
 
@@ -456,6 +463,23 @@ def test_undecodable_file_exits_2(command, quartet_path, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "not UTF-8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment", "consensus"])
+def test_non_finite_literal_exits_2(command, quartet_path, tmp_path, capsys):
+    # every JSON input refuses NaN and Infinity as it is parsed, with one wording
+    bad = tmp_path / "nan.json"
+    bad.write_text({
+        "solve": '{"agents": [{"a": NaN, "utility": {"kind": "quadratic", "b": 1, "m": 3}}]}',
+        "experiment": '{"family": "quadratic", "n": 10, "trials": 2, "lambda_dagger": 20, "seed": NaN}',
+        "consensus": '{"n": NaN, "edges": []}',
+    }[command])
+    argv = {
+        "solve": ["solve", str(bad)],
+        "experiment": ["experiment", str(bad), "--out", str(tmp_path / "o")],
+        "consensus": ["consensus", str(quartet_path), "--graph", str(bad)],
+    }[command]
+    assert run_cli(capsys, *argv) == (2, "", "validation error: non-finite number not accepted: NaN\n")
 
 
 HUGE = "1" + "0" * 400  # an integer literal beyond the float range

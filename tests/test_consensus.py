@@ -70,6 +70,10 @@ def test_graph_validation():
         CommGraph.from_edges(3, [(0, 0)])
     with pytest.raises(ValidationError, match="out of range"):
         CommGraph.from_edges(3, [(0, 5)])
+    with pytest.raises(ValidationError, match=r"^graph requires n >= 1$"):
+        CommGraph.from_edges(0, [])
+    with pytest.raises(ValidationError, match="unknown mode 'gossip'"):
+        run_distributed(quartet_instance(), CommGraph.complete(4), mode="gossip")
 
 
 @pytest.mark.parametrize("mode", ["flood", "average"])

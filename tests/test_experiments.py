@@ -46,6 +46,8 @@ def test_production_sampling_deterministic():
     a1 = sample_production(100, np.random.default_rng(1234))
     a2 = sample_production(100, np.random.default_rng(1234))
     assert np.array_equal(a1, a2)
+    with pytest.raises(ValidationError, match="^n >= 1 required$"):
+        sample_production(0, np.random.default_rng(1234))
 
 
 def test_production_mean_close_to_center():
@@ -343,6 +345,11 @@ def test_sweep_requires_quadratic():
     inst = MarketInstance((1.0,), (PiecewiseLinear(1, 1),))
     with pytest.raises(ValidationError):
         run_satiation_sweep(inst)
+
+
+def test_sweep_requires_a_value(quartet):
+    with pytest.raises(ValidationError, match="^sweep requires at least one value$"):
+        run_satiation_sweep(quartet, values=[])
 
 
 def test_sweep_agent_indexes_as_a_sequence(quartet):

@@ -12,6 +12,7 @@ Runs are derandomized so the suites are reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -207,6 +208,22 @@ def _oracle(document: dict, allow_nan: bool) -> str:
     return fh.getvalue()
 
 
+def _assert_same_text(got: str, expected: str) -> None:
+    """Compare two documents by length and sha256 and, on a mismatch, fail at
+    once naming the first differing offset with 40 characters either side:
+    pytest's own diff of multi-megabyte strings runs for minutes."""
+    digests = [(len(text), hashlib.sha256(text.encode()).digest()) for text in (got, expected)]
+    if digests[0] == digests[1]:
+        return
+    k, hi = 0, min(len(got), len(expected))
+    while k < hi:  # the length of the common prefix, by halving
+        mid = (k + hi + 1) // 2
+        k, hi = (mid, hi) if got[:mid] == expected[:mid] else (k, mid - 1)
+    lo = max(0, k - 40)
+    pytest.fail(f"texts differ at offset {k} (lengths {len(got)} and {len(expected)}):\n"
+                f"got      {got[lo : k + 40]!r}\nexpected {expected[lo : k + 40]!r}", pytrace=False)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_result_document_matches_json_dump(tmp_path_factory, data):
@@ -215,7 +232,7 @@ def test_result_document_matches_json_dump(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("doc") / "result.json"
     save_result(instance, result, str(path))
     expected = _oracle({**instance_to_dict(instance), **result.to_dict()}, allow_nan=True)
-    assert path.read_text(encoding="utf-8") == expected
+    _assert_same_text(path.read_text(encoding="utf-8"), expected)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -231,7 +248,7 @@ def test_solved_document_matches_json_dump(model, n, tmp_path):
     assert (result.e_star is None) is (model is ModelKind.MTES)
     save_result(instance, result, str(tmp_path / "result.json"))
     expected = _oracle({**instance_to_dict(instance), **result.to_dict()}, allow_nan=True)
-    assert (tmp_path / "result.json").read_text(encoding="utf-8") == expected
+    _assert_same_text((tmp_path / "result.json").read_text(encoding="utf-8"), expected)
 
 
 def test_negative_price_document_matches_json_dump(tmp_path):
@@ -243,7 +260,7 @@ def test_negative_price_document_matches_json_dump(tmp_path):
     assert result.lambda_star < 0
     save_result(instance, result, str(tmp_path / "result.json"))
     expected = _oracle({**instance_to_dict(instance), **result.to_dict()}, allow_nan=True)
-    assert (tmp_path / "result.json").read_text(encoding="utf-8") == expected
+    _assert_same_text((tmp_path / "result.json").read_text(encoding="utf-8"), expected)
 
 
 @st.composite
@@ -266,19 +283,20 @@ def saved_instances(draw):
     return MarketInstance(production, preferences, draw(st.sampled_from(list(ModelKind))))
 
 
-def _saved(instance: MarketInstance, path) -> tuple:
+# the document written, or the type and text of the error raised: a document opens with "{", an error line never
+def _saved(instance: MarketInstance, path) -> str:
     try:
         save_instance(instance, str(path))
     except Exception as exc:  # noqa: BLE001 - the type and text are what is compared
-        return (type(exc).__name__, str(exc))
-    return ("text", path.read_text(encoding="utf-8"))
+        return f"{type(exc).__name__}: {exc}"
+    return path.read_text(encoding="utf-8")
 
 
-def _dumped(instance: MarketInstance) -> tuple:
+def _dumped(instance: MarketInstance) -> str:
     try:
-        return ("text", _oracle(instance_to_dict(instance), allow_nan=False))
+        return _oracle(instance_to_dict(instance), allow_nan=False)
     except Exception as exc:  # noqa: BLE001 - the type and text are what is compared
-        return (type(exc).__name__, str(exc))
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -288,7 +306,7 @@ def _dumped(instance: MarketInstance) -> tuple:
 @example(MarketInstance([1.0, -math.inf], PreferenceColumns(Quadratic, [1.0, -math.inf], [math.nan, 2.0])))
 def test_saved_instance_matches_json_dump(tmp_path_factory, instance):
     path = tmp_path_factory.mktemp("inst") / "instance.json"
-    assert _saved(instance, path) == _dumped(instance)
+    _assert_same_text(_saved(instance, path), _dumped(instance))
 
 
 @pytest.mark.parametrize(
@@ -302,7 +320,7 @@ def test_saved_instance_matches_json_dump(tmp_path_factory, instance):
     ids=["empty", "inf-before-nan", "mixed-inf", "fewer-preferences"],
 )
 def test_saved_edge_instances_match_json_dump(instance, tmp_path):
-    assert _saved(instance, tmp_path / "instance.json") == _dumped(instance)
+    _assert_same_text(_saved(instance, tmp_path / "instance.json"), _dumped(instance))
 
 
 def test_save_instance_rejects_custom(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import replace
 
@@ -119,6 +120,9 @@ def test_negative_price_flagged_for_trading_model(quartet):
     bad = replace(result, lambda_star=-1.0)
     report = verify_kkt(st_inst, bad)
     assert report.price_violation == 1.0
+    # a trading result that reports no trades cannot balance them
+    report = verify_kkt(st_inst, replace(result, e_star=None))
+    assert report.balance_violation == math.inf and report.ok is False
 
 
 def test_result_gate_raises_on_planted_clearings(quartet):

@@ -274,3 +274,5 @@ def test_nonpositive_inputs_rejected():
             check_homogeneous(Quadratic(b, m), 4, 20.0, 10.0)
     with pytest.raises(ValidationError, match="NaN"):
         check_homogeneous(Custom(lambda x: x, lambda x: math.nan), 4, 20.0, 10.0)
+    with pytest.raises(ValidationError, match="^unknown preference type object$"):
+        check_homogeneous(object(), 4, 20.0, 10.0)
