@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Callable
 
 import numpy as np
@@ -226,19 +226,16 @@ class ValidationReport:
 _CONCAVITY_GRID_POINTS = 17
 
 
-def _other_violation(pref, scale: float) -> str | None:
+def _other_violation(pref, xs: list) -> str | None:
     """Why an agent outside the column families is invalid, if it is: not a
-    Custom, or a deriv_fn that fails or is not strictly decreasing on
-    [0, 2*max(1, scale)]."""
+    Custom, or a deriv_fn that fails or is not strictly decreasing on ``xs``."""
     if not isinstance(pref, Custom):
         return f"unknown preference type {type(pref).__name__}"
-    hi = 2.0 * max(1.0, scale)
-    xs = [hi * k / (_CONCAVITY_GRID_POINTS - 1) for k in range(_CONCAVITY_GRID_POINTS)]
     try:
-        ds = [float(pref.deriv_fn(x)) for x in xs]
+        ds = list(map(float, map(pref.deriv_fn, xs)))
     except Exception as exc:  # noqa: BLE001 - report, don't crash
         return f"deriv_fn evaluation failed ({exc})"
-    if not all(cur < prev for prev, cur in zip(ds, ds[1:])):
+    if not all(map(lt, ds[1:], ds)):
         return "deriv_fn not strictly decreasing (utility must be strictly concave)"
     return None
 
@@ -284,9 +281,11 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
                 issues.extend((i, "m*b must be finite (the drop-out price overflows)") for i in np.flatnonzero(over).tolist())
     rows = np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent, whatever its column rows
     others = iter(preferences.others)
+    hi = 2.0 * max(1.0, capacity if 0 < capacity < math.inf else 1.0)  # Custom agents: spot-checked on [0, hi]
+    grid = [hi * k / (_CONCAVITY_GRID_POINTS - 1) for k in range(_CONCAVITY_GRID_POINTS)] if preferences.others else []
     for i, code in zip(rows.tolist(), preferences.codes[rows].tolist()):
         if code == _OTHER:
-            if reason := _other_violation(next(others), capacity if 0 < capacity < math.inf else 1.0):
+            if reason := _other_violation(next(others), grid):
                 issues.append((i, reason))
         else:
             fields = _COLUMN_KINDS[_KINDS[code]][1:]

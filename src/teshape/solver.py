@@ -75,24 +75,25 @@ def _roots(f, lo, hi, f_lo, f_hi, xtol: float, ftol: float, rtol: float = 0.0) -
     lo, hi, f_lo, f_hi = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     p, f_p, q, f_q = lo, f_lo, hi, f_hi  # the last two points evaluated
     roots, open_, bisect = np.empty(len(lo)), np.arange(len(lo)), np.zeros(len(lo), dtype=bool)
-    width = np.maximum(np.maximum(xtol, rtol * np.abs(hi)), 2.0 * np.spacing(np.abs(hi)))
+    width = np.maximum(np.maximum(xtol, rtol * (size := np.abs(hi))), 2.0 * np.spacing(size))
     for _ in range(_MAX_ITER):
         if not len(open_):
             return roots
         with np.errstate(all="ignore"):  # masked below where f_p == f_q or f is infinite
             secant = q - f_q * (q - p) / (f_q - f_p)
-        inside = ~bisect & (hi - lo > width) & (f_p != f_q) & (lo < secant) & (secant < hi)
-        x = np.where(inside, np.minimum(np.maximum(secant, lo + 0.5 * width), hi - 0.5 * width), 0.5 * (lo + hi))
+        free, half = ~bisect, 0.5 * width
+        inside = free & (hi - lo > width) & (f_p != f_q) & (lo < secant) & (secant < hi)
+        x = np.where(inside, np.minimum(np.maximum(secant, lo + half), hi - half), 0.5 * (lo + hi))
         fx = f(x, open_)
-        above = fx > 0
-        bisect = ~bisect & (np.abs(fx) > 0.5 * np.abs(np.where(above, f_lo, f_hi)))
+        above, fx_size = fx > 0, np.abs(fx)
+        bisect = free & (fx_size > 0.5 * np.abs(np.where(above, f_lo, f_hi)))
         lo, f_lo, hi, f_hi = np.where(above, x, lo), np.where(above, fx, f_lo), np.where(above, hi, x), np.where(above, f_hi, fx)
         p, f_p, q, f_q = q, f_q, x, fx
-        width = np.maximum(np.maximum(xtol, rtol * np.abs(hi)), 2.0 * np.spacing(np.abs(hi)))
-        if (done := (hi - lo <= width) & (np.abs(fx) <= ftol)).any():
-            roots[open_[done]] = np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)[done]
+        width = np.maximum(np.maximum(xtol, rtol * (size := np.abs(hi))), 2.0 * np.spacing(size))
+        if (done := (hi - lo <= width) & (fx_size <= ftol)).any():
+            roots[open_[done]], keep = np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)[done], ~done
             open_, lo, hi, f_lo, f_hi, p, f_p, q, f_q, bisect, width = (
-                v[~done] for v in (open_, lo, hi, f_lo, f_hi, p, f_p, q, f_q, bisect, width))
+                v[keep] for v in (open_, lo, hi, f_lo, f_hi, p, f_p, q, f_q, bisect, width))
     if len(open_):
         raise ConvergenceFailure(f"root-finder did not meet tolerances in {_MAX_ITER} iterations")
     return roots

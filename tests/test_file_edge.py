@@ -7,7 +7,8 @@
   ``json.dump(document, fh, indent=2)`` plus a newline, including the
   ``ValueError`` that ``allow_nan=False`` raises for the instance file.
 
-Runs are derandomized so the suites are reproducible.
+Runs are derandomized so the suites are reproducible; the writer suites
+report a failing example as drawn, without shrinking it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from teshape import (
@@ -224,7 +225,12 @@ def _assert_same_text(got: str, expected: str) -> None:
                 f"got      {got[lo : k + 40]!r}\nexpected {expected[lo : k + 40]!r}", pytrace=False)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+# a failing document is reported as drawn, not shrunk: each shrink attempt writes and
+# dumps a document again (up to ~0.7 s), so shrinking would take ~40 s a test to report a fault
+UNSHRUNK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(st.data())
 def test_result_document_matches_json_dump(tmp_path_factory, data):
     instance = data.draw(column_instances())
@@ -299,7 +305,7 @@ def _dumped(instance: MarketInstance) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True, phases=UNSHRUNK)
 @given(saved_instances())
 # -inf in two columns of row 1 after NaN in row 0: the error names NaN, the first in document order, though
 # -inf comes first by column, by bit pattern and by count

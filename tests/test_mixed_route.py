@@ -6,7 +6,8 @@
 * Custom agents that are quadratics in disguise against the closed-form
   quadratic solver, negative prices included;
 * a guard on the number of ``deriv_fn`` calls one solve makes, and on the
-  calls at the zero price, where log demand is unbounded;
+  calls at the zero price, where log demand is unbounded; one seeded market's
+  exact call count and result bits, pinned;
 * unbounded demand reported as ``inf``, including below the positive
   infimum of a derivative, and a non-finite clearing allocation refused;
 * one ``AggregateDemand`` split per mixed solve, self-check included.
@@ -16,6 +17,7 @@ Runs are derandomized so the suite is reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -151,6 +153,36 @@ def test_deriv_calls_stay_below_a_quarter_of_plain_bisection(monkeypatch):
     assert result.kkt_max_violation <= 1e-9 * max(1.0, float(production.sum()))
     assert calls[0] <= 0.25 * BISECTION_ROUTE_CALLS
     assert len(at_zero) == 1 and at_zero[0] <= 3 * (n // 2)
+
+
+# the generic route's work and bits on the market below, so a change to its
+# arithmetic or to the order of its calls shows: deriv_fn calls (validation's
+# spot check, the solve and the self-check), the hex of the price, balance
+# residual and largest KKT violation, and sha256 of x_star
+PINNED_CALLS = 15_861
+PINNED_HEX = ("0x1.7f0b0e305bcfbp+1", "0x1.1800000000000p-38", "0x1.1800000000000p-38")
+PINNED_X_SHA256 = "b0661df8a7e65860f01122057ef9efba5998ad390356a61803d9b1c245d97969"
+
+
+def test_generic_route_work_and_bits_are_pinned():
+    rng = np.random.default_rng(2025)
+    n = 200
+    b, m, w = rng.uniform(0.5, 2.0, n), rng.uniform(5.0, 15.0, n), rng.uniform(2.0, 20.0, n)
+    production = rng.uniform(2.0, 8.0, n)
+    calls = [0]
+
+    def counting(wi: float) -> Custom:
+        def deriv(x: float) -> float:
+            calls[0] += 1
+            return wi / (1.0 + x)
+
+        return Custom(lambda x: wi * math.log1p(x), deriv)
+
+    preferences = [counting(w[i]) if i % 2 else Quadratic(b[i], m[i]) for i in range(n)]
+    result = solve(MarketInstance(production=production, preferences=preferences))
+    assert calls[0] == PINNED_CALLS
+    assert (result.lambda_star.hex(), result.balance_residual.hex(), result.kkt_max_violation.hex()) == PINNED_HEX
+    assert hashlib.sha256(np.asarray(result.x_star, dtype=np.float64).tobytes()).hexdigest() == PINNED_X_SHA256
 
 
 # the price the scalar inversion, which returned 2**80 * max(1, C) for an

@@ -2,7 +2,9 @@
 
 * vectorized ``validate_instance`` against a per-agent reference loop kept
   here, on instances with NaN, infinite, zero and negative entries, and with
-  Custom agents (concave, convex, failing) and unknown objects among them;
+  Custom agents (concave, convex, failing at the first grid point or a later
+  one, NaN, level, not a number) and unknown objects among them; the points
+  the concavity spot check evaluates, in order;
 * ``run_aggregator`` naming the lowest bad agent;
 * the closed-form solvers against the independent oracles in ``oracles.py``
   at parameter scales 1e-6..1e6, with n=1, tied breakpoints and the
@@ -91,8 +93,29 @@ def no_deriv(x: float) -> float:
     raise ArithmeticError(f"no derivative at {x!r}")
 
 
-# agents outside the column families: concave, convex, failing, unknown
-OTHER_AGENTS = [Custom(log_value, log_deriv), Custom(square, identity), Custom(log_value, no_deriv), object()]
+def late_failure(x: float) -> float:
+    if x > 1.0:
+        raise ValueError(f"no derivative past 1 at {x!r}")
+    return 1.0 / (1.0 + x)
+
+
+def late_nan(x: float) -> float:
+    return 1.0 / (1.0 + x) if x <= 1.0 else math.nan
+
+
+def flat_tail(x: float) -> float:
+    return 1.0 / (1.0 + min(x, 1.0))  # the same value at every grid point from 1 on
+
+
+def text_deriv(x: float) -> str:
+    return "steep"
+
+
+# agents outside the column families: concave, convex, failing, unknown; then
+# failing past the first grid point, NaN, level and not a number
+OTHER_AGENTS = [Custom(log_value, log_deriv), Custom(square, identity), Custom(log_value, no_deriv), object(),
+                Custom(log_value, late_failure), Custom(log_value, late_nan), Custom(log_value, flat_tail),
+                Custom(log_value, text_deriv)]
 
 
 def reference_custom_reason(pref: Custom, capacity: float) -> str | None:
@@ -170,17 +193,45 @@ def test_vectorized_validation_matches_per_agent_reference(market):
 
 def test_validation_reports_every_kind_in_agent_order():
     preferences = [Quadratic(-1.0, 2.0), *OTHER_AGENTS, PiecewiseLinear(1.0, math.nan)]
-    report = validate_instance(MarketInstance(production=[1.0, math.nan, 2.0, 1.0, 0.0, 3.0], preferences=preferences))
+    production = [1.0, math.nan, 2.0, 1.0, 0.0, 0.25, 0.5, 0.0, 0.25, 3.0]  # C = 8: the grid spans [0, 16]
+    report = validate_instance(MarketInstance(production=production, preferences=preferences))
     assert report.violations == (
         "agent 1: a must be finite",
         "agent 0: b must be positive",
         "agent 2: deriv_fn not strictly decreasing (utility must be strictly concave)",
         "agent 3: deriv_fn evaluation failed (no derivative at 0.0)",
         "agent 4: unknown preference type object",
-        "agent 5: phi must be positive",
+        "agent 5: deriv_fn evaluation failed (no derivative past 1 at 2.0)",
+        "agent 6: deriv_fn not strictly decreasing (utility must be strictly concave)",
+        "agent 7: deriv_fn not strictly decreasing (utility must be strictly concave)",
+        "agent 8: deriv_fn evaluation failed (could not convert string to float: 'steep')",
+        "agent 9: phi must be positive",
     )
-    assert report.agents == (1, 0, 2, 3, 4, 5)
-    assert list(report.violations) == reference_violations([1.0, math.nan, 2.0, 1.0, 0.0, 3.0], preferences)
+    assert report.agents == (1, 0, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert list(report.violations) == reference_violations(production, preferences)
+
+
+@pytest.mark.parametrize("production, hi", [
+    ([0.25, 0.5, 0.125], 2.0),  # C < 1: the grid spans [0, 2]
+    ([3.0, 4.5, 0.25], 15.5),  # C > 1: [0, 2C]
+    ([1.7e308, 1.7e308, 1.0], 2.0),  # C overflows: taken as 1
+])
+def test_spot_check_calls_each_custom_derivative_on_the_grid_in_order(production, hi):
+    """One validate_instance calls each Custom deriv_fn at the 17 points
+    hi*k/16, k = 0..16, in order, once per agent, and nothing else."""
+    seen = []
+
+    def recording(tag: str):
+        def deriv(x: float) -> float:
+            seen.append((tag, x))
+            return 1.0 / (1.0 + x)
+        return Custom(log_value, deriv)
+
+    preferences = [recording("first"), Quadratic(1.0, 2.0), recording("second")]
+    validate_instance(MarketInstance(production=production, preferences=preferences))
+    grid = [hi * k / 16 for k in range(17)]
+    assert seen == [("first", x) for x in grid] + [("second", x) for x in grid]
+    assert all(type(x) is float for _, x in seen)
 
 
 @SETTINGS
