@@ -2,19 +2,18 @@
 
 Three routes to the market-clearing price:
 
-* exact water-filling over sorted drop-out prices for all-quadratic instances,
-* breakpoint search over sorted marginal rates for all-piecewise-linear
-  instances,
+* exact water-filling over drop-out prices (all-quadratic instances) and
+  breakpoint search over marginal rates (all-piecewise-linear ones): one kink
+  search, also over a stack of markets that differ only in capacity,
 * safeguarded secant steps on the aggregate-demand balance for any mix of
   strictly concave differentiable preferences (quadratic and custom; PWL is
   excluded because its utility is not differentiable at the saturation load).
 
 ``solve`` takes the route that the preferences pick; ``solve_mtes_quadratic``,
 ``solve_mtes_pwl`` and ``solve_mtes_generic`` force one. Every route clears
-both models. Trading-model instances reduce to the plain market: when the
-plain-market price is positive the trading equilibrium is identical with
-e = a - x, and when it is non-positive the trading price floors at zero with
-satiation allocations.
+both models. Trading-model instances reduce to the plain market: a positive
+plain-market price is the trading one with e = a - x; otherwise the trading
+price floors at zero with satiation allocations.
 """
 
 from __future__ import annotations
@@ -195,13 +194,13 @@ def _require(instance: MarketInstance, kind: type) -> None:
 
 
 class _Clearing(NamedTuple):
-    """A plain-market solution before packaging: price, allocation, route.
-    A stack of markets has one price per market and one allocation row each."""
+    """A plain-market solution before packaging: price, allocation, route. A stack
+    of markets has a price, an allocation row and a degenerate flag (or one for all) each."""
 
     lam: float | np.ndarray
     x: np.ndarray
     method: SolveMethod
-    degenerate: bool = False
+    degenerate: bool | np.ndarray = False
     demand: AggregateDemand | None = None  # the generic route's split, reused by the self-check
 
 
@@ -220,10 +219,11 @@ def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None 
     if (bad := ~(np.array(violations) <= limits)).any():
         i = int(np.argmax(bad))
         raise SolverError(f"KKT violation {violations[i]:.3e} > {_KKT_TOL:g} * max(1, C) at price {lam[i, 0].item()!r}")
+    rows = zip(lam[:, 0].tolist(), x, repeat(None) if e is None else e, residuals, violations,
+               np.broadcast_to(clearing.degenerate, len(lam)).tolist())
     return [EquilibriumResult.of_rows(row, trade, lambda_star=level, method=clearing.method, balance_residual=residual,
-                                      kkt_max_violation=violation, degenerate=clearing.degenerate)
-            for level, row, trade, residual, violation in zip(lam[:, 0].tolist(), x, repeat(None) if e is None else e,
-                                                              residuals, violations)]
+                                      kkt_max_violation=violation, degenerate=flag)
+            for level, row, trade, residual, violation, flag in rows]
 
 
 def _solve(instance: MarketInstance, clear) -> EquilibriumResult:
@@ -292,17 +292,25 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _tie_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of the runs of equal values in sorted ``keys``."""
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return starts, np.concatenate([starts[1:], [len(keys)]])
+def _kinks(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, capacity: np.ndarray,
+           side: str) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Tie groups of agents sorted down ``key``: their bounds (first places, then the agent count), the sums of
+    ``level`` and ``slope`` up to each bound, and by one binary search per capacity the last group whose kink demand
+    (the groups above: level sum - key * slope sum) is below it (side "left") or at or below it ("right"). Down the
+    groups, sums of positive levels never fall but float kink demands may, so with a slope each capacity is sought in
+    their minimum from each group down, NaN skipped (only NaN from a group down: sorted last, as inf). None: -1."""
+    bounds = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1], [True]]))
+    sums = [np.concatenate([[0.0], np.cumsum(column)])[bounds] for column in (level, slope) if column is not None]
+    demand = sums[0][:-1]
+    if slope is not None:
+        demand = demand - key[bounds[:-1]] * sums[1][:-1]
+        np.fmin.accumulate(demand[::-1], out=demand[::-1])  # in place: no more G-sized temporaries
+    return bounds, sums, np.searchsorted(demand, capacity, side) - 1
 
 
 def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = None) -> _Clearing:
     """Water-filling of a quadratic instance, validated, or of the stack of
-    markets that differ from it only in ``capacity``: one stable sort of the
-    drop-out prices that can be active serves every capacity. Kink demands need
-    not be monotone as floats, so each capacity is sought in their running minimum."""
+    markets that differ from it only in ``capacity``, all from one sort."""
     _require(instance, Quadratic)
     b, m = instance.preferences.columns
     capacity = np.array([instance.capacity]) if capacity is None else capacity
@@ -311,18 +319,11 @@ def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = Non
     lam = (sum_m - capacity) / float(np.sum(1.0 / b)) if spare.any() else np.empty(len(capacity))
     short = np.flatnonzero(~spare)
     if len(short):
-        order = _active_order(m * b, m, 1.0 / b, float(np.max(capacity[short])))
-        drop_s, m_s, binv_s = m[order] * b[order], m[order], 1.0 / b[order]  # no whole-n array kept
-        # suffix sums over the sorted agents: demand of actives {drop > u}
-        suf_m = np.concatenate([np.cumsum(m_s[::-1])[::-1], [0.0]])
-        suf_binv = np.concatenate([np.cumsum(binv_s[::-1])[::-1], [0.0]])
-        starts, ends = _tie_groups(drop_s)
-        # the first kink whose demand is at or below C is the first where their running minimum is; NaN never is
-        floor = suf_m[ends] - drop_s[starts] * suf_binv[ends]  # each kink's demand, then minus the running minimum
-        floor[np.isnan(floor)] = np.inf
-        np.negative(np.minimum.accumulate(floor, out=floor), out=floor)  # in place: ascending, no more temporaries
-        j = starts[np.searchsorted(floor, -capacity[short]) % len(starts)]  # none at or below: 0, as np.argmax
-        lam[short] = (suf_m[j] - capacity[short]) / suf_binv[j]
+        # the reverse of an ascending stable sort: tied agents come in descending index order
+        order = _active_order(m * b, m, 1.0 / b, float(np.max(capacity[short])))[::-1]
+        m_s, b_s = m[order], b[order]  # no whole-n array kept
+        _, (sum_m_s, sum_binv_s), k = _kinks(m_s * b_s, m_s, 1.0 / b_s, capacity[short], "right")
+        lam[short] = (sum_m_s[1:][k] - capacity[short]) / sum_binv_s[1:][k]  # sums through group k
     x = np.divide(lam[:, None], b)  # max(m - lam/b, 0), each step in place
     return _Clearing(lam, np.maximum(np.subtract(m, x, out=x), 0.0, out=x), SolveMethod.CLOSED_FORM_QUADRATIC)
 
@@ -333,38 +334,36 @@ def solve_mtes_quadratic(instance: MarketInstance) -> EquilibriumResult:
     When total satiation does not exceed capacity every agent stays active and
     the price (possibly negative) comes from one linear equation. Otherwise a
     selection step keeps the drop-out prices m_i*b_i that can be active, only
-    those are sorted, and the price is solved on the unique segment where
-    aggregate demand crosses capacity. Equal drop-out prices are grouped
-    exactly, never perturbed.
+    those are sorted, and the price is solved on the agents from the last
+    drop-out price whose kink demand is at or below capacity up. Equal
+    drop-out prices are grouped exactly, never perturbed.
     """
     return _solve(instance, _clear_quadratic)
 
 
-def _clear_pwl(instance: MarketInstance) -> _Clearing:
+def _clear_pwl(instance: MarketInstance, capacity: np.ndarray | None = None) -> _Clearing:
+    """Breakpoint search of a PWL instance, validated, or of the stack of
+    markets that differ from it only in ``capacity``, all from one sort."""
     _require(instance, PiecewiseLinear)
     beta, phi = instance.preferences.columns
-    capacity = instance.capacity
-    n = instance.n
+    capacity = np.array([instance.capacity]) if capacity is None else capacity
     sum_phi = float(np.sum(phi))
-
-    if sum_phi <= capacity:
-        # equal split of the surplus keeps every agent at or above saturation
-        x = phi + (capacity - sum_phi) / n
-        return _Clearing(0.0, x, SolveMethod.BREAKPOINT_PWL, degenerate=sum_phi == capacity)
-    order = _active_order(beta, phi, None, capacity, descending=True)
-    beta_s, phi_s = beta[order], phi[order]
-    cum_phi = np.cumsum(phi_s)
-    starts, ends = _tie_groups(beta_s)
-    incl = cum_phi[ends - 1]  # saturated demand of tiers at or above each rate
-    excl = np.concatenate([[0.0], incl[:-1]])
-    g = int(np.argmax(incl >= capacity))  # first tier whose inclusive demand covers C
-    remainder = capacity - float(excl[g])
-    tier = slice(starts[g], ends[g])
-    tier_total = float(incl[g] - excl[g])
-    x = np.zeros(n)
-    x[order[: starts[g]]] = phi_s[: starts[g]]
-    x[order[tier]] = phi_s[tier] * (remainder / tier_total)
-    return _Clearing(float(beta_s[starts[g]]), x, SolveMethod.BREAKPOINT_PWL)
+    spare = sum_phi <= capacity
+    lam, x = np.zeros(len(capacity)), np.zeros((len(capacity), instance.n))  # spare: equal split of the surplus
+    x[spare] = phi + ((capacity[spare] - sum_phi) / instance.n)[:, None]
+    short = np.flatnonzero(~spare)
+    if len(short):
+        # a descending stable sort: tied agents come in ascending index order
+        order = _active_order(beta, phi, None, float(np.max(capacity[short])), descending=True)
+        beta_s, phi_s = beta[order], phi[order]
+        bounds, (sum_phi_s,), k = _kinks(beta_s, phi_s, None, capacity[short], "left")
+        lam[short] = beta_s[bounds[k]]
+        x_s = phi_s * ((capacity[short] - sum_phi_s[k]) / (sum_phi_s[k + 1] - sum_phi_s[k]))[:, None]
+        place = np.arange(len(order))  # tier k takes its share, the tiers above saturate, those below get nothing
+        np.copyto(x_s, phi_s, where=place < bounds[k, None])
+        np.copyto(x_s, 0.0, where=place >= bounds[k + 1, None])
+        x[short[:, None], order] = x_s
+    return _Clearing(lam, x, SolveMethod.BREAKPOINT_PWL, degenerate=sum_phi == capacity)
 
 
 def solve_mtes_pwl(instance: MarketInstance) -> EquilibriumResult:
@@ -372,10 +371,10 @@ def solve_mtes_pwl(instance: MarketInstance) -> EquilibriumResult:
 
     With total saturation below capacity the price is zero and the surplus is
     split equally. Otherwise a selection step keeps the agents whose rates can
-    carry capacity, and only those are scanned by marginal rate, descending;
-    the price is the first rate at which the saturated demand above it stays
-    within capacity, and the marginal tier shares the remainder in proportion
-    to saturation loads. The exact-saturation boundary is priced at zero and
+    carry capacity, and only those are sorted by marginal rate, descending;
+    the price is the rate of the last tier whose saturated demand above it is
+    below capacity, and that tier shares the remainder in proportion to
+    saturation loads. The exact-saturation boundary is priced at zero and
     flagged degenerate (the equilibrium price is set-valued there).
     """
     return _solve(instance, _clear_pwl)
@@ -434,12 +433,14 @@ def solve_mtes_st(instance: MarketInstance) -> EquilibriumResult:
     return solve(instance)
 
 
+_CLOSED_FORMS = {Quadratic: _clear_quadratic, PiecewiseLinear: _clear_pwl}  # by preference kind; else bisection
+
+
 def solve(instance: MarketInstance) -> EquilibriumResult:
     """Clear ``instance``, of either model, by the route its preferences pick:
     water-filling if every agent is Quadratic, breakpoint search if every
     agent is PiecewiseLinear, bisection otherwise."""
-    return _solve(instance, {Quadratic: _clear_quadratic, PiecewiseLinear: _clear_pwl}.get(
-        instance.preferences.kind, _clear_generic))
+    return _solve(instance, _CLOSED_FORMS.get(instance.preferences.kind, _clear_generic))
 
 
 def local_capacities(n: int, shares: np.ndarray) -> tuple[np.ndarray, int]:
@@ -453,15 +454,14 @@ def local_capacities(n: int, shares: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def solve_many(preferences, shares, capacity: np.ndarray) -> list[EquilibriumResult]:
-    """``[solve(MarketInstance(np.full(n, s), preferences)) for s in shares]``,
-    bit for bit: average consensus's local markets, whose ``capacity`` is ``local_capacities(n, shares)``, every
-    one in its range. Quadratic markets clear as one stack: one sort, one self-check. Other families are solved one
-    at a time."""
+    """``[solve(MarketInstance(np.full(n, s), preferences)) for s in shares]``, bit for bit: average consensus's
+    local markets, whose ``capacity`` is ``local_capacities(n, shares)``, every one in its range. Quadratic or PWL
+    markets clear as one stack (one sort, one self-check), mixed and Custom ones one market at a time."""
     preferences = PreferenceColumns.of(preferences)
-    if preferences.kind is not Quadratic or not len(shares):
+    if (clear := _CLOSED_FORMS.get(preferences.kind)) is None or not len(shares):
         return [solve(MarketInstance(np.full(len(preferences), s), preferences)) for s in shares]
     first = MarketInstance(np.full(len(preferences), shares[0]), preferences)
-    return _result(first, _clear_quadratic(first, capacity), capacity=capacity)
+    return _result(first, clear(first, capacity), capacity=capacity)
 
 
 # ---------------------------------------------------------------------------

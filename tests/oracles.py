@@ -9,7 +9,8 @@ with these and then frozen. ``flood_by_set_union`` keeps the original
 set-based flooding simulation as the bitwise reference for the array one,
 ``metropolis_rounds`` the per-agent averaging loop as the bitwise reference
 for the segmented-sum rounds, and ``local_solves`` the per-market solve loop
-of average consensus as the bitwise reference for its one-sort water-filling.
+of average consensus as the bitwise reference for its one-sort water-filling
+and breakpoint search.
 ``full_sort_quadratic`` and ``full_sort_pwl`` keep the clearing cores that
 stable-sorted every agent, as the bitwise reference for the ones that sort
 only the agents a selection step leaves. ``bracketed_root``, ``inverse_marginal`` and
@@ -317,7 +318,9 @@ def full_sort_quadratic(b: np.ndarray, m: np.ndarray, capacity: np.ndarray) -> l
 def full_sort_pwl(beta: np.ndarray, phi: np.ndarray, capacity: float) -> tuple[float, np.ndarray, bool]:
     """(price, allocation, degenerate) of one PWL column pair: a stable sort
     of every marginal rate, descending, and the first tier whose saturated
-    demand covers capacity."""
+    demand covers capacity, or the last tier if none does (the float sum of
+    every phi in that order may fall short of a capacity below their pairwise
+    sum)."""
     n = len(beta)
     sum_phi = float(np.sum(phi))
     if sum_phi <= capacity:
@@ -330,7 +333,7 @@ def full_sort_pwl(beta: np.ndarray, phi: np.ndarray, capacity: float) -> tuple[f
     ends = np.concatenate([starts[1:], [n]])
     incl = cum_phi[ends - 1]
     excl = np.concatenate([[0.0], incl[:-1]])
-    g = int(np.argmax(incl >= capacity))
+    g = int(np.argmax(incl >= capacity)) if incl[-1] >= capacity else len(starts) - 1
     remainder = capacity - float(excl[g])
     tier = slice(starts[g], ends[g])
     tier_total = float(incl[g] - excl[g])

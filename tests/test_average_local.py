@@ -1,13 +1,15 @@
 """Average consensus's local markets against the per-market loop.
 
 The local markets differ only in capacity. ``solve_many(preferences,
-shares, capacity)`` clears those of shared quadratic preferences, at the
-capacities ``local_capacities`` sums and finds in range, with one
-water-filling sort; it must equal ``oracles.local_solves``, one ``solve``
-per market, bit for bit: price, allocation, residual, KKT violation and
-route, or the same exception text from the first market that fails (a
-ValidationError of the shared preferences). PWL and mixed preferences take
-the loop itself, errors included. ``run_distributed(mode="average")`` must
+shares, capacity)`` clears those of shared quadratic or PWL preferences, at
+the capacities ``local_capacities`` sums and finds in range, with one
+water-filling or breakpoint sort; it must equal ``oracles.local_solves``,
+one ``solve`` per market, bit for bit: price, allocation, residual, KKT
+violation, route and degenerate flag, or the same exception text from the
+first market that fails (a ValidationError of the shared preferences). Mixed
+preferences take the loop itself, errors included. PWL stacks hold tied
+rates and the share sum(phi)/n with its 1-ulp neighbours, so degenerate,
+knife-edge and priced rows meet in one stack. ``run_distributed(mode="average")`` must
 equal the loop at the shares ``n * z / n`` of the last averaging round z,
 except that the first agent, in index order, whose capacity is not positive
 or passes ``max_capacity(n)`` (overflowing to inf or not, with warnings
@@ -29,7 +31,13 @@ capacity's crossing kink from their running minimum; its prices must equal
 ``oracles.first_kink_at_or_below`` (every kink compared, np.argmax), bit for
 bit: at every kink demand and its 1-ulp neighbours of the tied markets
 above, and on hand-made kinks that rise, tie, hold a NaN first or between
-two finite ones, or lie above the capacity but for a NaN.
+two finite ones, or lie above the capacity but for a NaN. The breakpoint
+search takes each capacity's tier from the same binary search, on the
+saturated demand above each tier; its prices, allocations and degenerate
+flags must equal ``oracles.full_sort_pwl``'s on hand-made tiers: tied
+rates, capacities at a tier's saturated demand and 1 ulp either side, and
+a capacity between the float sum of every phi down the rates and their
+pairwise sum, where the last tier takes the remainder.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from teshape import (
 )
 from teshape.solver import local_capacities, solve_many
 
-from oracles import full_sort_kinks, full_sort_quadratic, local_solves, metropolis_rounds
+from oracles import full_sort_kinks, full_sort_pwl, full_sort_quadratic, local_solves, metropolis_rounds
 
 DROP_OUTS = (3.0, 6.0, 12.0)  # shared drop-out prices of the tied agents
 
@@ -155,7 +163,7 @@ def test_zero_production_without_rounds_raises_as_the_loop_does():
 
 
 def test_other_families_match_per_agent_loop():
-    # PWL and mixed quadratic/Custom local markets stay on one solve per agent
+    # PWL local markets clear as one stack, mixed quadratic/Custom ones one solve per agent
     log = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
     for preferences in (
         [PiecewiseLinear(1.0 + k % 3, 2.0 + k % 4) for k in range(9)],
@@ -204,19 +212,25 @@ def test_out_of_range_estimate_is_a_consensus_failure(production, reported, fami
 @st.composite
 def share_calls(draw):
     """(b, m, shares): the tied and free agents of ``markets``, with up to 90
-    shares that fall on both sides of the satiation total per agent."""
+    shares that fall on both sides of the satiation total per agent, and
+    that share sum(m)/n with its 1-ulp neighbours. As PWL columns (beta,
+    phi) = (m*b, m), the rates tie as the drop-out prices do."""
     _, b, m, _, _ = draw(markets())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shares = rng.uniform(0.0, 2.0, draw(st.integers(0, 90))) * float(np.mean(m))
-    return b, m, shares[shares > 0]
+    share = float(np.sum(m)) / len(m)
+    shares = np.append(rng.uniform(0.0, 2.0, draw(st.integers(0, 90))) * share,
+                       [share, np.nextafter(share, 0.0), np.nextafter(share, np.inf)])
+    return b, m, rng.permutation(shares[shares > 0])
 
 
+@pytest.mark.parametrize("family", [Quadratic, PiecewiseLinear], ids=["quadratic", "pwl"])
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(share_calls())
-@example(([1.0, 2.0, 4.0], [8.0, 4.0, 2.0], np.array([1.0, 14.0 / 3.0, 5.0])))  # all drop-outs tied at 8
-def test_solve_many_matches_per_market_loop(call):
+@given(call=share_calls())
+@example(call=([1.0, 2.0, 4.0], [8.0, 4.0, 2.0], np.array([1.0, 14.0 / 3.0, 5.0])))  # all keys tied at 8
+@example(call=([2.0] * 4, [0.5, 1.0, 1.5, 1.0], np.array([1.0, 0.5, 1.25, 0.75])))  # sum(phi) = C = 4: degenerate
+def test_solve_many_matches_per_market_loop(family, call):
     b, m, shares = call
-    preferences = PreferenceColumns(Quadratic, b, m)
+    preferences = PreferenceColumns(family, *((b, m) if family is Quadratic else (np.multiply(b, m), m)))
     assert _outcome(lambda: _solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
 
 
@@ -263,6 +277,30 @@ KINKS = {  # name: (b, m, capacities, the full sort's float kink demands)
 }
 
 
+TIERS = {  # name: (beta, phi, capacities, the full sort's saturated demand through each tier, descending)
+    # the tier at rate 3 sums 0.1 + 0.2 + 0.3 in agent order, 0.6000000000000001; in reverse it would be 0.6
+    "tied": ([2.0, 3.0, 2.0, 3.0, 3.0, 1.0], [0.5, 0.1, 0.25, 0.2, 0.3, 1.0],
+             [0.6, 0.6000000000000001, 0.6000000000000002, 1.3499999999999999, 1.35, 1.3500000000000003,
+              2.3499999999999996, 2.35, 3.0, 0.3], [0.6000000000000001, 1.35, 2.35]),
+    # 4 lies above the sum down the rates, 3.9999999999999996, and below the pairwise one, 4.000000000000001
+    "past-the-sum": ([2.0, 4.0, 1.0, 3.0, 4.0, 1.0, 3.0, 1.0, 4.0, 4.0, 3.0],
+                     [0.3, 0.8, 0.4, 0.7, 0.4, 0.3, 0.3, 0.2, 0.2, 0.2, 0.2],
+                     [4.0, 3.999999999999999, 3.9999999999999996, 4.000000000000001, 2.7999999999999994, 2.8,
+                      2.8000000000000003, 1.6], [1.6, 2.8, 3.0999999999999996, 3.9999999999999996]),
+}
+
+
+@pytest.mark.parametrize("name", TIERS)
+def test_crossing_tier_matches_full_sort_on_hand_made_tiers(name):
+    beta, phi, capacity, tiers = TIERS[name]
+    beta, phi, capacity = np.array(beta), np.array(phi), np.array(capacity)
+    order = np.argsort(-beta, kind="stable")
+    assert np.cumsum(phi[order])[np.append(beta[order][1:] != beta[order][:-1], True)].tolist() == tiers
+    got = solver._clear_pwl(MarketInstance(np.ones(len(beta)), PreferenceColumns(PiecewiseLinear, beta, phi)), capacity)
+    assert [(lam.hex(), x.tobytes(), flag) for lam, x, flag in zip(got.lam.tolist(), got.x, got.degenerate.tolist())] == [
+        (lam.hex(), x.tobytes(), flag) for lam, x, flag in (full_sort_pwl(beta, phi, c) for c in capacity.tolist())]
+
+
 @pytest.mark.parametrize("name", KINKS)
 def test_crossing_kink_matches_first_at_or_below_on_hand_made_kinks(name):
     b, m, capacity, kinks = KINKS[name]
@@ -280,11 +318,15 @@ LOG = Custom(lambda x: 3.0 * np.log1p(x), lambda x: 3.0 / (1.0 + x))
 
 
 @pytest.mark.parametrize("preferences, shares", [
-    ([PiecewiseLinear(1.0 + k % 3, 2.0 + k % 4) for k in range(7)], [0.25, 1.5, 3.0, 6.0]),  # the loop path
-    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(5)] + [LOG], [0.25, 1.5, 3.0, 6.0]),
-    ([PiecewiseLinear(1.0, 2.0)] * 3, [1.0, 0.0, 2.0]),
+    ([PiecewiseLinear(1.0 + k % 3, 2.0 + k % 4) for k in range(7)], [0.25, 1.5, 3.0, 6.0]),
+    ([Quadratic(1.0 + k % 3, 2.0 + k % 4) for k in range(5)] + [LOG], [0.25, 1.5, 3.0, 6.0]),  # the loop path
+    # 11 copies of the first share sum to 4.0, above the float sum of phi down the rates, 3.9999999999999996, and
+    # below their pairwise sum, 4.000000000000001, which 11 copies of 4/11 reach: the lowest rate, then degenerate
+    ([PiecewiseLinear(r, p) for r, p in zip([2, 4, 1, 3, 4, 1, 3, 1, 4, 4, 3], [0.3, 0.8, 0.4, 0.7, 0.4, 0.3, 0.3,
+                                                                                0.2, 0.2, 0.2, 0.2])],
+     [0.3636363636363636, 4 / 11]),
     ([Quadratic(2.0, 3.0) for _ in range(4)], []),
-], ids=["pwl", "mixed", "pwl-zero-share", "no-markets"])
+], ids=["pwl", "mixed", "pwl-knife-edge", "no-markets"])
 def test_solve_many_raises_and_routes_as_the_loop_does(preferences, shares):
     assert _outcome(lambda: _solve_many(preferences, shares)) == _outcome(lambda: local_solves(preferences, shares))
 

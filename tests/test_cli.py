@@ -383,6 +383,20 @@ def test_tiny_curvatures_exit_2(command, b, m, tmp_path, capsys):
     assert err == "validation error: sum of 1/b must lie n*eps below the float limit (the curvatures are too small)\n"
 
 
+@pytest.mark.parametrize("model", ["mtes", "mtes_st"])
+def test_pwl_knife_edge_clears_at_the_lowest_rate(model, tmp_path, capsys):
+    # C = 4 exceeds the float sum of phi taken down the rates, 3.9999999999999996, but not their pairwise sum,
+    # 4.000000000000001, nor the exact one (by 5.6e-17): the last tier, at the lowest rate, takes the remainder
+    beta = [2, 4, 1, 3, 4, 1, 3, 1, 4, 4, 3]
+    phi = [0.3, 0.8, 0.4, 0.7, 0.4, 0.3, 0.3, 0.2, 0.2, 0.2, 0.2]
+    path, out_path = tmp_path / "knife.json", tmp_path / "result.json"
+    path.write_text(json.dumps({"agents": [{"a": 4 if i == 0 else 0, "utility": {"kind": "pwl", "beta": r, "phi": p}}
+                                           for i, (r, p) in enumerate(zip(beta, phi))]}))
+    code, _, err = run_cli(capsys, "solve", str(path), "--model", model, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out_path.read_text())["lambda_star"] == 1.0
+
+
 def test_experiment_colliding_cell_keys_exit_2(tmp_path, capsys):
     # two cells would write rows under one key: refused before any sampling
     for extra, key in [({"lambda_dagger": [15.0, 15.000001]}, "lambda_dagger=15"), ({"scale_list": [10, 10]}, "n=10")]:

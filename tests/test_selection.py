@@ -152,7 +152,7 @@ def test_selected_breakpoint_search_matches_full_sort(market):
     with mock.patch.object(solver, "_SELECT_FLOOR", 2):
         got = solver._clear_pwl(instance)
     lam, x, degenerate = full_sort_pwl(beta, phi, capacity)
-    assert (got.lam.hex(), got.x.tobytes(), got.degenerate) == (lam.hex(), x.tobytes(), degenerate)
+    assert (got.lam.item().hex(), got.x.tobytes(), got.degenerate.item()) == (lam.hex(), x.tobytes(), degenerate)
 
 
 def test_sampled_trials_sort_only_the_active_side():
