@@ -1,7 +1,7 @@
 """Deterministic simulation of the two market-clearing deployments.
 
-Approach 1 runs everything through one aggregator: collect each agent's
-preference and production, solve once, broadcast price and allocations.
+Approach 1, one aggregator that collects each agent's preference and
+production, solves once and broadcasts price and allocations, is ``solve``.
 Approach 2 has the agents compute for themselves over a communication graph,
 either by flooding the raw data (exact agreement after diameter-many
 synchronous rounds) or by iterating Metropolis averaging on the production
@@ -52,15 +52,6 @@ class NotConverged(RuntimeError):
 class EstimateOutOfRange(RuntimeError):
     """An agent's averaged capacity estimate lies outside (0, max_capacity(n)]: its local market
     has nothing to clear, or cannot be cleared in floats."""
-
-
-class CollectionError(ValueError):
-    """A malformed agent submission, identified by agent index."""
-
-    def __init__(self, agent: int, reasons: list[str]):
-        self.agent = agent
-        self.reasons = reasons
-        super().__init__(f"agent {agent}: " + "; ".join(reasons))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,17 +157,6 @@ def _connected(starts: np.ndarray, cols: np.ndarray) -> bool:
         if np.array_equal(hooked, label):
             return not label.any()
         label = hooked
-
-
-def run_aggregator(instance: MarketInstance) -> EquilibriumResult:
-    """Centralized clearing: collect, solve once, broadcast to every agent."""
-    report = validate_instance(instance)
-    if bad := [i for i in report.agents if i is not None]:
-        agent = min(bad)
-        reasons = [v.removeprefix(f"agent {agent}: ") for i, v in zip(report.agents, report.violations) if i == agent]
-        raise CollectionError(agent, reasons)
-    report.raise_if_invalid()
-    return solve(instance)
 
 
 @dataclass(frozen=True)

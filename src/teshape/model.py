@@ -329,21 +329,6 @@ class EquilibriumResult:
         vars(self)[name] = value = None if rows[name] is None else tuple(rows[name].tolist())
         return value
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "lambda_star": self.lambda_star,
-            "x_star": list(self.x_star),
-            "method": self.method.value,
-            "diagnostics": {
-                "balance_residual": self.balance_residual,
-                "kkt_max_violation": self.kkt_max_violation,
-                "degenerate": self.degenerate,
-            },
-        }
-        if self.e_star is not None:
-            out["e_star"] = list(self.e_star)
-        return out
-
     def _vectors(self) -> list[np.ndarray]:
         """``x_star`` and any ``e_star`` as arrays, read from a solver's rows while it holds them."""
         fields = vars(self).get("_rows") or {"x_star": self.x_star, "e_star": self.e_star}
@@ -490,23 +475,6 @@ def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns]:
     return production, PreferenceColumns(None, firsts, seconds, list(map(_KINDS.index, kinds)))
 
 
-def _file_codes(preferences: PreferenceColumns) -> np.ndarray:
-    """The agents' kind codes. An agent outside the column families has no
-    file form and raises ValidationError."""
-    if preferences.others:
-        raise ValidationError(["Custom preferences have no file representation"])
-    return preferences.codes
-
-
-def instance_to_dict(instance: MarketInstance) -> dict:
-    preferences = instance.preferences
-    names = tuple(_COLUMN_KINDS.values())
-    rows = zip(map(names.__getitem__, _file_codes(preferences).tolist()), *(c.tolist() for c in preferences.columns))
-    utilities = [{"kind": label, first: p, second: q} for (label, first, second), p, q in rows]
-    agents = [{"a": a, "utility": u} for a, u in zip(instance.production.tolist(), utilities)]
-    return {"model": instance.model.value, "agents": agents}
-
-
 def read_json(path: str):
     """Parse a JSON file read as UTF-8. Text that is not UTF-8, not JSON,
     nested too deeply or holding a NaN/Infinity literal raises
@@ -574,8 +542,9 @@ def save_result(instance: MarketInstance, result: EquilibriumResult, path: str) 
 
 
 # The writer streams the exact text of ``json.dump(document, fh, indent=2)``
-# plus a newline, where ``document`` is ``instance_to_dict(instance)`` extended
-# by ``result.to_dict()``. Metered data repeats its numbers, so each distinct
+# plus a newline, where ``document`` is the reference ``document(instance,
+# result)`` of ``tests/oracles.py``: the instance fields extended by the
+# result fields. Metered data repeats its numbers, so each distinct
 # float64 bit pattern of the agent rows and result vectors is rendered once, by
 # the C encoder (json.dump's ``float.__repr__``, ``NaN`` and ``Infinity`` text),
 # and the rows index that text table a block at a time. The key is the bit
@@ -611,7 +580,9 @@ def _write_rows(fh, table: np.ndarray, places: np.ndarray, parts: np.ndarray, co
 
 
 def _write_document(fh, instance: MarketInstance, result: EquilibriumResult | None, allow_nan: bool) -> None:
-    codes = _file_codes(instance.preferences)[: instance.n]
+    if instance.preferences.others:  # an agent outside the column families has no file form
+        raise ValidationError(["Custom preferences have no file representation"])
+    codes = instance.preferences.codes[: instance.n]
     vectors = [] if result is None else result._vectors()
     agents = np.column_stack([instance.production[: len(codes)], *(c[: len(codes)] for c in instance.preferences.columns)])
     bits = np.concatenate([agents.ravel(), *vectors]).view(np.int64)

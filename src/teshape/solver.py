@@ -214,9 +214,8 @@ def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None 
     lam = np.reshape(clearing.lam, (-1, 1))
     x = np.reshape(clearing.x, (len(lam), -1))
     e = None if e is None else np.reshape(e, x.shape)
-    _, _, residuals, _, violations = _kkt(instance, lam, x, e, clearing.demand, capacity)
-    limits = _KKT_TOL * np.maximum(1.0, instance.capacity if capacity is None else capacity)
-    if (bad := ~(np.array(violations) <= limits)).any():
+    _, _, residuals, _, violations, ok = _kkt(instance, lam, x, e, clearing.demand, capacity)
+    if (bad := ~ok).any():
         i = int(np.argmax(bad))
         raise SolverError(f"KKT violation {violations[i]:.3e} > {_KKT_TOL:g} * max(1, C) at price {lam[i, 0].item()!r}")
     rows = zip(lam[:, 0].tolist(), x, repeat(None) if e is None else e, residuals, violations,
@@ -426,13 +425,6 @@ def solve_mtes_generic(instance: MarketInstance) -> EquilibriumResult:
     return _solve(instance, _clear_generic)
 
 
-def solve_mtes_st(instance: MarketInstance) -> EquilibriumResult:
-    """``solve`` for a trading-model instance; any other raises ValidationError."""
-    if instance.model is not ModelKind.MTES_ST:
-        raise ValidationError(["solve_mtes_st requires an MTES-ST instance"])
-    return solve(instance)
-
-
 _CLOSED_FORMS = {Quadratic: _clear_quadratic, PiecewiseLinear: _clear_pwl}  # by preference kind; else bisection
 
 
@@ -492,15 +484,18 @@ class KktReport:
 def _kkt(
     instance: MarketInstance, lam: np.ndarray, x: np.ndarray, e: np.ndarray | None,
     demand: AggregateDemand | None = None, capacity: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[float], float, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, list[float], float, list[float], np.ndarray]:
     """(stationarity, feasibility, balance, price, max) violations of the
     markets stacked as rows of ``x`` at the prices in the column ``lam``, which
     differ from ``instance`` only in ``capacity``; a trading market is one row.
+    Last, whether each row passes the solver's gate, max <= 1e-8 * max(1, C):
+    a NaN violation never does.
 
     Vectorized for PWL and quadratic agents, which mixed instances share; a
     mixed instance's Custom agents are inverted cold, in lockstep. ``demand``
     is the solve's split, if it made one; its remembered prices are not used.
     """
+    capacity = instance.capacity if capacity is None else capacity
     is_st = instance.model is ModelKind.MTES_ST
     zero_price = is_st and lam.item() <= 0  # the routes floor a trading price at exactly 0.0
     if instance.preferences.kind is PiecewiseLinear:
@@ -545,11 +540,12 @@ def _kkt(
             feasibility = np.maximum(feasibility, trade_cap)
         price_violation = max(0.0, -lam.item())
     else:
-        balance_violation = np.abs(np.sum(x, axis=1) - (instance.capacity if capacity is None else capacity)).tolist()
+        balance_violation = np.abs(np.sum(x, axis=1) - capacity).tolist()
 
     peaks = [np.max(v, axis=1) if x.shape[1] else np.zeros(len(x)) for v in (stationarity, feasibility)]
-    max_violation = np.max([*peaks, balance_violation, np.full(len(x), price_violation)], axis=0).tolist()  # NaN wins
-    return stationarity, feasibility, balance_violation, price_violation, max_violation
+    max_violation = np.max([*peaks, balance_violation, np.full(len(x), price_violation)], axis=0)  # NaN wins
+    ok = max_violation <= _KKT_TOL * np.maximum(1.0, capacity)
+    return stationarity, feasibility, balance_violation, price_violation, max_violation.tolist(), ok
 
 
 def verify_kkt(instance: MarketInstance, result: EquilibriumResult) -> KktReport:
@@ -559,6 +555,6 @@ def verify_kkt(instance: MarketInstance, result: EquilibriumResult) -> KktReport
     """
     x = np.asarray(result.x_star, dtype=float)[None]
     e = None if result.e_star is None else np.asarray(result.e_star, dtype=float)[None]
-    stationarity, feasibility, balance, price, peak = _kkt(instance, np.array([[result.lambda_star]]), x, e)
-    return KktReport(bool(peak[0] <= _KKT_TOL * np.maximum(1.0, instance.capacity)), tuple(stationarity[0].tolist()),
+    stationarity, feasibility, balance, price, peak, ok = _kkt(instance, np.array([[result.lambda_star]]), x, e)
+    return KktReport(bool(ok[0]), tuple(stationarity[0].tolist()),
                      tuple(feasibility[0].tolist()), balance[0], price, peak[0])

@@ -16,7 +16,8 @@ stable-sorted every agent, as the bitwise reference for the ones that sort
 only the agents a selection step leaves. ``bracketed_root``, ``inverse_marginal`` and
 ``ScalarCustomDemand`` keep the scalar root-finder, the one-agent-at-a-time
 Custom inversion and its warm-started memory as the bitwise reference for
-the lockstep array ones.
+the lockstep array ones. ``document`` builds the solve document as a dict,
+the reference whose ``json.dump`` the streamed writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -418,3 +419,24 @@ class ScalarCustomDemand:
             self.consumptions.insert(k, [inverse_marginal(deriv, lam, self.scale, lo, hi)
                                          for deriv, lo, hi in zip(self.derivs, floors, ceilings)])
         return self.consumptions[k]
+
+
+_FILE_KINDS = (("quadratic", "b", "m"), ("pwl", "beta", "phi"))  # by kind code
+
+
+def document(instance: MarketInstance, result=None) -> dict:
+    """The instance file's fields, extended by the result's when a result is
+    given: ``save_instance`` and ``save_result`` write ``json.dump`` of it at
+    indent=2 plus a newline. Every agent must be quadratic or PWL."""
+    preferences = instance.preferences
+    kinds = map(_FILE_KINDS.__getitem__, preferences.codes.tolist())
+    rows = zip(instance.production.tolist(), kinds, *(c.tolist() for c in preferences.columns))
+    agents = [{"a": a, "utility": {"kind": label, first: p, second: q}} for a, (label, first, second), p, q in rows]
+    out = {"model": instance.model.value, "agents": agents}
+    if result is not None:
+        out.update(lambda_star=result.lambda_star, x_star=list(result.x_star), method=result.method.value)
+        out["diagnostics"] = {"balance_residual": result.balance_residual,
+                              "kkt_max_violation": result.kkt_max_violation, "degenerate": result.degenerate}
+        if result.e_star is not None:
+            out["e_star"] = list(result.e_star)
+    return out

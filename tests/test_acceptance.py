@@ -20,7 +20,6 @@ from teshape import (
     PiecewiseLinear,
     PreferenceColumns,
     Quadratic,
-    run_aggregator,
     run_distributed,
     run_monte_carlo,
     run_satiation_sweep,
@@ -28,7 +27,6 @@ from teshape import (
     solve_mtes_generic,
     solve_mtes_pwl,
     solve_mtes_quadratic,
-    solve_mtes_st,
     verify_kkt,
 )
 
@@ -138,7 +136,7 @@ def test_criterion_6_price_sign_rules_1000_per_family_and_model():
                 sides["q_gt"] += 1
         for _ in range(1000):
             inst = random_quadratic_instance(rng, model=ModelKind.MTES_ST)
-            lam = solve_mtes_st(inst).lambda_star
+            lam = solve(inst).lambda_star
             if sum(inst.preferences.columns[1].tolist()) <= inst.capacity:
                 assert lam == 0.0
                 sides["st_le"] += 1
@@ -168,7 +166,7 @@ def test_criterion_7_trading_reduction_on_500_positive_price_instances():
                 plain = solve_mtes_pwl(inst)
             if plain.lambda_star <= 0:
                 continue
-            st = solve_mtes_st(replace(inst, model=ModelKind.MTES_ST))
+            st = solve(replace(inst, model=ModelKind.MTES_ST))
             assert st.lambda_star == plain.lambda_star  # exact for closed forms
             assert st.x_star == plain.x_star
             assert abs(sum(st.e_star)) <= 1e-9
@@ -180,7 +178,7 @@ def test_criterion_7_trading_reduction_on_500_positive_price_instances():
 def test_criterion_8_consensus_agreement():
     with criterion(8, "flooding agrees bitwise; averaging tracks the price"):
         quartet = quartet_instance()
-        central = run_aggregator(quartet)
+        central = solve(quartet)
         flood = run_distributed(quartet, CommGraph.complete(4), mode="flood")
         for result in flood.results:
             assert result.lambda_star == central.lambda_star
@@ -235,7 +233,7 @@ def test_criterion_10_kkt_across_solver_suites():
         check(quartet, solve_mtes_quadratic(quartet))
         check(quartet, solve_mtes_generic(quartet))
         st_quartet = replace(quartet, model=ModelKind.MTES_ST)
-        check(st_quartet, solve_mtes_st(st_quartet))
+        check(st_quartet, solve(st_quartet))
         b, m = quartet.preferences.columns
         for row_inst in (replace(quartet, preferences=PreferenceColumns(Quadratic, b, [*m[:3].tolist(), 30.0])),):
             check(row_inst, solve_mtes_quadratic(row_inst))
@@ -244,10 +242,10 @@ def test_criterion_10_kkt_across_solver_suites():
             check(inst, solve_mtes_quadratic(inst))
             check(inst, solve_mtes_generic(inst))
             st = replace(inst, model=ModelKind.MTES_ST)
-            check(st, solve_mtes_st(st))
+            check(st, solve(st))
         for _ in range(200):
             inst = random_pwl_instance(rng, n_max=30)
             check(inst, solve_mtes_pwl(inst))
             st = replace(inst, model=ModelKind.MTES_ST)
-            check(st, solve_mtes_st(st))
+            check(st, solve(st))
         print(f"    worst observed violation: {worst:.3e}")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from teshape import (
-    CollectionError,
     CommGraph,
     DisconnectedGraph,
     MarketInstance,
@@ -13,9 +12,9 @@ from teshape import (
     PiecewiseLinear,
     Quadratic,
     ValidationError,
-    run_aggregator,
     run_distributed,
     solve,
+    validate_instance,
 )
 
 from conftest import quartet_instance
@@ -95,18 +94,18 @@ def test_graph_file_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Centralized aggregator
+# Centralized aggregator (Approach 1 is ``solve``)
 # ---------------------------------------------------------------------------
 
 
 def test_aggregator_collects_and_broadcasts(quartet):
-    result = run_aggregator(quartet)
+    result = solve(quartet)
     assert result.lambda_star == pytest.approx(1.765, abs=1e-3)
 
 
 def test_aggregator_single_agent():
     inst = MarketInstance((3.0,), (Quadratic(1.0, 2.0),))
-    assert run_aggregator(inst).x_star == (3.0,)  # the one agent consumes all production
+    assert solve(inst).x_star == (3.0,)  # the one agent consumes all production
 
 
 def test_aggregator_names_bad_agent():
@@ -114,9 +113,9 @@ def test_aggregator_names_bad_agent():
         production=(1.0, 1.0, 1.0),
         preferences=(Quadratic(1, 1), Quadratic(-2.0, 1), Quadratic(1, 1)),
     )
-    with pytest.raises(CollectionError) as exc_info:
-        run_aggregator(inst)
-    assert exc_info.value.agent == 1
+    with pytest.raises(ValidationError, match="agent 1: b must be positive"):
+        solve(inst)
+    assert validate_instance(inst).agents == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def test_aggregator_names_bad_agent():
 
 
 def test_flooding_agrees_bitwise_with_aggregator(quartet):
-    central = run_aggregator(quartet)
+    central = solve(quartet)
     run = run_distributed(quartet, CommGraph.complete(4), mode="flood")
     assert run.rounds_used == 1  # complete graph floods in one round
     for result in run.results:

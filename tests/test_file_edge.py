@@ -35,12 +35,13 @@ from teshape import (
     SolveMethod,
     ValidationError,
     instance_from_dict,
-    instance_to_dict,
     save_instance,
     save_result,
     solve,
 )
 from teshape import model as model_module
+
+from oracles import document
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 BLOCK = model_module._BLOCK_ROWS
@@ -202,9 +203,9 @@ def results(draw, n: int):
     )
 
 
-def _oracle(document: dict, allow_nan: bool) -> str:
+def _oracle(doc: dict, allow_nan: bool) -> str:
     fh = io.StringIO()
-    json.dump(document, fh, indent=2, allow_nan=allow_nan)
+    json.dump(doc, fh, indent=2, allow_nan=allow_nan)
     fh.write("\n")
     return fh.getvalue()
 
@@ -237,7 +238,7 @@ def test_result_document_matches_json_dump(tmp_path_factory, data):
     result = data.draw(results(instance.n))
     path = tmp_path_factory.mktemp("doc") / "result.json"
     save_result(instance, result, str(path))
-    expected = _oracle({**instance_to_dict(instance), **result.to_dict()}, allow_nan=True)
+    expected = _oracle(document(instance, result), allow_nan=True)
     _assert_same_text(path.read_text(encoding="utf-8"), expected)
 
 
@@ -253,7 +254,7 @@ def test_solved_document_matches_json_dump(model, n, tmp_path):
     result = solve(instance)
     assert (result.e_star is None) is (model is ModelKind.MTES)
     save_result(instance, result, str(tmp_path / "result.json"))
-    expected = _oracle({**instance_to_dict(instance), **result.to_dict()}, allow_nan=True)
+    expected = _oracle(document(instance, result), allow_nan=True)
     _assert_same_text((tmp_path / "result.json").read_text(encoding="utf-8"), expected)
 
 
@@ -265,7 +266,7 @@ def test_negative_price_document_matches_json_dump(tmp_path):
     result = solve(instance)
     assert result.lambda_star < 0
     save_result(instance, result, str(tmp_path / "result.json"))
-    expected = _oracle({**instance_to_dict(instance), **result.to_dict()}, allow_nan=True)
+    expected = _oracle(document(instance, result), allow_nan=True)
     _assert_same_text((tmp_path / "result.json").read_text(encoding="utf-8"), expected)
 
 
@@ -300,7 +301,7 @@ def _saved(instance: MarketInstance, path) -> str:
 
 def _dumped(instance: MarketInstance) -> str:
     try:
-        return _oracle(instance_to_dict(instance), allow_nan=False)
+        return _oracle(document(instance), allow_nan=False)
     except Exception as exc:  # noqa: BLE001 - the type and text are what is compared
         return f"{type(exc).__name__}: {exc}"
 

@@ -16,15 +16,16 @@ from teshape import (
     Quadratic,
     ValidationError,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     save_instance,
+    save_result,
     solve,
     validate_instance,
 )
 from teshape.model import max_capacity
 
 from conftest import quartet_instance
+from oracles import document
 
 
 def test_quartet_validates_ok(quartet):
@@ -221,16 +222,17 @@ def test_mixed_instance_loads_for_generic_route(tmp_path):
     assert inst.preferences.kind is None
 
 
-def test_custom_not_serializable():
+def test_custom_not_serializable(tmp_path):
     inst = MarketInstance(
         (1.0,), (Custom(lambda x: math.log(1 + x), lambda x: 1 / (1 + x)),)
     )
     with pytest.raises(ValidationError, match="no file representation"):
-        instance_to_dict(inst)
+        save_result(inst, solve(inst), str(tmp_path / "custom.json"))
+    assert not any(tmp_path.iterdir())
 
 
 def test_single_field_corruptions_rejected():
-    base = instance_to_dict(quartet_instance())
+    base = document(quartet_instance())
     corruptions = []
     for i in range(4):
         for field, value in (("b", 0.0), ("b", -1.0), ("m", 0.0), ("m", -2.0)):

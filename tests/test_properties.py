@@ -5,7 +5,7 @@
   Custom agents (concave, convex, failing at the first grid point or a later
   one, NaN, level, not a number) and unknown objects among them; the points
   the concavity spot check evaluates, in order;
-* ``run_aggregator`` naming the lowest bad agent;
+* the validation report naming the lowest bad agent;
 * the closed-form solvers against the independent oracles in ``oracles.py``
   at parameter scales 1e-6..1e6, with n=1, tied breakpoints and the
   ``sum(m) == C`` knife edge;
@@ -32,7 +32,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teshape import (
-    CollectionError,
     CommGraph,
     Custom,
     ExperimentSpec,
@@ -42,9 +41,7 @@ from teshape import (
     PreferenceColumns,
     Quadratic,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
-    run_aggregator,
     run_distributed,
     run_monte_carlo,
     save_instance,
@@ -56,6 +53,7 @@ from teshape import (
 )
 
 from oracles import (
+    document,
     pwl_feasible_prices,
     pwl_response_interval,
     quadratic_allocation,
@@ -236,20 +234,17 @@ def test_spot_check_calls_each_custom_derivative_on_the_grid_in_order(production
 
 @SETTINGS
 @given(edgy_markets())
-def test_collection_error_names_lowest_bad_agent(market):
+def test_report_names_lowest_bad_agent(market):
     production, preferences = market
     bad_agents = sorted(
         {int(v.split()[1].rstrip(":")) for v in reference_violations(production, preferences) if v.startswith("agent ")}
     )
     assume(bad_agents)
-    with pytest.raises(CollectionError) as exc_info:
-        run_aggregator(MarketInstance(production=production, preferences=preferences))
+    report = validate_instance(MarketInstance(production=production, preferences=preferences))
     lowest = bad_agents[0]
-    assert exc_info.value.agent == lowest
-    assert exc_info.value.reasons == [
-        v.split(": ", 1)[1]
-        for v in reference_violations(production, preferences)
-        if v.startswith(f"agent {lowest}:")
+    assert min(i for i in report.agents if i is not None) == lowest
+    assert [v for i, v in zip(report.agents, report.violations) if i == lowest] == [
+        v for v in reference_violations(production, preferences) if v.startswith(f"agent {lowest}:")
     ]
 
 
@@ -343,7 +338,7 @@ def test_json_round_trip_and_equality(instance):
     homogeneous = len(set(instance.preferences.codes.tolist())) == 1
     assert isinstance(instance.preferences, PreferenceColumns)
     assert (instance.preferences.kind is None) is not homogeneous
-    again = instance_from_dict(json.loads(json.dumps(instance_to_dict(instance))))
+    again = instance_from_dict(json.loads(json.dumps(document(instance))))
     assert again == instance
     assert again.preferences.kind is instance.preferences.kind
     # the per-agent objects describe the same instance as the columns
@@ -361,9 +356,9 @@ def test_columns_are_read_only_copies():
     b = np.array([1.0, 2.0, 4.0])
     m = np.array([2.0, 2.0, 2.0])
     instance = MarketInstance(production=a, preferences=PreferenceColumns(Quadratic, b, m))
-    before = instance_to_dict(instance)
+    before = document(instance)
     a[0] = b[0] = m[0] = -9.0
-    assert instance_to_dict(instance) == before
+    assert document(instance) == before
     for copied in (instance, copy.deepcopy(instance), pickle.loads(pickle.dumps(instance))):
         assert copied == instance
         for arr in (copied.production, *copied.preferences.columns):

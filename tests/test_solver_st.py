@@ -8,12 +8,10 @@ from teshape import (
     ModelKind,
     PiecewiseLinear,
     Quadratic,
-    ValidationError,
     solve,
     solve_mtes_generic,
     solve_mtes_pwl,
     solve_mtes_quadratic,
-    solve_mtes_st,
 )
 
 from conftest import quartet_instance, random_pwl_instance, random_quadratic_instance
@@ -23,13 +21,8 @@ def as_st(inst: MarketInstance) -> MarketInstance:
     return MarketInstance(inst.production, inst.preferences, ModelKind.MTES_ST)
 
 
-def test_requires_trading_model(quartet):
-    with pytest.raises(ValidationError, match="MTES-ST"):
-        solve_mtes_st(quartet)
-
-
 def test_quartet_reduction(quartet):
-    st = solve_mtes_st(as_st(quartet))
+    st = solve(as_st(quartet))
     plain = solve_mtes_quadratic(quartet)
     assert st.lambda_star == plain.lambda_star  # exact copy when positive
     assert st.x_star == plain.x_star
@@ -45,7 +38,7 @@ def test_price_floors_at_zero_with_satiation_loads():
         preferences=(Quadratic(1.0, 4.0), Quadratic(2.0, 4.0)),
         model=ModelKind.MTES_ST,
     )
-    result = solve_mtes_st(inst)
+    result = solve(inst)
     assert result.lambda_star == 0.0
     assert result.x_star == (4.0, 4.0)  # each consumes its satiation load
     # surplus (C - sum m)/n returned equally through the trades
@@ -63,7 +56,7 @@ def test_pwl_positive_price_matches_plain_market():
         plain = solve_mtes_pwl(inst)
         if plain.lambda_star <= 0:
             continue
-        st = solve_mtes_st(as_st(inst))
+        st = solve(as_st(inst))
         assert st.lambda_star == plain.lambda_star
         assert st.x_star == plain.x_star
         seen_positive += 1
@@ -75,7 +68,7 @@ def test_pwl_zero_price_trades_balance():
         preferences=(PiecewiseLinear(4, 1), PiecewiseLinear(2, 1)),
         model=ModelKind.MTES_ST,
     )
-    result = solve_mtes_st(inst)
+    result = solve(inst)
     assert result.lambda_star == 0.0
     for x, phi in zip(result.x_star, (1.0, 1.0)):
         assert x >= phi
@@ -90,7 +83,7 @@ def test_reduction_identity_on_random_instances():
     for _ in range(400):
         inst = random_quadratic_instance(rng, n_max=20)
         plain = solve_mtes_quadratic(inst)
-        st = solve_mtes_st(as_st(inst))
+        st = solve(as_st(inst))
         tol = 1e-9 * max(1.0, inst.capacity)
         assert abs(sum(st.e_star)) <= tol
         for a, x, e in zip(inst.production, st.x_star, st.e_star):
@@ -109,7 +102,7 @@ def test_zero_price_iff_satiation_fits():
     rng = np.random.default_rng(17)
     for _ in range(300):
         inst = random_quadratic_instance(rng, model=ModelKind.MTES_ST)
-        result = solve_mtes_st(inst)
+        result = solve(inst)
         total_m = sum(inst.preferences.columns[1].tolist())
         if total_m <= inst.capacity:
             assert result.lambda_star == 0.0
@@ -121,7 +114,7 @@ def test_pwl_zero_price_iff_saturation_below_capacity():
     rng = np.random.default_rng(19)
     for _ in range(300):
         inst = random_pwl_instance(rng, model=ModelKind.MTES_ST)
-        result = solve_mtes_st(inst)
+        result = solve(inst)
         total_phi = sum(inst.preferences.columns[1].tolist())
         if total_phi < inst.capacity:
             assert result.lambda_star == 0.0
@@ -139,7 +132,7 @@ def test_bisection_route_for_trading_model(quartet):
 
     st = as_st(quartet)
     result = solve_mtes_generic(st)
-    closed = solve_mtes_st(st)
+    closed = solve(st)
     assert abs(result.lambda_star - closed.lambda_star) <= 1e-8
     assert abs(sum(result.e_star)) <= 1e-9 * max(1.0, quartet.capacity)
     assert verify_kkt(st, result).max_violation <= 1e-6

@@ -7,7 +7,9 @@ market with every agent at the box's corner clears at the check's
 lambda_dagger. Quadratic and PWL boxes run at n in {1, 2, 7, 1000} and
 lambda_dagger in {0.01, 15, 1e6}; a w*log(1+x) box, w <= w_max, is decided
 by ``check_homogeneous`` at its corner, since u'_w(C/n) = w/(1 + C/n) rises
-in w. Every draw comes from a seeded NumPy generator.
+in w. Soundness and the corners are checked in both models: a trading
+market clears at max(lambda, 0), so every verdict holds there too. Every
+draw comes from a seeded NumPy generator.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from teshape import (
     BindingCondition,
     Custom,
     MarketInstance,
+    ModelKind,
     PiecewiseLinear,
     PreferenceColumns,
     Quadratic,
@@ -36,6 +39,11 @@ THRESHOLDS = (0.01, 15.0, 1e6)
 PROFILES = 8  # profiles drawn from each admissible box
 
 grid = pytest.mark.parametrize(("n", "lam_dagger"), [(n, t) for n in SIZES for t in THRESHOLDS])
+# the grid in either model; a plain-model case keeps the grid's id, a trading one adds "mtes_st"
+models = pytest.mark.parametrize(("n", "lam_dagger", "model"), [
+    pytest.param(n, t, model, id=f"{n}-{t}" + ("-mtes_st" if model is ModelKind.MTES_ST else ""))
+    for model in ModelKind for n in SIZES for t in THRESHOLDS
+])
 
 
 def _market(n: int, lam_dagger: float, salt: int) -> tuple[np.random.Generator, np.ndarray, float]:
@@ -57,10 +65,10 @@ def _quadratic_tol(n: int, lam_dagger: float, b_max: float, m: np.ndarray, capac
     return 2 * (n + 4) * np.finfo(float).eps * (lam_dagger + b_max * (float(np.sum(m)) + capacity))
 
 
-def _clear(kind, a: np.ndarray, first, second) -> float:
+def _clear(kind, a: np.ndarray, first, second, model: ModelKind = ModelKind.MTES) -> float:
     """The price of the market whose agents take the parameters ``first`` and ``second`` (arrays or one value)."""
     columns = PreferenceColumns(kind, np.broadcast_to(first, len(a)), np.broadcast_to(second, len(a)))
-    return solve(MarketInstance(a, columns)).lambda_star
+    return solve(MarketInstance(a, columns, model)).lambda_star
 
 
 def _log_agent(w: float) -> Custom:
@@ -72,8 +80,8 @@ def _log_agent(w: float) -> Custom:
 # ---------------------------------------------------------------------------
 
 
-@grid
-def test_quadratic_admissible_boxes_are_sound(n, lam_dagger):
+@models
+def test_quadratic_admissible_boxes_are_sound(n, lam_dagger, model):
     """On the boundary b_max = n*lambda_dagger/(n*m_max - C), and with m_max
     at most the share C/n for any curvature: every profile clears at
     lambda_dagger + tol or below."""
@@ -88,11 +96,11 @@ def test_quadratic_admissible_boxes_are_sound(n, lam_dagger):
         assert verdict.worst_case_lambda <= lam_dagger * (1 + 1e-12)
         for _ in range(PROFILES):
             b, m = _inside(b_max, n, rng), _inside(m_max, n, rng)
-            assert _clear(Quadratic, a, b, m) <= lam_dagger + _quadratic_tol(n, lam_dagger, b_max, m, capacity)
+            assert _clear(Quadratic, a, b, m, model) <= lam_dagger + _quadratic_tol(n, lam_dagger, b_max, m, capacity)
 
 
-@grid
-def test_quadratic_corner_attains_the_worst_case(n, lam_dagger):
+@models
+def test_quadratic_corner_attains_the_worst_case(n, lam_dagger, model):
     """With n*m_max > C the corner clears at worst_case_lambda; past the
     boundary curvature the box is refused and its corner clears above
     lambda_dagger."""
@@ -102,7 +110,7 @@ def test_quadratic_corner_attains_the_worst_case(n, lam_dagger):
     for b_max in (bound * (1.0 - rng.random()), bound * rng.uniform(1.01, 10.0)):
         verdict = check_quadratic_set(b_max, m_max, n, capacity, lam_dagger)
         assert verdict.admissible is (b_max <= bound)
-        price = _clear(Quadratic, a, b_max, m_max)
+        price = _clear(Quadratic, a, b_max, m_max, model)
         tol = _quadratic_tol(n, lam_dagger, b_max, np.full(n, m_max), capacity)
         assert abs(price - verdict.worst_case_lambda) <= tol
         assert verdict.admissible or price > lam_dagger
@@ -147,8 +155,8 @@ def test_quadratic_one_ulp_past_the_share_is_admissible():
 # ---------------------------------------------------------------------------
 
 
-@grid
-def test_pwl_admissible_boxes_are_sound(n, lam_dagger):
+@models
+def test_pwl_admissible_boxes_are_sound(n, lam_dagger, model):
     """beta_max at most lambda_dagger, and phi_max strictly below the share
     for any rate: every profile clears at lambda_dagger or below, exactly."""
     rng, a, capacity = _market(n, lam_dagger, 3)
@@ -160,11 +168,11 @@ def test_pwl_admissible_boxes_are_sound(n, lam_dagger):
         verdict = check_pwl_set(beta_max, phi_max, n, capacity, lam_dagger)
         assert verdict.admissible and verdict.binding_condition is binding
         for _ in range(PROFILES):
-            assert _clear(PiecewiseLinear, a, _inside(beta_max, n, rng), _inside(phi_max, n, rng)) <= lam_dagger
+            assert _clear(PiecewiseLinear, a, _inside(beta_max, n, rng), _inside(phi_max, n, rng), model) <= lam_dagger
 
 
-@grid
-def test_pwl_corner_attains_the_worst_case(n, lam_dagger):
+@models
+def test_pwl_corner_attains_the_worst_case(n, lam_dagger, model):
     """With phi_max past the share the corner clears at beta_max exactly:
     lambda_dagger on the threshold, above it when refused."""
     rng, a, capacity = _market(n, lam_dagger, 4)
@@ -172,7 +180,7 @@ def test_pwl_corner_attains_the_worst_case(n, lam_dagger):
     for beta_max in (lam_dagger, lam_dagger * rng.uniform(1.01, 10.0)):
         verdict = check_pwl_set(beta_max, phi_max, n, capacity, lam_dagger)
         assert verdict.admissible is (beta_max == lam_dagger)
-        price = _clear(PiecewiseLinear, a, beta_max, phi_max)
+        price = _clear(PiecewiseLinear, a, beta_max, phi_max, model)
         assert price == verdict.worst_case_lambda == beta_max
         assert verdict.admissible or price > lam_dagger
 
@@ -196,8 +204,8 @@ def test_pwl_knife_edge_share_is_refused_but_clears_at_zero(n, lam_dagger):
 # ---------------------------------------------------------------------------
 
 
-@grid
-def test_log_box_decided_at_its_corner(n, lam_dagger):
+@models
+def test_log_box_decided_at_its_corner(n, lam_dagger, model):
     """Below w = lambda_dagger*(1 + C/n) the box is admissible, its corner
     clears at worst_case_lambda and profiles with w <= w_max clear at
     lambda_dagger or below; at 1% above it the box is refused and its corner
@@ -211,8 +219,8 @@ def test_log_box_decided_at_its_corner(n, lam_dagger):
         verdict = check_homogeneous(_log_agent(w_max), n, capacity, lam_dagger)
         assert verdict.admissible is (w_max < edge)
         assert verdict.binding_condition is BindingCondition.HOMOGENEOUS_DERIVATIVE
-        corner = solve(MarketInstance(a, tuple(_log_agent(w_max) for _ in range(n)))).lambda_star
+        corner = solve(MarketInstance(a, tuple(_log_agent(w_max) for _ in range(n)), model)).lambda_star
         assert abs(corner - verdict.worst_case_lambda) <= tol
         assert verdict.admissible or corner > lam_dagger
     profile = _inside(edge * rng.uniform(0.5, 1.0), n, rng).tolist()
-    assert solve(MarketInstance(a, tuple(map(_log_agent, profile)))).lambda_star <= lam_dagger + tol
+    assert solve(MarketInstance(a, tuple(map(_log_agent, profile)), model)).lambda_star <= lam_dagger + tol

@@ -40,6 +40,7 @@ from teshape import (
     SolverError,
     model,
     run_monte_carlo,
+    save_result,
     solve,
     solver,
     validate_instance,
@@ -48,6 +49,7 @@ from teshape import experiments
 from teshape.cli import main
 
 from conftest import quartet_instance, random_pwl_instance, random_quadratic_instance
+from oracles import document
 
 
 def _markets():
@@ -62,7 +64,7 @@ def _markets():
     yield MarketInstance((3.0, 1.0, 2.0), (Quadratic(1.0, 4.0), log, Quadratic(2.0, 1.0)))
 
 
-def test_result_rows_become_tuples_on_first_read():
+def test_result_rows_become_tuples_on_first_read(tmp_path):
     for instance in [*_markets(), quartet_instance(ModelKind.MTES_ST)]:
         result = solve(instance)
         assert "x_star" not in vars(result) and "e_star" not in vars(result)
@@ -72,7 +74,11 @@ def test_result_rows_become_tuples_on_first_read():
         assert (result.e_star is None) is (instance.model is ModelKind.MTES)
         assert eager == result and hash(eager) == hash(result) and repr(eager) == repr(result)
         assert pickle.loads(pickle.dumps(solve(instance))) == result == replace(solve(instance))
-        assert json.dumps(solve(instance).to_dict()) == json.dumps(eager.to_dict())
+        if not instance.preferences.others:  # a Custom agent has no file form
+            save_result(instance, solve(instance), str(tmp_path / "lazy.json"))
+            save_result(instance, eager, str(tmp_path / "eager.json"))
+            expected = json.dumps(document(instance, eager), indent=2) + "\n"
+            assert (tmp_path / "lazy.json").read_text() == (tmp_path / "eager.json").read_text() == expected
     with pytest.raises(AttributeError, match="'EquilibriumResult' object has no attribute 'x'"):
         result.x
 
