@@ -8,7 +8,9 @@ agents draw uniformly from half-open intervals (0, upper] so zero is excluded
 exactly. A batch is checked for admissibility before clearing, its price after.
 
 Per-trial generators derive from (seed, cell, trial) so trials are
-independent, order-insensitive and reproducible bit-for-bit.
+independent, order-insensitive and reproducible bit-for-bit. A run gives each
+trial thread a workspace: buffers for the production and parameter columns,
+which every trial samples into and its instance adopts uncopied.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -90,23 +93,30 @@ PRODUCTION_SD = 1.25
 PRODUCTION_RANGE = (0.0, 10.0)
 
 
-def sample_production(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n production draws, normal(5, 1.25) rejected outside [0, 10]."""
+def _buffers(n: int, rows: int) -> np.ndarray:
+    """``rows`` uninitialized arrays of n floats, as one; ValidationError if n is too large."""
+    try:
+        return np.empty((rows, n))
+    except (MemoryError, ValueError):  # more bytes than memory holds, or than an address can count
+        raise ValidationError([f"n={n} is too large to sample"]) from None
+
+
+def sample_production(n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """n production draws, normal(5, 1.25) rejected outside [0, 10]; into the n floats out[0], drawn in out[1], if given."""
     if n < 1:
         raise ValidationError(["n >= 1 required"])
     lo, hi = PRODUCTION_RANGE
-    try:
-        out = np.empty(n)
-    except (MemoryError, ValueError):  # more bytes than memory holds, or than an address can count
-        raise ValidationError([f"n={n} is too large to sample"]) from None
+    a, draws = _buffers(n, 2) if out is None else out
     filled = 0
-    while filled < n:
-        draw = rng.normal(PRODUCTION_MEAN, PRODUCTION_SD, size=n - filled)
-        keep = (draw >= lo) & (draw <= hi)
-        kept = np.count_nonzero(keep)
-        out[filled : filled + kept] = draw[keep]
-        filled += kept
-    return out
+    while filled < n:  # mean + sd * standard_normal is normal(mean, sd) bit for bit, from the same bits
+        draw = rng.standard_normal(out=draws[filled:])
+        draw *= PRODUCTION_SD
+        draw += PRODUCTION_MEAN
+        cuts = [-1, *np.flatnonzero((draw < lo) | (draw > hi)).tolist(), len(draw)]  # the rejected draws
+        for start, stop in zip(cuts, cuts[1:]):  # the kept runs between them, in order
+            a[filled : filled + stop - start - 1] = draw[start + 1 : stop]
+            filled += stop - start - 1
+    return a
 
 
 def _half_open_uniform(upper: float, out: np.ndarray, rng: np.random.Generator) -> None:
@@ -115,9 +125,9 @@ def _half_open_uniform(upper: float, out: np.ndarray, rng: np.random.Generator) 
 
 
 def sample_quadratic_params(
-    n: int, capacity: float, lambda_dagger: float, rng: np.random.Generator
+    n: int, capacity: float, lambda_dagger: float, rng: np.random.Generator, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic batch with agent one on the admissibility boundary.
+    """Quadratic batch with agent one on the admissibility boundary, into the n-float pair ``out`` if given.
 
     m_1 is uniform on [C/n, 100C/n] (resampled off the degenerate lower
     endpoint), b_1 = n*threshold / (n*m_1 - C), and everyone else draws from
@@ -128,16 +138,17 @@ def sample_quadratic_params(
     while m1 <= share:
         m1 = rng.uniform(share, 100.0 * share)
     b1 = n * lambda_dagger / (n * m1 - capacity)
-    b, m = np.full(n, b1), np.full(n, m1)  # agent one on the corner
+    b, m = _buffers(n, 2) if out is None else out
+    b[0], m[0] = b1, m1  # agent one on the corner
     _half_open_uniform(b1, b[1:], rng)
     _half_open_uniform(m1, m[1:], rng)
     return b, m
 
 
 def sample_pwl_params(
-    n: int, capacity: float, lambda_dagger: float, rng: np.random.Generator
+    n: int, capacity: float, lambda_dagger: float, rng: np.random.Generator, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """PWL batch with agent one's marginal rate at the threshold.
+    """PWL batch with agent one's marginal rate at the threshold, into the n-float pair ``out`` if given.
 
     phi_1 draws from a normal rejected outside [C/n, 10C/n] (centered on the
     interval, sd a quarter of its width); the rest draw from
@@ -150,7 +161,8 @@ def sample_pwl_params(
     while not (lo <= phi1 <= hi):
         phi1 = rng.normal(mu, sd)
     beta1 = lambda_dagger
-    beta, phi = np.full(n, beta1), np.full(n, phi1)  # agent one on the corner
+    beta, phi = _buffers(n, 2) if out is None else out
+    beta[0], phi[0] = beta1, phi1  # agent one on the corner
     _half_open_uniform(beta1, beta[1:], rng)
     _half_open_uniform(phi1, phi[1:], rng)
     return beta, phi
@@ -293,26 +305,29 @@ class MonteCarloResult:
             fh.write("\n")
 
 
-def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_dagger: float) -> float:
+def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_dagger: float,
+               workspace: threading.local) -> float:
     """The price of one sampled market; above lambda_dagger + tol, SolverError. PWL: tol = 0, the price being 0
     or a sampled rate, none above beta_1 = lambda_dagger. Quadratic: the price (S_m - C)/S_b is exactly at most the
     corner's b_1*(m_1 - C/n), lambda_dagger up to the sampler's roundings (its pairwise C's n*eps*C too); with S_b >=
-    1/b_1 (agent one active), sums of n terms erring n*eps: tol = 2(n + 4)*eps*(lambda_dagger + b_1*(sum m + C))."""
+    1/b_1 (agent one active), sums of n terms erring n*eps: tol = 2(n + 4)*eps*(lambda_dagger + b_1*(sum m + C)).
+    The thread's ``workspace`` holds the production and parameter columns, adopted by the instance uncopied."""
+    if getattr(workspace, "n", None) != n:
+        workspace.buffers, workspace.n = _buffers(n, 3), n
+    a, *columns = workspace.buffers
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, cell_index, trial)))
-    a = sample_production(n, rng)
+    sample_production(n, rng, out=(a, columns[0]))  # drawn in a column before it is sampled
     capacity = float(np.sum(a))  # pairwise: the sampled bits depend on it
     if spec.family == "quadratic":
-        first, second = sample_quadratic_params(n, capacity, lam_dagger, rng)
+        first, second = sample_quadratic_params(n, capacity, lam_dagger, rng, out=columns)
         kind, check, solver = Quadratic, check_quadratic_set, solve_mtes_quadratic
         tol = 2 * (n + 4) * np.finfo(float).eps * (lam_dagger + first[0] * (float(np.sum(second)) + capacity))
     else:
-        first, second = sample_pwl_params(n, capacity, lam_dagger, rng)
+        first, second = sample_pwl_params(n, capacity, lam_dagger, rng, out=columns)
         kind, check, solver, tol = PiecewiseLinear, check_pwl_set, solve_mtes_pwl, 0.0
     if not check(float(first[0]), float(second[0]), n, capacity, lam_dagger).admissible:
         raise RuntimeError(f"sampled batch not admissible (cell {cell_index}, trial {trial})")
-    instance = MarketInstance(production=a, preferences=PreferenceColumns(kind, first, second))
-    del a, first, second  # the instance holds copies
-    lam = solver(instance).lambda_star
+    lam = solver(MarketInstance._adopt(a, kind, first, second)).lambda_star
     if not lam <= lam_dagger + tol:
         raise SolverError(f"cell {cell_index}, trial {trial}: price {lam!r} above lambda_dagger {lam_dagger!r} + {tol:.3e}")
     return lam
@@ -322,21 +337,21 @@ def run_monte_carlo(spec: ExperimentSpec, out_dir: str | None = None, threads: i
     """K trials per cell: sample, check admissibility, solve, summarize.
 
     Trials may run in parallel; aggregation orders by trial index so the
-    output never depends on scheduling. ``out_dir`` is created before the
-    first trial, with its artifact names, so an unusable one fails before any
-    sampling.
+    output never depends on scheduling; each thread samples into its own
+    workspace, freed when the run returns. ``out_dir`` is created before the
+    first trial, with its artifact names, so an unusable one fails early.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for name in ("results.csv", "stats.csv", "metadata.json"):
             if os.path.isdir(path := os.path.join(out_dir, name)):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    cells = []
+    cells, workspace = [], threading.local()
     # one pool for all cells; with one thread the trials run inline
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         trial_map = pool.map if threads > 1 else map
         for cell_index, (key, n, lam_dagger) in enumerate(spec.cells()):
-            run = functools.partial(_run_trial, spec, cell_index, n=n, lam_dagger=lam_dagger)
+            run = functools.partial(_run_trial, spec, cell_index, n=n, lam_dagger=lam_dagger, workspace=workspace)
             prices = list(trial_map(run, range(spec.trials)))
             cells.append(CellResult(key, n, lam_dagger, stats=box_stats(prices), prices=tuple(prices)))
     result = MonteCarloResult(spec=spec, cells=tuple(cells))

@@ -79,9 +79,9 @@ _OTHER = len(_KINDS)
 _SUM_BLOCK = 8192  # values _sequential_sum accumulates at a time
 
 
-def _frozen(values, dtype=np.float64) -> np.ndarray:
-    """A read-only copy of ``values``, never aliasing the caller's data."""
-    arr = np.array(values, dtype=dtype)
+def _frozen(values, dtype=np.float64, copy: bool = True) -> np.ndarray:
+    """A read-only copy of ``values``, never aliasing the caller's data; or, not to copy, a read-only view of the array."""
+    arr = np.array(values, dtype=dtype) if copy else values.view()
     arr.setflags(write=False)
     return arr
 
@@ -181,6 +181,17 @@ class MarketInstance:
         object.__setattr__(self, "production", _frozen(self.production))
         object.__setattr__(self, "preferences", PreferenceColumns.of(self.preferences))
 
+    @classmethod
+    def _adopt(cls, production: np.ndarray, kind: type, first: np.ndarray, second: np.ndarray) -> MarketInstance:
+        """A one-family instance over read-only views of the arrays, not copies: they must not
+        change while it is in use."""
+        preferences = PreferenceColumns.__new__(PreferenceColumns)
+        preferences.kind, preferences.others = kind, ()
+        preferences.codes = _frozen(np.full(production.shape, _KINDS.index(kind), np.int8), copy=False)
+        production, *preferences.columns = (_frozen(v, copy=False) for v in (production, first, second))
+        vars(instance := cls.__new__(cls)).update(production=production, preferences=preferences, model=ModelKind.MTES)
+        return instance
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarketInstance):
             return NotImplemented
@@ -259,18 +270,20 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
         issues.append((None, "n >= 1 required (empty agent list)"))
     if len(preferences) != n:
         issues.append((None, f"length mismatch: {n} productions vs {len(preferences)} preferences"))
-    finite = np.isfinite(a)
-    for i in np.flatnonzero(~finite | (a < 0)).tolist():
-        issues.append((i, "a must be " + ("non-negative" if finite[i] else "finite")))
+    finite = True  # reductions first: per-agent masks are made only where one flags a value
+    if not (n and np.min(a) >= 0 and np.max(a) < math.inf):
+        finite = np.isfinite(a)
+        issues.extend((i, "a must be " + ("non-negative" if finite[i] else "finite")) for i in np.flatnonzero(~finite | (a < 0)).tolist())
     with np.errstate(over="ignore"):  # an overflowing total is reported below
-        capacity = instance.capacity if finite.all() else _sequential_sum(a[finite])  # the total of the finite a_i
+        capacity = instance.capacity if np.all(finite) else _sequential_sum(a[finite])  # the total of the finite a_i
     if n >= 1 and not capacity > 0:
         issues.append((None, "C > 0 required (total production must be positive)"))
     elif capacity == math.inf:
         issues.append((None, "C must be finite (total production overflows)"))
     elif capacity > max_capacity(n):
         issues.append((None, "C must lie n*eps below the float limit (the allocations would sum past it)"))
-    bad = [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]
+    clean = len(preferences) and preferences.kind and all(np.min(c) > 0 and np.max(c) < math.inf for c in preferences.columns)
+    bad = [np.False_] * 2 if clean else [~(np.isfinite(c) & (c > 0)) for c in preferences.columns]  # one family, all valid
     if preferences.kind is not PiecewiseLinear:  # sum 1/b <= n/min(b): summed only if min(b) < 2n/max_capacity(n) (2: rounding)
         b, m = (c if preferences.kind is Quadratic else c[preferences.mask(Quadratic)] for c in preferences.columns)
         with np.errstate(over="ignore", invalid="ignore"):  # a 1/b or an m*b past the float limit is inf
@@ -279,7 +292,7 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
             if len(b) and not np.isfinite(np.max(m) * np.max(b)):  # the drop-out prices m*b, formed only if one may overflow
                 over = np.isinf(preferences.columns[0] * preferences.columns[1]) & ~(bad[0] | bad[1]) & preferences.mask(Quadratic)
                 issues.extend((i, "m*b must be finite (the drop-out price overflows)") for i in np.flatnonzero(over).tolist())
-    rows = np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent, whatever its column rows
+    rows = np.empty(0, int) if clean else np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent too
     others = iter(preferences.others)
     hi = 2.0 * max(1.0, capacity if 0 < capacity < math.inf else 1.0)  # Custom agents: spot-checked on [0, hi]
     grid = [hi * k / (_CONCAVITY_GRID_POINTS - 1) for k in range(_CONCAVITY_GRID_POINTS)] if preferences.others else []

@@ -245,32 +245,33 @@ def _solve(instance: MarketInstance, clear) -> EquilibriumResult:
     return _result(instance, clearing, e)[0]
 
 
-_SELECT_FLOOR = 64  # candidate count below which selection stops (at least n >> 4)
+_SAMPLE = 1024  # keys that selection samples, at about this many: every (n // _SAMPLE)-th
+_BACKOFF = 16  # sample ranks that the first threshold tried lies below the estimated crossing
 
 
 def _active_order(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, capacity: float,
                   descending: bool = False) -> np.ndarray:
-    """Stable order (by key; descending if asked) of the agents with key at or
-    above a threshold t. Candidate keys are halved at their median u; t moves
-    up to u while D(u) = sum over key >= u of (level - u*slope) exceeds
-    ``capacity`` by 4(n+4)*eps*sum(level), a margin on the rounding of D(u) and
-    of any kink demand or cumulative sum over a key suffix: no tie group below
-    t holds the crossing, and the order is a suffix (prefix) of the full one."""
+    """Stable order (by key; descending if asked) of the agents with key at or above a threshold t, tried at the
+    key of a strided sample _BACKOFF ranks below the highest whose kink demand, scaled by n over the sample size,
+    passes ``capacity``, then 2, 4, ... times as far down (a lower key each time), and kept once D(t) = sum over
+    key >= t of (level - t*slope) exceeds ``capacity`` by 4(n+4)*eps*sum(level), a margin on the rounding of D(t) and
+    of any kink demand or cumulative sum over a key suffix: no tie group below t holds the crossing, and the order
+    is a suffix (prefix) of the full one. Past the sample's lowest key, every agent is sorted."""
     margin = 4.0 * (len(key) + 4) * np.finfo(float).eps * float(np.sum(level))
-    t, cand = -math.inf, key.copy()  # partitioned in place
-    while len(cand) > max(_SELECT_FLOOR, len(key) >> 4):
-        cand.partition(half := len(cand) // 2)
-        u = cand[half]
-        upper = key >= u  # einsum casts it in small buffers, unlike np.dot
-        demand = np.einsum("i,i", level, upper) - (0.0 if slope is None else u * np.einsum("i,i", slope, upper))
-        if demand > capacity + margin:  # the crossing lies above u
-            t, cand = u, cand[half + 1:]
-        else:
-            cand = cand[:half]
-    del cand  # a view that holds the whole copy: released before the sort
-    active = slice(None) if t == -math.inf else np.flatnonzero(key >= t)
-    order = _stable_argsort(-key[active] if descending else key[active])
-    return order if t == -math.inf else active[order]
+    step = max(1, len(key) // _SAMPLE)
+    ranked = np.argsort(sample := key[::step])
+    sample = sample[ranked]  # ascending, with the sums of the sampled agents at or above each
+    above = [np.cumsum(column[::step][ranked][::-1])[::-1] for column in (level, slope) if column is not None]
+    estimate = (above[0] - (0.0 if slope is None else sample * above[1])) * (len(key) / len(sample))
+    j, back = np.count_nonzero(estimate > capacity) - 1 - _BACKOFF, _BACKOFF
+    while j >= 0:
+        upper = key >= (t := sample[j])  # einsum casts it in small buffers, unlike np.dot
+        demand = np.einsum("i,i", level, upper) - (0.0 if slope is None else t * np.einsum("i,i", slope, upper))
+        if demand > capacity + margin:  # the crossing lies above t
+            active = np.flatnonzero(upper)
+            return active[_stable_argsort(-key[active] if descending else key[active])]
+        j, back = min(j - back, int(np.searchsorted(sample, t)) - 1), 2 * back
+    return _stable_argsort(-key if descending else key)
 
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:
@@ -313,16 +314,16 @@ def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = Non
     _require(instance, Quadratic)
     b, m = instance.preferences.columns
     capacity = np.array([instance.capacity]) if capacity is None else capacity
-    sum_m = float(np.sum(m))
+    sum_m, b_inv = float(np.sum(m)), 1.0 / b  # 1/b: summed, the selection slope and the kink sums
     spare = sum_m <= capacity  # every agent stays active: one linear equation
-    lam = (sum_m - capacity) / float(np.sum(1.0 / b)) if spare.any() else np.empty(len(capacity))
+    lam = (sum_m - capacity) / float(np.sum(b_inv)) if spare.any() else np.empty(len(capacity))
     short = np.flatnonzero(~spare)
     if len(short):
         # the reverse of an ascending stable sort: tied agents come in descending index order
-        order = _active_order(m * b, m, 1.0 / b, float(np.max(capacity[short])))[::-1]
-        m_s, b_s = m[order], b[order]  # no whole-n array kept
-        _, (sum_m_s, sum_binv_s), k = _kinks(m_s * b_s, m_s, 1.0 / b_s, capacity[short], "right")
+        order = _active_order(key := m * b, m, b_inv, float(np.max(capacity[short])))[::-1]
+        _, (sum_m_s, sum_binv_s), k = _kinks(key[order], m[order], b_inv[order], capacity[short], "right")
         lam[short] = (sum_m_s[1:][k] - capacity[short]) / sum_binv_s[1:][k]  # sums through group k
+        del key, b_inv  # freed before the allocation is made
     x = np.divide(lam[:, None], b)  # max(m - lam/b, 0), each step in place
     return _Clearing(lam, np.maximum(np.subtract(m, x, out=x), 0.0, out=x), SolveMethod.CLOSED_FORM_QUADRATIC)
 

@@ -1,6 +1,7 @@
 """Property suites for the array-backed market core.
 
-* vectorized ``validate_instance`` against a per-agent reference loop kept
+* vectorized ``validate_instance`` (reductions first, per-agent masks only
+  where one flags a value) against a per-agent reference loop kept
   here, on instances with NaN, infinite, zero and negative entries, and with
   Custom agents (concave, convex, failing at the first grid point or a later
   one, NaN, level, not a number) and unknown objects among them; the points
@@ -180,6 +181,13 @@ def edgy_markets(draw):
 @given(edgy_markets())
 @example(([], []))
 @example(([math.nan, -0.0, -2.0], [Quadratic(math.inf, 0.0), Quadratic(-1.0, math.nan), Quadratic(1.0, 1.0)]))
+@example(([math.nan], []))  # a lone NaN production, no preferences: no column to reduce
+@example(([], [Quadratic(1.0, 2.0)]))  # no production, one valid preference
+@example(([1.0, 2.0], [PiecewiseLinear(1.0, 2.0)]))  # a length mismatch, every value valid
+@example(([-0.0, 1.0], [Quadratic(1.0, 2.0), Quadratic(3.0, 4.0)]))  # -0.0 is a valid production
+@example(([1.0, 2.0, 3.0], [PiecewiseLinear(-0.0, 2.0), PiecewiseLinear(1.0, math.nan), PiecewiseLinear(0.5, -0.0)]))
+@example(([1.0, 0.0, 3.0], [Quadratic(1.0, 2.0), OTHER_AGENTS[0], PiecewiseLinear(2.0, 1.0)]))  # NaN in Custom rows
+@example(([1.0, 0.0, 3.0], [OTHER_AGENTS[0], OTHER_AGENTS[1], Quadratic(2.0, -0.0)]))
 def test_vectorized_validation_matches_per_agent_reference(market):
     production, preferences = market
     instance = MarketInstance(production=production, preferences=preferences)

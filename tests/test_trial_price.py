@@ -18,8 +18,11 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
+import sys
+import threading
 import math
 import operator
 import pickle
@@ -99,8 +102,8 @@ def test_planted_kkt_violation_fails_the_trial(kind, route, monkeypatch):
 def test_trials_build_no_tuples_and_price_as_solve(family, name, monkeypatch):
     solved = []
 
-    def recorded(instance, clear=getattr(experiments, name)):
-        solved.append((instance, clear(instance)))
+    def recorded(instance, clear=getattr(experiments, name)):  # a copy: the next trial samples into its arrays
+        solved.append((copy.deepcopy(instance), clear(instance)))
         return solved[-1][1]
 
     spec = ExperimentSpec(family, n=500, trials=4, lambda_dagger=(0.01, 17.5, 1e6), seed=8)
@@ -211,16 +214,57 @@ def test_sequential_sum_is_a_left_to_right_loop(values):
     assert model._sequential_sum(values[:0]) == 0.0
 
 
-@pytest.mark.parametrize("family, bound_mb", [("quadratic", 6.0), ("pwl", 7.0)])
+@pytest.mark.parametrize("family, bound_mb", [("quadratic", 3.8), ("pwl", 4.6)])
 def test_trial_allocation_peak(family, bound_mb):
-    # measured 5.1 and 6.1 MB, each bound 0.9 MB above; 8.2 and 10.8 MB while trials kept their samples,
-    # cleared out of place and stably sorted with timsort, and PWL 8.4 MB while its self-check used np.select
+    # measured 2.9 and 3.7 MB past the workspace, each bound 0.9 MB above; a trial that allocates its samples
+    # and copies them into its instance again reads 5.1 and 6.1 MB
     spec = ExperimentSpec(family, n=100_000, trials=2, lambda_dagger=15.0, seed=7)
-    experiments._run_trial(spec, 0, 0, n=100_000, lam_dagger=15.0)  # lazy set-up outside the trace
+    workspace = threading.local()
+    experiments._run_trial(spec, 0, 0, n=100_000, lam_dagger=15.0, workspace=workspace)  # set-up outside the trace
     tracemalloc.start()
     try:
-        experiments._run_trial(spec, 0, 1, n=100_000, lam_dagger=15.0)
+        experiments._run_trial(spec, 0, 1, n=100_000, lam_dagger=15.0, workspace=workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound_mb * 1e6
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_workspace_is_freed_when_the_run_returns(threads):
+    # three threads on two cores, switching often: each samples into its own buffers, every price as one
+    # thread's, and no buffer outlives the run (each column is 160 kB; caches grow by a few kB)
+    spec = ExperimentSpec("pwl", n=20_000, trials=6, lambda_dagger=(15.0, 1e6), seed=2)
+    run_monte_carlo(replace(spec, n=10_000))  # lazy set-up outside the trace, at another n
+    interval = sys.getswitchinterval()
+    tracemalloc.start()
+    try:
+        sys.setswitchinterval(1e-5)
+        baseline = tracemalloc.get_traced_memory()[0]
+        got = run_monte_carlo(spec, threads=threads)
+        prices = [cell.prices for cell in got.cells]
+        del got
+        assert tracemalloc.get_traced_memory()[0] <= baseline + 32_000
+    finally:
+        tracemalloc.stop()
+        sys.setswitchinterval(interval)
+    assert prices == [cell.prices for cell in run_monte_carlo(spec).cells]
+
+
+@pytest.mark.parametrize("family, name", [("quadratic", "solve_mtes_quadratic"), ("pwl", "solve_mtes_pwl")])
+def test_trial_instances_adopt_read_only_views_of_one_workspace(family, name, monkeypatch):
+    arrays = []
+
+    def recorded(instance, clear=getattr(experiments, name)):
+        held = [instance.production, *instance.preferences.columns, instance.preferences.codes]
+        assert not any(a.flags.writeable for a in held)
+        with pytest.raises(ValueError, match="read-only"):
+            instance.production[0] = 1.0
+        arrays.append(held)
+        return clear(instance)
+
+    monkeypatch.setattr(experiments, name, recorded)
+    run_monte_carlo(ExperimentSpec(family, n=300, trials=3, lambda_dagger=15.0, seed=4))
+    assert len(arrays) == 3
+    for first, later in zip(arrays[0][:3], arrays[2][:3]):  # every trial samples into the same buffers
+        assert np.shares_memory(first, later)
