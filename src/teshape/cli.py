@@ -113,7 +113,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_consensus(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    graph = CommGraph.load(args.graph) if args.graph else CommGraph.complete(instance.n)
+    try:  # without --graph, the complete graph: an n x n mask and n(n-1)/2 edges
+        graph = CommGraph.load(args.graph) if args.graph else CommGraph.complete(instance.n)
+    except MemoryError:
+        raise ValidationError([f"no memory for the graph of n={instance.n} agents; pass a sparser --graph"]) from None
     run = run_distributed(instance, graph, rounds=args.rounds, mode=args.mode, tol=args.tol)
     if args.out:
         run.trace.to_csv(args.out)

@@ -8,8 +8,11 @@ synchronous rounds) or by iterating Metropolis averaging on the production
 values so every agent estimates the network mean and solves locally.
 
 Everything is single-process and synchronous-round, so repeated runs are
-bit-identical. Averaging sums each agent's neighbour terms in a fixed
-order without BLAS, so its bits do not depend on the BLAS kernel either.
+bit-identical. Averaging sums each agent's terms without BLAS, in a fixed
+order: ``np.add.reduceat`` adds its own term to NumPy's pairwise sum of its
+neighbours' terms, which below 8 terms runs left to right from -0.0. So with at most
+7 neighbours each, ``np.bincount`` from +0.0, own term last (one IEEE add either way),
+gives the same floats unless every term is -0.0, which no column without sign bits holds.
 """
 
 from __future__ import annotations
@@ -241,7 +244,16 @@ def _flood(instance: MarketInstance, graph: CommGraph) -> ConsensusTrace:
 
 
 def _metropolis_rounds(z: np.ndarray, starts: np.ndarray, cols: np.ndarray, w: np.ndarray) -> Iterator[np.ndarray]:
-    """z, then each Metropolis round: u's own term plus NumPy's pairwise sum of its neighbours' terms, ascending."""
+    """z, then each Metropolis round: u's own term plus NumPy's pairwise sum of its neighbours' terms, ascending.
+    Below 8 terms that sum runs left to right from -0.0, so with at most 7 neighbours each and no sign bit in z, one
+    ``np.bincount`` from +0.0, u's own term last (S + own is own + S), gives the same bits; all -0.0 would give +0.0."""
+    if np.diff(starts, append=len(cols)).max() <= 8 and not np.signbit(z).any():
+        agent = np.searchsorted(starts, np.arange(len(cols)), "right") - 1
+        order = np.argsort(2 * agent + (cols == agent), kind="stable")  # u's neighbours ascending, then u
+        cols, w = cols[order], w[order]
+        while True:
+            yield z
+            z = np.bincount(agent, w * z[cols], len(z))
     while True:
         yield z
         z = np.add.reduceat(w * z[cols], starts)

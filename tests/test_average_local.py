@@ -22,7 +22,13 @@ sum. Runs are derandomized. The averaging trace itself must equal
 ``oracles.metropolis_rounds``, the per-agent loop, bit for bit, signed zeros
 included, with and without a ``tol`` early stop. Against exact ``Fraction``
 iteration of the same float weights, round r of the trace is within
-r * (d_max + 2) * eps/2 * max|z0|.
+r * (d_max + 2) * eps/2 * max|z0|. A round takes one ``np.bincount`` when
+every agent has at most 7 neighbours and the column has no sign bit set,
+else one ``np.add.reduceat``: on circulants C_n(1..k), with or without the
+antipodal chord (largest degree 6, 7, 8 or 9), and on a ring with one
+degree-8 hub, with productions of +0.0 and -0.0 and a closed neighbourhood
+all -0.0, both kernels must give the oracle's bits and each column must
+take the kernel the rule names.
 
 Float kink demands need not fall as the drop-out prices rise, and drop-out
 prices or sums of m past the float limit make NaN ones. The water-filling takes each
@@ -42,6 +48,8 @@ pairwise sum, where the last tier takes the remainder.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -60,6 +68,7 @@ from teshape import (
     Quadratic,
     SolverError,
     ValidationError,
+    consensus,
     run_distributed,
     solve,
     solver,
@@ -353,6 +362,98 @@ def test_average_trace_matches_listed_rounds(rounds, tol):
     assert 100 < run.rounds_used == len(expected) - 1 < 2000
     assert run.trace.estimates.shape == expected.shape
     assert run.trace.estimates.tobytes() == expected.tobytes()
+
+
+class _Proxy:
+    """``target`` with some attributes replaced."""
+
+    def __init__(self, target, **replaced):
+        self._target = target
+        vars(self).update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def _counted_kernels(calls: Counter) -> mock._patch:
+    """Patch numpy as ``teshape.consensus`` sees it: ``calls`` counts the averaging rounds' calls of
+    ``np.bincount`` and ``np.add.reduceat`` (not the weights' or the degrees' own)."""
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_metropolis_rounds":
+                calls[name] += 1
+            return kernel(*args, **kwargs)
+        return call
+    add = _Proxy(np.add, reduceat=counted("reduceat", np.add.reduceat))
+    return mock.patch.object(consensus, "np", _Proxy(np, bincount=counted("bincount", np.bincount), add=add))
+
+
+@st.composite
+def bounded_degree_markets(draw):
+    """(production, b, m, edges, rounds, tol round, homogenize): a circulant C_n(1..k), k in {3, 4}, on
+    2k+3..40 agents, with the antipodal chord for even n or without, or a ring with agent 0 joined to six
+    more agents. Productions are positive, +0.0 or -0.0, and the closed neighbourhood of an agent may be
+    all -0.0, unless it holds agent 0, whose production stays positive."""
+    shape = draw(st.sampled_from(["circulant", "antipodal", "hub"]))
+    k = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(2 * k + 3, 40).filter(lambda n: shape != "antipodal" or n % 2 == 0))
+    offsets = [*range(1, k + 1), *([n // 2] if shape == "antipodal" else [])]
+    if shape == "hub":
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(0, j) for j in range(2, 8)]
+    else:
+        edges = [(i, (i + d) % n) for i in range(n) for d in offsets]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    production = rng.choice([0.0, -0.0, 1.0], n, p=[0.2, 0.3, 0.5]) * rng.uniform(0.5, 10.0, n)
+    if draw(st.booleans()):  # one closed neighbourhood all -0.0
+        u = int(rng.integers(1, n))
+        production[[u, *(j for i, j in edges if i == u), *(i for i, j in edges if j == u)]] = -0.0
+    production[0] = rng.uniform(0.5, 10.0)
+    b, m = rng.uniform(1.0, 5.0, n), rng.uniform(5.0, 9.0, n)
+    rounds = draw(st.integers(1, 30))
+    return production, b, m, edges, rounds, draw(st.none() | st.integers(1, rounds)), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bounded_degree_markets())
+# C_11(1..3), agent 5's closed neighbourhood all -0.0: np.add.reduceat sums it to -0.0, np.bincount to +0.0
+@example(([5.0, 2.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, 0.0, 3.0], [1.0] * 11, [6.0] * 11,
+          [(i, (i + d) % 11) for i in range(11) for d in (1, 2, 3)], 3, None, False))
+def test_bincount_rounds_match_oracle_and_fall_back_to_reduceat(case):
+    production, b, m, edges, rounds, tol_round, homogenize = case
+    n = len(production)
+    graph = CommGraph.from_edges(n, edges)
+    instance = MarketInstance(production, PreferenceColumns(Quadratic, b, m))
+    tol = None
+    if tol_round is not None:  # a tolerance the rounds meet by round tol_round
+        oracle = metropolis_rounds(production, edges, rounds)
+        tol = float(np.max(np.abs(oracle[tol_round] - instance.capacity / n)))
+    calls = Counter()
+    with _counted_kernels(calls):
+        trace, state = consensus._average(instance, graph, rounds, tol, homogenize)
+        estimates = trace.estimates
+    expected = metropolis_rounds(production, edges, rounds, tol)
+    assert estimates.tobytes() == expected.tobytes()
+    r = trace.rounds
+    if homogenize:  # the averaged (b, m) as well
+        assert [z.tobytes() for z in state[1:]] == [metropolis_rounds(v, edges, r)[-1].tobytes() for v in (b, m)]
+    small = int(np.bincount(graph.edges.ravel()).max()) <= 7
+    expected_calls = Counter()  # production: r rounds in the run and r in the replay; b and m: r each
+    for column, runs in [(production, 2), *([(b, 1), (m, 1)] if homogenize else [])]:
+        expected_calls["bincount" if small and not np.signbit(column).any() else "reduceat"] += runs * r
+    assert calls == expected_calls
+
+
+def test_ring_rounds_take_bincount_only():
+    # a 400-ring: every round of the run and of the replayed trace is one np.bincount
+    graph = CommGraph.ring(400)
+    production = np.random.default_rng(3).uniform(0.0, 10.0, graph.n)
+    preferences = PreferenceColumns(Quadratic, np.ones(graph.n), np.full(graph.n, 5.0))
+    calls = Counter()
+    with _counted_kernels(calls):
+        run = run_distributed(MarketInstance(production, preferences), graph, 40, "average")
+        estimates = run.trace.estimates
+    assert calls == Counter(bincount=80)
+    assert estimates.tobytes() == metropolis_rounds(production, graph.edges, 40).tobytes()
 
 
 @st.composite

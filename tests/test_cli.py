@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -306,6 +307,15 @@ def test_consensus_average_with_graph(quartet_path, tmp_path, capsys):
     assert code == 0
     assert trace_path.exists()
     assert "final_consensus_error" in out
+
+
+@pytest.mark.parametrize("mode", ["flood", "average"])
+def test_consensus_default_graph_out_of_memory_exits_2(mode, quartet_path, capsys):
+    # the default complete graph's index arrays refused (as at n = 30000, ~8 GB): simulated, never allocated
+    with mock.patch("numpy.triu_indices", side_effect=MemoryError):
+        code, out, err = run_cli(capsys, "consensus", str(quartet_path), "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err == "validation error: no memory for the graph of n=4 agents; pass a sparser --graph\n"
 
 
 def test_consensus_disconnected_graph_fails(quartet_path, tmp_path, capsys):
