@@ -109,7 +109,10 @@ class CommGraph:
     @staticmethod
     def load(path: str) -> CommGraph:
         """Read ``{"n": N, "edges": [[i, j], ...]}``: integral numbers only, no booleans."""
-        data = read_json(path)
+        return read_json(path, CommGraph._from_dict)
+
+    @staticmethod
+    def _from_dict(data) -> CommGraph:
         if not isinstance(data, dict) or set(data) != {"n", "edges"}:
             raise ValidationError(["graph file requires exactly the fields 'n' and 'edges'"])
         edges = data["edges"]

@@ -234,7 +234,7 @@ class ExperimentSpec:
 
     @staticmethod
     def load(path: str) -> ExperimentSpec:
-        return ExperimentSpec.from_dict(read_json(path))
+        return read_json(path, ExperimentSpec.from_dict)
 
     def to_dict(self) -> dict:
         lam = list(self.lambda_dagger) if isinstance(self.lambda_dagger, tuple) else self.lambda_dagger
@@ -341,6 +341,8 @@ def run_monte_carlo(spec: ExperimentSpec, out_dir: str | None = None, threads: i
     workspace, freed when the run returns. ``out_dir`` is created before the
     first trial, with its artifact names, so an unusable one fails early.
     """
+    if threads < 1:
+        raise ValidationError([f"threads must be a positive integer, got {threads}"])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for name in ("results.csv", "stats.csv", "metadata.json"):
@@ -348,7 +350,7 @@ def run_monte_carlo(spec: ExperimentSpec, out_dir: str | None = None, threads: i
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     cells, workspace = [], threading.local()
     # one pool for all cells; with one thread the trials run inline
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         trial_map = pool.map if threads > 1 else map
         for cell_index, (key, n, lam_dagger) in enumerate(spec.cells()):
             run = functools.partial(_run_trial, spec, cell_index, n=n, lam_dagger=lam_dagger, workspace=workspace)

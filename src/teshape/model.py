@@ -21,14 +21,16 @@ nothing turns columns back into objects.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, lt
+from operator import attrgetter, itemgetter, lt
 from typing import Callable
 
 import numpy as np
@@ -398,6 +400,7 @@ def strict_number(value, field: str) -> float:
 
 # file label -> (per-agent type, parameter names) of the families held as columns
 _FILE_KINDS = {label: (kind, first, second) for kind, (label, first, second) in _COLUMN_KINDS.items()}
+_PAUSING = threading.Lock()  # read_json holds it to read and pause the collector as one step, and to re-enable it
 
 
 def _utility_from_dict(d: dict, agent: int) -> tuple[type, float, float]:
@@ -443,32 +446,26 @@ def instance_from_dict(data: dict) -> MarketInstance:
     return instance
 
 
-def _gather_agents(agents: list) -> tuple[list, PreferenceColumns] | None:
+def _gather_agents(agents: list) -> tuple[np.ndarray, PreferenceColumns] | None:
     """Production and preference columns of a well-formed single-family agent
     list, gathered field by field in C-level passes; ``None`` when any entry
     is not exactly ``{"a": number, "utility": {"kind": label, first: number,
     second: number}}`` with one file label throughout, so ``_parse_agents``
-    words the error. Numbers must be plain ints or floats (no bools)."""
-    if set(map(type, agents)) != {dict} or set(map(len, agents)) != {2}:
-        return None
+    words the error. Numbers must be plain ints or floats (no bools). Only
+    objects take string keys, so sized non-objects fail the key lookups."""
     try:
-        production = [entry["a"] for entry in agents]
-        utilities = [entry["utility"] for entry in agents]
-        if set(map(type, utilities)) != {dict} or set(map(len, utilities)) != {3}:
+        utilities = list(map(itemgetter("utility"), agents))
+        if set(map(len, agents)) != {2} or set(map(len, utilities)) != {3}:
             return None
-        labels = {utility["kind"] for utility in utilities}
-        label = labels.pop() if len(labels) == 1 else None
-        if not isinstance(label, str) or label not in _FILE_KINDS:
-            return None
+        (label,) = set(map(itemgetter("kind"), utilities))
         kind, first, second = _FILE_KINDS[label]
-        firsts = [utility[first] for utility in utilities]
-        seconds = [utility[second] for utility in utilities]
-        if not set(map(type, production)) | set(map(type, firsts)) | set(map(type, seconds)) <= {int, float}:
+        values = [list(map(itemgetter(key), rows)) for rows, key in ((agents, "a"), (utilities, first), (utilities, second))]
+        if not set(map(type, values[0])) | set(map(type, values[1])) | set(map(type, values[2])) <= {int, float}:
             return None
-        columns = [list(map(float, values)) for values in (production, firsts, seconds)]
-    except (KeyError, TypeError, OverflowError):  # missing key, unhashable kind, huge integer
+        production, *columns = (np.fromiter(column, np.float64, len(column)) for column in values)
+    except (KeyError, TypeError, ValueError, OverflowError):  # missing key or label, not an object, labels mixed, huge int
         return None
-    return columns[0], PreferenceColumns(kind, columns[1], columns[2])
+    return production, PreferenceColumns(kind, *columns)
 
 
 def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns]:
@@ -488,10 +485,23 @@ def _parse_agents(agents: list) -> tuple[tuple, PreferenceColumns]:
     return production, PreferenceColumns(None, firsts, seconds, list(map(_KINDS.index, kinds)))
 
 
-def read_json(path: str):
-    """Parse a JSON file read as UTF-8. Text that is not UTF-8, not JSON,
-    nested too deeply or holding a NaN/Infinity literal raises
-    ValidationError; the file itself, OSError."""
+def read_json(path: str, build: Callable):
+    """``build(tree)`` of the tree parsed from a UTF-8 JSON file, both steps with automatic garbage collection paused:
+    the tree holds no cycles to free and dies inside ``build``. The collector is re-enabled only if it was enabled on
+    entry, so a thread that disables it during a read may find it enabled. Text that is not UTF-8, not JSON, nested too
+    deeply or holding a NaN/Infinity literal raises ValidationError; the file itself, OSError; ``build``, its own."""
+    with _PAUSING:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        return build(_parse_json(path))
+    finally:
+        if enabled:
+            with _PAUSING:
+                gc.enable()
+
+
+def _parse_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=_reject_constant)
@@ -537,7 +547,7 @@ def load_instance(path: str) -> MarketInstance:
 
     Raises ValidationError with field context on malformed input.
     """
-    return instance_from_dict(read_json(path))
+    return read_json(path, instance_from_dict)
 
 
 def save_instance(instance: MarketInstance, path: str) -> None:

@@ -249,15 +249,15 @@ _SAMPLE = 1024  # keys that selection samples, at about this many: every (n // _
 _BACKOFF = 16  # sample ranks that the first threshold tried lies below the estimated crossing
 
 
-def _active_order(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, capacity: float,
+def _active_order(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, capacity: float, level_sum: float,
                   descending: bool = False) -> np.ndarray:
     """Stable order (by key; descending if asked) of the agents with key at or above a threshold t, tried at the
     key of a strided sample _BACKOFF ranks below the highest whose kink demand, scaled by n over the sample size,
     passes ``capacity``, then 2, 4, ... times as far down (a lower key each time), and kept once D(t) = sum over
-    key >= t of (level - t*slope) exceeds ``capacity`` by 4(n+4)*eps*sum(level), a margin on the rounding of D(t) and
-    of any kink demand or cumulative sum over a key suffix: no tie group below t holds the crossing, and the order
-    is a suffix (prefix) of the full one. Past the sample's lowest key, every agent is sorted."""
-    margin = 4.0 * (len(key) + 4) * np.finfo(float).eps * float(np.sum(level))
+    key >= t of (level - t*slope) exceeds ``capacity`` by 4(n+4)*eps*``level_sum`` (``float(np.sum(level))``), a margin
+    on the rounding of D(t) and of any kink demand or cumulative sum over a key suffix: no tie group below t holds the
+    crossing, and the order is a suffix (prefix) of the full one. Past the sample's lowest key, every agent is sorted."""
+    margin = 4.0 * (len(key) + 4) * np.finfo(float).eps * level_sum
     step = max(1, len(key) // _SAMPLE)
     ranked = np.argsort(sample := key[::step])
     sample = sample[ranked]  # ascending, with the sums of the sampled agents at or above each
@@ -320,7 +320,7 @@ def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = Non
     short = np.flatnonzero(~spare)
     if len(short):
         # the reverse of an ascending stable sort: tied agents come in descending index order
-        order = _active_order(key := m * b, m, b_inv, float(np.max(capacity[short])))[::-1]
+        order = _active_order(key := m * b, m, b_inv, float(np.max(capacity[short])), sum_m)[::-1]
         _, (sum_m_s, sum_binv_s), k = _kinks(key[order], m[order], b_inv[order], capacity[short], "right")
         lam[short] = (sum_m_s[1:][k] - capacity[short]) / sum_binv_s[1:][k]  # sums through group k
         del key, b_inv  # freed before the allocation is made
@@ -354,7 +354,7 @@ def _clear_pwl(instance: MarketInstance, capacity: np.ndarray | None = None) -> 
     short = np.flatnonzero(~spare)
     if len(short):
         # a descending stable sort: tied agents come in ascending index order
-        order = _active_order(beta, phi, None, float(np.max(capacity[short])), descending=True)
+        order = _active_order(beta, phi, None, float(np.max(capacity[short])), sum_phi, descending=True)
         beta_s, phi_s = beta[order], phi[order]
         bounds, (sum_phi_s,), k = _kinks(beta_s, phi_s, None, capacity[short], "left")
         lam[short] = beta_s[bounds[k]]

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -256,6 +257,17 @@ def test_experiment_integral_float_fields_accepted(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"))
     assert code == 0
     assert "trials=2 " in out
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_experiment_nonpositive_threads_exits_2(threads, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"family": "quadratic", "n": 20, "trials": 4, "lambda_dagger": 20, "seed": 3}')
+    running = threading.active_count()
+    with mock.patch("teshape.experiments.ThreadPoolExecutor") as pool:
+        code, out, err = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"), "--threads", threads)
+    assert (code, out, err) == (2, "", f"validation error: threads must be a positive integer, got {threads}\n")
+    assert not pool.called and threading.active_count() == running
 
 
 @pytest.mark.parametrize("step", ["0", "-2"])

@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import teshape
+from teshape import experiments
 from teshape import (
     EmptyInput,
     ExperimentSpec,
@@ -304,6 +307,17 @@ def test_threads_do_not_change_output():
     serial = run_monte_carlo(spec, threads=1)
     parallel = run_monte_carlo(spec, threads=4)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_threads_raise_before_any_thread_or_artifact(threads, tmp_path):
+    spec = ExperimentSpec(family="pwl", n=10, trials=2, lambda_dagger=24.0, seed=31)
+    running = threading.active_count()
+    with mock.patch.object(experiments, "ThreadPoolExecutor") as pool, \
+            pytest.raises(ValidationError, match=f"^threads must be a positive integer, got {threads}$"):
+        run_monte_carlo(spec, out_dir=str(tmp_path / "out"), threads=threads)
+    assert not pool.called and threading.active_count() == running
+    assert not (tmp_path / "out").exists()
 
 
 def test_results_csv_layout(tmp_path):

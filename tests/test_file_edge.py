@@ -1,8 +1,11 @@
-"""The file edge: the column gather of the agent list and the streamed writer.
+"""The file edge: the column gather of the agent list, the paused collector and the streamed writer.
 
 * ``instance_from_dict`` gathers a single-family agent list into columns and
   falls back to the per-agent loop for anything else; on mutated agent lists
   both must give the same instance, bit for bit, or the same error text.
+* Each file loader parses and builds with automatic collection paused, and
+  leaves the collector as it found it, on success and on every failure, also
+  when threads load at once.
 * ``save_result`` and ``save_instance`` must write exactly the text of
   ``json.dump(document, fh, indent=2)`` plus a newline, including the
   ``ValueError`` that ``allow_nan=False`` raises for the instance file.
@@ -13,10 +16,14 @@ report a failing example as drawn, without shrinking it.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
 import math
+import sys
+import threading
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,8 +32,10 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from teshape import (
+    CommGraph,
     Custom,
     EquilibriumResult,
+    ExperimentSpec,
     MarketInstance,
     ModelKind,
     PiecewiseLinear,
@@ -35,6 +44,7 @@ from teshape import (
     SolveMethod,
     ValidationError,
     instance_from_dict,
+    load_instance,
     save_instance,
     save_result,
     solve,
@@ -141,9 +151,157 @@ def test_gather_takes_well_formed_single_family_lists():
     for label, (first, second) in FIELDS.items():
         agents = [{"a": 1, "utility": {"kind": label, first: 2.5, second: 2**53 + 1}}] * 3
         production, preferences = model_module._gather_agents(agents)
-        assert production == [1.0] * 3 and isinstance(preferences, PreferenceColumns)
+        assert production.tolist() == [1.0] * 3 and isinstance(preferences, PreferenceColumns)
     mixed = [{"a": 1, "utility": {"kind": "quadratic", "b": 1, "m": 2}}, {"a": 1, "utility": {"kind": "pwl", "beta": 1, "phi": 2}}]
     assert model_module._gather_agents(mixed) is None
+
+
+# ---------------------------------------------------------------------------
+# Reader: automatic collection paused for one load, and restored on every path
+# ---------------------------------------------------------------------------
+
+LOADERS = {"instance": load_instance, "graph": CommGraph.load, "spec": ExperimentSpec.load}
+GOOD = {
+    "instance": '{"agents": [{"a": 1, "utility": {"kind": "quadratic", "b": 1, "m": 2}}]}',
+    "graph": '{"n": 2, "edges": [[0, 1]]}',
+    "spec": '{"family": "quadratic", "n": 3, "trials": 1, "lambda_dagger": 20, "seed": 0}',
+}
+# each failing file: what it raises; a builder's ValidationError is one from gathering or validating the tree
+BAD = {
+    "not-utf8": (b'{"note": "d\xe9j\xe0"}', ValidationError),
+    "parse-error": (b'{"agents": [', ValidationError),
+    "nan": (b'{"n": NaN}', ValidationError),
+}
+BUILD_ERRORS = {
+    "instance": ['{"agents": [{"a": true, "utility": {"kind": "quadratic", "b": 1, "m": 2}}]}',
+                 '{"agents": [{"a": -1, "utility": {"kind": "quadratic", "b": 1, "m": 2}}]}'],
+    "graph": ['{"n": 2, "edges": [[0, 0]]}'],
+    "spec": ['{"family": "cubic", "n": 3, "trials": 1, "lambda_dagger": 20, "seed": 0}'],
+}
+CASES = [(loader, "ok", GOOD[loader].encode(), None) for loader in LOADERS]
+CASES += [(loader, "missing", None, FileNotFoundError) for loader in LOADERS]
+CASES += [(loader, name, text, error) for loader in LOADERS for name, (text, error) in BAD.items()]
+CASES += [(loader, f"build-{k}", text.encode(), ValidationError) for loader, texts in BUILD_ERRORS.items()
+          for k, text in enumerate(texts)]
+
+
+@pytest.fixture
+def collector():
+    """Leaves automatic collection enabled after the test, whatever the test did."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("loader, case, content, error", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_load_restores_the_collector(loader, case, content, error, enabled, tmp_path, collector):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        LOADERS[loader](str(path))
+    else:
+        with pytest.raises(error):
+            LOADERS[loader](str(path))
+    assert gc.isenabled() is enabled
+
+
+def _pwl_agents(n: int) -> str:
+    return json.dumps({"agents": [{"a": 1.0 + i % 7, "utility": {"kind": "pwl", "beta": 2.0 + i % 5, "phi": 3.0}}
+                                  for i in range(n)]})
+
+
+def test_loading_a_large_file_runs_no_collection(tmp_path, collector):
+    # 10000 agents parse into 20000 dicts: unpaused, generation 0 would be collected every 700 allocations
+    path = tmp_path / "large.json"
+    path.write_text(_pwl_agents(10_000))
+    events = []
+
+    def record(phase, info):
+        events.append((phase, info["generation"]))
+
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        instance = load_instance(str(path))
+    finally:
+        gc.callbacks.remove(record)
+    assert instance.n == 10_000 and events == [] and gc.isenabled()
+
+
+def test_concurrent_loads_leave_the_collector_enabled(tmp_path, collector):
+    # more threads than cores, switched every microsecond, each starting a round of loads at once (some fail)
+    # while other threads' loads enable the collector again: after every round it must be enabled
+    paths = []
+    for loader, text in [*GOOD.items(), ("instance", _pwl_agents(50)), ("graph", '{"n": 2, "edges": [[0, 0]]}')]:
+        paths.append((LOADERS[loader], tmp_path / f"{len(paths)}.json"))
+        paths[-1][1].write_text(text)
+    threads_n, rounds, loads = 4, 40, 20
+
+    def work(barrier, k):
+        barrier.wait(timeout=10)
+        for j in range(loads):
+            load, path = paths[(k + j) % len(paths)]
+            try:
+                load(str(path))
+            except ValidationError:
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            gc.enable()
+            barrier = threading.Barrier(threads_n)
+            threads = [threading.Thread(target=work, args=(barrier, k)) for k in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_load_ending_never_lands_between_another_loads_check_and_pause(tmp_path, collector):
+    # load Y pauses the collector; load X finds it paused and, before pausing it too, waits (at most WAIT) for Y
+    # to enable it again. Y's enabling must wait for X's pause to finish, or X pauses for good: X found it
+    # paused, so X never enables it
+    WAIT = 0.3
+    path = tmp_path / "spec.json"
+    path.write_text(GOOD["spec"])
+    y_paused, x_checked, y_enabled = threading.Event(), threading.Event(), threading.Event()
+
+    def isenabled():
+        enabled = gc.isenabled()
+        if threading.current_thread().name == "x":
+            x_checked.set()
+            y_enabled.wait(timeout=WAIT)
+        return enabled
+
+    def enable():
+        gc.enable()
+        if threading.current_thread().name == "y":
+            y_enabled.set()
+
+    def build_y(tree):
+        y_paused.set()
+        x_checked.wait(timeout=10)
+        return tree
+
+    gc.enable()
+    patched = SimpleNamespace(isenabled=isenabled, disable=gc.disable, enable=enable)
+    with mock.patch.object(model_module, "gc", patched):
+        y = threading.Thread(target=model_module.read_json, args=(str(path), build_y), name="y")
+        x = threading.Thread(target=lambda: y_paused.wait(timeout=10) and model_module.read_json(str(path), dict), name="x")
+        for thread in (y, x):
+            thread.start()
+        for thread in (y, x):
+            thread.join(timeout=10)
+    assert not (y.is_alive() or x.is_alive()) and x_checked.is_set() and y_enabled.is_set()
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

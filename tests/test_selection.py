@@ -139,7 +139,7 @@ def test_selected_water_filling_matches_full_sort(call, backoff):
     short = capacity[capacity < float(np.sum(m))]
     with _low(backoff):
         got = solver._clear_quadratic(_capacity_instance(1.0, preferences), capacity)  # cleared at each capacity
-        active = solver._active_order(m * b, m, 1.0 / b, float(np.max(short))) if len(short) else None
+        active = solver._active_order(m * b, m, 1.0 / b, float(np.max(short)), float(np.sum(m))) if len(short) else None
     expected = full_sort_quadratic(b, m, capacity)
     assert [(lam.hex(), x.tobytes(), got.degenerate) for lam, x in zip(got.lam.tolist(), got.x)] == [
         (lam.hex(), x.tobytes(), False) for lam, x in expected
@@ -192,7 +192,7 @@ def _end(key, level, slope, capacity: float, descending: bool) -> tuple[str, np.
     listed no agents at or above a key). A check is one ``einsum`` per column summed."""
     with _low(0), mock.patch.object(np, "einsum", wraps=np.einsum) as einsum, \
             mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as kept:
-        order = solver._active_order(key, level, slope, capacity, descending)
+        order = solver._active_order(key, level, slope, capacity, float(np.sum(level)), descending)
     checks = einsum.call_count // (1 if slope is None else 2)
     return "all" if not kept.called else "guess" if checks == 1 else "back-off", order
 
@@ -224,7 +224,8 @@ def test_sampled_trials_sort_only_the_active_side():
     for sample, kind in ((sample_quadratic_params, Quadratic), (sample_pwl_params, PiecewiseLinear)):
         first, second = sample(20000, 1000.0, 20.0, rng)
         key, slope = (first * second, 1.0 / first) if kind is Quadratic else (first, None)
-        order = solver._active_order(key, second, slope, 1000.0, descending=kind is PiecewiseLinear)
+        order = solver._active_order(key, second, slope, 1000.0, float(np.sum(second)),
+                                     descending=kind is PiecewiseLinear)
         assert 0 < len(order) <= 20000 // 2
         assert np.array_equal(np.sort(order), np.flatnonzero(key >= key[order].min()))
         full = np.argsort(-key if kind is PiecewiseLinear else key, kind="stable")
