@@ -1,10 +1,10 @@
 """Command-line entry point: solve, shape-check, experiment, sweep, consensus.
 
-Exit codes: 0 success (shape-check: admissible), 1 shape-check not
-admissible, 2 validation, usage or file error, 3 solver failure, 4 internal
-error (an unexpected exception: a fault in teshape, not a verdict on the
-input). Human summaries go to stdout, machine-readable artifacts to files,
-and each failure to stderr as one line.
+Exit codes: 0 success (shape-check: admissible, or a range printed), 1
+shape-check not admissible, 2 validation, usage or file error, 3 solver
+failure, 4 internal error (an unexpected exception: a fault in teshape, not
+a verdict on the input). Human summaries go to stdout, machine-readable
+artifacts to files, and each failure to stderr as one line.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (
     load_instance,
     save_result,
 )
-from .shaping import check_homogeneous, check_pwl_set, check_quadratic_set
+from .shaping import check_homogeneous, check_pwl_set, check_quadratic_set, pwl_beta_range, quadratic_b_range
 from .solver import SolverError, solve
 
 EXIT_OK = 0
@@ -63,18 +63,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_shape_check(args: argparse.Namespace) -> int:
-    # per family: the options it requires and the check they feed, each check ending in (n, C, lambda_dagger)
+    # per family: its options, their check and the range printed without the first; all end in (n, C, lambda_dagger)
     boxes = {
-        "quad": (("b_max", "m_max"), check_quadratic_set),
-        "pwl": (("beta_max", "phi_max"), check_pwl_set),
-        "homog": (("b", "m"), lambda b, m, *market: check_homogeneous(Quadratic(b=b, m=m), *market)),
+        "quad": (("b_max", "m_max"), check_quadratic_set, quadratic_b_range),
+        "pwl": (("beta_max", "phi_max"), check_pwl_set, pwl_beta_range),
+        "homog": (("b", "m"), lambda b, m, *market: check_homogeneous(Quadratic(b=b, m=m), *market), None),
     }
-    fields, check = boxes[args.family]
-    bounds = [getattr(args, field) for field in fields]
-    if None in bounds:
-        options = " and ".join("--" + field.replace("_", "-") for field in fields)
+    fields, check, box_range = boxes[args.family]
+    required = fields[1:] if box_range else fields
+    if any(getattr(args, field) is None for field in required):
+        options = " and ".join("--" + field.replace("_", "-") for field in required)
         raise ValidationError([f"{options} required for {args.family}"])
-    verdict = check(*bounds, args.n, args.capacity, args.lambda_dagger)
+    bound, *rest = [getattr(args, field) for field in fields]
+    if bound is None:
+        print(f"{fields[0]}_range={box_range(*rest, args.n, args.capacity, args.lambda_dagger)!r}")
+        return EXIT_OK
+    verdict = check(bound, *rest, args.n, args.capacity, args.lambda_dagger)
     print(f"admissible={str(verdict.admissible).lower()}")
     print(f"worst_case_lambda={verdict.worst_case_lambda:.6g}")
     print(f"binding_condition={verdict.binding_condition.value}")
@@ -148,9 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_shape.add_argument("--n", type=int, required=True)
     p_shape.add_argument("--C", dest="capacity", type=float, required=True)
     p_shape.add_argument("--lambda-dagger", type=float, required=True)
-    p_shape.add_argument("--b-max", type=float, default=None)
+    p_shape.add_argument("--b-max", type=float, default=None, help="omit to print the largest admitted value")
     p_shape.add_argument("--m-max", type=float, default=None)
-    p_shape.add_argument("--beta-max", type=float, default=None)
+    p_shape.add_argument("--beta-max", type=float, default=None, help="omit to print the largest admitted value")
     p_shape.add_argument("--phi-max", type=float, default=None)
     p_shape.add_argument("--b", type=float, default=None, help="homogeneous quadratic curvature")
     p_shape.add_argument("--m", type=float, default=None, help="homogeneous quadratic satiation")

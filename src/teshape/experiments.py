@@ -1,9 +1,8 @@
 """Seeded sampling plans, Monte Carlo batches, sweeps and box statistics.
 
 Sampling conventions: production draws come from a normal (mean 5, sd 1.25)
-rejected outside [0, 10]; agent-one parameters pin the box corner (the
-curvature bound is backed out of the admissibility boundary for quadratic
-batches, the marginal rate equals the threshold for PWL batches); remaining
+rejected outside [0, 10]; agent one takes the box's corner, its bound on the
+family's tight range (``quadratic_b_range``, ``pwl_beta_range``); remaining
 agents draw uniformly from half-open intervals (0, upper] so zero is excluded
 exactly. A batch is checked for admissibility before clearing, its price after.
 
@@ -39,7 +38,7 @@ from .model import (
     strict_int,
     strict_number,
 )
-from .shaping import check_pwl_set, check_quadratic_set
+from .shaping import check_pwl_set, check_quadratic_set, pwl_beta_range, quadratic_b_range
 from .solver import SolverError, solve_mtes_pwl, solve_mtes_quadratic
 
 QUARTILE_CONVENTION = "linear interpolation between order statistics"
@@ -129,15 +128,14 @@ def sample_quadratic_params(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic batch with agent one on the admissibility boundary, into the n-float pair ``out`` if given.
 
-    m_1 is uniform on [C/n, 100C/n] (resampled off the degenerate lower
-    endpoint), b_1 = n*threshold / (n*m_1 - C), and everyone else draws from
-    (0, b_1] x (0, m_1].
+    m_1 is uniform on [C/n, 100C/n] (resampled off the degenerate lower endpoint), b_1 is ``quadratic_b_range``
+    at m_1, and everyone else draws from (0, b_1] x (0, m_1].
     """
     share = capacity / n
     m1 = rng.uniform(share, 100.0 * share)
     while m1 <= share:
         m1 = rng.uniform(share, 100.0 * share)
-    b1 = n * lambda_dagger / (n * m1 - capacity)
+    b1 = quadratic_b_range(m1, n, capacity, lambda_dagger)
     b, m = _buffers(n, 2) if out is None else out
     b[0], m[0] = b1, m1  # agent one on the corner
     _half_open_uniform(b1, b[1:], rng)
@@ -150,9 +148,8 @@ def sample_pwl_params(
 ) -> tuple[np.ndarray, np.ndarray]:
     """PWL batch with agent one's marginal rate at the threshold, into the n-float pair ``out`` if given.
 
-    phi_1 draws from a normal rejected outside [C/n, 10C/n] (centered on the
-    interval, sd a quarter of its width); the rest draw from
-    (0, beta_1] x (0, phi_1].
+    phi_1 draws from a normal rejected outside [C/n, 10C/n] (centered on the interval, sd a quarter of its width),
+    beta_1 is ``pwl_beta_range`` at phi_1 (the threshold), and the rest draw from (0, beta_1] x (0, phi_1].
     """
     share = capacity / n
     lo, hi = share, 10.0 * share
@@ -160,7 +157,7 @@ def sample_pwl_params(
     phi1 = rng.normal(mu, sd)
     while not (lo <= phi1 <= hi):
         phi1 = rng.normal(mu, sd)
-    beta1 = lambda_dagger
+    beta1 = pwl_beta_range(phi1, n, capacity, lambda_dagger)
     beta, phi = _buffers(n, 2) if out is None else out
     beta[0], phi[0] = beta1, phi1  # agent one on the corner
     _half_open_uniform(beta1, beta[1:], rng)
@@ -307,11 +304,11 @@ class MonteCarloResult:
 
 def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_dagger: float,
                workspace: threading.local) -> float:
-    """The price of one sampled market; above lambda_dagger + tol, SolverError. PWL: tol = 0, the price being 0
-    or a sampled rate, none above beta_1 = lambda_dagger. Quadratic: the price (S_m - C)/S_b is exactly at most the
-    corner's b_1*(m_1 - C/n), lambda_dagger up to the sampler's roundings (its pairwise C's n*eps*C too); with S_b >=
-    1/b_1 (agent one active), sums of n terms erring n*eps: tol = 2(n + 4)*eps*(lambda_dagger + b_1*(sum m + C)).
-    The thread's ``workspace`` holds the production and parameter columns, adopted by the instance uncopied."""
+    """The price of one sampled market, its corner checked first; above lambda_dagger + tol, SolverError. PWL: tol = 0,
+    the price being 0 or a sampled rate, none above beta_1 (``pwl_beta_range``). Quadratic: the price (S_m - C)/S_b is
+    exactly at most the corner's b_1*(m_1 - C/n), lambda_dagger up to the roundings of b_1 (``quadratic_b_range``)
+    and C; with S_b >= 1/b_1 (agent one active), n-term sums erring n*eps: tol = 2(n + 4)*eps*(lambda_dagger +
+    b_1*(sum m + C)). The thread's ``workspace`` holds the production and parameter columns, adopted uncopied."""
     if getattr(workspace, "n", None) != n:
         workspace.buffers, workspace.n = _buffers(n, 3), n
     a, *columns = workspace.buffers
@@ -321,7 +318,7 @@ def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_da
     if spec.family == "quadratic":
         first, second = sample_quadratic_params(n, capacity, lam_dagger, rng, out=columns)
         kind, check, solver = Quadratic, check_quadratic_set, solve_mtes_quadratic
-        tol = 2 * (n + 4) * np.finfo(float).eps * (lam_dagger + first[0] * (float(np.sum(second)) + capacity))
+        tol = 2 * (n + 4) * math.ulp(1.0) * (lam_dagger + float(first[0]) * (float(np.sum(second)) + capacity))
     else:
         first, second = sample_pwl_params(n, capacity, lam_dagger, rng, out=columns)
         kind, check, solver, tol = PiecewiseLinear, check_pwl_set, solve_mtes_pwl, 0.0

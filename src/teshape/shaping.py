@@ -3,10 +3,9 @@
 A box of parameters is socially admissible when every profile drawn from it
 clears at a price at or below the threshold. For quadratic boxes the exact
 worst case over the box is attained with all agents at the corner; for
-piece-wise linear boxes the marginal rate bound itself caps the price.
-Membership comparisons are non-strict or strict exactly as the respective
-conditions state (note the deliberate asymmetry: ``m_max <= C/n`` versus
-``phi_max < C/n``).
+piece-wise linear boxes the marginal rate bound itself caps the price. The
+paper's tight ranges, one function per family, give the largest admitted
+bound; the box checks, the samplers and ``shape-check`` share them.
 """
 
 from __future__ import annotations
@@ -39,58 +38,54 @@ def _require_positive(**values: float) -> None:
 def chi_theta_quadratic(b_max: float, m_max: float, n: int, capacity: float) -> float:
     """Worst-case clearing price over the quadratic box (0, b_max] x (0, m_max].
 
-    By price monotonicity in both parameters the supremum sits at the corner
-    where every agent picks (b_max, m_max); there the balance gives
-    b_max * (n*m_max - C) / n, floored at zero when satiation fits capacity.
+    By price monotonicity in both parameters the supremum sits at the corner where every agent picks (b_max, m_max);
+    there the balance gives b_max * (n*m_max - C) / n, floored at zero when satiation fits capacity, and taken per
+    agent as b_max * (m_max - C/n) where the n-fold product overflows.
     """
     _require_positive(b_max=b_max, m_max=m_max, n=n, capacity=capacity)
-    return max(0.0, b_max * (n * m_max - capacity) / n)
+    worst = b_max * (n * m_max - capacity) / n
+    return max(0.0, b_max * (m_max - capacity / n) if math.isinf(worst) else worst)
+
+
+def _quadratic_range(m_max: float, n: int, capacity: float, threshold: float) -> tuple[float, BindingCondition]:
+    """``quadratic_b_range`` for validated arguments, with the condition that binds it."""
+    if m_max <= capacity / n:
+        return math.inf, BindingCondition.M_BELOW_CAPACITY_SHARE
+    excess = n * m_max - capacity
+    if excess and (math.isinf(excess) or math.isinf(n * threshold)):  # an n-fold product overflows
+        return threshold / (m_max - capacity / n), BindingCondition.B_MAX_BOUND
+    return n * threshold / excess if excess else math.inf, BindingCondition.B_MAX_BOUND
+
+
+def quadratic_b_range(m_max: float, n: int, capacity: float, threshold: float) -> float:
+    """The paper's tight range for quadratic boxes, the largest b_max admitted with m_max: inf where satiation fits
+    the capacity share or n*m_max - C rounds to 0 (the worst case is then 0.0), else n*threshold / (n*m_max - C),
+    taken per agent as threshold / (m_max - C/n) where an n-fold product overflows."""
+    _require_positive(m_max=m_max, n=n, capacity=capacity, threshold=threshold)
+    return _quadratic_range(m_max, n, capacity, threshold)[0]
+
+
+def pwl_beta_range(phi_max: float, n: int, capacity: float, threshold: float) -> float:
+    """The paper's tight range for PWL boxes, the largest beta_max admitted with phi_max: inf where saturation loads
+    stay strictly below the capacity share (every profile clears at 0), else the threshold, as a rate caps the price."""
+    _require_positive(phi_max=phi_max, n=n, capacity=capacity, threshold=threshold)
+    return math.inf if phi_max < capacity / n else threshold
 
 
 def check_quadratic_set(b_max: float, m_max: float, n: int, capacity: float, threshold: float) -> ShapingVerdict:
-    """Decide admissibility of the quadratic box (0, b_max] x (0, m_max].
-
-    Admissible when satiation loads cannot exceed the per-agent capacity
-    share, or when the curvature bound stays within
-    n * threshold / (n * m_max - C). Where n * m_max - C rounds to zero, the
-    worst case is chi_theta_quadratic's 0.0, so the box is admissible.
-    """
+    """Decide admissibility of the quadratic box (0, b_max] x (0, m_max]: b_max within ``quadratic_b_range``."""
     _require_positive(threshold=threshold, n=n, capacity=capacity, b_max=b_max, m_max=m_max)
-    if m_max <= capacity / n:
-        return ShapingVerdict(
-            admissible=True,
-            worst_case_lambda=0.0,
-            binding_condition=BindingCondition.M_BELOW_CAPACITY_SHARE,
-        )
-    excess = n * m_max - capacity
-    return ShapingVerdict(
-        # the division form, as the sampler computes b_1: a boundary draw is admissible
-        admissible=excess == 0 or b_max <= n * threshold / excess,
-        worst_case_lambda=chi_theta_quadratic(b_max, m_max, n, capacity),
-        binding_condition=BindingCondition.B_MAX_BOUND,
-    )
+    bound, binding = _quadratic_range(m_max, n, capacity, threshold)
+    share = binding is BindingCondition.M_BELOW_CAPACITY_SHARE
+    return ShapingVerdict(b_max <= bound, 0.0 if share else chi_theta_quadratic(b_max, m_max, n, capacity), binding)
 
 
 def check_pwl_set(beta_max: float, phi_max: float, n: int, capacity: float, threshold: float) -> ShapingVerdict:
-    """Decide admissibility of the piece-wise linear box (0, beta_max] x (0, phi_max].
-
-    With saturation loads strictly below the per-agent capacity share the
-    price is zero for every profile. Otherwise at least one agent's marginal
-    rate bounds the price, so the box is admissible iff beta_max stays at or
-    below the threshold.
-    """
+    """Decide admissibility of the PWL box (0, beta_max] x (0, phi_max]: beta_max within ``pwl_beta_range``."""
     _require_positive(threshold=threshold, n=n, capacity=capacity, beta_max=beta_max, phi_max=phi_max)
-    if phi_max < capacity / n:
-        return ShapingVerdict(
-            admissible=True,
-            worst_case_lambda=0.0,
-            binding_condition=BindingCondition.PHI_BELOW_CAPACITY_SHARE,
-        )
-    return ShapingVerdict(
-        admissible=beta_max <= threshold,
-        worst_case_lambda=beta_max,
-        binding_condition=BindingCondition.BETA_MAX_BOUND,
-    )
+    if (bound := pwl_beta_range(phi_max, n, capacity, threshold)) == math.inf:  # the threshold is finite
+        return ShapingVerdict(True, 0.0, BindingCondition.PHI_BELOW_CAPACITY_SHARE)
+    return ShapingVerdict(beta_max <= bound, beta_max, BindingCondition.BETA_MAX_BOUND)
 
 
 def check_homogeneous(

@@ -18,12 +18,15 @@ only the agents a selection step leaves. ``bracketed_root``, ``inverse_marginal`
 Custom inversion and its warm-started memory as the bitwise reference for
 the lockstep array ones. ``document`` builds the solve document as a dict,
 the reference whose ``json.dump`` the streamed writer must match byte for byte.
+``exact_b_range`` and ``exact_worst_case`` give the quadratic box's range and
+worst case in rational arithmetic, and ``rounded`` the float they round to.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
@@ -440,3 +443,21 @@ def document(instance: MarketInstance, result=None) -> dict:
         if result.e_star is not None:
             out["e_star"] = list(result.e_star)
     return out
+
+
+def exact_b_range(m_max: float, n: int, capacity: float, threshold: float) -> Fraction:
+    """n*threshold / (n*m_max - C) in rational arithmetic, for n*m_max > C exactly."""
+    return n * Fraction(threshold) / (n * Fraction(m_max) - Fraction(capacity))
+
+
+def exact_worst_case(b_max: float, m_max: float, n: int, capacity: float) -> Fraction:
+    """The corner's price max(0, b_max*(n*m_max - C)/n) in rational arithmetic."""
+    return max(Fraction(0), Fraction(b_max) * (n * Fraction(m_max) - Fraction(capacity)) / n)
+
+
+def rounded(exact: Fraction) -> float:
+    """The nearest float to ``exact``, or inf where it rounds past the float range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf

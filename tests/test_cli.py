@@ -12,6 +12,8 @@ import pytest
 
 from teshape.cli import main
 
+from oracles import exact_b_range, exact_worst_case, rounded
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -138,8 +140,8 @@ def test_shape_check_knife_edge_box_is_admissible(capsys):
 
 
 @pytest.mark.parametrize("family, given, message", [
-    ("quad", ["--b-max", "1"], "--b-max and --m-max required for quad"),
-    ("pwl", ["--beta-max", "1"], "--beta-max and --phi-max required for pwl"),
+    ("quad", ["--b-max", "1"], "--m-max required for quad"),
+    ("pwl", ["--beta-max", "1"], "--phi-max required for pwl"),
     ("homog", ["--b", "1"], "--b and --m required for homog"),
     ("homog", ["--b-max", "1", "--m-max", "6"], "--b and --m required for homog"),
 ])
@@ -147,6 +149,44 @@ def test_shape_check_missing_bound_exits_2(family, given, message, capsys):
     argv = ["shape-check", "--family", family, "--n", "4", "--C", "20", "--lambda-dagger", "10", *given]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"validation error: {message}\n")
+
+
+MARKET = ["--n", "10", "--C", "50", "--lambda-dagger", "1"]
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["--family", "quad", *MARKET, "--m-max", "6"], "b_max_range=1.0\n"),  # 10*1/(10*6 - 50)
+    (["--family", "pwl", *MARKET, "--phi-max", "6"], "beta_max_range=1.0\n"),  # lambda_dagger
+    (["--family", "pwl", *MARKET, "--phi-max", "5"], "beta_max_range=1.0\n"),  # phi_max = C/n: not strictly below
+    (["--family", "quad", *MARKET, "--m-max", "5"], "b_max_range=inf\n"),  # inside the share condition
+    (["--family", "pwl", *MARKET, "--phi-max", "4.5"], "beta_max_range=inf\n"),
+    (["--family", "quad", "--n", "3", "--C", "1", "--lambda-dagger", "1", "--m-max", "0.33333333333333337"],
+     "b_max_range=inf\n"),  # n*m_max - C rounds to 0
+], ids=["quad", "pwl", "pwl-at-share", "quad-inside-share", "pwl-inside-share", "quad-knife-edge"])
+def test_shape_check_without_the_bound_prints_its_range(argv, out, capsys):
+    assert run_cli(capsys, "shape-check", *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("b_max, code", [("1.0", 0), ("1.0000000000000002", 1)])
+def test_shape_check_admits_the_printed_range_and_refuses_the_next_float(b_max, code, capsys):
+    got, out, _ = run_cli(capsys, "shape-check", "--family", "quad", *MARKET, "--m-max", "6", "--b-max", b_max)
+    assert (got, out.splitlines()[0]) == (code, f"admissible={str(code == 0).lower()}")
+
+
+@pytest.mark.parametrize("b_max, m_max, n, capacity, threshold", [
+    (1e10, 1e299, 10, 50.0, 1e308),  # n*threshold overflows; the worst case, ~1e309, is past the float range: exit 1
+    (1e-308, 1e308, 3, 1e308, 1.0),  # n*m_max overflows; the worst case is 2/3: exit 0
+], ids=["n-threshold-overflows", "n-m-overflows"])
+def test_shape_check_decides_boxes_whose_n_fold_products_overflow(b_max, m_max, n, capacity, threshold, capsys):
+    admissible = b_max <= exact_b_range(m_max, n, capacity, threshold)
+    worst = rounded(exact_worst_case(b_max, m_max, n, capacity))
+    argv = ["--family", "quad", "--n", str(n), "--C", repr(capacity), "--lambda-dagger", repr(threshold),
+            "--m-max", repr(m_max), "--b-max", repr(b_max)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "shape-check", *argv)
+    assert (code, err, caught) == (0 if admissible else 1, "", [])
+    assert out == f"admissible={str(admissible).lower()}\nworst_case_lambda={worst:.6g}\nbinding_condition=BMaxBound\n"
 
 
 HOMOG = ["--family", "homog", "--n", "4", "--C", "20", "--lambda-dagger", "10"]
@@ -553,3 +593,14 @@ def test_experiment_huge_lambda_dagger_exits_2(lam, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "validation error: lambda_dagger is beyond the float range\n"
+
+
+@pytest.mark.parametrize("n, code, err", [
+    (1, 0, ""),  # b_1 finite, the trial's tolerance past the float range: no overflow warning
+    (50, 2, "validation error: agent 0: m*b must be finite (the drop-out price overflows)\n"),  # n*threshold overflows
+], ids=["one-agent", "fifty-agents"])
+def test_quadratic_experiment_at_the_float_limit(n, code, err, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"family": "quadratic", "n": %d, "trials": 3, "lambda_dagger": 1.7e308, "seed": 3}' % n)
+    got, _, stderr = run_cli(capsys, "experiment", str(spec_path), "--out", str(tmp_path / "o"), "--threads", "1")
+    assert (got, stderr) == (code, err)

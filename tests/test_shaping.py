@@ -17,6 +17,8 @@ from teshape import (
     check_pwl_set,
     check_quadratic_set,
     chi_theta_quadratic,
+    pwl_beta_range,
+    quadratic_b_range,
     solve,
     solve_mtes_generic,
     solve_mtes_pwl,
@@ -24,10 +26,36 @@ from teshape import (
 )
 from teshape.shaping import NotDifferentiable
 
+from oracles import exact_b_range, exact_worst_case, rounded
+
 
 # ---------------------------------------------------------------------------
 # Quadratic boxes
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("b_max, m_max, n, capacity, threshold, admissible", [
+    (1e10, 1e299, 10, 50.0, 1e308, False),  # n*threshold overflows; the worst case, ~1e309, is past the float range
+    (1e-308, 1e308, 3, 1e308, 1.0, True),  # n*m_max overflows; the worst case is 2/3
+], ids=["n-threshold-overflows", "n-m-overflows"])
+def test_quadratic_box_whose_n_fold_products_overflow(b_max, m_max, n, capacity, threshold, admissible):
+    """Where n*threshold or n*m_max passes the float range, the range and the worst case are taken per agent and
+    agree with their rational values; the verdict is the exact one."""
+    exact = exact_b_range(m_max, n, capacity, threshold)
+    assert quadratic_b_range(m_max, n, capacity, threshold) == pytest.approx(rounded(exact), rel=4e-16)
+    verdict = check_quadratic_set(b_max, m_max, n, capacity, threshold)
+    assert verdict.admissible is admissible is (b_max <= exact)
+    worst = rounded(exact_worst_case(b_max, m_max, n, capacity))
+    assert verdict.worst_case_lambda == chi_theta_quadratic(b_max, m_max, n, capacity) == pytest.approx(worst, rel=4e-16)
+    assert verdict.binding_condition is BindingCondition.B_MAX_BOUND
+
+
+def test_ranges_validate_their_arguments():
+    for box_range in (quadratic_b_range, pwl_beta_range):
+        with pytest.raises(ValidationError, match="^capacity must be positive and finite; threshold must be"):
+            box_range(6.0, 4, math.inf, math.nan)
+        with pytest.raises(ValidationError, match=r"n must be in 1\.\.2\*\*63-1"):
+            box_range(6.0, 2**63, 20.0, 10.0)
 
 
 def test_quadratic_boundary_is_admissible_with_worst_case_at_threshold():

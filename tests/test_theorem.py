@@ -9,12 +9,15 @@ lambda_dagger in {0.01, 15, 1e6}; a w*log(1+x) box, w <= w_max, is decided
 by ``check_homogeneous`` at its corner, since u'_w(C/n) = w/(1 + C/n) rises
 in w. Soundness and the corners are checked in both models: a trading
 market clears at max(lambda, 0), so every verdict holds there too. Every
-draw comes from a seeded NumPy generator.
+draw comes from a seeded NumPy generator. The paper's tight ranges, the
+largest admitted bounds, are the box checks' boundaries and the samplers'
+corners on an explicit grid that reaches the float range's ends.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,12 +30,19 @@ from teshape import (
     PiecewiseLinear,
     PreferenceColumns,
     Quadratic,
+    ShapingVerdict,
     check_homogeneous,
     check_pwl_set,
     check_quadratic_set,
+    pwl_beta_range,
+    quadratic_b_range,
     sample_production,
+    sample_pwl_params,
+    sample_quadratic_params,
     solve,
 )
+
+from oracles import exact_b_range, exact_worst_case, rounded
 
 SIZES = (1, 2, 7, 1000)
 THRESHOLDS = (0.01, 15.0, 1e6)
@@ -224,3 +234,89 @@ def test_log_box_decided_at_its_corner(n, lam_dagger, model):
         assert verdict.admissible or corner > lam_dagger
     profile = _inside(edge * rng.uniform(0.5, 1.0), n, rng).tolist()
     assert solve(MarketInstance(a, tuple(map(_log_agent, profile)), model)).lambda_star <= lam_dagger + tol
+
+
+# ---------------------------------------------------------------------------
+# The tight ranges on an explicit grid
+# ---------------------------------------------------------------------------
+
+RANGE_SIZES = (1, 3, 100, 2**62)
+RANGE_CAPACITIES = (0.1, 1.0, 123.456, 1e6)  # capacities of the one-ulp knife-edge test above
+RANGE_THRESHOLDS = (1e-300, 1.0, 1e308)
+RANGE_FAMILIES = {  # family: its range, its box check and its sampler
+    "quad": (quadratic_b_range, check_quadratic_set, sample_quadratic_params),
+    "pwl": (pwl_beta_range, check_pwl_set, sample_pwl_params),
+}
+
+range_grid = pytest.mark.parametrize(("family", "n", "capacity", "lam_dagger"), [
+    (family, n, c, t) for family in RANGE_FAMILIES for n in RANGE_SIZES for c in RANGE_CAPACITIES
+    for t in RANGE_THRESHOLDS
+])
+
+
+def _given_bounds(n: int, capacity: float) -> tuple[float, ...]:
+    """m_max or phi_max at the share C/n, one ulp either side of it, at twice it and at 1e299."""
+    share = capacity / n
+    return share, math.nextafter(share, 0.0), math.nextafter(share, math.inf), 2.0 * share, 1e299
+
+
+def _inline_verdict(family: str, bound: float, given: float, n: int, capacity: float, threshold: float) -> tuple:
+    """(admissible, worst case, binding condition) as the box checks' inline expressions gave them before the
+    range functions; None for a field whose expression overflows, there being no float to keep."""
+    if family == "pwl":
+        if given < capacity / n:
+            return True, 0.0, BindingCondition.PHI_BELOW_CAPACITY_SHARE
+        return bound <= threshold, bound, BindingCondition.BETA_MAX_BOUND
+    if given <= capacity / n:
+        return True, 0.0, BindingCondition.M_BELOW_CAPACITY_SHARE
+    excess = n * given - capacity
+    overflows = excess and (math.isinf(excess) or math.isinf(n * threshold))  # excess == 0 divides nothing
+    worst = bound * excess / n
+    return (None if overflows else excess == 0 or bound <= n * threshold / excess,
+            None if math.isinf(worst) else max(0.0, worst), BindingCondition.B_MAX_BOUND)
+
+
+@range_grid
+def test_range_is_the_box_checks_boundary(family, n, capacity, lam_dagger):
+    """The check admits the range (a positive one: 1e-300/1e299 rounds to 0) and refuses the next float up; an
+    infinite range admits the largest float. At these bounds and at 1e-300, 1 and 1e300 the verdicts are those
+    of the inline expressions the ranges replaced wherever no n-fold product overflows; where one does, the
+    range or the worst case is its rational value, rounded."""
+    box_range, check, _ = RANGE_FAMILIES[family]
+    for given in _given_bounds(n, capacity):
+        bound = box_range(given, n, capacity, lam_dagger)
+        if bound < math.inf:
+            assert not check(math.nextafter(bound, math.inf), given, n, capacity, lam_dagger).admissible
+        probes = [b for b in (bound, math.nextafter(bound, math.inf), sys.float_info.max) if 0 < b < math.inf]
+        for b in (*probes, 1e-300, 1.0, 1e300):
+            verdict = check(b, given, n, capacity, lam_dagger)
+            assert verdict.admissible is (b <= bound)
+            admissible, worst, binding = _inline_verdict(family, b, given, n, capacity, lam_dagger)
+            assert verdict.binding_condition is binding
+            if admissible is None:
+                assert bound == pytest.approx(rounded(exact_b_range(given, n, capacity, lam_dagger)), rel=8e-16)
+            else:
+                assert verdict.admissible is admissible
+            if worst is None:
+                worst = pytest.approx(rounded(exact_worst_case(b, given, n, capacity)), rel=8e-16)
+            assert verdict.worst_case_lambda == worst
+
+
+@range_grid
+def test_samplers_put_agent_one_on_the_range(family, n, capacity, lam_dagger):
+    """Over seeded draws agent one's bound is the range at its other parameter, bit for bit, and the inline
+    expression the sampler used before wherever n*lambda_dagger and n*m_1 stay finite. One-float buffers hold
+    agent one alone, so n may be 2**62."""
+    box_range, check, sample = RANGE_FAMILIES[family]
+    rng = np.random.default_rng((RANGE_SIZES.index(n), RANGE_CAPACITIES.index(capacity),
+                                 RANGE_THRESHOLDS.index(lam_dagger)))
+    for _ in range(8):
+        first, second = sample(n, capacity, lam_dagger, rng, out=(np.empty(1), np.empty(1)))
+        corner, given = float(first[0]), float(second[0])
+        assert corner.hex() == box_range(given, n, capacity, lam_dagger).hex()
+        if family == "pwl":
+            assert corner.hex() == lam_dagger.hex()
+        elif not (math.isinf(n * lam_dagger) or math.isinf(n * given)):
+            assert corner.hex() == (n * lam_dagger / (n * given - capacity)).hex()
+        if corner < math.inf:  # the trial's own check admits the corner it samples
+            assert check(corner, given, n, capacity, lam_dagger).admissible
