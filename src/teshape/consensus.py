@@ -309,7 +309,8 @@ def run_distributed(
     summed once, by ``local_capacities``; the first agent, in index order,
     whose capacity lies outside (0, max_capacity(n)] raises EstimateOutOfRange.
     The local markets differ only in capacity, so they are cleared by
-    ``solve_many`` from the vectors of shares and capacities; with
+    ``solve_many`` from the vectors of shares and capacities (quadratic or PWL
+    markets clear as one stack); with
     ``homogenize=True`` every local market has its own preferences and is
     solved alone. A negative ``rounds`` or a NaN or negative ``tol`` raises
     ValidationError.

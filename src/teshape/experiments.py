@@ -317,6 +317,9 @@ def _run_trial(spec: ExperimentSpec, cell_index: int, trial: int, n: int, lam_da
     capacity = float(np.sum(a))  # pairwise: the sampled bits depend on it
     if spec.family == "quadratic":
         first, second = sample_quadratic_params(n, capacity, lam_dagger, rng, out=columns)
+        if not math.isfinite(float(first[0]) * float(second[0])):  # the corner's drop-out price m_1*b_1
+            raise ValidationError([f"cell {cell_index}: lambda_dagger {lam_dagger!r} at n={n} puts the corner's "
+                                   "drop-out price m_1*b_1 past the float range"])
         kind, check, solver = Quadratic, check_quadratic_set, solve_mtes_quadratic
         tol = 2 * (n + 4) * math.ulp(1.0) * (lam_dagger + float(first[0]) * (float(np.sum(second)) + capacity))
     else:

@@ -1,13 +1,14 @@
 """Equilibrium price and allocation solvers.
 
-Three routes to the market-clearing price:
+Two routes to the market-clearing price:
 
-* exact water-filling over drop-out prices (all-quadratic instances) and
-  breakpoint search over marginal rates (all-piecewise-linear ones): one kink
-  search, also over a stack of markets that differ only in capacity,
-* safeguarded secant steps on the aggregate-demand balance for any mix of
-  strictly concave differentiable preferences (quadratic and custom; PWL is
-  excluded because its utility is not differentiable at the saturation load).
+* a kink search for any market of quadratic and piecewise-linear (PWL)
+  agents: exact water-filling over drop-out prices and breakpoint search over
+  marginal rates at once, one sort, also over a stack of markets that differ
+  only in capacity,
+* safeguarded secant steps on the aggregate-demand balance for any market
+  with Custom agents, which may mix with quadratic ones (not PWL ones: their
+  utility is not differentiable at the saturation load).
 
 ``solve`` takes the route that the preferences pick; ``solve_mtes_quadratic``,
 ``solve_mtes_pwl`` and ``solve_mtes_generic`` force one. Every route clears
@@ -146,7 +147,7 @@ class AggregateDemand:
         self.n, self.scale = len(preferences), scale
         if preferences.mask(PiecewiseLinear).any() or not all(isinstance(p, Custom) for p in preferences.others):
             raise ValidationError(["bisection requires differentiable preferences; "
-                                   "PWL agents clear only in an all-PWL market"])
+                                   "PWL agents clear only in markets without Custom agents"])
         # every agent quadratic: the columns as they are, not copied
         self.quadratic = slice(None) if preferences.kind is Quadratic else preferences.mask(Quadratic)
         self.custom = preferences.mask(None)
@@ -186,13 +187,6 @@ class AggregateDemand:
 # ---------------------------------------------------------------------------
 
 
-def _require(instance: MarketInstance, kind: type) -> None:
-    validate_instance(instance).raise_if_invalid()
-    if instance.preferences.kind is not kind:
-        got = _COLUMN_KINDS.get(instance.preferences.kind, ("mixed",))[0]  # any other kind is mixed
-        raise ValidationError([f"solver requires a homogeneous {_COLUMN_KINDS[kind][0]} instance, got {got}"])
-
-
 class _Clearing(NamedTuple):
     """A plain-market solution before packaging: price, allocation, route. A stack
     of markets has a price, an allocation row and a degenerate flag (or one for all) each."""
@@ -201,7 +195,7 @@ class _Clearing(NamedTuple):
     x: np.ndarray
     method: SolveMethod
     degenerate: bool | np.ndarray = False
-    demand: AggregateDemand | None = None  # the generic route's split, reused by the self-check
+    demand: AggregateDemand | None = None  # the generic route's split, reused by the trading floor
 
 
 def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None = None,
@@ -214,7 +208,7 @@ def _result(instance: MarketInstance, clearing: _Clearing, e: np.ndarray | None 
     lam = np.reshape(clearing.lam, (-1, 1))
     x = np.reshape(clearing.x, (len(lam), -1))
     e = None if e is None else np.reshape(e, x.shape)
-    _, _, residuals, _, violations, ok = _kkt(instance, lam, x, e, clearing.demand, capacity)
+    _, _, residuals, _, violations, ok = _kkt(instance, lam, x, e, capacity)
     if (bad := ~ok).any():
         i = int(np.argmax(bad))
         raise SolverError(f"KKT violation {violations[i]:.3e} > {_KKT_TOL:g} * max(1, C) at price {lam[i, 0].item()!r}")
@@ -235,9 +229,9 @@ def _solve(instance: MarketInstance, clear) -> EquilibriumResult:
     if instance.model is ModelKind.MTES_ST:
         if clearing.lam > 0:
             e = instance.production - clearing.x
-        else:  # satiation loads; a PWL market clears at zero price only with everyone satiated
+        else:  # satiation loads, which a clearing at price 0 already holds
             x, demand = clearing.x, clearing.demand
-            if instance.preferences.kind is not PiecewiseLinear:
+            if clearing.lam < 0:
                 demand = demand or AggregateDemand(instance.preferences, scale=instance.capacity)
                 x = demand.allocation(0.0)
             e = instance.production - x - (instance.capacity - float(np.sum(x))) / instance.n
@@ -292,92 +286,101 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _kinks(key: np.ndarray, level: np.ndarray, slope: np.ndarray | None, capacity: np.ndarray,
+def _kinks(key: np.ndarray, columns: list[np.ndarray], capacity: np.ndarray,
            side: str) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Tie groups of agents sorted down ``key``: their bounds (first places, then the agent count), the sums of
-    ``level`` and ``slope`` up to each bound, and by one binary search per capacity the last group whose kink demand
-    (the groups above: level sum - key * slope sum) is below it (side "left") or at or below it ("right"). Down the
-    groups, sums of positive levels never fall but float kink demands may, so with a slope each capacity is sought in
-    their minimum from each group down, NaN skipped (only NaN from a group down: sorted last, as inf). None: -1."""
+    """Tie groups of agents sorted down ``key``: their bounds (first places, then the agent count), the sums of each of
+    ``columns`` (level, then slope if given, then any other) up to each bound, and by one binary search per capacity the
+    last group whose kink demand (the groups above: level sum - key * slope sum) is below it (side "left") or at or below
+    it ("right"). Down the groups, sums of positive levels never fall but float kink demands may, so with a slope each
+    capacity is sought in their minimum from each group down, NaN skipped (only NaN from a group down: sorted last, as
+    inf). None: -1."""
     bounds = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1], [True]]))
-    sums = [np.concatenate([[0.0], np.cumsum(column)])[bounds] for column in (level, slope) if column is not None]
+    sums = [np.concatenate([[0.0], np.cumsum(column)])[bounds] for column in columns]
     demand = sums[0][:-1]
-    if slope is not None:
+    if len(sums) > 1:
         demand = demand - key[bounds[:-1]] * sums[1][:-1]
         np.fmin.accumulate(demand[::-1], out=demand[::-1])  # in place: no more G-sized temporaries
     return bounds, sums, np.searchsorted(demand, capacity, side) - 1
 
 
-def _clear_quadratic(instance: MarketInstance, capacity: np.ndarray | None = None) -> _Clearing:
-    """Water-filling of a quadratic instance, validated, or of the stack of
-    markets that differ from it only in ``capacity``, all from one sort."""
-    _require(instance, Quadratic)
-    b, m = instance.preferences.columns
+def _clear_kinks(instance: MarketInstance, capacity: np.ndarray | None = None) -> _Clearing:
+    """Kink search of a market of quadratic and PWL agents, validated, or of the stack of markets that differ from it
+    only in ``capacity``, all from one sort. An agent has a level, a key, a slope and a jump: (m, m*b, 1/b, 0) if
+    quadratic, (phi, beta, 0, phi) if PWL. Above its key it demands level - price * slope, below it nothing, and at it
+    anything down to its jump less. With sum level <= C an all-quadratic market's price solves one linear equation;
+    any other market's is 0, where the PWL agents share the surplus equally. Otherwise the crossing group is the last
+    one down the keys whose kink demand is at or below C (all-quadratic: its stable ascending order reversed) or below C
+    (tied agents in index order). Its key is the price if its jumps reach C or no slope runs through it, and its PWL
+    agents share the remainder in proportion to phi; else the price solves the linear segment below the key."""
+    validate_instance(instance).raise_if_invalid()
+    preferences, n = instance.preferences, instance.n
+    kind, (first, level) = preferences.kind, preferences.columns
     capacity = np.array([instance.capacity]) if capacity is None else capacity
-    sum_m, b_inv = float(np.sum(m)), 1.0 / b  # 1/b: summed, the selection slope and the kink sums
-    spare = sum_m <= capacity  # every agent stays active: one linear equation
-    lam = (sum_m - capacity) / float(np.sum(b_inv)) if spare.any() else np.empty(len(capacity))
+    if kind is None:  # level, slope, jump; m*b and 1/b formed on the quadratic rows alone
+        rows = preferences.mask(Quadratic)
+        b, m, key, slope, jump = first[rows], level[rows], first.copy(), np.zeros(n), level.copy()
+        key[rows], slope[rows], jump[rows] = m * b, 1.0 / b, 0.0
+        columns, pwl_agents = [level, slope, jump], n - len(b)
+    else:  # quadratic: level and slope, 1/b summed, the selection slope and the kink sums; PWL: level, the jump too
+        columns, pwl_agents = [level, 1.0 / first] if kind is Quadratic else [level], n
+    sum_level = float(np.sum(level))
+    spare = sum_level <= capacity
+    lam = (sum_level - capacity) / float(np.sum(columns[1])) if kind is Quadratic and spare.any() else np.zeros(len(capacity))
+    if kind is not Quadratic:  # spare: the PWL agents share the surplus
+        x = np.zeros((len(capacity), n))
+        x[spare] = columns[-1] + ((capacity[spare] - sum_level) / pwl_agents)[:, None]
     short = np.flatnonzero(~spare)
     if len(short):
-        # the reverse of an ascending stable sort: tied agents come in descending index order
-        order = _active_order(key := m * b, m, b_inv, float(np.max(capacity[short])), sum_m)[::-1]
-        _, (sum_m_s, sum_binv_s), k = _kinks(key[order], m[order], b_inv[order], capacity[short], "right")
-        lam[short] = (sum_m_s[1:][k] - capacity[short]) / sum_binv_s[1:][k]  # sums through group k
-        del key, b_inv  # freed before the allocation is made
-    x = np.divide(lam[:, None], b)  # max(m - lam/b, 0), each step in place
-    return _Clearing(lam, np.maximum(np.subtract(m, x, out=x), 0.0, out=x), SolveMethod.CLOSED_FORM_QUADRATIC)
+        key = level * first if kind is Quadratic else first if kind is PiecewiseLinear else key
+        order = _active_order(key, level, columns[1] if len(columns) > 1 else None, float(np.max(capacity[short])),
+                              sum_level, descending=kind is not Quadratic)
+        order = order[::-1] if kind is Quadratic else order  # quadratic: tied agents in descending index order
+        bounds, sums, k = _kinks(key_s := key[order], ranked := [c[order] for c in columns], capacity[short],
+                                 "right" if kind is Quadratic else "left")
+        slope_above, slope_through = (sums[1][k], sums[1][1:][k]) if len(sums) > 1 else (0.0, 0.0)
+        tier = 0.0 if kind is Quadratic else sums[-1][1:][k] - sums[-1][k]  # the crossing group's jumps
+        at = key_s[bounds[:-1][k]]  # its key (k = -1: the last group's)
+        demand = sums[0][k] - at * slope_above  # just above it
+        with np.errstate(all="ignore"):  # each formula is used only where it holds
+            at_key = (slope_through == 0) | ((tier > 0) & (capacity[short] <= demand + tier))
+            lam[short] = np.where(at_key, at, (sums[0][1:][k] - capacity[short]) / slope_through)
+            share = np.where(at_key, (capacity[short] - demand) / tier, 1.0)  # below its key, the group saturates
+        if kind is Quadratic:
+            del key, columns, key_s, ranked  # freed before the allocation is made
+        else:  # the PWL agents: saturated above the price, a share at it, nothing below
+            x_s, place = ranked[-1] * share[:, None], np.arange(len(order))
+            np.copyto(x_s, ranked[-1], where=place < bounds[k, None])
+            np.copyto(x_s, 0.0, where=place >= bounds[k + 1, None])
+            x[short[:, None], order] = x_s
+    if kind is Quadratic:
+        x = np.divide(lam[:, None], first)  # max(m - lam/b, 0), each step in place
+        return _Clearing(lam, np.maximum(np.subtract(level, x, out=x), 0.0, out=x), SolveMethod.CLOSED_FORM_QUADRATIC)
+    if kind is None:
+        with np.errstate(over="ignore"):  # a PWL rate over a small b: the agent demands 0
+            x[:, rows] = np.maximum(m - lam[:, None] / b, 0.0)
+    return _Clearing(lam, x, SolveMethod.BREAKPOINT_PWL, degenerate=kind is PiecewiseLinear and sum_level == capacity)
+
+
+def _one_family(instance: MarketInstance, kind: type) -> _Clearing:
+    """``_clear_kinks`` of an instance whose agents are all of family ``kind``; any other is validated, then refused."""
+    if instance.preferences.kind is not kind:
+        validate_instance(instance).raise_if_invalid()
+        got = _COLUMN_KINDS.get(instance.preferences.kind, ("mixed",))[0]  # any other kind is mixed
+        raise ValidationError([f"solver requires a homogeneous {_COLUMN_KINDS[kind][0]} instance, got {got}"])
+    return _clear_kinks(instance)
 
 
 def solve_mtes_quadratic(instance: MarketInstance) -> EquilibriumResult:
-    """Exact water-filling for all-quadratic instances.
-
-    When total satiation does not exceed capacity every agent stays active and
-    the price (possibly negative) comes from one linear equation. Otherwise a
-    selection step keeps the drop-out prices m_i*b_i that can be active, only
-    those are sorted, and the price is solved on the agents from the last
-    drop-out price whose kink demand is at or below capacity up. Equal
-    drop-out prices are grouped exactly, never perturbed.
-    """
-    return _solve(instance, _clear_quadratic)
-
-
-def _clear_pwl(instance: MarketInstance, capacity: np.ndarray | None = None) -> _Clearing:
-    """Breakpoint search of a PWL instance, validated, or of the stack of
-    markets that differ from it only in ``capacity``, all from one sort."""
-    _require(instance, PiecewiseLinear)
-    beta, phi = instance.preferences.columns
-    capacity = np.array([instance.capacity]) if capacity is None else capacity
-    sum_phi = float(np.sum(phi))
-    spare = sum_phi <= capacity
-    lam, x = np.zeros(len(capacity)), np.zeros((len(capacity), instance.n))  # spare: equal split of the surplus
-    x[spare] = phi + ((capacity[spare] - sum_phi) / instance.n)[:, None]
-    short = np.flatnonzero(~spare)
-    if len(short):
-        # a descending stable sort: tied agents come in ascending index order
-        order = _active_order(beta, phi, None, float(np.max(capacity[short])), sum_phi, descending=True)
-        beta_s, phi_s = beta[order], phi[order]
-        bounds, (sum_phi_s,), k = _kinks(beta_s, phi_s, None, capacity[short], "left")
-        lam[short] = beta_s[bounds[k]]
-        x_s = phi_s * ((capacity[short] - sum_phi_s[k]) / (sum_phi_s[k + 1] - sum_phi_s[k]))[:, None]
-        place = np.arange(len(order))  # tier k takes its share, the tiers above saturate, those below get nothing
-        np.copyto(x_s, phi_s, where=place < bounds[k, None])
-        np.copyto(x_s, 0.0, where=place >= bounds[k + 1, None])
-        x[short[:, None], order] = x_s
-    return _Clearing(lam, x, SolveMethod.BREAKPOINT_PWL, degenerate=sum_phi == capacity)
+    """``solve``'s kink search for an all-quadratic instance: exact water-filling over the drop-out prices m_i*b_i, the
+    price possibly negative where total satiation does not exceed capacity. Any other instance is refused."""
+    return _solve(instance, lambda inst: _one_family(inst, Quadratic))
 
 
 def solve_mtes_pwl(instance: MarketInstance) -> EquilibriumResult:
-    """Breakpoint search for all-piecewise-linear instances.
-
-    With total saturation below capacity the price is zero and the surplus is
-    split equally. Otherwise a selection step keeps the agents whose rates can
-    carry capacity, and only those are sorted by marginal rate, descending;
-    the price is the rate of the last tier whose saturated demand above it is
-    below capacity, and that tier shares the remainder in proportion to
-    saturation loads. The exact-saturation boundary is priced at zero and
-    flagged degenerate (the equilibrium price is set-valued there).
-    """
-    return _solve(instance, _clear_pwl)
+    """``solve``'s kink search for an all-PWL instance: breakpoint search over the marginal rates, the price zero and
+    the surplus split equally where total saturation does not exceed capacity, flagged degenerate (the price is
+    set-valued) where the two are equal. Any other instance is refused."""
+    return _solve(instance, lambda inst: _one_family(inst, PiecewiseLinear))
 
 
 def _clear_generic(instance: MarketInstance) -> _Clearing:
@@ -426,14 +429,11 @@ def solve_mtes_generic(instance: MarketInstance) -> EquilibriumResult:
     return _solve(instance, _clear_generic)
 
 
-_CLOSED_FORMS = {Quadratic: _clear_quadratic, PiecewiseLinear: _clear_pwl}  # by preference kind; else bisection
-
-
 def solve(instance: MarketInstance) -> EquilibriumResult:
     """Clear ``instance``, of either model, by the route its preferences pick:
-    water-filling if every agent is Quadratic, breakpoint search if every
-    agent is PiecewiseLinear, bisection otherwise."""
-    return _solve(instance, _CLOSED_FORMS.get(instance.preferences.kind, _clear_generic))
+    the kink search if every agent is Quadratic or PiecewiseLinear, bisection
+    if any is Custom."""
+    return _solve(instance, _clear_generic if instance.preferences.others else _clear_kinks)
 
 
 def local_capacities(n: int, shares: np.ndarray) -> tuple[np.ndarray, int]:
@@ -449,12 +449,12 @@ def local_capacities(n: int, shares: np.ndarray) -> tuple[np.ndarray, int]:
 def solve_many(preferences, shares, capacity: np.ndarray) -> list[EquilibriumResult]:
     """``[solve(MarketInstance(np.full(n, s), preferences)) for s in shares]``, bit for bit: average consensus's
     local markets, whose ``capacity`` is ``local_capacities(n, shares)``, every one in its range. Quadratic or PWL
-    markets clear as one stack (one sort, one self-check), mixed and Custom ones one market at a time."""
+    markets clear as one stack (one sort, one self-check), markets with Custom agents one market at a time."""
     preferences = PreferenceColumns.of(preferences)
-    if (clear := _CLOSED_FORMS.get(preferences.kind)) is None or not len(shares):
+    if preferences.others or not len(shares):
         return [solve(MarketInstance(np.full(len(preferences), s), preferences)) for s in shares]
     first = MarketInstance(np.full(len(preferences), shares[0]), preferences)
-    return _result(first, clear(first, capacity), capacity=capacity)
+    return _result(first, _clear_kinks(first, capacity), capacity=capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +483,7 @@ class KktReport:
 
 
 def _kkt(
-    instance: MarketInstance, lam: np.ndarray, x: np.ndarray, e: np.ndarray | None,
-    demand: AggregateDemand | None = None, capacity: np.ndarray | None = None,
+    instance: MarketInstance, lam: np.ndarray, x: np.ndarray, e: np.ndarray | None, capacity: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[float], float, list[float], np.ndarray]:
     """(stationarity, feasibility, balance, price, max) violations of the
     markets stacked as rows of ``x`` at the prices in the column ``lam``, which
@@ -492,41 +491,45 @@ def _kkt(
     Last, whether each row passes the solver's gate, max <= 1e-8 * max(1, C):
     a NaN violation never does.
 
-    Vectorized for PWL and quadratic agents, which mixed instances share; a
-    mixed instance's Custom agents are inverted cold, in lockstep. ``demand``
-    is the solve's split, if it made one; its remembered prices are not used.
+    Stationarity is written per family: PWL and quadratic agents as arrays (a
+    one-family market's is that array itself), Custom agents inverted cold,
+    in lockstep, independently of the solve.
     """
     capacity = instance.capacity if capacity is None else capacity
-    is_st = instance.model is ModelKind.MTES_ST
+    preferences, is_st = instance.preferences, instance.model is ModelKind.MTES_ST
     zero_price = is_st and lam.item() <= 0  # the routes floor a trading price at exactly 0.0
-    if instance.preferences.kind is PiecewiseLinear:
-        beta, phi = instance.preferences.columns
-        eq_tol = 1e-9 * beta  # relative: a rate of any scale is told apart from the zero price
-        # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]; below it: |x - phi|. The first case
-        # that holds wins, as in np.select: the case at the rate is computed for all, the others copied over it in reverse
-        zero, above, at = lam <= eq_tol, lam > beta + eq_tol, lam >= beta - eq_tol
-        stationarity = np.negative(x)
-        np.maximum(np.maximum(stationarity, slack := np.subtract(x, phi), out=stationarity), 0.0, out=stationarity)
-        np.copyto(stationarity, np.abs(slack, out=slack), where=~at)
-        np.copyto(stationarity, np.abs(x, out=slack), where=above)
-        np.copyto(stationarity, np.maximum(np.subtract(phi, x, out=slack), 0.0, out=slack), where=zero)
-        del slack  # freed before the feasibility array is made
-    else:  # quadratic agents as arrays; the Custom agents inverted cold together, independently of the solve
-        demand = demand or AggregateDemand(instance.preferences, instance.capacity)
-        b, m = demand.b, demand.m
-        quadratic = np.divide(lam, b)  # |x - max(m - lam/b, 0)|, |x - m| at the zero price, each step in place
-        np.maximum(np.subtract(m, quadratic, out=quadratic), 0.0, out=quadratic)
-        np.abs(np.subtract(x[:, demand.quadratic], m if zero_price else quadratic, out=quadratic), out=quadratic)
-        stationarity = quadratic
-        if demand.derivs:
-            xc = x[0, demand.custom].tolist()
+    families = [(preferences.kind, slice(None))] if preferences.kind else [
+        (kind, rows) for kind in (Quadratic, PiecewiseLinear, None) if (rows := preferences.mask(kind)).any()]
+    stationarity = None if preferences.kind else np.empty(x.shape)
+    for kind, rows in families:
+        (first, second), xs = (c[rows] for c in preferences.columns), x[:, rows]
+        if kind is PiecewiseLinear:
+            eq_tol = 1e-9 * first  # relative: a rate of any scale is told apart from the zero price
+            # zero price: satiate; above the rate: drop out; at it: anywhere in [0, phi]; below it: |x - phi|. The first
+            # case that holds wins, as in np.select: the case at the rate is computed for all, the others copied over it
+            zero, above, at = lam <= eq_tol, lam > first + eq_tol, lam >= first - eq_tol
+            part = np.negative(xs)
+            np.maximum(np.maximum(part, slack := np.subtract(xs, second), out=part), 0.0, out=part)
+            np.copyto(part, np.abs(slack, out=slack), where=~at)
+            np.copyto(part, np.abs(xs, out=slack), where=above)
+            np.copyto(part, np.maximum(np.subtract(second, xs, out=slack), 0.0, out=slack), where=zero)
+            del slack  # freed before the feasibility array is made
+        elif kind is Quadratic:  # |x - max(m - lam/b, 0)|, |x - m| at the zero price, each step in place
+            with np.errstate(over="ignore"):  # a PWL rate over a small b: the agent demands 0
+                part = np.divide(lam, first)
+            np.maximum(np.subtract(second, part, out=part), 0.0, out=part)
+            np.abs(np.subtract(xs, second if zero_price else part, out=part), out=part)
+        else:
+            derivs, xc = [p.deriv_fn for p in preferences.others], xs[0].tolist()
             if zero_price:  # satiation may sit past the inversion cap: measure in gradient units
-                ds = [deriv(xi) for deriv, xi in zip(demand.derivs, xc)]
-                custom = [abs(d) if xi > 0 else max(0.0, -d) for d, xi in zip(ds, xc)]
+                ds = [deriv(xi) for deriv, xi in zip(derivs, xc)]
+                part = [abs(d) if xi > 0 else max(0.0, -d) for d, xi in zip(ds, xc)]
             else:
-                custom = np.abs(x[0, demand.custom] - _inverse_marginals(demand.derivs, lam.item(), max(1.0, instance.capacity)))
-            stationarity = np.empty(x.shape)
-            stationarity[:, demand.quadratic], stationarity[:, demand.custom] = quadratic, custom
+                part = np.abs(xs[0] - _inverse_marginals(derivs, lam.item(), max(1.0, instance.capacity)))
+        if stationarity is None:
+            stationarity = part
+        else:
+            stationarity[:, rows] = part
 
     feasibility = np.maximum(negative := np.negative(x), 0.0, out=negative)
     price_violation = 0.0

@@ -20,6 +20,11 @@ the lockstep array ones. ``document`` builds the solve document as a dict,
 the reference whose ``json.dump`` the streamed writer must match byte for byte.
 ``exact_b_range`` and ``exact_worst_case`` give the quadratic box's range and
 worst case in rational arithmetic, and ``rounded`` the float they round to.
+``exact_kink_clearing`` gives the exact clearing-price interval of a small
+market of quadratic and PWL agents, either family alone or both, and the
+quadratic agents' allocation there, from the demand correspondence in
+rational arithmetic; ``full_sort_kink_price`` the float price of a large one
+by a stable sort of every key, walked down.
 """
 
 from __future__ import annotations
@@ -461,3 +466,69 @@ def rounded(exact: Fraction) -> float:
         return float(exact)
     except OverflowError:
         return math.inf
+
+
+def exact_kink_clearing(b, m, beta, phi, capacity: float) -> tuple[Fraction, Fraction, list[Fraction]]:
+    """(lo, hi, x) of quadratic agents (b, m) and PWL agents (beta, phi) at ``capacity``, in rational
+    arithmetic: the clearing prices form [lo, hi], and x is the quadratic agents' demand there,
+    max(m - lam/b, 0), the same at every clearing price. A quadratic agent demands max(m - lam/b, 0);
+    a PWL agent phi below its rate, [0, phi] at it and 0 above, [phi, inf) at price 0 and nothing
+    clears at a negative price. Candidates are every kink (m*b or beta, and 0 with a PWL agent), where
+    capacity must lie between the lower and upper demand, and each open segment between them, where
+    demand is affine: its root, or the whole segment where demand is flat at capacity."""
+    quadratic = [(Fraction(bi), Fraction(mi)) for bi, mi in zip(b, m)]
+    pwl = [(Fraction(r), Fraction(p)) for r, p in zip(beta, phi)]
+    c = Fraction(capacity)
+
+    def quadratic_demand(lam: Fraction) -> Fraction:
+        return sum((max(mi - lam / bi, Fraction(0)) for bi, mi in quadratic), Fraction(0))
+
+    points = sorted({mi * bi for bi, mi in quadratic} | {r for r, _ in pwl} | ({Fraction(0)} if pwl else set()))
+    prices = []
+    for p in points:
+        if pwl and p == 0:
+            lower, upper = quadratic_demand(p) + sum(ph for _, ph in pwl), math.inf
+        else:
+            lower = quadratic_demand(p) + sum(ph for r, ph in pwl if r > p)
+            upper = lower + sum(ph for r, ph in pwl if r == p)
+        if lower <= c <= upper:
+            prices.append(p)
+    ends = [-math.inf] * (not pwl) + points + [math.inf]  # negative prices only without PWL agents
+    for lo, hi in zip(ends, ends[1:]):
+        mid = (lo + hi) / 2
+        active = [(bi, mi) for bi, mi in quadratic if mi * bi > mid]
+        level = sum(mi for _, mi in active) + sum(ph for r, ph in pwl if r > mid)
+        slope = sum(1 / bi for bi, _ in active)
+        if slope:
+            lam = (level - c) / slope
+            prices += [lam] if lo < lam < hi else []
+        elif level == c:
+            prices += [lo, hi]
+    lo, hi = min(prices), max(prices)
+    return lo, hi, [max(mi - lo / bi, Fraction(0)) for bi, mi in quadratic]
+
+
+def full_sort_kink_price(pwl: np.ndarray, first: np.ndarray, second: np.ndarray, capacity: float) -> float:
+    """The float price of a market of quadratic agents (b, m) and PWL agents (beta, phi), ``pwl`` marking
+    the PWL rows of the columns ``first`` (b or beta) and ``second`` (m or phi): 0 if the sum of every m
+    and phi is at most capacity; else every key (m*b or beta) stable-sorted descending, with running sums
+    of m and phi and of 1/b in that order, walked down the tie groups. The first group whose demand just
+    above its key reaches capacity prices the segment above it, by its linear equation; else a group
+    whose PWL agents carry capacity at its key prices there; past the last group, its segment."""
+    quadratic = ~pwl
+    if float(np.sum(second)) <= capacity:
+        return 0.0
+    key, slope, jump = first.copy(), np.zeros(len(first)), np.where(pwl, second, 0.0)
+    key[quadratic], slope[quadratic] = second[quadratic] * first[quadratic], 1.0 / first[quadratic]
+    order = np.argsort(-key, kind="stable")
+    key, levels, slopes, jump = key[order], np.cumsum(second[order]), np.cumsum(slope[order]), jump[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    for g, start in enumerate(starts.tolist()):
+        level, slope_sum = (levels[start - 1], slopes[start - 1]) if start else (0.0, 0.0)
+        above = level - key[start] * slope_sum
+        if capacity <= above:
+            return (level - capacity) / slope_sum
+        end = starts[g + 1] if g + 1 < len(starts) else len(key)
+        if capacity <= above + float(np.sum(jump[start:end])):
+            return float(key[start])
+    return (levels[-1] - capacity) / slopes[-1] if slopes[-1] else float(key[starts[-1]])

@@ -261,7 +261,7 @@ def _price_bits(b, m, capacity) -> tuple[list, list]:
     """The water-filling's prices at ``capacity`` and the full sort's, as hex."""
     b, m, capacity = (np.array(v, dtype=float) for v in (b, m, capacity))
     with np.errstate(over="ignore", invalid="ignore"):  # drop-out prices and kink demands past the float limit
-        got = solver._clear_quadratic(MarketInstance(np.ones(len(b)), PreferenceColumns(Quadratic, b, m)), capacity)
+        got = solver._clear_kinks(MarketInstance(np.ones(len(b)), PreferenceColumns(Quadratic, b, m)), capacity)
         expected = [lam for lam, _ in full_sort_quadratic(b, m, capacity)]
     return [lam.hex() for lam in got.lam.tolist()], [lam.hex() for lam in expected]
 
@@ -305,7 +305,7 @@ def test_crossing_tier_matches_full_sort_on_hand_made_tiers(name):
     beta, phi, capacity = np.array(beta), np.array(phi), np.array(capacity)
     order = np.argsort(-beta, kind="stable")
     assert np.cumsum(phi[order])[np.append(beta[order][1:] != beta[order][:-1], True)].tolist() == tiers
-    got = solver._clear_pwl(MarketInstance(np.ones(len(beta)), PreferenceColumns(PiecewiseLinear, beta, phi)), capacity)
+    got = solver._clear_kinks(MarketInstance(np.ones(len(beta)), PreferenceColumns(PiecewiseLinear, beta, phi)), capacity)
     assert [(lam.hex(), x.tobytes(), flag) for lam, x, flag in zip(got.lam.tolist(), got.x, got.degenerate.tolist())] == [
         (lam.hex(), x.tobytes(), flag) for lam, x, flag in (full_sort_pwl(beta, phi, c) for c in capacity.tolist())]
 
@@ -318,7 +318,7 @@ def test_crossing_kink_matches_first_at_or_below_on_hand_made_kinks(name):
         finite = np.isfinite(np.multiply(b, m)).all()
     instance = MarketInstance(np.ones(len(b)), PreferenceColumns(Quadratic, b, m))
     assert validate_instance(instance).ok is bool(finite)
-    with mock.patch.object(solver, "_require"):  # the kink search itself, on every hand-made kink
+    with mock.patch.object(solver, "validate_instance"):  # the kink search itself, on every hand-made kink
         got, expected = _price_bits(b, m, capacity)
     assert got == expected
 

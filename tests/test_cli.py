@@ -597,7 +597,9 @@ def test_experiment_huge_lambda_dagger_exits_2(lam, tmp_path, capsys):
 
 @pytest.mark.parametrize("n, code, err", [
     (1, 0, ""),  # b_1 finite, the trial's tolerance past the float range: no overflow warning
-    (50, 2, "validation error: agent 0: m*b must be finite (the drop-out price overflows)\n"),  # n*threshold overflows
+    # n*threshold overflows: b_1 is the per-agent range, and m_1*b_1 past the float range is the spec's, not an agent's
+    (50, 2, "validation error: cell 0: lambda_dagger 1.7e+308 at n=50 puts the corner's drop-out price m_1*b_1 past "
+            "the float range\n"),
 ], ids=["one-agent", "fifty-agents"])
 def test_quadratic_experiment_at_the_float_limit(n, code, err, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"

@@ -107,6 +107,14 @@ def test_pwl_capacity_past_the_float_sum_down_the_rates(tmp_path):
         assert json.loads(out.read_text())["lambda_star"] == 1.0
 
 
+def test_market_mixing_quadratic_and_pwl_agents_clears(tmp_path):
+    # a quadratic agent (b 2, m 6) and a PWL one (beta 4, phi 3) with C = 8 clear at 2, the PWL agent saturated
+    mixed = agents_file(tmp_path / "mixed.json", [5, 3], [quadratic(2, 6), pwl(4, 3)])
+    for command in (["solve"], ["solve", "--model", "mtes_st"], ["consensus", "--mode", "average"]):
+        got, out, err = teshape(command[0], mixed, *command[1:])
+        assert (got, err) == (0, "") and "lambda_star=2\n" in out, (command, out, err)
+
+
 @pytest.mark.parametrize("utility", [quadratic(1, 3), pwl(1, 3)], ids=["quadratic", "pwl"])
 def test_total_production_that_overflows_is_refused(utility, tmp_path):
     # every a is finite, their sum is not, or it lies within n*eps of the float limit

@@ -22,11 +22,6 @@ INSTANCE = json.dumps(
 )
 SPEC = json.dumps({"family": "quadratic", "n": 10, "trials": 2, "lambda_dagger": 20, "seed": 0})
 GRAPH = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]})
-# a well-formed file that no solver clears: quadratic and PWL agents mixed
-MIXED = json.dumps({"model": "mtes", "agents": [
-    {"a": 5, "utility": {"kind": "quadratic", "b": 2, "m": 6}},
-    {"a": 3, "utility": {"kind": "pwl", "beta": 4, "phi": 3}},
-]})
 
 
 def _truncations(text: str) -> list[str]:
@@ -153,12 +148,11 @@ def test_missing_input_exits_2(tmp_path, files, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["sweep", "{instance}", "--agent", "3"], ["sweep", "{instance}", "--agent", "-4"], ["solve", "{mixed}"]],
-    ids=["sweep-agent-n", "sweep-agent-minus-n-1", "solve-mixed-quadratic-pwl"],
+    [["sweep", "{instance}", "--agent", "3"], ["sweep", "{instance}", "--agent", "-4"]],
+    ids=["sweep-agent-n", "sweep-agent-minus-n-1"],
 )
 def test_unservable_requests_exit_2(argv, tmp_path, files, capsys):
-    paths = {**files, "mixed": _write(tmp_path / "mixed.json", MIXED)}
-    code, out, err = _run(capsys, [arg.format(**paths) for arg in argv])
+    code, out, err = _run(capsys, [arg.format(**files) for arg in argv])
     assert err.startswith("validation error: "), err
     _assert_one_line(code, out, err)
 

@@ -128,13 +128,13 @@ def test_negative_price_flagged_for_trading_model(quartet):
 def test_result_gate_raises_on_planted_clearings(quartet):
     """A clearing nudged off the equilibrium by 1e-6 relative passes no
     packaging: closed-form, a stack of markets and the generic route."""
-    clearing = solver._clear_quadratic(quartet)
+    clearing = solver._clear_kinks(quartet)
     assert solver._result(quartet, clearing)[0].kkt_max_violation <= 1e-12
     with pytest.raises(SolverError, match="KKT violation"):
         solver._result(quartet, clearing._replace(x=clearing.x * (1.0 + 1e-6)))
 
     capacity = quartet.capacity * np.array([0.5, 1.0, 2.0])
-    clearing = solver._clear_quadratic(quartet, capacity)
+    clearing = solver._clear_kinks(quartet, capacity)
     assert len(solver._result(quartet, clearing, capacity=capacity)) == 3
     x = clearing.x.copy()
     x[2] *= 1.0 + 1e-6

@@ -138,7 +138,7 @@ def test_selected_water_filling_matches_full_sort(call, backoff):
     preferences = PreferenceColumns(Quadratic, b, m)
     short = capacity[capacity < float(np.sum(m))]
     with _low(backoff):
-        got = solver._clear_quadratic(_capacity_instance(1.0, preferences), capacity)  # cleared at each capacity
+        got = solver._clear_kinks(_capacity_instance(1.0, preferences), capacity)  # cleared at each capacity
         active = solver._active_order(m * b, m, 1.0 / b, float(np.max(short)), float(np.sum(m))) if len(short) else None
     expected = full_sort_quadratic(b, m, capacity)
     assert [(lam.hex(), x.tobytes(), got.degenerate) for lam, x in zip(got.lam.tolist(), got.x)] == [
@@ -181,7 +181,7 @@ def test_selected_breakpoint_search_matches_full_sort(market, backoff):
     beta, phi, capacity = market
     instance = _capacity_instance(capacity, PreferenceColumns(PiecewiseLinear, beta, phi))
     with _low(backoff):
-        got = solver._clear_pwl(instance)
+        got = solver._clear_kinks(instance)
     lam, x, degenerate = full_sort_pwl(beta, phi, capacity)
     assert (got.lam.item().hex(), got.x.tobytes(), got.degenerate.item()) == (lam.hex(), x.tobytes(), degenerate)
 

@@ -133,15 +133,14 @@ def test_closed_routes_reject_mixed():
         solve_mtes_pwl(inst)
 
 
-def test_mixed_with_pwl_routes_to_bisection_which_rejects():
-    # mixed instances always dispatch to bisection; a PWL member then fails
-    # the differentiability precondition with a clear error
-    inst = MarketInstance(
-        production=(1.0, 1.0),
-        preferences=(Quadratic(1.0, 2.0), PiecewiseLinear(1.0, 2.0)),
-    )
-    with pytest.raises(ValidationError, match="differentiable"):
-        solve(inst)
+def test_pwl_next_to_custom_is_refused_and_next_to_quadratic_clears():
+    # a Custom agent sends the market to bisection, which refuses a PWL member;
+    # without one the kink search clears it: at 2, the PWL agent saturated
+    refused = MarketInstance(production=(1.0, 1.0), preferences=(log_utility(), PiecewiseLinear(1.0, 2.0)))
+    with pytest.raises(ValidationError, match="PWL agents clear only in markets without Custom agents"):
+        solve(refused)
+    result = solve(MarketInstance(production=(5.0, 3.0), preferences=(Quadratic(2.0, 6.0), PiecewiseLinear(4.0, 3.0))))
+    assert (result.lambda_star, result.x_star, result.method) == (2.0, (5.0, 3.0), SolveMethod.BREAKPOINT_PWL)
 
 
 def test_tight_lambda_tolerance_honored():

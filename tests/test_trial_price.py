@@ -86,13 +86,13 @@ def test_result_rows_become_tuples_on_first_read(tmp_path):
         result.x
 
 
-@pytest.mark.parametrize("kind, route", [(Quadratic, "_clear_quadratic"), (PiecewiseLinear, "_clear_pwl")])
-def test_planted_kkt_violation_fails_the_trial(kind, route, monkeypatch):
-    def nudged(instance, clear=getattr(solver, route)):
+@pytest.mark.parametrize("kind", [Quadratic, PiecewiseLinear])
+def test_planted_kkt_violation_fails_the_trial(kind, monkeypatch):
+    def nudged(instance, clear=solver._clear_kinks):
         clearing = clear(instance)
         return clearing._replace(x=clearing.x * (1.0 + 1e-6))
 
-    monkeypatch.setattr(solver, route, nudged)
+    monkeypatch.setattr(solver, "_clear_kinks", nudged)
     family = "quadratic" if kind is Quadratic else "pwl"
     with pytest.raises(SolverError, match="^KKT violation"):
         run_monte_carlo(ExperimentSpec(family, n=200, trials=2, lambda_dagger=20.0, seed=3))
