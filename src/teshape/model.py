@@ -296,8 +296,9 @@ def validate_instance(instance: MarketInstance) -> ValidationReport:
                 issues.extend((i, "m*b must be finite (the drop-out price overflows)") for i in np.flatnonzero(over).tolist())
     rows = np.empty(0, int) if clean else np.flatnonzero(bad[0] | bad[1] | preferences.mask(None))  # every other agent too
     others = iter(preferences.others)
-    hi = 2.0 * max(1.0, capacity if 0 < capacity < math.inf else 1.0)  # Custom agents: spot-checked on [0, hi]
-    grid = [hi * k / (_CONCAVITY_GRID_POINTS - 1) for k in range(_CONCAVITY_GRID_POINTS)] if preferences.others else []
+    # Custom agents: spot-checked on [0, 2C], capped at the largest float; hi / 16 * k is hi * k / 16 but finite
+    hi = min(2.0 * max(1.0, capacity if 0 < capacity < math.inf else 1.0), float(np.finfo(float).max))
+    grid = [hi / (_CONCAVITY_GRID_POINTS - 1) * k for k in range(_CONCAVITY_GRID_POINTS)] if preferences.others else []
     for i, code in zip(rows.tolist(), preferences.codes[rows].tolist()):
         if code == _OTHER:
             if reason := _other_violation(next(others), grid):

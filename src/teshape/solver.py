@@ -62,74 +62,82 @@ _MAX_ITER = 200  # root-finder iteration cap
 _KKT_TOL = 1e-8  # self-check: largest KKT violation a result may carry, times max(1, C)
 
 
-def _roots(f, lo, hi, f_lo, f_hi, xtol: float, ftol: float, rtol: float = 0.0) -> np.ndarray:
-    """Roots of decreasing f_i with f_i(lo_i) >= 0 >= f_i(hi_i), stepped in
-    lockstep; ``f(x, i)`` evaluates f_i at x for the open brackets i. Root i
-    is the end with the smaller |f_i| once the bracket is no wider than
+def _roots(g, lo, hi, g_lo, g_hi, xtol: float, ftol: float, rtol: float = 0.0,
+           target: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of decreasing f_i = g_i - ``target`` with f_i(lo_i) >= 0 >= f_i(hi_i),
+    stepped in lockstep, and g_i at each; ``g(x, i)`` evaluates g_i at x for the
+    open brackets i, ``g_lo`` and ``g_hi`` are g at the ends. Root i is the end
+    with the smaller |f_i| once the bracket is no wider than
     w = max(xtol, rtol*|hi|, 2 ulp(hi)) and |f_i| <= ftol at its last point;
     then the bracket is dropped. A step takes the secant through a bracket's
     last two points if inside it, else bisects; a step that fails to halve |f|
     at the end it replaces is followed by a bisection. Points stay w/2 inside,
     so a root that close to an end is straddled. Nothing is written in place.
     """
-    lo, hi, f_lo, f_hi = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    lo, hi, g_lo, g_hi = (np.asarray(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
+    f_lo, f_hi = g_lo - target, g_hi - target
     p, f_p, q, f_q = lo, f_lo, hi, f_hi  # the last two points evaluated
-    roots, open_, bisect = np.empty(len(lo)), np.arange(len(lo)), np.zeros(len(lo), dtype=bool)
+    roots, values, open_, bisect = np.empty(len(lo)), np.empty(len(lo)), np.arange(len(lo)), np.zeros(len(lo), dtype=bool)
     width = np.maximum(np.maximum(xtol, rtol * (size := np.abs(hi))), 2.0 * np.spacing(size))
     for _ in range(_MAX_ITER):
         if not len(open_):
-            return roots
+            return roots, values
         with np.errstate(all="ignore"):  # masked below where f_p == f_q or f is infinite
             secant = q - f_q * (q - p) / (f_q - f_p)
         free, half = ~bisect, 0.5 * width
         inside = free & (hi - lo > width) & (f_p != f_q) & (lo < secant) & (secant < hi)
         x = np.where(inside, np.minimum(np.maximum(secant, lo + half), hi - half), 0.5 * (lo + hi))
-        fx = f(x, open_)
+        fx = (gx := g(x, open_)) - target
         above, fx_size = fx > 0, np.abs(fx)
         bisect = free & (fx_size > 0.5 * np.abs(np.where(above, f_lo, f_hi)))
         lo, f_lo, hi, f_hi = np.where(above, x, lo), np.where(above, fx, f_lo), np.where(above, hi, x), np.where(above, f_hi, fx)
+        g_lo, g_hi = np.where(above, gx, g_lo), np.where(above, g_hi, gx)
         p, f_p, q, f_q = q, f_q, x, fx
         width = np.maximum(np.maximum(xtol, rtol * (size := np.abs(hi))), 2.0 * np.spacing(size))
         if (done := (hi - lo <= width) & (fx_size <= ftol)).any():
-            roots[open_[done]], keep = np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi)[done], ~done
-            open_, lo, hi, f_lo, f_hi, p, f_p, q, f_q, bisect, width = (
-                v[keep] for v in (open_, lo, hi, f_lo, f_hi, p, f_p, q, f_q, bisect, width))
+            low = np.abs(f_lo) < np.abs(f_hi)
+            roots[open_[done]], values[open_[done]], keep = np.where(low, lo, hi)[done], np.where(low, g_lo, g_hi)[done], ~done
+            open_, lo, hi, f_lo, f_hi, g_lo, g_hi, p, f_p, q, f_q, bisect, width = (
+                v[keep] for v in (open_, lo, hi, f_lo, f_hi, g_lo, g_hi, p, f_p, q, f_q, bisect, width))
     if len(open_):
         raise ConvergenceFailure(f"root-finder did not meet tolerances in {_MAX_ITER} iterations")
-    return roots
+    return roots, values
 
 
-def _inverse_marginals(derivs: list, lam: float, cap: float, lo=None, hi=None) -> np.ndarray:
+def _inverse_marginals(derivs: list, lam: float, cap: float, n: int, zero=None, floor=None,
+                       ceiling=None) -> tuple[np.ndarray, np.ndarray]:
     """Consumptions at which Custom derivatives meet ``lam``, clipped at 0, to a
-    bracket width of 1e-14 relative, inverted in lockstep. Agent i keeps the
-    warm bracket [lo_i, hi_i] if lo_i < hi_i <= cap and deriv(lo_i) > lam >=
-    deriv(hi_i), else takes [0, h], h the first of cap, 2cap, 4cap, ... with
-    deriv(h) <= lam. Still above lam at cap*2**79, the last doubling: ``inf``.
+    bracket width of 1e-14 relative, inverted in lockstep, and the derivatives
+    there (NaN where unbounded). ``zero`` holds each deriv(0), ``floor`` and
+    ``ceiling`` (x, deriv(x)) arrays at a higher and a lower price, if known.
+    Agent i keeps the warm bracket [floor_i, ceiling_i] if floor_i < ceiling_i
+    <= cap and deriv(floor_i) > lam >= deriv(ceiling_i), else takes [0, h], h
+    the first of s, 2s, 4s, ... with deriv(h) <= lam: s is cap over the largest
+    power of two up to the market's agent count ``n``, a share of it. Still
+    above lam at the last doubling, cap*2**79 or the largest finite one: inf.
     """
-    def f(x, i):
-        return np.array([derivs[k](v) for k, v in zip(i.tolist(), x.tolist())], dtype=float) - lam
+    def d(x, i):
+        return np.array([derivs[k](v) for k, v in zip(i.tolist(), x.tolist())], dtype=float)
     every = np.arange(len(derivs))
-    lo = np.zeros(len(derivs)) if lo is None else np.array(lo, dtype=float)  # copies, written below
-    hi = np.full(len(derivs), math.nan) if hi is None else np.array(hi, dtype=float)
-    f_lo, f_hi = f(lo, every), np.full(len(derivs), math.nan)
-    warm = (lo < hi) & (hi <= cap) & (f_lo > 0)
-    f_hi[warm] = f(hi[warm], every[warm])
-    cold = ~(f_hi <= 0)  # no warm bracket, or it failed its check
-    again = cold & (lo != 0)
-    f_lo[again] = f(np.zeros(np.count_nonzero(again)), every[again])
-    cold &= ~(f_lo <= 0)  # the rest of the cold agents demand 0
-    lo[cold], hi[cold] = 0.0, cap
-    f_hi[cold] = f(hi[cold], every[cold])
-    x, far = np.zeros(len(derivs)), every[cold & ~(f_hi <= 0)]
-    unbounded = ~(f(np.full(len(far), cap * 2.0**79), far) <= 0)
-    x[far[unbounded]], grow = math.inf, far[~unbounded]
-    while len(grow):  # double up to the first cap point at or below lam, found by the probe
+    zero = d(np.zeros(len(derivs)), every) if zero is None else zero
+    lo, d_lo = (np.zeros(len(derivs)), zero) if floor is None else floor
+    hi, d_hi = (np.full(len(derivs), math.nan),) * 2 if ceiling is None else ceiling
+    warm = (lo < hi) & (hi <= cap) & (d_lo > lam) & (d_hi <= lam)
+    cold = ~warm & ~(zero <= lam)  # without a warm bracket; the rest of those demand 0
+    share = math.ldexp(cap, 1 - n.bit_length())
+    lo, d_lo, hi, d_hi = np.where(cold, 0.0, lo), np.where(cold, zero, d_lo), np.where(cold, share, hi), np.array(d_hi)
+    d_hi[cold] = d(hi[cold], every[cold])
+    x, d_x, far = np.zeros(len(derivs)), np.array(zero), every[cold & ~(d_hi <= lam)]
+    unbounded = ~(d(np.full(len(far), math.ldexp(cap, min(79, 1024 - math.frexp(cap)[1]))), far) <= lam)
+    x[far[unbounded]], d_x[far[unbounded]], grow = math.inf, math.nan, far[~unbounded]
+    while len(grow):  # double up to the first point at or below lam, found by the probe
         hi[grow] *= 2.0
-        f_hi[grow] = f(hi[grow], grow)
-        grow = grow[~(f_hi[grow] <= 0)]
-    rest = np.flatnonzero(f_hi <= 0)
-    x[rest] = _roots(lambda z, i: f(z, rest[i]), lo[rest], hi[rest], f_lo[rest], f_hi[rest], 1e-14, math.inf, 1e-14)
-    return x
+        d_hi[grow] = d(hi[grow], grow)
+        grow = grow[~(d_hi[grow] <= lam)]
+    rest = np.flatnonzero((warm | cold) & (d_hi <= lam))
+    x[rest], d_x[rest] = _roots(lambda z, i: d(z, rest[i]), lo[rest], hi[rest], d_lo[rest], d_hi[rest],
+                                1e-14, math.inf, 1e-14, lam)
+    return x, d_x
 
 
 class AggregateDemand:
@@ -137,9 +145,11 @@ class AggregateDemand:
     masks on the kind codes: the quadratic agents' ``(b, m)`` rows (a slice
     when every agent is quadratic), the Custom agents' derivatives inverted
     together, unbounded demand as inf. Each evaluated price is remembered
-    with its Custom consumptions, which fall as the price rises, so the
-    nearest remembered prices on either side warm-start the inversions. Not
-    thread-safe. ``breakpoints[i]`` is agent i's marginal value at 0.
+    with its Custom consumptions, which fall as the price rises, and the
+    derivatives there, so the nearest remembered prices on either side
+    warm-start the inversions and no derivative is taken twice at a
+    remembered point or at 0. Not thread-safe. ``breakpoints[i]`` is agent
+    i's marginal value at 0.
     """
 
     def __init__(self, preferences, scale: float) -> None:
@@ -153,14 +163,15 @@ class AggregateDemand:
         self.custom = preferences.mask(None)
         self.b, self.m = (c[self.quadratic] for c in preferences.columns)
         self.derivs = [p.deriv_fn for p in preferences.others]
+        self._at_zero = np.array([deriv(0.0) for deriv in self.derivs], dtype=float)  # each Custom derivative at 0
         self._prices: list[float] = []  # remembered prices, ascending
-        self._consumptions: list[np.ndarray] = []  # the Custom consumptions at each
+        self._consumptions: list[tuple[np.ndarray, np.ndarray]] = []  # the Custom consumptions at each, derivatives there
 
     @property
     def breakpoints(self) -> np.ndarray:
         points = np.empty(self.n)
         points[self.quadratic] = self.b * self.m
-        points[self.custom] = [deriv(0.0) for deriv in self.derivs]
+        points[self.custom] = self._at_zero
         return points
 
     def allocation(self, lam: float) -> np.ndarray:
@@ -173,9 +184,10 @@ class AggregateDemand:
             floors = self._consumptions[k] if k < len(prices) else None
             ceilings = self._consumptions[k - 1] if k else None
             prices.insert(k, lam)
-            self._consumptions.insert(k, _inverse_marginals(self.derivs, lam, max(1.0, self.scale), floors, ceilings))
+            self._consumptions.insert(k, _inverse_marginals(self.derivs, lam, max(1.0, self.scale), self.n, self._at_zero,
+                                                            floors, ceilings))
         x = np.empty(self.n)
-        x[self.quadratic], x[self.custom] = quadratic, self._consumptions[k]
+        x[self.quadratic], x[self.custom] = quadratic, self._consumptions[k][0]
         return x
 
     def total(self, lam: float) -> float:
@@ -409,7 +421,7 @@ def _clear_generic(instance: MarketInstance) -> _Clearing:
         else:
             raise BracketFailure("no sign change within the expanding negative bracket")
     lam = _roots(lambda x, _: np.array([gap(x.item())]), [lo], [hi], [f_lo], [f_hi],
-                 _LAMBDA_TOL, 1e-9 * max(1.0, capacity)).item()
+                 _LAMBDA_TOL, 1e-9 * max(1.0, capacity))[0].item()
     if not np.all(finite := np.isfinite(x := demand.allocation(lam))):
         raise SolverError(f"agent {np.argmin(finite)}: demand not finite at the clearing price {lam!r}")
     return _Clearing(lam, x, SolveMethod.BISECTION, demand=demand)
@@ -493,7 +505,8 @@ def _kkt(
 
     Stationarity is written per family: PWL and quadratic agents as arrays (a
     one-family market's is that array itself), Custom agents inverted cold,
-    in lockstep, independently of the solve.
+    in lockstep, independently of the solve: every derivative value called
+    afresh, none taken from the solve's memory.
     """
     capacity = instance.capacity if capacity is None else capacity
     preferences, is_st = instance.preferences, instance.model is ModelKind.MTES_ST
@@ -525,7 +538,7 @@ def _kkt(
                 ds = [deriv(xi) for deriv, xi in zip(derivs, xc)]
                 part = [abs(d) if xi > 0 else max(0.0, -d) for d, xi in zip(ds, xc)]
             else:
-                part = np.abs(xs[0] - _inverse_marginals(derivs, lam.item(), max(1.0, instance.capacity)))
+                part = np.abs(xs[0] - _inverse_marginals(derivs, lam.item(), max(1.0, instance.capacity), instance.n)[0])
         if stationarity is None:
             stationarity = part
         else:

@@ -383,13 +383,15 @@ def bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
     raise RuntimeError("root-finder did not meet tolerances in 200 iterations")
 
 
-def inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: float | None = None) -> float:
+def inverse_marginal(deriv, lam: float, scale: float, n: int, lo: float = 0.0, hi: float | None = None) -> float:
     """Consumption at which one Custom derivative meets ``lam``, clipped at 0,
-    to a bracket width of 1e-14 relative. A warm bracket [lo, hi] with
-    hi <= max(1, scale) is used if deriv(lo) > lam >= deriv(hi); otherwise the
-    bracket is [0, cap], the cap doubling from max(1, scale). A derivative
-    still above ``lam`` after 80 doublings returns the cap, max(1, scale) *
-    2**80, where the lockstep inversion returns ``inf``."""
+    to a bracket width of 1e-14 relative, in a market of ``n`` agents. A warm
+    bracket [lo, hi] with hi <= max(1, scale) is used if deriv(lo) > lam >=
+    deriv(hi); otherwise the bracket is [0, h], h doubling from the share
+    max(1, scale) / 2**k, 2**k the largest power of two up to n, to
+    max(1, scale) * 2**79. A derivative still above ``lam`` there returns the
+    next doubling, max(1, scale) * 2**80, where the lockstep inversion returns
+    ``inf``; scales whose 2**80 multiple overflows are out of range."""
     f_lo = deriv(lo) - lam
     warm = hi is not None and lo < hi <= max(1.0, scale) and f_lo > 0
     f_hi = deriv(hi) - lam if warm else math.nan
@@ -397,8 +399,9 @@ def inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: float
         f_lo = deriv(0.0) - lam if lo else f_lo
         if f_lo <= 0:
             return 0.0
-        lo, hi = 0.0, max(1.0, scale)
-        for _ in range(80):
+        k = n.bit_length() - 1
+        lo, hi = 0.0, max(1.0, scale) / 2.0**k
+        for _ in range(80 + k):
             f_hi = deriv(hi) - lam
             if f_hi <= 0:
                 break
@@ -409,12 +412,13 @@ def inverse_marginal(deriv, lam: float, scale: float, lo: float = 0.0, hi: float
 
 
 class ScalarCustomDemand:
-    """Custom consumptions at each price, one ``inverse_marginal`` per agent;
-    every price is remembered, and the consumptions at the nearest remembered
-    prices above and below bound each agent's warm bracket."""
+    """Custom consumptions at each price in a market of ``n`` agents, one
+    ``inverse_marginal`` per agent; every price is remembered, and the
+    consumptions at the nearest remembered prices above and below bound each
+    agent's warm bracket. Every derivative is called afresh."""
 
-    def __init__(self, derivs, scale: float) -> None:
-        self.derivs, self.scale = list(derivs), scale
+    def __init__(self, derivs, scale: float, n: int) -> None:
+        self.derivs, self.scale, self.n = list(derivs), scale, n
         self.prices: list[float] = []
         self.consumptions: list[list[float]] = []
 
@@ -424,7 +428,7 @@ class ScalarCustomDemand:
             floors = self.consumptions[k] if k < len(self.prices) else repeat(0.0)
             ceilings = self.consumptions[k - 1] if k else repeat(None)
             self.prices.insert(k, lam)
-            self.consumptions.insert(k, [inverse_marginal(deriv, lam, self.scale, lo, hi)
+            self.consumptions.insert(k, [inverse_marginal(deriv, lam, self.scale, self.n, lo, hi)
                                          for deriv, lo, hi in zip(self.derivs, floors, ceilings)])
         return self.consumptions[k]
 

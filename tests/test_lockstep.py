@@ -6,10 +6,14 @@ versions must give the same bits:
 
 * ``AggregateDemand`` over a sequence of prices with one price repeated, for
   log, disguised-quadratic and positive-infimum derivatives at scales
-  1e-3..1e3, negative and zero prices included. Warm brackets come from the
-  remembered arrays, so a remembered array written in place shows as a
-  changed bit at a later price or at the repeat;
-* the cold inversion the self-check takes, at every one of those prices;
+  1e-3..1e3, negative and zero prices included, next to 0-9 quadratic agents
+  that count in the market's n, which sizes the cold start. Warm brackets and
+  their derivative values come from the remembered arrays, so a remembered
+  array written in place, or a remembered derivative that differs from a
+  fresh call, shows as a changed bit at a later price or at the repeat;
+* the cold inversion the self-check takes, at every one of those prices, with
+  the cold start's edges as examples: n a power of two and not, a root at a
+  doubling of the start, at and above the cap, and C < 1;
 * the price brackets of up to four mixed markets found in lockstep, each
   against its own scalar run with the generic route's tolerances.
 
@@ -26,7 +30,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teshape import AggregateDemand, Custom
+from teshape import AggregateDemand, Custom, Quadratic
 from teshape import solver
 
 from oracles import ScalarCustomDemand, bracketed_root, inverse_marginal
@@ -54,20 +58,28 @@ def scalar_bits(values, capacity: float) -> list[str]:
 
 
 @SETTINGS
-@given(agents, st.lists(price, min_size=1, max_size=8), st.integers(0, 7), scale)
-@example([("log", 2.0, 1.0)], [0.5], 0, 1.0)  # n=1
-@example([("floor", 3.0, 1.0), ("quadratic", 2.0, 4.0)], [0.5, 2.0, 0.0, 1.5], 1, 50.0)
-@example([("log", 1.0, 1.0)], [1.5 * 2.0**-79], 0, 1.0)  # demand between the last two cap points
-@example([("floor", 2.0, 0.5)], [1.5, 2.0, 1.8], 0, 1.0)  # a warm ceiling exactly at the cap
-def test_lockstep_inversion_matches_scalar_bits(agent_list, prices, repeat_at, capacity):
+@given(agents, st.lists(price, min_size=1, max_size=8), st.integers(0, 7), scale, st.integers(0, 9))
+@example([("log", 2.0, 1.0)], [0.5], 0, 1.0, 0)  # n=1
+@example([("floor", 3.0, 1.0), ("quadratic", 2.0, 4.0)], [0.5, 2.0, 0.0, 1.5], 1, 50.0, 0)
+@example([("log", 1.0, 1.0)], [1.5 * 2.0**-79], 0, 1.0, 0)  # demand between the last two cap points
+@example([("floor", 2.0, 0.5)], [1.5, 2.0, 1.8], 0, 1.0, 0)  # a warm ceiling exactly at the cap
+@example([("log", 3.0, 1.0)] * 4, [0.5, 1.0, 0.25], 0, 8.0, 0)  # n = 4, a power of two: start 2
+@example([("log", 3.0, 1.0)] * 3, [0.5, 1.0, 0.25], 0, 8.0, 2)  # n = 5, not one: start 2
+# roots at 0 price: at the start 2, at 2 * 2 = 4, at the cap 8 and above it, n = 4
+@example([("quadratic", 1.0, 2.0), ("quadratic", 1.0, 4.0), ("quadratic", 3.0, 8.0), ("quadratic", 0.5, 24.0)],
+         [0.0], 0, 8.0, 0)
+@example([("log", 1.5, 1.0), ("log", 3.0, 1.0)], [1.0, 0.5], 0, 0.25, 1)  # C < 1, n = 3: roots at the start 0.5, at 2
+@example([("log", 5.0, 1.0)], [1.0, 0.9], 0, 4.0, 3)  # n = 4: a root exactly at the cap 4, then above it
+def test_lockstep_inversion_matches_scalar_bits(agent_list, prices, repeat_at, capacity, others):
     derivs = [DERIVATIVES[kind](u, v) for kind, u, v in agent_list]
+    n, custom = len(derivs) + others, slice(len(derivs))
     prices = prices + [prices[repeat_at % len(prices)]]  # the repeat reads the remembered array
-    demand = AggregateDemand([Custom(lambda x: 0.0, d) for d in derivs], capacity)
-    reference = ScalarCustomDemand(derivs, capacity)
+    demand = AggregateDemand([Custom(lambda x: 0.0, d) for d in derivs] + [Quadratic(1.0, 1.0)] * others, capacity)
+    reference = ScalarCustomDemand(derivs, capacity, n)
     for lam in prices:
-        assert bits(demand.allocation(lam)) == scalar_bits(reference.at(lam), capacity), lam
-        cold = solver._inverse_marginals(derivs, lam, max(1.0, capacity))
-        assert bits(cold) == scalar_bits([inverse_marginal(d, lam, capacity) for d in derivs], capacity), lam
+        assert bits(demand.allocation(lam)[custom]) == scalar_bits(reference.at(lam), capacity), lam
+        cold = solver._inverse_marginals(derivs, lam, max(1.0, capacity), n)[0]
+        assert bits(cold) == scalar_bits([inverse_marginal(d, lam, capacity, n) for d in derivs], capacity), lam
 
 
 @st.composite
@@ -99,6 +111,6 @@ def test_lockstep_brackets_match_scalar_roots(brackets, ftol):
     def f(x, i):
         return np.array([gaps[k](v) for k, v in zip(i.tolist(), x.tolist())])
 
-    got = solver._roots(f, lo, hi, f_lo, f_hi, solver._LAMBDA_TOL, ftol)
+    got = solver._roots(f, lo, hi, f_lo, f_hi, solver._LAMBDA_TOL, ftol)[0]
     want = [bracketed_root(*args, solver._LAMBDA_TOL, ftol) for args in zip(gaps, lo, hi, f_lo, f_hi)]
     assert bits(got) == bits(want)

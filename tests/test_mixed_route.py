@@ -8,8 +8,11 @@
 * a guard on the number of ``deriv_fn`` calls one solve makes, and on the
   calls at the zero price, where log demand is unbounded; one seeded market's
   exact call count and result bits, pinned;
+* the self-check's inversion: exactly the calls of a fresh cold one, whatever
+  the solve remembered;
 * unbounded demand reported as ``inf``, including below the positive
-  infimum of a derivative, and a non-finite clearing allocation refused;
+  infimum of a derivative and at a capacity whose 2**79 multiple overflows,
+  and a non-finite clearing allocation refused;
 * one ``AggregateDemand`` split per mixed solve, self-check included.
 
 Runs are derandomized so the suite is reproducible.
@@ -159,30 +162,58 @@ def test_deriv_calls_stay_below_a_quarter_of_plain_bisection(monkeypatch):
 # arithmetic or to the order of its calls shows: deriv_fn calls (validation's
 # spot check, the solve and the self-check), the hex of the price, balance
 # residual and largest KKT violation, and sha256 of x_star
-PINNED_CALLS = 15_861
+PINNED_CALLS = 11_364
 PINNED_HEX = ("0x1.7f0b0e305bcfbp+1", "0x1.1800000000000p-38", "0x1.1800000000000p-38")
-PINNED_X_SHA256 = "b0661df8a7e65860f01122057ef9efba5998ad390356a61803d9b1c245d97969"
+PINNED_X_SHA256 = "d88785f41a08ec30047e907f1df73e7db7a41e36fc3d5b43ef62933c00a1e3e3"
 
 
-def test_generic_route_work_and_bits_are_pinned():
+def pinned_market(calls: list) -> MarketInstance:
+    """200 agents, every other one a log agent whose deriv_fn appends
+    (agent, x) to ``calls``."""
     rng = np.random.default_rng(2025)
     n = 200
     b, m, w = rng.uniform(0.5, 2.0, n), rng.uniform(5.0, 15.0, n), rng.uniform(2.0, 20.0, n)
     production = rng.uniform(2.0, 8.0, n)
-    calls = [0]
 
-    def counting(wi: float) -> Custom:
+    def counting(i: int) -> Custom:
         def deriv(x: float) -> float:
-            calls[0] += 1
-            return wi / (1.0 + x)
+            calls.append((i, x))
+            return w[i] / (1.0 + x)
 
-        return Custom(lambda x: wi * math.log1p(x), deriv)
+        return Custom(lambda x: w[i] * math.log1p(x), deriv)
 
-    preferences = [counting(w[i]) if i % 2 else Quadratic(b[i], m[i]) for i in range(n)]
-    result = solve(MarketInstance(production=production, preferences=preferences))
-    assert calls[0] == PINNED_CALLS
+    preferences = [counting(i) if i % 2 else Quadratic(b[i], m[i]) for i in range(n)]
+    return MarketInstance(production=production, preferences=preferences)
+
+
+def test_generic_route_work_and_bits_are_pinned():
+    calls = []
+    result = solve(pinned_market(calls))
+    assert len(calls) == PINNED_CALLS
     assert (result.lambda_star.hex(), result.balance_residual.hex(), result.kkt_max_violation.hex()) == PINNED_HEX
     assert hashlib.sha256(np.asarray(result.x_star, dtype=np.float64).tobytes()).hexdigest() == PINNED_X_SHA256
+
+
+def test_self_check_inverts_cold_whatever_the_solve_remembered(monkeypatch):
+    """The self-check calls deriv_fn at exactly the points, in the order, of
+    a fresh cold inversion at the clearing price: it takes no warm bracket
+    and no derivative value from the solve's AggregateDemand."""
+    calls, in_kkt = [], []
+    original = solver._kkt
+
+    def kkt(*args, **kwargs):
+        before = len(calls)
+        report = original(*args, **kwargs)
+        in_kkt.extend(calls[before:])
+        return report
+
+    monkeypatch.setattr(solver, "_kkt", kkt)
+    instance = pinned_market(calls)
+    result = solve(instance)
+    del calls[:]
+    derivs = [p.deriv_fn for p in instance.preferences.others]
+    solver._inverse_marginals(derivs, result.lambda_star, max(1.0, instance.capacity), instance.n)
+    assert len(in_kkt) > len(derivs) and in_kkt == calls
 
 
 # the price the scalar inversion, which returned 2**80 * max(1, C) for an
@@ -204,6 +235,14 @@ def test_log_demand_at_zero_price_is_inf():
     demand = solver.AggregateDemand((log_agent(2.0), Quadratic(1.0, 2.0)), scale=10.0)
     assert demand.total(0.0) == math.inf
     assert demand.allocation(0.0).tolist() == [math.inf, 2.0]
+
+
+@pytest.mark.parametrize("capacity", [1e290, 1e300, 1.7e308])
+def test_unbounded_demand_is_found_where_the_last_doubling_would_overflow(capacity):
+    """max(1, C) * 2**79 is inf above 2.97e284, so the probe takes the largest
+    finite doubling of the start instead; a RuntimeWarning fails the test."""
+    demand = solver.AggregateDemand((log_agent(2.0),), scale=capacity)
+    assert demand.allocation(0.0).tolist() == [math.inf]
 
 
 def test_non_finite_allocation_at_the_price_raises(monkeypatch):

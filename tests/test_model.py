@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -137,6 +138,25 @@ def test_custom_concavity_check():
     assert validate_instance(MarketInstance((1.0,), (good,))).ok
     report = validate_instance(MarketInstance((1.0,), (bad,)))
     assert any("strictly decreasing" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("capacity", [10.0, 1.7e308])
+def test_custom_concavity_grid_near_the_float_limit(capacity):
+    """The grid runs from 0 to 2C in 16 equal steps, the top capped at the
+    largest float where 2C overflows: a log agent at C = 1.7e308 is valid and
+    a constant derivative is still refused."""
+    points = []
+
+    def deriv(x):
+        points.append(x)
+        return 1.0 / (1.0 + x)
+
+    top = min(2.0 * capacity, sys.float_info.max)
+    assert validate_instance(MarketInstance((capacity,), (Custom(lambda x: math.log1p(x), deriv),))).ok
+    assert points == [top * k / 16 if capacity == 10.0 else top / 16 * k for k in range(17)]
+    flat = Custom(lambda x: x, lambda x: 1.0)
+    assert validate_instance(MarketInstance((capacity,), (flat,))).violations == (
+        "agent 0: deriv_fn not strictly decreasing (utility must be strictly concave)",)
 
 
 def test_family_detection(quartet):
