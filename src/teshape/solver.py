@@ -70,9 +70,11 @@ def _roots(g, lo, hi, g_lo, g_hi, xtol: float, ftol: float, rtol: float = 0.0,
     with the smaller |f_i| once the bracket is no wider than
     w = max(xtol, rtol*|hi|, 2 ulp(hi)) and |f_i| <= ftol at its last point;
     then the bracket is dropped. A step takes the secant through a bracket's
-    last two points if inside it, else bisects; a step that fails to halve |f|
-    at the end it replaces is followed by a bisection. Points stay w/2 inside,
-    so a root that close to an end is straddled. Nothing is written in place.
+    last two points if it lies in the bracket, ends included, and their f differ
+    by a finite nonzero amount, else bisects; a step that fails to halve |f| at
+    the end it replaces is followed by a bisection. Points stay w/2 inside, so a
+    secant at an end, as through f = 0 there, straddles a root that close to it;
+    f = inf at an end gives no secant. Nothing is written in place.
     """
     lo, hi, g_lo, g_hi = (np.asarray(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
     f_lo, f_hi = g_lo - target, g_hi - target
@@ -82,10 +84,10 @@ def _roots(g, lo, hi, g_lo, g_hi, xtol: float, ftol: float, rtol: float = 0.0,
     for _ in range(_MAX_ITER):
         if not len(open_):
             return roots, values
-        with np.errstate(all="ignore"):  # masked below where f_p == f_q or f is infinite
-            secant = q - f_q * (q - p) / (f_q - f_p)
+        with np.errstate(all="ignore"):  # inf - inf, overflow, x/0: masked below where f_p == f_q or f_q - f_p isn't finite
+            secant = q - f_q * (q - p) / (step := f_q - f_p)
         free, half = ~bisect, 0.5 * width
-        inside = free & (hi - lo > width) & (f_p != f_q) & (lo < secant) & (secant < hi)
+        inside = free & (hi - lo > width) & (f_p != f_q) & np.isfinite(step) & (lo <= secant) & (secant <= hi)
         x = np.where(inside, np.minimum(np.maximum(secant, lo + half), hi - half), 0.5 * (lo + hi))
         fx = (gx := g(x, open_)) - target
         above, fx_size = fx > 0, np.abs(fx)

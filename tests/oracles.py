@@ -359,16 +359,18 @@ def bracketed_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
     """Root of a decreasing ``f`` with f(lo) >= 0 >= f(hi), one bracket at a
     time: the bracket end with the smaller |f| once the bracket is no wider
     than w = max(xtol, rtol*|hi|, 2 ulp(hi)) and |f| <= ftol at the last
-    point. Secant steps inside the bracket, else bisection; a step that fails
-    to halve |f| at the end it replaces is followed by a bisection; points
-    stay w/2 inside the bracket. At most 200 steps."""
+    point. Secant steps where the secant lies in the bracket, ends included,
+    and the two residuals differ by a finite nonzero amount, else bisection; a
+    step that fails to halve |f| at the end it replaces is followed by a
+    bisection; points stay w/2 inside the bracket, so a secant at an end closes
+    the bracket next to a root there. At most 200 steps."""
     (p, f_p), (q, f_q) = (lo, f_lo), (hi, f_hi)
     bisect, width = False, max(xtol, rtol * abs(hi), 2.0 * math.ulp(hi))
     for _ in range(200):
         x = 0.5 * (lo + hi)
-        if not bisect and hi - lo > width and f_p != f_q:
+        if not bisect and hi - lo > width and f_p != f_q and math.isfinite(f_q - f_p):
             secant = q - f_q * (q - p) / (f_q - f_p)
-            if lo < secant < hi:
+            if lo <= secant <= hi:
                 x = min(max(secant, lo + 0.5 * width), hi - 0.5 * width)
         fx = f(x)
         bisect = not bisect and abs(fx) > 0.5 * abs(f_lo if fx > 0 else f_hi)

@@ -7,7 +7,8 @@
   quadratic solver, negative prices included;
 * a guard on the number of ``deriv_fn`` calls one solve makes, and on the
   calls at the zero price, where log demand is unbounded; one seeded market's
-  exact call count and result bits, pinned;
+  exact call count, root-finder rounds and result bits, pinned, and the calls,
+  rounds and price bits of small alternating markets;
 * the self-check's inversion: exactly the calls of a fresh cold one, whatever
   the solve remembered;
 * unbounded demand reported as ``inf``, including below the positive
@@ -162,7 +163,7 @@ def test_deriv_calls_stay_below_a_quarter_of_plain_bisection(monkeypatch):
 # arithmetic or to the order of its calls shows: deriv_fn calls (validation's
 # spot check, the solve and the self-check), the hex of the price, balance
 # residual and largest KKT violation, and sha256 of x_star
-PINNED_CALLS = 11_364
+PINNED_CALLS = 9_182
 PINNED_HEX = ("0x1.7f0b0e305bcfbp+1", "0x1.1800000000000p-38", "0x1.1800000000000p-38")
 PINNED_X_SHA256 = "d88785f41a08ec30047e907f1df73e7db7a41e36fc3d5b43ef62933c00a1e3e3"
 
@@ -192,6 +193,64 @@ def test_generic_route_work_and_bits_are_pinned():
     assert len(calls) == PINNED_CALLS
     assert (result.lambda_star.hex(), result.balance_residual.hex(), result.kkt_max_violation.hex()) == PINNED_HEX
     assert hashlib.sha256(np.asarray(result.x_star, dtype=np.float64).tobytes()).hexdigest() == PINNED_X_SHA256
+
+
+def counting_rounds(monkeypatch) -> list:
+    """A one-item list that counts the steps of every ``_roots`` call, the
+    price search's and each inner inversion's: one per evaluation of g."""
+    rounds = [0]
+    original = solver._roots
+
+    def roots(g, *args, **kwargs):
+        def counted(x, i):
+            rounds[0] += 1
+            return g(x, i)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_roots", roots)
+    return rounds
+
+
+# root-finder rounds one solve of the pinned market takes, self-check included
+PINNED_ROUNDS = 101
+
+
+def test_generic_route_rounds_are_pinned(monkeypatch):
+    rounds = counting_rounds(monkeypatch)
+    result = solve(pinned_market([]))
+    assert rounds[0] == PINNED_ROUNDS
+    assert result.lambda_star.hex() == PINNED_HEX[0]
+
+
+# n: deriv_fn calls, root-finder rounds and the price's hex of one solve of
+# tiny_market(n); the price bits are those of the scalar root-finder's rule
+TINY_MARKETS = {
+    2: (62, 46, "0x1.bb67ae8588818p+0"),
+    4: (157, 66, "0x1.3988e1409212ep+1"),
+    6: (263, 81, "0x1.6e212fb6276aep+1"),
+    50: (2_733, 111, "0x1.25689039b0ad2p+3"),
+}
+
+
+def tiny_market(n: int, calls: list) -> MarketInstance:
+    """n agents producing 1 each, alternating Quadratic(1 + i mod 3, 3) and a
+    Custom agent whose derivative (2 + i)/(1 + x) appends x to ``calls``."""
+    def counting(i: int) -> Custom:
+        def deriv(x: float) -> float:
+            calls.append(x)
+            return (2.0 + i) / (1.0 + x)
+
+        return Custom(lambda x: (2.0 + i) * math.log1p(x), deriv)
+
+    return MarketInstance((1.0,) * n, [counting(i) if i % 2 else Quadratic(1.0 + i % 3, 3.0) for i in range(n)])
+
+
+@pytest.mark.parametrize("n", sorted(TINY_MARKETS))
+def test_tiny_alternating_market_work_is_pinned(n, monkeypatch):
+    calls, rounds = [], counting_rounds(monkeypatch)
+    result = solve(tiny_market(n, calls))
+    assert (len(calls), rounds[0], result.lambda_star.hex()) == TINY_MARKETS[n]
 
 
 def test_self_check_inverts_cold_whatever_the_solve_remembered(monkeypatch):
@@ -229,6 +288,21 @@ def test_unbounded_demand_below_a_positive_infimum_clears():
     assert solve(instance).lambda_star.hex() == INFIMUM_MARKET_PRICE.hex()
     demand = solver.AggregateDemand(instance.preferences, instance.capacity)
     assert demand.allocation(0.75).tolist() == [math.inf, 2.25]
+
+
+def test_price_search_bisects_first_from_an_infinite_gap_at_zero(monkeypatch):
+    """Next to a log agent gap(0) = inf; the secant through it is the high
+    end, so the first price tried after the ends 5 and 0 is the midpoint."""
+    prices = []
+    original = solver.AggregateDemand.total
+
+    def total(self, lam):
+        prices.append(lam)
+        return original(self, lam)
+
+    monkeypatch.setattr(solver.AggregateDemand, "total", total)
+    solve(MarketInstance((1.0, 1.0), (Quadratic(1.0, 3.0), log_agent(5.0))))
+    assert prices[:3] == [5.0, 0.0, 2.5]
 
 
 def test_log_demand_at_zero_price_is_inf():
